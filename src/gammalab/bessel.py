@@ -15,6 +15,7 @@ independent cross-checks of the same values.
 from __future__ import annotations
 
 import csv
+import itertools
 from functools import lru_cache
 
 from .charkit import TOL, AddChar
@@ -34,18 +35,8 @@ def _unipotent_psi_data(ctx: FieldCtx, n: int) -> tuple:
 def support_keys(ctx: FieldCtx, n: int) -> tuple:
     """All (composition of n, scalar tuple) support parameters."""
     units = ctx.subfield_units(1)
-    keys = []
-    for comp in mg.compositions(n):
-        def extend(i, acc):
-            if i == len(comp):
-                keys.append((comp, tuple(acc)))
-                return
-            for lam in units:
-                acc.append(lam)
-                extend(i + 1, acc)
-                acc.pop()
-        extend(0, [])
-    return tuple(keys)
+    return tuple((comp, lams) for comp in mg.compositions(n)
+                 for lams in itertools.product(units, repeat=len(comp)))
 
 
 @lru_cache(maxsize=None)

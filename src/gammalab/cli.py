@@ -18,7 +18,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import exjs, levelzero
@@ -118,11 +117,12 @@ def _cnum(z: complex):
     return [float(z.real), float(z.imag)]
 
 
-def _gamma_row(cfg: RunConfig, ctx, k: int) -> dict:
-    t0 = time.perf_counter()
-    rep = CuspidalRep(ctx, k)
-    psi = AddChar(ctx, cfg.psi_inverse)
-    table = bessel_build(rep, psi)
+def _table(cfg: RunConfig, ctx, k: int):
+    return bessel_build(CuspidalRep(ctx, k), AddChar(ctx, cfg.psi_inverse))
+
+
+def _gamma_row(cfg: RunConfig, table) -> dict:
+    rep = table.rep
     row = {
         "theta": rep.exponent,
         "orbit": list(rep.galois_orbit()),
@@ -157,7 +157,7 @@ def _gamma_row(cfg: RunConfig, ctx, k: int) -> dict:
         row["route_deltas"] = deltas
         row["max_route_delta"] = max(deltas.values()) if deltas else 0.0
         row["fe_residual"] = ratio.diagnostics["max_residual"]
-    row["_elapsed"] = time.perf_counter() - t0
+        row["pairs_checked"] = ratio.diagnostics["pairs_checked"]
     return row
 
 
@@ -198,11 +198,11 @@ def _flatten_gamma_row(row: dict) -> dict:
 
 def cmd_gamma(cfg: RunConfig) -> int:
     ctx = build_field(cfg.p, cfg.e, cfg.n)
-    ks = _theta_exponents(cfg, ctx)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        rows = list(pool.map(lambda k: _gamma_row(cfg, ctx, k), ks))
-    for row in rows:
-        print(f"theta={row['theta']} elapsed={row.pop('_elapsed'):.3f}s",
+    rows = []
+    for k in _theta_exponents(cfg, ctx):
+        t0 = time.perf_counter()
+        rows.append(_gamma_row(cfg, _table(cfg, ctx, k)))
+        print(f"theta={rows[-1]['theta']} elapsed={time.perf_counter() - t0:.3f}s",
               file=sys.stderr)
     bad = [row for row in rows
            if not row["shalika"] and row["max_route_delta"] > cfg.tol]
@@ -350,19 +350,14 @@ def cmd_export(cfg: RunConfig) -> int:
         raise PreconditionViolated("export needs --out DIRECTORY")
     os.makedirs(cfg.out, exist_ok=True)
     ctx = build_field(cfg.p, cfg.e, cfg.n)
-    ks = _theta_exponents(cfg, ctx)
-    psi = AddChar(ctx, cfg.psi_inverse)
     written = []
     rows = []
-    for k in ks:
-        rep = CuspidalRep(ctx, k)
-        table = bessel_build(rep, psi)
-        path = os.path.join(cfg.out, f"bessel_q{ctx.q}_n{cfg.n}_k{rep.exponent}.csv")
+    for k in _theta_exponents(cfg, ctx):
+        table = _table(cfg, ctx, k)
+        path = os.path.join(cfg.out, f"bessel_q{ctx.q}_n{cfg.n}_k{table.rep.exponent}.csv")
         export_bessel_csv(table, path)
         written.append(path)
-        rows.append(_gamma_row(cfg, ctx, k))
-    for row in rows:
-        row.pop("_elapsed", None)
+        rows.append(_gamma_row(cfg, table))
     sweep = {"schema": SCHEMA, "command": "export", "q": ctx.q, "n": cfg.n,
              "psi_inverse": cfg.psi_inverse, "seed": cfg.seed, "rows": rows}
     sweep_path = os.path.join(cfg.out, f"gamma_sweep_q{ctx.q}_n{cfg.n}.{cfg.fmt}")
@@ -388,14 +383,13 @@ def cmd_export(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     try:
         cfg = parse_config(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         if cfg.command == "gamma":
             return cmd_gamma(cfg)
         if cfg.command == "verify":
             return cmd_verify(cfg)
         return cmd_export(cfg)
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except GammalabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -11,12 +11,16 @@ with the Shalika-vector detection and the appendix multiplicity bounds.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from .bessel import BesselTable
-from .charkit import CFun, fourier, gauss_sum, restriction_is_trivial
+from .charkit import (CFun, _pairing_matrix, fourier, gauss_sum,
+                      restriction_is_trivial)
 from .cuspchar import CuspidalRep
 from .errors import (
     DimensionMismatch,
@@ -72,30 +76,32 @@ class GammaResult:
 # -- precomputed summation frames (representation independent) ----------------
 
 @lru_cache(maxsize=None)
-def _even_frame(ctx: FieldCtx, m: int) -> tuple:
-    """(sigma u(X) diag(g,g), -tr X, eps*g, e_1*g^{-T}) over the coset grid."""
-    sig = mg.sigma_perm(2 * m)
-    out = []
-    for g in mg.unipotent_coset_reps(ctx, m):
-        eps_g = g[m - 1]
-        ginv = mg.mat_inv(ctx, g)
-        e1_ginv_t = tuple(row[0] for row in ginv)  # first column of g^{-1}
-        dg = mg.shalika_diag(g)
-        for x in mg.lower_nilpotent_reps(ctx, m):
-            prod = mg.mat_chain(ctx, sig, mg.shalika_u(m, x), dg)
-            out.append((prod, ctx.neg(mg.mat_trace(ctx, x)), eps_g, e1_ginv_t))
-    return tuple(out)
+def _sum_frame(ctx: FieldCtx, n: int) -> tuple:
+    """Both Jacquet-Shalika sums as one list of terms (g, -tr X, i_js, i_dual):
 
+        js(W, phi)      = sum W(g) psi(-tr X) phi[i_js]      / norm
+        dual_js(W, phi) = sum W(g) psi(-tr X) phi_hat[i_dual] / norm
 
-@lru_cache(maxsize=None)
-def _odd_frame(ctx: FieldCtx, m: int) -> tuple:
-    """(js product, dual product, -tr X, Z) over the coset grid and Z."""
-    n = 2 * m + 1
+    over the terms whose index is not None; indices are flat points of
+    F_q^m.  Even n: g = sigma u(X) diag(g0, g0) over the coset grid, one term
+    feeding js at eps*g0 and dual_js at e_1*g0^{-T}.  Odd n: for each grid
+    element and Z, a js term and a dual term, both at Z."""
+    m = n // 2
     sig = mg.sigma_perm(n)
-    front = mg.antidiag_elem(ctx, (1, 2 * m), (1, 1))
-    probe = CFun(ctx, m)
-    zpoints = probe.points()
+    idx = CFun(ctx, m).index_of
     out = []
+    if n % 2 == 0:
+        for g in mg.unipotent_coset_reps(ctx, m):
+            ginv = mg.mat_inv(ctx, g)
+            i_eps = idx(g[m - 1])
+            i_e1 = idx(tuple(row[0] for row in ginv))  # first column of g^{-1}
+            dg = mg.shalika_diag(g)
+            for x in mg.lower_nilpotent_reps(ctx, m):
+                prod = mg.mat_chain(ctx, sig, mg.shalika_u(m, x), dg)
+                out.append((prod, ctx.neg(mg.mat_trace(ctx, x)), i_eps, i_e1))
+        return tuple(out)
+    front = mg.antidiag_elem(ctx, (1, 2 * m), (1, 1))
+    zpoints = CFun(ctx, m).points()
     for g in mg.unipotent_coset_reps(ctx, m):
         dg = mg.odd_diag(g)
         for x in mg.lower_nilpotent_reps(ctx, m):
@@ -103,9 +109,10 @@ def _odd_frame(ctx: FieldCtx, m: int) -> tuple:
             dbase = mg.mat_mul(ctx, front, base)
             ntr = ctx.neg(mg.mat_trace(ctx, x))
             for z in zpoints:
-                prod = mg.mat_mul(ctx, base, mg.odd_lower(m, z))
-                dprod = mg.mat_mul(ctx, dbase, mg.odd_upper_right(m, z))
-                out.append((prod, dprod, ntr, z))
+                zi = idx(z)
+                out.append((mg.mat_mul(ctx, base, mg.odd_lower(m, z)), ntr, zi, None))
+                out.append((mg.mat_mul(ctx, dbase, mg.odd_upper_right(m, z)), ntr,
+                            None, zi))
     return tuple(out)
 
 
@@ -161,88 +168,71 @@ def _support_signature(ctx: FieldCtx, g: mg.Mat):
     return parsed, s
 
 
+def _fe_translates(ctx: FieldCtx, n: int, seed: int, trials: int) -> tuple:
+    """The translates h of the certificates' test functions W = B(. h): every
+    h in GL_n when |GL_n| * q^m <= EXHAUSTIVE_PAIR_CAP, else `trials` seeded
+    random ones (at least one, so no certificate passes on zero pairs)."""
+    q = ctx.q
+    if mg.gl_order(q, n) * q ** (n // 2) <= EXHAUSTIVE_PAIR_CAP:
+        return mg.all_gl(ctx, n)
+    if trials < 1:
+        raise PreconditionViolated(
+            f"the sampled functional-equation check at q = {q}, n = {n} needs"
+            f" trials >= 1, got {trials}")
+    rng = random.Random(f"fe:{seed}:{q}:{n}")
+    return tuple(mg.random_invertible(ctx, n, rng) for _ in range(trials))
+
+
 @lru_cache(maxsize=64)
 def _fe_pool(ctx: FieldCtx, n: int, seed: int, trials: int) -> tuple:
-    """Support signatures of the sum frames against `trials` seeded random
-    translates; shared by every representation at (q, n)."""
-    rng = random.Random(f"fe:{seed}:{ctx.q}:{n}")
-    m = n // 2
-    odd = n % 2 == 1
-    probe = CFun(ctx, m)
-    idx = probe.index_of
+    """For each translate h of `_fe_translates`, the rows (support key,
+    psi-argument, i_js, i_dual) of the sum-frame terms g with g h on the
+    Bessel support.  Representation independent: shared by every
+    representation at (q, n) and by both functional-equation certificates."""
+    frame = _sum_frame(ctx, n)
     pool = []
-    for _ in range(trials):
-        h = mg.random_invertible(ctx, n, rng)
+    for h in _fe_translates(ctx, n, seed, trials):
         rows = []
-        if odd:
-            for prod, dprod, ntr, z in _odd_frame(ctx, m):
-                sj = _support_signature(ctx, mg.mat_mul(ctx, prod, h))
-                sd = _support_signature(ctx, mg.mat_mul(ctx, dprod, h))
-                zi = idx(z)
-                if sj is not None:
-                    rows.append((sj[0], ctx.add(sj[1], ntr), zi, False))
-                if sd is not None:
-                    rows.append((sd[0], ctx.add(sd[1], ntr), zi, True))
-        else:
-            for prod, ntr, eps_g, e1_ginv_t in _even_frame(ctx, m):
-                sig = _support_signature(ctx, mg.mat_mul(ctx, prod, h))
-                if sig is not None:
-                    rows.append((sig[0], ctx.add(sig[1], ntr),
-                                 idx(eps_g), idx(e1_ginv_t)))
+        for g, ntr, i_js, i_dual in frame:
+            sig = _support_signature(ctx, mg.mat_mul(ctx, g, h))
+            if sig is not None:
+                rows.append((sig[0], ctx.add(sig[1], ntr), i_js, i_dual))
         pool.append(tuple(rows))
     return tuple(pool)
 
 
-def _pool_profiles(table: BesselTable, pool):
-    """For each pooled translate, the vectors js(W, delta_x) and
-    dual_js(W, delta_x) over all points x."""
-    from .charkit import _pairing_matrix
+def _delta_profiles(table: BesselTable, s_js, s_dual):
+    """(js(W, delta_x), dual_js(W, delta_x)) over all points x, from the
+    frame sums S accumulated per point: js is S_js / norm, and dual_js is
+    sum_z S_dual[z] * fourier(delta_x)(z) / norm."""
     ctx = table.ctx
-    n, m, odd = _split(table)
+    n, m, _ = _split(table)
+    norm = _norm_const(ctx, n)
+    K = _pairing_matrix(ctx, m, table.psi.inverse)
+    scale = ctx.q ** (-m / 2.0) / norm
+    js_vec = [v / norm for v in s_js]
+    dual_vec = (scale * (K @ np.asarray(s_dual))).tolist()
+    return js_vec, dual_vec
+
+
+def _pool_profiles(table: BesselTable, pool):
+    """For each pooled translate W, the vectors js(W, delta_x) and
+    dual_js(W, delta_x) over all points x."""
     psi = table.psi
     entries = table.entries
-    norm = _norm_const(ctx, n)
-    size = ctx.q ** m
-    K = _pairing_matrix(ctx, m, psi.inverse)
-    fscale = ctx.q ** (-m / 2.0) / norm
+    size = table.ctx.q ** (table.n // 2)
     out = []
     for rows in pool:
         s_js = [0j] * size
         s_dual = [0j] * size
-        if odd:
-            for key, s, zi, is_dual in rows:
-                val = psi(s) * entries[key]
-                if is_dual:
-                    s_dual[zi] += val
-                else:
-                    s_js[zi] += val
-        else:
-            for key, s, i_eps, i_e1 in rows:
-                val = psi(s) * entries[key]
-                s_js[i_eps] += val
-                s_dual[i_e1] += val
-        js_vec = [v / norm for v in s_js]
-        dual_vec = [fscale * sum(s_dual[z] * K[x][z] for z in range(size))
-                    for x in range(size)]
-        out.append((js_vec, dual_vec))
+        for key, s, i_js, i_dual in rows:
+            val = psi(s) * entries[key]
+            if i_js is not None:
+                s_js[i_js] += val
+            if i_dual is not None:
+                s_dual[i_dual] += val
+        out.append(_delta_profiles(table, s_js, s_dual))
     return out
-
-
-@lru_cache(maxsize=64)
-def _js_one_pool(ctx: FieldCtx, n: int, seed: int, samples: int) -> tuple:
-    """Support signatures for js(translate, 1) over seeded random translates."""
-    rng = random.Random(f"one:{seed}:{ctx.q}:{n}")
-    m = n // 2
-    pool = []
-    for _ in range(samples):
-        h = mg.random_invertible(ctx, n, rng)
-        rows = []
-        for prod, ntr, _eps, _e1 in _even_frame(ctx, m):
-            sig = _support_signature(ctx, mg.mat_mul(ctx, prod, h))
-            if sig is not None:
-                rows.append((sig[0], ctx.add(sig[1], ntr)))
-        pool.append(tuple(rows))
-    return tuple(pool)
 
 
 def _split(table: BesselTable):
@@ -252,81 +242,50 @@ def _split(table: BesselTable):
     return n, n // 2, n % 2 == 1
 
 
-def js(table: BesselTable, w, phi: CFun) -> complex:
-    """The Jacquet-Shalika sum JS(W, phi); parity dispatched on n."""
-    ctx = table.ctx
-    n, m, odd = _split(table)
+def _frame_sum(table: BesselTable, w, phi: CFun, dual: bool) -> complex:
+    """sum W(g) psi(-tr X) phi[i] / norm over the frame terms whose index i
+    (i_dual if `dual`, else i_js) is set."""
+    n, m, _ = _split(table)
     if phi.m != m:
         raise DimensionMismatch(f"phi lives on F_q^{phi.m}, need m = {m}")
     psi = table.psi
+    values = phi.values.tolist()
+    slot = 3 if dual else 2
     total = 0j
-    if odd:
-        for prod, _dprod, ntr, z in _odd_frame(ctx, m):
-            fz = phi(z)
-            if fz:
-                total += w(prod) * psi(ntr) * fz
-    else:
-        for prod, ntr, eps_g, _e1 in _even_frame(ctx, m):
-            fz = phi(eps_g)
-            if fz:
-                total += w(prod) * psi(ntr) * fz
-    return total / _norm_const(ctx, n)
+    for term in _sum_frame(table.ctx, n):
+        i = term[slot]
+        if i is not None and values[i]:
+            total += w(term[0]) * psi(term[1]) * values[i]
+    return total / _norm_const(table.ctx, n)
+
+
+def js(table: BesselTable, w, phi: CFun) -> complex:
+    """The Jacquet-Shalika sum JS(W, phi)."""
+    return _frame_sum(table, w, phi, dual=False)
 
 
 def dual_js(table: BesselTable, w, phi: CFun) -> complex:
     """The dual sum via the direct formulas (Fourier transform of phi on the
     flipped argument)."""
-    ctx = table.ctx
-    n, m, odd = _split(table)
-    if phi.m != m:
-        raise DimensionMismatch(f"phi lives on F_q^{phi.m}, need m = {m}")
-    psi = table.psi
-    phat = fourier(phi, psi)
-    total = 0j
-    if odd:
-        for _prod, dprod, ntr, z in _odd_frame(ctx, m):
-            fz = phat(z)
-            if fz:
-                total += w(dprod) * psi(ntr) * fz
-    else:
-        for prod, ntr, _eps, e1_ginv_t in _even_frame(ctx, m):
-            fz = phat(e1_ginv_t)
-            if fz:
-                total += w(prod) * psi(ntr) * fz
-    return total / _norm_const(ctx, n)
+    return _frame_sum(table, w, fourier(phi, table.psi), dual=True)
 
 
 def js_profiles(table: BesselTable, w):
-    """js(W, delta_x) and dual_js(W, delta_x) for every point x at once;
-    used by the exhaustive functional-equation sweeps."""
+    """js(W, delta_x) and dual_js(W, delta_x) for every point x at once,
+    evaluating W on every frame term; the reference for `_pool_profiles`."""
     ctx = table.ctx
-    n, m, odd = _split(table)
+    n, m, _ = _split(table)
     psi = table.psi
-    probe = CFun(ctx, m)
-    idx = probe.index_of
-    size = probe.size
+    size = ctx.q ** m
     s_js = [0j] * size
     s_dual = [0j] * size
-    if odd:
-        for prod, dprod, ntr, z in _odd_frame(ctx, m):
-            pv = psi(ntr)
-            i = idx(z)
-            s_js[i] += w(prod) * pv
-            s_dual[i] += w(dprod) * pv
-    else:
-        for prod, ntr, eps_g, e1_ginv_t in _even_frame(ctx, m):
-            val = w(prod) * psi(ntr)
-            s_js[idx(eps_g)] += val
-            s_dual[idx(e1_ginv_t)] += val
-    norm = _norm_const(ctx, n)
-    js_vec = [v / norm for v in s_js]
-    # dual_js(W, delta_x) = sum_z S_dual[z] * fourier(delta_x)(z)
-    from .charkit import _pairing_matrix
-    K = _pairing_matrix(ctx, m, psi.inverse)
-    scale = ctx.q ** (-m / 2.0) / norm
-    dual_vec = [scale * sum(s_dual[zi] * K[xi][zi] for zi in range(size))
-                for xi in range(size)]
-    return js_vec, dual_vec
+    for g, ntr, i_js, i_dual in _sum_frame(ctx, n):
+        val = w(g) * psi(ntr)
+        if i_js is not None:
+            s_js[i_js] += val
+        if i_dual is not None:
+            s_dual[i_dual] += val
+    return _delta_profiles(table, s_js, s_dual)
 
 
 # -- Shalika subgroup actions -------------------------------------------------
@@ -420,43 +379,26 @@ def canonical_pair(table: BesselTable):
     return w, phi
 
 
-def _delta_points(table: BesselTable):
-    ctx = table.ctx
-    m = table.n // 2
-    probe = CFun(ctx, m)
-    return [probe.point_at(i) for i in range(probe.size)]
-
-
 def functional_equation_scan(table: BesselTable, trials: int = 100,
                              seed: int = DEFAULT_SEED):
     """gamma from the canonical pair plus a constancy verification of
-    dual_js = gamma * js over random or exhaustive (W, phi) pairs.
+    dual_js = gamma * js over every (translate, delta_x) pair of the shared
+    pool (`_fe_pool`: exhaustive on small cells, else `trials` translates).
 
     Returns (gamma, max_residual, pairs_checked)."""
     ctx = table.ctx
-    n, m, odd = _split(table)
+    n = table.n
     w0, phi0 = canonical_pair(table)
     base = js(table, w0, phi0)
     if abs(base - 1.0) > 1e-8:
         raise OracleFailed("canonical_js", f"JS(W0, phi0) = {base}")
     gamma = dual_js(table, w0, phi0)
-    points = _delta_points(table)
-    total_pairs = mg.gl_order(ctx.q, n) * len(points)
     worst = 0.0
     checked = 0
-    if total_pairs <= EXHAUSTIVE_PAIR_CAP:
-        for h in mg.all_gl(ctx, n):
-            w = WhittakerFun.translate(table, h)
-            js_vec, dual_vec = js_profiles(table, w)
-            for a, b in zip(js_vec, dual_vec):
-                worst = max(worst, abs(b - gamma * a))
-                checked += 1
-    else:
-        pool = _fe_pool(ctx, n, seed, trials)
-        for js_vec, dual_vec in _pool_profiles(table, pool):
-            for a, b in zip(js_vec, dual_vec):
-                worst = max(worst, abs(b - gamma * a))
-                checked += 1
+    for js_vec, dual_vec in _pool_profiles(table, _fe_pool(ctx, n, seed, trials)):
+        for a, b in zip(js_vec, dual_vec):
+            worst = max(worst, abs(b - gamma * a))
+            checked += 1
     if worst > 1e-8:
         raise NonConstantRatio(f"functional equation residual {worst}")
     return gamma, worst, checked
@@ -493,23 +435,12 @@ def gamma_torus(table: BesselTable) -> GammaResult:
     total = 0j
     for comp in mg.compositions(m):
         weight = q ** (-sum(2 * (mi * (mi - 1) // 2) for mi in comp))
-
-        def lam_loop(i, acc):
-            nonlocal total
-            if i == len(comp):
-                t = mg.antidiag_elem(ctx, comp, tuple(acc), block_scale=2,
-                                     tail_one=odd)
-                val = table.eval(mg.mat_inv(ctx, t))
-                if not odd and comp[-1] == 1:
-                    val *= table.psi(acc[-1])
-                total += weight * val
-                return
-            for lam in units:
-                acc.append(lam)
-                lam_loop(i + 1, acc)
-                acc.pop()
-
-        lam_loop(0, [])
+        for lams in itertools.product(units, repeat=len(comp)):
+            t = mg.antidiag_elem(ctx, comp, lams, block_scale=2, tail_one=odd)
+            val = table.eval(mg.mat_inv(ctx, t))
+            if not odd and comp[-1] == 1:
+                val *= table.psi(lams[-1])
+            total += weight * val
     exp2 = 2 * (m * (m - 1) // 2)
     front = q ** (m / 2.0 + exp2) if odd else q ** (-m / 2.0 + exp2)
     gamma = front * total
@@ -584,39 +515,14 @@ def s0_s1_decomposition(table: BesselTable):
         if comp[0] <= 1:
             continue
         weight = q ** (-sum(2 * (mi * (mi - 1) // 2) for mi in comp))
-
-        def loop0(i, acc):
-            nonlocal s0
-            if i == len(comp):
-                t = mg.antidiag_elem(ctx, comp, tuple(acc), block_scale=2)
-                s0 += weight * table.eval(t)
-                return
-            for lam in units:
-                acc.append(lam)
-                loop0(i + 1, acc)
-                acc.pop()
-
-        loop0(0, [])
+        for lams in itertools.product(units, repeat=len(comp)):
+            t = mg.antidiag_elem(ctx, comp, lams, block_scale=2)
+            s0 += weight * table.eval(t)
     s1 = 0j
     for comp in mg.compositions(m - 1):
         weight = q ** (-sum(2 * (mi * (mi - 1) // 2) for mi in comp))
-
-        def loop1(i, acc):
-            nonlocal s1
-            if i == len(comp):
-                t = mg.antidiag_elem(ctx, (1,) + comp, (1,) + tuple(acc),
-                                     block_scale=2)
-                s1 += weight * table.eval(t)
-                return
-            for lam in units:
-                acc.append(lam)
-                loop1(i + 1, acc)
-                acc.pop()
-
-        if comp:
-            loop1(0, [])
-        else:
-            t = mg.antidiag_elem(ctx, (1,), (1,), block_scale=2)
+        for lams in itertools.product(units, repeat=len(comp)):
+            t = mg.antidiag_elem(ctx, (1,) + comp, (1,) + lams, block_scale=2)
             s1 += weight * table.eval(t)
     gsum = gauss_sum(table.rep.central_char, table.psi)
     exp2 = 2 * (m * (m - 1) // 2)
@@ -646,7 +552,9 @@ def shalika_witness(table: BesselTable) -> WhittakerFun:
 def shalika_detect(table: BesselTable, samples: int = 1000,
                    seed: int = DEFAULT_SEED):
     """Divisibility criterion (q^m - 1) | k, cross-checked against the
-    JS(., 1)-nonvanishing search.  Returns (flag, report)."""
+    JS(., 1)-nonvanishing search over the translates of `_fe_pool` (with
+    `samples` sampled translates), where JS(W, 1) = sum_x JS(W, delta_x).
+    Returns (flag, report)."""
     ctx = table.ctx
     n, m, odd = _split(table)
     if odd:
@@ -664,18 +572,8 @@ def shalika_detect(table: BesselTable, samples: int = 1000,
             raise OracleFailed("shalika_witness", f"JS(W,1) = {val}, "
                                                   f"W(sigma) = {at_sigma}")
     else:
-        worst = 0.0
-        norm = _norm_const(ctx, n)
-        if mg.gl_order(ctx.q, n) <= 1000:
-            for h in mg.all_gl(ctx, n):
-                val = js(table, WhittakerFun.translate(table, h), one)
-                worst = max(worst, abs(val))
-        else:
-            psi = table.psi
-            entries = table.entries
-            for rows in _js_one_pool(ctx, n, seed, samples):
-                val = sum(psi(s) * entries[key] for key, s in rows) / norm
-                worst = max(worst, abs(val))
+        pool = _fe_pool(ctx, n, seed, samples)
+        worst = max(abs(sum(js_vec)) for js_vec, _ in _pool_profiles(table, pool))
         report["max_js_one"] = worst
         if worst > 1e-8:
             raise OracleFailed("shalika_zero_search",

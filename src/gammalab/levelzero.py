@@ -16,7 +16,6 @@ from .bessel import BesselTable
 from .charkit import CFun, fourier, restriction_is_trivial
 from .errors import NonConstantRatio, OracleFailed, PreconditionViolated
 from . import exjs
-from . import matgrp as mg
 
 COEFF_TOL = 1e-9
 
@@ -309,45 +308,43 @@ def local_gamma(ctx: LevelZeroCtx) -> RatQS:
 def modified_fe_check(table: BesselTable, trials: int = 100,
                       seed: int = exjs.DEFAULT_SEED):
     """The modified functional equation at the trivial-twist normalization:
-    one rational function gamma~ covers every (W, phi) pair.  Returns
-    (gamma~, max cross-multiplied residual)."""
+    one rational function gamma~ covers every (W, phi) pair.  The pairs are
+    (translate, delta_x) over the shared pool `exjs._fe_pool`, whose
+    profiles give js(W, delta_x) and dual_js(W, delta_x); then
+    js(W, 1) = sum_x js(W, delta_x), delta_x(0) = [x = 0] and
+    delta_x^(0) = q^(-m/2).  Returns (gamma~, max cross-multiplied
+    residual)."""
     if table.n % 2:
         raise PreconditionViolated("modified functional equation is for even n")
     ctx = table.ctx
-    m = table.n // 2
+    n = table.n
+    m = n // 2
     q = ctx.q
     L_s = l_factor(1.0, m)
     L_dual = (RatQS.one()
               - RatQS.const(q ** -m) * RatQS.x_power(-m)).inverse()
-    one = CFun.constant(ctx, m, 1.0)
+    # the pair-independent factors of the js(W, 1) correction terms
+    js_corr = RatQS.x_power(m) * L_s
+    dual_corr = RatQS.x_power(-m) * RatQS.const(q ** -m) * L_dual
 
-    def lhs_rhs(w, phi):
-        j1 = exjs.js(table, w, one)
-        lhs = (RatQS.const(exjs.dual_js(table, w, phi))
-               + RatQS.x_power(-m) * RatQS.const(q ** -m)
-               * RatQS.const(fourier(phi, table.psi).at_zero() * j1) * L_dual)
-        rhs = (RatQS.const(exjs.js(table, w, phi))
-               + RatQS.x_power(m) * RatQS.const(phi.at_zero() * j1) * L_s)
+    def lhs_rhs(js_val, dual_val, phi_0, phat_0, j1):
+        lhs = RatQS.const(dual_val) + dual_corr * RatQS.const(phat_0 * j1)
+        rhs = RatQS.const(js_val) + js_corr * RatQS.const(phi_0 * j1)
         return lhs, rhs
 
     w0, phi0 = exjs.canonical_pair(table)
-    lhs0, rhs0 = lhs_rhs(w0, phi0)
+    lhs0, rhs0 = lhs_rhs(exjs.js(table, w0, phi0), exjs.dual_js(table, w0, phi0),
+                         phi0.at_zero(), fourier(phi0, table.psi).at_zero(),
+                         exjs.js(table, w0, CFun.constant(ctx, m, 1.0)))
     gamma_t = lhs0 / rhs0
-    points = exjs._delta_points(table)
-    total_pairs = mg.gl_order(q, table.n) * len(points)
+    phat_0 = q ** (-m / 2.0)
     worst = 0.0
-    import random as _random
-    if total_pairs <= exjs.EXHAUSTIVE_PAIR_CAP:
-        cases = [(h, pt) for h in mg.all_gl(ctx, table.n) for pt in points]
-    else:
-        rng = _random.Random(seed)
-        cases = [(mg.random_invertible(ctx, table.n, rng),
-                  points[rng.randrange(len(points))]) for _ in range(trials)]
-    for h, pt in cases:
-        w = exjs.WhittakerFun.translate(table, h)
-        phi = CFun.delta(ctx, m, pt)
-        lhs, rhs = lhs_rhs(w, phi)
-        worst = max(worst, lhs.residual(gamma_t * rhs))
+    pool = exjs._fe_pool(ctx, n, seed, trials)
+    for js_vec, dual_vec in exjs._pool_profiles(table, pool):
+        j1 = sum(js_vec)
+        for i, (a, b) in enumerate(zip(js_vec, dual_vec)):
+            lhs, rhs = lhs_rhs(a, b, float(i == 0), phat_0, j1)
+            worst = max(worst, lhs.residual(gamma_t * rhs))
     if worst > 1e-8:
         raise NonConstantRatio(f"modified functional equation residual {worst}")
     return gamma_t, worst

@@ -332,10 +332,6 @@ def bruhat(ctx: FieldCtx, g: Mat) -> BruhatDecomp:
     return BruhatDecomp(u1, w, d, u2)
 
 
-def monomial_of(decomp: BruhatDecomp, ctx: FieldCtx) -> Mat:
-    return mat_mul(ctx, decomp.w, decomp.d)
-
-
 # -- coset systems -------------------------------------------------------------
 
 def canonical_unipotent_coset(ctx: FieldCtx, g: Mat) -> Mat:

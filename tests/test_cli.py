@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 from gammalab import cli
+from gammalab import matgrp as mg
 
 
 def run_main(args, capsys):
@@ -107,3 +108,57 @@ def test_psi_inverse_flag(capsys):
     assert code == 0
     row = json.loads(out)["rows"][0]
     assert abs(row["abs_gamma"] - 1) < 1e-8
+
+
+def test_exit_code_on_non_prime_power_q(capsys):
+    code = cli.main(["gamma", "--q", "6", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_PRECONDITION
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_exit_code_on_zero_sampled_trials(capsys):
+    code, out = run_main(["gamma", "--q", "3", "--n", "3", "--theta", "1",
+                          "--trials", "0"], capsys)
+    assert code == cli.EXIT_PRECONDITION
+    assert out == ""
+
+
+def test_export_builds_each_table_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    build = cli.bessel_build
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cli, "bessel_build", counting)
+    code, _ = run_main(["export", "--q", "2", "--n", "3", "--out",
+                        str(tmp_path / "exp")], capsys)
+    assert code == 0
+    assert len(calls) == 2  # one per orbit
+
+
+def test_gamma_q5n2_rows_share_one_pool(capsys, monkeypatch):
+    argv = ["gamma", "--q", "5", "--n", "2"]
+    code, out = run_main(argv, capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 10
+    for row in rows:
+        if not row["shalika"]:
+            assert row["pairs_checked"] == 2400  # |GL_2(F_5)| * 5, exhaustive
+    # with the pool built, a pass decomposes only the canonical-pair and
+    # torus arguments of each row, not the 2,400 pairs
+    calls = []
+    bruhat = mg.bruhat
+
+    def counting(ctx, g):
+        calls.append(g)
+        return bruhat(ctx, g)
+
+    monkeypatch.setattr(mg, "bruhat", counting)
+    code, warm = run_main(argv, capsys)
+    assert code == 0 and warm == out
+    assert len(calls) <= 20 * len(rows)

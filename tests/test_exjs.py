@@ -63,6 +63,35 @@ def test_js_profiles_match_pointwise():
             assert abs(dual_vec[i] - exjs.dual_js(table, w, phi)) < 1e-10
 
 
+@pytest.mark.parametrize("p,n,trials", [(2, 2, 100), (3, 2, 100), (3, 3, 4)])
+def test_pool_profiles_match_js_profiles_and_pointwise(p, n, trials):
+    # exhaustive at n = 2 (every translate in GL_2), sampled at (3, 3)
+    table = make_table(p, 1, n, 1)
+    f, m = table.ctx, n // 2
+    translates = exjs._fe_translates(f, n, exjs.DEFAULT_SEED, trials)
+    assert len(translates) == (mg.gl_order(p, n) if n == 2 else trials)
+    pool = exjs._fe_pool(f, n, exjs.DEFAULT_SEED, trials)
+    profiles = exjs._pool_profiles(table, pool)
+    assert len(profiles) == len(translates)
+    probe = CFun(f, m)
+    for h, (js_vec, dual_vec) in zip(translates, profiles):
+        w = exjs.WhittakerFun.translate(table, h)
+        ref_js, ref_dual = exjs.js_profiles(table, w)
+        for i in range(probe.size):
+            phi = CFun.delta(f, m, probe.point_at(i))
+            assert abs(js_vec[i] - ref_js[i]) < 1e-10
+            assert abs(dual_vec[i] - ref_dual[i]) < 1e-10
+            assert abs(js_vec[i] - exjs.js(table, w, phi)) < 1e-10
+            assert abs(dual_vec[i] - exjs.dual_js(table, w, phi)) < 1e-10
+
+
+def test_sampled_certificate_refuses_zero_trials():
+    table = make_table(3, 1, 3, 1)
+    with pytest.raises(PreconditionViolated):
+        exjs.gamma_ratio(table, trials=0)
+    assert exjs.gamma_ratio(table, trials=1).diagnostics["pairs_checked"] == 3
+
+
 def _random_even_shalika(f, m, rng):
     g = mg.random_invertible(f, m, rng)
     elems = f.subfield_elements(1)
