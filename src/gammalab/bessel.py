@@ -54,6 +54,17 @@ def _support_profile(ctx: FieldCtx, n: int) -> dict:
     return profile
 
 
+def support_signature(ctx: FieldCtx, g: mg.Mat):
+    """(table key, additive-character argument) of the Bessel evaluation at
+    g, or None off the support; representation independent."""
+    dec = mg.bruhat(ctx, g)
+    parsed = mg.parse_antidiag(mg.mat_mul(ctx, dec.w, dec.d))
+    if parsed is None:
+        return None
+    s = ctx.add(mg.superdiag_sum(ctx, dec.u1), mg.superdiag_sum(ctx, dec.u2))
+    return parsed, s
+
+
 class BesselTable:
     """Bessel values of (rep, psi) on the antidiagonal scalar-block torus."""
 
@@ -69,14 +80,8 @@ class BesselTable:
 
     def eval(self, g: mg.Mat) -> complex:
         """B(g) through the Bruhat decomposition and bi-equivariance."""
-        ctx = self.ctx
-        dec = mg.bruhat(ctx, g)
-        parsed = mg.parse_antidiag(mg.mat_mul(ctx, dec.w, dec.d))
-        if parsed is None:
-            return 0j
-        s1 = mg.superdiag_sum(ctx, dec.u1)
-        s2 = mg.superdiag_sum(ctx, dec.u2)
-        return self.psi(s1) * self.psi(s2) * self.entries[parsed]
+        sig = support_signature(self.ctx, g)
+        return 0j if sig is None else self.psi(sig[1]) * self.entries[sig[0]]
 
 
 def bessel_build(rep: CuspidalRep, psi: AddChar) -> BesselTable:

@@ -233,8 +233,3 @@ def fourier(phi: CFun, psi: AddChar) -> CFun:
     K = _pairing_matrix(ctx, m, psi.inverse)
     vals = (ctx.q ** (-m / 2.0)) * (K @ phi.values)
     return CFun(ctx, m, vals)
-
-
-def assert_close(a: complex, b: complex, tol: float = TOL, what: str = "value"):
-    if abs(a - b) > tol:
-        raise AssertionError(f"{what}: {a} != {b} (delta {abs(a - b):.3e})")

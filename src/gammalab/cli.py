@@ -99,6 +99,8 @@ def parse_config(argv) -> RunConfig:
         p, e = ns.p, ns.e
     else:
         ap.error("one of --q or --p is required")
+    if ns.trials < 1:
+        ap.error(f"--trials must be >= 1, got {ns.trials}")
     return RunConfig(ns.command, p, e, ns.n, str(ns.theta), ns.psi_inverse,
                      complex(ns.c_re, ns.c_im), ns.seed, ns.trials, ns.tol,
                      ns.format, ns.out, ns.exhaustive)
@@ -161,21 +163,25 @@ def _gamma_row(cfg: RunConfig, table) -> dict:
     return row
 
 
-def _emit(cfg: RunConfig, payload: dict, flat_rows=None) -> None:
+def _emit(cfg: RunConfig, payload: dict, path) -> None:
+    """The one output writer: render a command's payload as JSON, or under a
+    CSV schema line as verify's check lines or the flattened gamma rows, and
+    write it to `path` (stdout when None)."""
     if cfg.fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    elif payload["command"] == "verify":
+        text = f"# schema {SCHEMA}\n" + "\n".join(payload["checks"]) + "\n"
     else:
+        flat = [_flatten_gamma_row(r) for r in payload["rows"]]
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        rows = flat_rows or []
-        if rows:
-            header = sorted({key for row in rows for key in row})
+        if flat:
+            header = sorted({key for row in flat for key in row})
+            writer = csv.writer(buf)
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([row.get(h, "") for h in header])
+            writer.writerows([row.get(h, "") for h in header] for row in flat)
         text = f"# schema {SCHEMA}\n" + buf.getvalue()
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -208,7 +214,7 @@ def cmd_gamma(cfg: RunConfig) -> int:
            if not row["shalika"] and row["max_route_delta"] > cfg.tol]
     payload = {"schema": SCHEMA, "command": "gamma", "q": ctx.q, "n": cfg.n,
                "psi_inverse": cfg.psi_inverse, "seed": cfg.seed, "rows": rows}
-    _emit(cfg, payload, [_flatten_gamma_row(r) for r in rows])
+    _emit(cfg, payload, cfg.out)
     if bad:
         print(f"route disagreement beyond {cfg.tol} for theta="
               f"{[r['theta'] for r in bad]}", file=sys.stderr)
@@ -330,15 +336,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             failed += 1
     payload = {"schema": SCHEMA, "command": "verify", "q": ctx.q, "n": cfg.n,
                "checks": lines, "failed": failed}
-    if cfg.fmt == "json":
-        _emit(cfg, payload)
-    else:
-        text = f"# schema {SCHEMA}\n" + "\n".join(lines) + "\n"
-        if cfg.out:
-            with open(cfg.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+    _emit(cfg, payload, cfg.out)
     for line in lines:
         print(line, file=sys.stderr)
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
@@ -350,33 +348,18 @@ def cmd_export(cfg: RunConfig) -> int:
         raise PreconditionViolated("export needs --out DIRECTORY")
     os.makedirs(cfg.out, exist_ok=True)
     ctx = build_field(cfg.p, cfg.e, cfg.n)
-    written = []
     rows = []
     for k in _theta_exponents(cfg, ctx):
         table = _table(cfg, ctx, k)
         path = os.path.join(cfg.out, f"bessel_q{ctx.q}_n{cfg.n}_k{table.rep.exponent}.csv")
         export_bessel_csv(table, path)
-        written.append(path)
+        print(f"wrote {path}", file=sys.stderr)
         rows.append(_gamma_row(cfg, table))
     sweep = {"schema": SCHEMA, "command": "export", "q": ctx.q, "n": cfg.n,
              "psi_inverse": cfg.psi_inverse, "seed": cfg.seed, "rows": rows}
     sweep_path = os.path.join(cfg.out, f"gamma_sweep_q{ctx.q}_n{cfg.n}.{cfg.fmt}")
-    if cfg.fmt == "json":
-        with open(sweep_path, "w") as fh:
-            json.dump(sweep, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        with open(sweep_path, "w") as fh:
-            fh.write(f"# schema {SCHEMA}\n")
-            writer = csv.writer(fh)
-            flat = [_flatten_gamma_row(r) for r in rows]
-            header = sorted({key for row in flat for key in row})
-            writer.writerow(header)
-            for row in flat:
-                writer.writerow([row.get(h, "") for h in header])
-    written.append(sweep_path)
-    for path in written:
-        print(f"wrote {path}", file=sys.stderr)
+    _emit(cfg, sweep, sweep_path)
+    print(f"wrote {sweep_path}", file=sys.stderr)
     return EXIT_OK
 
 

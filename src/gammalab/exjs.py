@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bessel import BesselTable
+from .bessel import BesselTable, support_signature
 from .charkit import (CFun, _pairing_matrix, fourier, gauss_sum,
                       restriction_is_trivial)
 from .cuspchar import CuspidalRep
@@ -157,15 +157,8 @@ def _norm_const(ctx: FieldCtx, n: int) -> int:
     return c
 
 
-def _support_signature(ctx: FieldCtx, g: mg.Mat):
-    """(table key, additive-character argument) of the Bessel evaluation at
-    g, or None off the support; representation independent."""
-    dec = mg.bruhat(ctx, g)
-    parsed = mg.parse_antidiag(mg.mat_mul(ctx, dec.w, dec.d))
-    if parsed is None:
-        return None
-    s = ctx.add(mg.superdiag_sum(ctx, dec.u1), mg.superdiag_sum(ctx, dec.u2))
-    return parsed, s
+def _exhaustive(q: int, n: int) -> bool:
+    return mg.gl_order(q, n) * q ** (n // 2) <= EXHAUSTIVE_PAIR_CAP
 
 
 def _fe_translates(ctx: FieldCtx, n: int, seed: int, trials: int) -> tuple:
@@ -173,7 +166,7 @@ def _fe_translates(ctx: FieldCtx, n: int, seed: int, trials: int) -> tuple:
     h in GL_n when |GL_n| * q^m <= EXHAUSTIVE_PAIR_CAP, else `trials` seeded
     random ones (at least one, so no certificate passes on zero pairs)."""
     q = ctx.q
-    if mg.gl_order(q, n) * q ** (n // 2) <= EXHAUSTIVE_PAIR_CAP:
+    if _exhaustive(q, n):
         return mg.all_gl(ctx, n)
     if trials < 1:
         raise PreconditionViolated(
@@ -183,18 +176,25 @@ def _fe_translates(ctx: FieldCtx, n: int, seed: int, trials: int) -> tuple:
     return tuple(mg.random_invertible(ctx, n, rng) for _ in range(trials))
 
 
-@lru_cache(maxsize=64)
 def _fe_pool(ctx: FieldCtx, n: int, seed: int, trials: int) -> tuple:
     """For each translate h of `_fe_translates`, the rows (support key,
     psi-argument, i_js, i_dual) of the sum-frame terms g with g h on the
     Bessel support.  Representation independent: shared by every
-    representation at (q, n) and by both functional-equation certificates."""
+    representation at (q, n) and by both functional-equation certificates.
+    An exhaustive cell ignores seed and trials, so it has one cache entry."""
+    if _exhaustive(ctx.q, n):
+        seed = trials = None
+    return _cached_pool(ctx, n, seed, trials)
+
+
+@lru_cache(maxsize=64)
+def _cached_pool(ctx: FieldCtx, n: int, seed, trials) -> tuple:
     frame = _sum_frame(ctx, n)
     pool = []
     for h in _fe_translates(ctx, n, seed, trials):
         rows = []
         for g, ntr, i_js, i_dual in frame:
-            sig = _support_signature(ctx, mg.mat_mul(ctx, g, h))
+            sig = support_signature(ctx, mg.mat_mul(ctx, g, h))
             if sig is not None:
                 rows.append((sig[0], ctx.add(sig[1], ntr), i_js, i_dual))
         pool.append(tuple(rows))
@@ -613,10 +613,9 @@ def homdim_check(rep: CuspidalRep, tol: float = 1e-6) -> int:
     else:
         elems = ctx.subfield_elements(1)
         gl = mg.all_gl(ctx, m)
-        import itertools as it
         for g1 in gl:
             for g2 in gl:
-                for u in it.product(elems, repeat=m):
+                for u in itertools.product(elems, repeat=m):
                     rows = [list(r) for r in mg.identity(n)]
                     for i in range(m):
                         for j in range(m):

@@ -283,9 +283,6 @@ class FieldCtx:
 
     # -- the subfield lattice ----------------------------------------------
 
-    def subfield_order(self, d: int) -> int:
-        return self.q ** d
-
     def in_subfield(self, a: int, d: int) -> bool:
         """Membership in F_{q^d}, recognized via a^(q^d) = a."""
         if a == 0:

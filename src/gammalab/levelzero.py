@@ -10,6 +10,8 @@ function with complex coefficients, compared by cross-multiplication.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .bessel import BesselTable
@@ -84,20 +86,27 @@ class RatQS:
 
     # -- arithmetic ----------------------------------------------------------
 
+    def _cross(self, other: "RatQS"):
+        """The numerators of self and other over the common denominator,
+        num * other.den and other.num * den, as the two rows of one zero
+        array (at least one column) aligned on the lower X-shift s; returns
+        (rows, s)."""
+        s = min(self.x_shift, other.x_shift)
+        p1 = np.convolve(self.num, other.den) if len(self.num) else self.num
+        p2 = np.convolve(other.num, self.den) if len(other.num) else other.num
+        o1, o2 = self.x_shift - s, other.x_shift - s
+        rows = np.zeros((2, max(1, o1 + len(p1), o2 + len(p2))), dtype=complex)
+        rows[0, o1:o1 + len(p1)] = p1
+        rows[1, o2:o2 + len(p2)] = p2
+        return rows, s
+
     def __add__(self, other: "RatQS") -> "RatQS":
         if self.is_zero():
             return RatQS(other.num, other.den, other.x_shift)
         if other.is_zero():
             return RatQS(self.num, self.den, self.x_shift)
-        s = min(self.x_shift, other.x_shift)
-        p1 = np.convolve(self.num, other.den)
-        p2 = np.convolve(other.num, self.den)
-        p1 = np.concatenate([np.zeros(self.x_shift - s, dtype=complex), p1])
-        p2 = np.concatenate([np.zeros(other.x_shift - s, dtype=complex), p2])
-        size = max(len(p1), len(p2))
-        p1 = np.pad(p1, (0, size - len(p1)))
-        p2 = np.pad(p2, (0, size - len(p2)))
-        return RatQS(p1 + p2, np.convolve(self.den, other.den), s)
+        rows, s = self._cross(other)
+        return RatQS(rows[0] + rows[1], np.convolve(self.den, other.den), s)
 
     def __neg__(self) -> "RatQS":
         return RatQS(-self.num, self.den, self.x_shift)
@@ -129,22 +138,11 @@ class RatQS:
     def residual(self, other: "RatQS") -> float:
         """Max coefficient deviation of the cross-multiplied equality,
         normalized by the largest coefficient involved."""
-        if self.is_zero() and other.is_zero():
-            return 0.0
-        s = min(self.x_shift, other.x_shift)
-        p1 = np.concatenate([np.zeros(self.x_shift - s, dtype=complex),
-                             np.convolve(self.num, other.den)]) \
-            if not self.is_zero() else np.zeros(1, dtype=complex)
-        p2 = np.concatenate([np.zeros(other.x_shift - s, dtype=complex),
-                             np.convolve(other.num, self.den)]) \
-            if not other.is_zero() else np.zeros(1, dtype=complex)
-        size = max(len(p1), len(p2))
-        p1 = np.pad(p1, (0, size - len(p1)))
-        p2 = np.pad(p2, (0, size - len(p2)))
-        scale = max(np.abs(p1).max(), np.abs(p2).max())
+        rows, _ = self._cross(other)
+        scale = np.abs(rows).max()
         if scale == 0:
             return 0.0
-        return float(np.abs(p1 - p2).max() / scale)
+        return float(np.abs(rows[0] - rows[1]).max() / scale)
 
     def equals(self, other: "RatQS", tol: float = COEFF_TOL) -> bool:
         return self.residual(other) <= tol
@@ -227,7 +225,8 @@ def l_factor(c: complex, m: int) -> RatQS:
 class LevelZeroCtx:
     """A cuspidal representation of the residue field together with the unit
     c = omega(uniformizer) parameterizing the compatible central characters
-    of its level-zero lift."""
+    of its level-zero lift, and the one correction formula (`lift`) that
+    lifts its finite Jacquet-Shalika sums."""
 
     def __init__(self, table: BesselTable, c: complex = 1.0):
         if abs(abs(c) - 1.0) > 1e-9:
@@ -236,45 +235,59 @@ class LevelZeroCtx:
         self.rep = table.rep
         self.c = complex(c)
         self.n = table.n
-        self.m = self.n // 2
-        self.q = table.ctx.q
+        self.m = m = self.n // 2
+        self.q = q = table.ctx.q
+        # the pair-independent factors of the js(W, 1) corrections; l_factor
+        # refuses n < 2 (m = 0)
+        self.js_corr = RatQS.x_power(m) * RatQS.const(self.c) * l_factor(self.c, m)
+        # L(m(1-s), omega^{-1}) = 1 / (1 - c^{-1} q^{-m} X^{-m})
+        self.dual_L = (RatQS.one()
+                       - RatQS.const(q ** -m / self.c) * RatQS.x_power(-m)).inverse()
+        self.dual_corr = RatQS.x_power(-m) * RatQS.const(q ** -m / self.c) * self.dual_L
 
     def has_shalika_vector(self) -> bool:
         return self.n % 2 == 0 and restriction_is_trivial(self.rep.theta, self.m)
 
-    def _dual_l(self) -> RatQS:
-        """L(m(1-s), omega^{-1}) = 1 / (1 - c^{-1} q^{-m} X^{-m})."""
-        return (RatQS.one()
-                - RatQS.const(self.q ** -self.m / self.c) * RatQS.x_power(-self.m)
-                ).inverse()
+    def lift(self, base: complex, at_zero: complex, j1: complex,
+             dual: bool = False) -> RatQS:
+        """The lifted value of the finite sum `base` = js(W, phi) (or
+        dual_js(W, phi) if `dual`): base plus the L-factor correction weighted
+        by at_zero = phi(0) (phi^(0) if `dual`) and j1 = js(W, 1).  For odd n
+        there is no correction: callers pass j1 = 0 (`_js_one`)."""
+        corr = self.dual_corr if dual else self.js_corr
+        return RatQS.const(base) + corr * RatQS.const(at_zero * j1)
+
+
+def _js_one(ctx: LevelZeroCtx, w) -> complex:
+    """js(W, 1), the weight of the corrections: 0 for odd n, which has no
+    Shalika period."""
+    return 0j if ctx.n % 2 else shalika_functional_value(ctx, w)
+
+
+def _lifted(ctx: LevelZeroCtx, w, phi: CFun, j1: complex,
+            dual: bool = False) -> RatQS:
+    table = ctx.table
+    if dual:
+        return ctx.lift(exjs.dual_js(table, w, phi),
+                        fourier(phi, table.psi).at_zero(), j1, dual=True)
+    return ctx.lift(exjs.js(table, w, phi), phi.at_zero(), j1)
 
 
 def lifted_js(ctx: LevelZeroCtx, w, phi: CFun) -> RatQS:
     """The lifted Jacquet-Shalika value: a constant for odd n, and for even
     n the finite sum plus the L-factor correction weighted by js(W, 1)."""
-    table = ctx.table
-    base = exjs.js(table, w, phi)
-    if ctx.n % 2:
-        return RatQS.const(base)
-    one = CFun.constant(table.ctx, ctx.m, 1.0)
-    j1 = exjs.js(table, w, one)
-    corr = (RatQS.x_power(ctx.m) * RatQS.const(ctx.c * phi.at_zero() * j1)
-            * l_factor(ctx.c, ctx.m))
-    return RatQS.const(base) + corr
+    return _lifted(ctx, w, phi, _js_one(ctx, w))
 
 
 def lifted_dual_js(ctx: LevelZeroCtx, w, phi: CFun) -> RatQS:
-    table = ctx.table
-    base = exjs.dual_js(table, w, phi)
-    if ctx.n % 2:
-        return RatQS.const(base)
-    one = CFun.constant(table.ctx, ctx.m, 1.0)
-    j1 = exjs.js(table, w, one)
-    phat0 = fourier(phi, table.psi).at_zero()
-    corr = (RatQS.x_power(-ctx.m)
-            * RatQS.const(ctx.q ** -ctx.m / ctx.c * phat0 * j1)
-            * ctx._dual_l())
-    return RatQS.const(base) + corr
+    return _lifted(ctx, w, phi, _js_one(ctx, w), dual=True)
+
+
+def _canonical_ratio(ctx: LevelZeroCtx) -> RatQS:
+    """lifted dual_js / lifted js on the canonical pair, sharing js(W0, 1)."""
+    w0, phi0 = exjs.canonical_pair(ctx.table)
+    j1 = _js_one(ctx, w0)
+    return _lifted(ctx, w0, phi0, j1, dual=True) / _lifted(ctx, w0, phi0, j1)
 
 
 def local_L_eps(ctx: LevelZeroCtx):
@@ -293,12 +306,9 @@ def local_gamma(ctx: LevelZeroCtx) -> RatQS:
     """gamma = epsilon * L(m(1-s), dual) / L(ms); cross-checked against the
     ratio of lifted sums on the canonical pair."""
     L, eps = local_L_eps(ctx)
-    dual_L = ctx._dual_l() if ctx.has_shalika_vector() else RatQS.one()
+    dual_L = ctx.dual_L if ctx.has_shalika_vector() else RatQS.one()
     gamma = eps * dual_L / L
-    w0, phi0 = exjs.canonical_pair(ctx.table)
-    num = lifted_dual_js(ctx, w0, phi0)
-    denom = lifted_js(ctx, w0, phi0)
-    ratio = num / denom
+    ratio = _canonical_ratio(ctx)
     if not gamma.equals(ratio, 1e-7):
         raise OracleFailed("local_gamma",
                            f"theorem value {gamma} vs lifted ratio {ratio}")
@@ -307,43 +317,25 @@ def local_gamma(ctx: LevelZeroCtx) -> RatQS:
 
 def modified_fe_check(table: BesselTable, trials: int = 100,
                       seed: int = exjs.DEFAULT_SEED):
-    """The modified functional equation at the trivial-twist normalization:
-    one rational function gamma~ covers every (W, phi) pair.  The pairs are
-    (translate, delta_x) over the shared pool `exjs._fe_pool`, whose
-    profiles give js(W, delta_x) and dual_js(W, delta_x); then
-    js(W, 1) = sum_x js(W, delta_x), delta_x(0) = [x = 0] and
-    delta_x^(0) = q^(-m/2).  Returns (gamma~, max cross-multiplied
-    residual)."""
+    """The modified functional equation at the trivial-twist normalization
+    c = 1: one rational function gamma~, the lifted canonical-pair ratio,
+    covers every (W, phi) pair.  The pairs are (translate, delta_x) over the
+    shared pool `exjs._fe_pool`, whose profiles give js(W, delta_x) and
+    dual_js(W, delta_x); then js(W, 1) = sum_x js(W, delta_x),
+    delta_x(0) = [x = 0] and delta_x^(0) = q^(-m/2).  Returns (gamma~, max
+    cross-multiplied residual)."""
     if table.n % 2:
         raise PreconditionViolated("modified functional equation is for even n")
-    ctx = table.ctx
-    n = table.n
-    m = n // 2
-    q = ctx.q
-    L_s = l_factor(1.0, m)
-    L_dual = (RatQS.one()
-              - RatQS.const(q ** -m) * RatQS.x_power(-m)).inverse()
-    # the pair-independent factors of the js(W, 1) correction terms
-    js_corr = RatQS.x_power(m) * L_s
-    dual_corr = RatQS.x_power(-m) * RatQS.const(q ** -m) * L_dual
-
-    def lhs_rhs(js_val, dual_val, phi_0, phat_0, j1):
-        lhs = RatQS.const(dual_val) + dual_corr * RatQS.const(phat_0 * j1)
-        rhs = RatQS.const(js_val) + js_corr * RatQS.const(phi_0 * j1)
-        return lhs, rhs
-
-    w0, phi0 = exjs.canonical_pair(table)
-    lhs0, rhs0 = lhs_rhs(exjs.js(table, w0, phi0), exjs.dual_js(table, w0, phi0),
-                         phi0.at_zero(), fourier(phi0, table.psi).at_zero(),
-                         exjs.js(table, w0, CFun.constant(ctx, m, 1.0)))
-    gamma_t = lhs0 / rhs0
-    phat_0 = q ** (-m / 2.0)
+    lz = LevelZeroCtx(table, 1.0)
+    gamma_t = _canonical_ratio(lz)
+    phat_0 = lz.q ** (-lz.m / 2.0)
     worst = 0.0
-    pool = exjs._fe_pool(ctx, n, seed, trials)
+    pool = exjs._fe_pool(table.ctx, table.n, seed, trials)
     for js_vec, dual_vec in exjs._pool_profiles(table, pool):
         j1 = sum(js_vec)
         for i, (a, b) in enumerate(zip(js_vec, dual_vec)):
-            lhs, rhs = lhs_rhs(a, b, float(i == 0), phat_0, j1)
+            lhs = lz.lift(b, phat_0, j1, dual=True)
+            rhs = lz.lift(a, float(i == 0), j1)
             worst = max(worst, lhs.residual(gamma_t * rhs))
     if worst > 1e-8:
         raise NonConstantRatio(f"modified functional equation residual {worst}")
@@ -369,7 +361,6 @@ def l_factor_from_shalika_functionals(ctx: LevelZeroCtx) -> RatQS:
     witness = exjs.shalika_witness(ctx.table)
     if abs(shalika_functional_value(ctx, witness)) <= 1e-9:
         return RatQS.one()
-    import cmath
     base = cmath.exp(1j * cmath.phase(ctx.c) / ctx.m) * (abs(ctx.c) ** (1.0 / ctx.m))
     out = RatQS.one()
     for j in range(ctx.m):

@@ -149,16 +149,6 @@ def from_blocks(rows_of_blocks) -> Mat:
     return tuple(out)
 
 
-def embed_block(n: int, block: Mat, at: int) -> Mat:
-    """Identity of size n with `block` pasted at diagonal offset `at`."""
-    m = len(block)
-    rows = [list(r) for r in identity(n)]
-    for i in range(m):
-        for j in range(m):
-            rows[at + i][at + j] = block[i][j]
-    return tuple(tuple(r) for r in rows)
-
-
 def shalika_u(m: int, x: Mat) -> Mat:
     """[[I, X], [0, I]] of size 2m."""
     return from_blocks([[identity(m), x], [zero(m), identity(m)]])

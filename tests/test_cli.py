@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from gammalab import cli
 from gammalab import matgrp as mg
@@ -162,3 +164,38 @@ def test_gamma_q5n2_rows_share_one_pool(capsys, monkeypatch):
     code, warm = run_main(argv, capsys)
     assert code == 0 and warm == out
     assert len(calls) <= 20 * len(rows)
+
+
+def test_zero_trials_refused_before_any_build(capsys, monkeypatch):
+    # --trials < 1 is refused while parsing: no field and no Bessel table
+    # is built, even on a cell whose support profile takes seconds
+    calls = []
+    monkeypatch.setattr(cli, "build_field", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli, "bessel_build", lambda *a: calls.append(a))
+    for argv in (["gamma", "--q", "2", "--n", "5", "--trials", "0"],
+                 ["verify", "--q", "5", "--n", "2", "--trials", "-1"]):
+        code, out = run_main(argv, capsys)
+        assert code == cli.EXIT_PRECONDITION and out == ""
+    assert calls == []
+
+
+def test_verify_q5n2_builds_the_exhaustive_pool_once():
+    # the certificates (trials 100) and the Shalika zero search (samples
+    # 200) share one all-of-GL_2 pool: 1,920 Bruhat decompositions, once
+    script = (
+        "import sys\n"
+        "from gammalab import cli, matgrp as mg\n"
+        "calls = []\n"
+        "bruhat = mg.bruhat\n"
+        "mg.bruhat = lambda ctx, g: calls.append(g) or bruhat(ctx, g)\n"
+        "code = cli.main(['verify', '--q', '5', '--n', '2'])\n"
+        "print(code, len(calls), file=sys.stderr)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    code, calls = map(int, done.stderr.split()[-2:])
+    assert code == 0
+    assert calls <= 3040  # 4,960 with one pool per (seed, trials) key
