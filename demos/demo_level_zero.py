@@ -22,12 +22,12 @@ from gammalab import (
     lifted_js,
     local_L_eps,
     local_gamma,
-    modified_fe_check,
     shalika_detect,
     shalika_functional_value,
     shalika_witness,
 )
 from gammalab.exjs import broken_equation_witness, canonical_pair
+from gammalab.levelzero import modified_fe_scan
 
 f = build_field(3, 1, 2)
 
@@ -58,9 +58,9 @@ for c in (1.0, 1j, cmath.exp(2j * cmath.pi / 5)):
     assert abs(shalika_functional_value(ctx, shalika_witness(table)) - 1) < 1e-9
 
 # The modified functional equation covers every pair with one rational gamma.
-gamma_t, resid = modified_fe_check(table)
+gamma_t, resid, pairs = modified_fe_scan(table)
 print(f"\nmodified functional equation: gamma~ = {gamma_t.simplified()}")
-print(f"max coefficientwise residual over exhaustive pairs: {resid:.2e}")
+print(f"max coefficientwise residual over {pairs} exhaustive pairs: {resid:.2e}")
 
 # Without a Shalika vector everything collapses to constants: L = 1 and
 # gamma equals the finite-field gamma factor.

@@ -24,6 +24,10 @@ from .errors import OracleFailed, PreconditionViolated
 from .ffield import FieldCtx
 from . import matgrp as mg
 
+#: the most class typings (|N_n| per support key) a support profile may
+#: take; (q, n) = (3, 5) needs 9,565,938 and (2, 7) 134,217,728
+MAX_CLASS_TYPINGS = 2 ** 24
+
 
 @lru_cache(maxsize=None)
 def _unipotent_psi_data(ctx: FieldCtx, n: int) -> tuple:
@@ -42,7 +46,13 @@ def support_keys(ctx: FieldCtx, n: int) -> tuple:
 @lru_cache(maxsize=None)
 def _support_profile(ctx: FieldCtx, n: int) -> dict:
     """For each support key, the conjugacy data of t*u over u in N_n;
-    shared by every representation at this (q, n)."""
+    shared by every representation at this (q, n).  Refused up front when
+    it would type more than MAX_CLASS_TYPINGS classes."""
+    typings = ctx.q ** (n * (n - 1) // 2) * len(support_keys(ctx, n))
+    if typings > MAX_CLASS_TYPINGS:
+        raise PreconditionViolated(
+            f"the Bessel support profile at q = {ctx.q}, n = {n} needs"
+            f" {typings} class typings, over the limit of {MAX_CLASS_TYPINGS}")
     profile = {}
     for key in support_keys(ctx, n):
         comp, scalars = key

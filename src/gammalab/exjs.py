@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bessel import BesselTable, support_signature
+from .bessel import BesselTable, support_keys, support_signature
 from .charkit import (CFun, _pairing_matrix, fourier, gauss_sum,
                       restriction_is_trivial)
 from .cuspchar import CuspidalRep
@@ -38,6 +38,10 @@ from . import matgrp as mg
 DEFAULT_SEED = 1729
 #: exhaustive functional-equation sweeps whenever |GL_n| * q^m is below this
 EXHAUSTIVE_PAIR_CAP = 3000
+#: the bound on every functional-equation residual: the plain and modified
+#: certificates, the canonical normalization JS(W0, phi0) = 1 and the
+#: Shalika witness and zero search
+FE_TOL = 1e-8
 
 
 class WhittakerFun:
@@ -163,76 +167,140 @@ def _exhaustive(q: int, n: int) -> bool:
 
 def _fe_translates(ctx: FieldCtx, n: int, seed: int, trials: int) -> tuple:
     """The translates h of the certificates' test functions W = B(. h): every
-    h in GL_n when |GL_n| * q^m <= EXHAUSTIVE_PAIR_CAP, else `trials` seeded
-    random ones (at least one, so no certificate passes on zero pairs)."""
-    q = ctx.q
-    if _exhaustive(q, n):
+    h in GL_n when |GL_n| * q^m <= EXHAUSTIVE_PAIR_CAP, else the first
+    `trials` of the seeded random stream."""
+    if _exhaustive(ctx.q, n):
         return mg.all_gl(ctx, n)
-    if trials < 1:
-        raise PreconditionViolated(
-            f"the sampled functional-equation check at q = {q}, n = {n} needs"
-            f" trials >= 1, got {trials}")
-    rng = random.Random(f"fe:{seed}:{q}:{n}")
-    return tuple(mg.random_invertible(ctx, n, rng) for _ in range(trials))
+    return _sampled_stream(ctx, n, seed).translates(trials)
 
 
-def _fe_pool(ctx: FieldCtx, n: int, seed: int, trials: int) -> tuple:
-    """For each translate h of `_fe_translates`, the rows (support key,
-    psi-argument, i_js, i_dual) of the sum-frame terms g with g h on the
-    Bessel support.  Representation independent: shared by every
-    representation at (q, n) and by both functional-equation certificates.
-    An exhaustive cell ignores seed and trials, so it has one cache entry."""
+def _translate_rows(ctx: FieldCtx, n: int, h: mg.Mat) -> list:
+    """The rows (support key, psi-argument, i_js, i_dual) of the sum-frame
+    terms g with g h on the Bessel support."""
+    rows = []
+    for g, ntr, i_js, i_dual in _sum_frame(ctx, n):
+        sig = support_signature(ctx, mg.mat_mul(ctx, g, h))
+        if sig is not None:
+            rows.append((sig[0], ctx.add(sig[1], ntr), i_js, i_dual))
+    return rows
+
+
+class _SampledStream:
+    """The seeded random translates of a sampled cell and their pool rows,
+    grown on demand: every `trials` count at one (q, n, seed) reads a prefix
+    of the same stream, so no translate is decomposed twice."""
+
+    def __init__(self, ctx: FieldCtx, n: int, seed: int):
+        self._ctx, self._n = ctx, n
+        self._rng = random.Random(f"fe:{seed}:{ctx.q}:{n}")
+        self._translates = []
+        self._rows = []
+
+    def translates(self, count: int) -> tuple:
+        while len(self._translates) < count:
+            self._translates.append(mg.random_invertible(self._ctx, self._n, self._rng))
+        return tuple(self._translates[:count])
+
+    def rows(self, count: int) -> list:
+        for h in self.translates(count)[len(self._rows):]:
+            self._rows.append(_translate_rows(self._ctx, self._n, h))
+        return self._rows[:count]
+
+
+@lru_cache(maxsize=16)
+def _sampled_stream(ctx: FieldCtx, n: int, seed: int) -> _SampledStream:
+    return _SampledStream(ctx, n, seed)
+
+
+@dataclass(frozen=True)
+class FePool:
+    """The pool rows of `translates` translates, compiled to index arrays:
+    the row's support key (`key`, into `support_keys`) and psi-argument
+    (`arg`, into the base-field elements), and the flat cell t * size + i
+    of the (translate, point) sums it feeds in js (`js_cell`) and dual_js
+    (`dual_cell`); translates * size, one past the last cell, where the
+    term feeds no sum."""
+    translates: int
+    size: int
+    key: np.ndarray
+    arg: np.ndarray
+    js_cell: np.ndarray
+    dual_cell: np.ndarray
+
+
+def _compile_pool(ctx: FieldCtx, n: int, rows: list) -> FePool:
+    key_of = {k: i for i, k in enumerate(support_keys(ctx, n))}
+    arg_of = {s: i for i, s in enumerate(ctx.subfield_elements(1))}
+    size = ctx.q ** (n // 2)
+    count = len(rows)
+    none = count * size
+    flat = [(key_of[key], arg_of[s],
+             none if i_js is None else t * size + i_js,
+             none if i_dual is None else t * size + i_dual)
+            for t, trows in enumerate(rows) for key, s, i_js, i_dual in trows]
+    cols = np.array(flat, dtype=np.intp).reshape(-1, 4).T
+    return FePool(count, size, *cols)
+
+
+def _fe_pool(ctx: FieldCtx, n: int, seed: int, trials: int) -> FePool:
+    """The compiled rows (`FePool`) of the translates of `_fe_translates`.
+    Representation independent: shared by every representation at (q, n)
+    and by both functional-equation certificates.  An exhaustive cell
+    ignores seed and trials, so it has one cache entry; a sampled one reads
+    a prefix of the stream of its seed, at least one translate long, so no
+    certificate passes on zero pairs."""
     if _exhaustive(ctx.q, n):
         seed = trials = None
+    elif trials < 1:
+        raise PreconditionViolated(
+            f"the sampled functional-equation check at q = {ctx.q}, n = {n}"
+            f" needs trials >= 1, got {trials}")
     return _cached_pool(ctx, n, seed, trials)
 
 
 @lru_cache(maxsize=64)
-def _cached_pool(ctx: FieldCtx, n: int, seed, trials) -> tuple:
-    frame = _sum_frame(ctx, n)
-    pool = []
-    for h in _fe_translates(ctx, n, seed, trials):
-        rows = []
-        for g, ntr, i_js, i_dual in frame:
-            sig = support_signature(ctx, mg.mat_mul(ctx, g, h))
-            if sig is not None:
-                rows.append((sig[0], ctx.add(sig[1], ntr), i_js, i_dual))
-        pool.append(tuple(rows))
-    return tuple(pool)
+def _cached_pool(ctx: FieldCtx, n: int, seed, trials) -> FePool:
+    if seed is None:
+        rows = [_translate_rows(ctx, n, h) for h in mg.all_gl(ctx, n)]
+    else:
+        rows = _sampled_stream(ctx, n, seed).rows(trials)
+    return _compile_pool(ctx, n, rows)
 
 
 def _delta_profiles(table: BesselTable, s_js, s_dual):
-    """(js(W, delta_x), dual_js(W, delta_x)) over all points x, from the
-    frame sums S accumulated per point: js is S_js / norm, and dual_js is
-    sum_z S_dual[z] * fourier(delta_x)(z) / norm."""
+    """(js(W, delta_x), dual_js(W, delta_x)) over all points x (the last
+    axis), from the frame sums S accumulated per point: js is S_js / norm,
+    and dual_js is sum_z S_dual[z] * fourier(delta_x)(z) / norm."""
     ctx = table.ctx
     n, m, _ = _split(table)
     norm = _norm_const(ctx, n)
     K = _pairing_matrix(ctx, m, table.psi.inverse)
     scale = ctx.q ** (-m / 2.0) / norm
-    js_vec = [v / norm for v in s_js]
-    dual_vec = (scale * (K @ np.asarray(s_dual))).tolist()
-    return js_vec, dual_vec
+    # einsum rather than @: these products are small, and a first BLAS
+    # matrix-matrix call alone adds about 0.4 MB to the peak memory of a cell
+    dual = np.einsum("...z,xz->...x", np.asarray(s_dual), K)
+    return np.asarray(s_js) / norm, scale * dual
 
 
-def _pool_profiles(table: BesselTable, pool):
-    """For each pooled translate W, the vectors js(W, delta_x) and
-    dual_js(W, delta_x) over all points x."""
-    psi = table.psi
-    entries = table.entries
-    size = table.ctx.q ** (table.n // 2)
-    out = []
-    for rows in pool:
-        s_js = [0j] * size
-        s_dual = [0j] * size
-        for key, s, i_js, i_dual in rows:
-            val = psi(s) * entries[key]
-            if i_js is not None:
-                s_js[i_js] += val
-            if i_dual is not None:
-                s_dual[i_dual] += val
-        out.append(_delta_profiles(table, s_js, s_dual))
-    return out
+def _cell_sums(cells: np.ndarray, vals: np.ndarray, shape) -> np.ndarray:
+    """vals summed into the flat cells of a zero array of `shape`; the cell
+    one past the last is dropped."""
+    length = shape[0] * shape[1] + 1
+    re = np.bincount(cells, vals.real, length)[:-1]
+    im = np.bincount(cells, vals.imag, length)[:-1]
+    return (re + 1j * im).reshape(shape)
+
+
+def _pool_profiles(table: BesselTable, pool: FePool):
+    """(js, dual): the (translates x q^m) arrays of js(W, delta_x) and
+    dual_js(W, delta_x) over the pooled translates W and all points x."""
+    ctx = table.ctx
+    entries = np.array([table.entries[k] for k in support_keys(ctx, table.n)])
+    psi = np.array([table.psi(s) for s in ctx.subfield_elements(1)])
+    vals = psi[pool.arg] * entries[pool.key]
+    shape = (pool.translates, pool.size)
+    return _delta_profiles(table, _cell_sums(pool.js_cell, vals, shape),
+                           _cell_sums(pool.dual_cell, vals, shape))
 
 
 def _split(table: BesselTable):
@@ -386,22 +454,16 @@ def functional_equation_scan(table: BesselTable, trials: int = 100,
     pool (`_fe_pool`: exhaustive on small cells, else `trials` translates).
 
     Returns (gamma, max_residual, pairs_checked)."""
-    ctx = table.ctx
-    n = table.n
     w0, phi0 = canonical_pair(table)
     base = js(table, w0, phi0)
-    if abs(base - 1.0) > 1e-8:
+    if abs(base - 1.0) > FE_TOL:
         raise OracleFailed("canonical_js", f"JS(W0, phi0) = {base}")
     gamma = dual_js(table, w0, phi0)
-    worst = 0.0
-    checked = 0
-    for js_vec, dual_vec in _pool_profiles(table, _fe_pool(ctx, n, seed, trials)):
-        for a, b in zip(js_vec, dual_vec):
-            worst = max(worst, abs(b - gamma * a))
-            checked += 1
-    if worst > 1e-8:
+    a, b = _pool_profiles(table, _fe_pool(table.ctx, table.n, seed, trials))
+    worst = float(np.abs(b - gamma * a).max())
+    if worst > FE_TOL:
         raise NonConstantRatio(f"functional equation residual {worst}")
-    return gamma, worst, checked
+    return gamma, worst, a.size
 
 
 # -- the three gamma routes ----------------------------------------------------
@@ -568,14 +630,14 @@ def shalika_detect(table: BesselTable, samples: int = 1000,
         at_sigma = w(mg.sigma_perm(n))
         report["witness_js"] = val
         report["witness_at_sigma"] = at_sigma
-        if abs(val - at_sigma) > 1e-8 or abs(val) < 1e-8:
+        if abs(val - at_sigma) > FE_TOL or abs(val) < FE_TOL:
             raise OracleFailed("shalika_witness", f"JS(W,1) = {val}, "
                                                   f"W(sigma) = {at_sigma}")
     else:
-        pool = _fe_pool(ctx, n, seed, samples)
-        worst = max(abs(sum(js_vec)) for js_vec, _ in _pool_profiles(table, pool))
+        a, _ = _pool_profiles(table, _fe_pool(ctx, n, seed, samples))
+        worst = float(np.abs(a.sum(axis=1)).max())
         report["max_js_one"] = worst
-        if worst > 1e-8:
+        if worst > FE_TOL:
             raise OracleFailed("shalika_zero_search",
                                f"JS(W,1) = {worst} without the criterion")
     return flag, report

@@ -11,6 +11,7 @@ function with complex coefficients, compared by cross-multiplication.
 from __future__ import annotations
 
 import cmath
+from functools import reduce
 
 import numpy as np
 
@@ -20,11 +21,15 @@ from .errors import NonConstantRatio, OracleFailed, PreconditionViolated
 from . import exjs
 
 COEFF_TOL = 1e-9
+#: coefficients of at most this size count as zero: `_trim` drops them from
+#: the ends of every RatQS polynomial, the printed form skips them, and a
+#: modified-functional-equation pair whose rows have no larger one is 0 = 0
+ZERO_COEFF = 1e-13
 
 
 def _trim(arr):
     a = np.asarray(arr, dtype=complex).ravel()
-    nz = np.nonzero(np.abs(a) > 1e-13)[0]
+    nz = np.nonzero(np.abs(a) > ZERO_COEFF)[0]
     if len(nz) == 0:
         return np.zeros(0, dtype=complex), 0
     lead = nz[0]
@@ -201,7 +206,7 @@ class RatQS:
         def fmt(arr):
             terms = []
             for i, c in enumerate(arr):
-                if abs(c) < 1e-13:
+                if abs(c) <= ZERO_COEFF:
                     continue
                 terms.append(f"({c:.6g})*X^{i}")
             return " + ".join(terms) if terms else "0"
@@ -315,30 +320,72 @@ def local_gamma(ctx: LevelZeroCtx) -> RatQS:
     return gamma
 
 
-def modified_fe_check(table: BesselTable, trials: int = 100,
-                      seed: int = exjs.DEFAULT_SEED):
+def _laurent_rows(terms) -> np.ndarray:
+    """The Laurent polynomials X^shift * prod(factors), one per term (shift,
+    *factors), as the rows of one zero array aligned on their lowest shift."""
+    polys = [reduce(np.convolve, factors) for _, *factors in terms]
+    low = min(term[0] for term in terms)
+    offsets = [term[0] - low for term in terms]
+    rows = np.zeros((len(terms), max(o + len(p) for o, p in zip(offsets, polys))),
+                    dtype=complex)
+    for row, o, p in zip(rows, offsets, polys):
+        row[o:o + len(p)] = p
+    return rows
+
+
+def modified_fe_scan(table: BesselTable, trials: int = 100,
+                     seed: int = exjs.DEFAULT_SEED):
     """The modified functional equation at the trivial-twist normalization
     c = 1: one rational function gamma~, the lifted canonical-pair ratio,
     covers every (W, phi) pair.  The pairs are (translate, delta_x) over the
-    shared pool `exjs._fe_pool`, whose profiles give js(W, delta_x) and
-    dual_js(W, delta_x); then js(W, 1) = sum_x js(W, delta_x),
-    delta_x(0) = [x = 0] and delta_x^(0) = q^(-m/2).  Returns (gamma~, max
-    cross-multiplied residual)."""
+    shared pool `exjs._fe_pool`, whose profiles give a = js(W, delta_x) and
+    b = dual_js(W, delta_x); then j1 = js(W, 1) = sum_x a, delta_x(0) =
+    [x = 0] and delta_x^(0) = q^(-m/2).
+
+    With dual_corr = X^sd Nd/Dd, js_corr = X^sj Nj/Dj and gamma~ = X^sg Ng/Dg,
+    the lifted sides lhs = b + p dual_corr (p = q^(-m/2) j1) and
+    gamma~ (a + r js_corr) (r = [x = 0] j1) cross-multiply to the rows
+
+        row0 = (b Dd + p X^sd Nd) Dg Dj,  row1 = X^sg Ng (a Dj + r X^sj Nj) Dd,
+
+    linear in (b, p, a, r) with pair-independent coefficients, so one
+    product gives the rows of every pair.  A pair's residual is
+    max|row0 - row1| / max(|row0|, |row1|), and 0 (0 = 0) when no coefficient
+    exceeds ZERO_COEFF.  Returns (gamma~, max residual, pairs checked)."""
     if table.n % 2:
         raise PreconditionViolated("modified functional equation is for even n")
     lz = LevelZeroCtx(table, 1.0)
-    gamma_t = _canonical_ratio(lz)
-    phat_0 = lz.q ** (-lz.m / 2.0)
-    worst = 0.0
-    pool = exjs._fe_pool(table.ctx, table.n, seed, trials)
-    for js_vec, dual_vec in exjs._pool_profiles(table, pool):
-        j1 = sum(js_vec)
-        for i, (a, b) in enumerate(zip(js_vec, dual_vec)):
-            lhs = lz.lift(b, phat_0, j1, dual=True)
-            rhs = lz.lift(a, float(i == 0), j1)
-            worst = max(worst, lhs.residual(gamma_t * rhs))
-    if worst > 1e-8:
+    g = _canonical_ratio(lz)
+    d, j = lz.dual_corr, lz.js_corr
+    coef = _laurent_rows([(0, d.den, g.den, j.den),
+                          (d.x_shift, d.num, g.den, j.den),
+                          (g.x_shift, g.num, j.den, d.den),
+                          (g.x_shift + j.x_shift, g.num, j.num, d.den)])
+    width = coef.shape[1]
+    block = np.zeros((4, 2 * width), dtype=complex)
+    block[:2, :width] = coef[:2]
+    block[2:, width:] = coef[2:]
+    a, b = exjs._pool_profiles(table, exjs._fe_pool(table.ctx, table.n, seed, trials))
+    j1 = np.broadcast_to(a.sum(axis=1, keepdims=True), a.shape)
+    at_zero = np.zeros(a.shape[1])
+    at_zero[0] = 1.0
+    scalars = np.stack([b, lz.q ** (-lz.m / 2.0) * j1, a, at_zero * j1], axis=-1)
+    # einsum rather than @, as in exjs._delta_profiles: no BLAS buffers
+    rows = np.einsum("pk,kl->pl", scalars.reshape(-1, 4), block)
+    scale = np.abs(rows).max(axis=1)
+    gap = np.abs(rows[:, :width] - rows[:, width:]).max(axis=1)
+    live = scale > ZERO_COEFF
+    worst = float((gap[live] / scale[live]).max(initial=0.0))
+    if worst > exjs.FE_TOL:
         raise NonConstantRatio(f"modified functional equation residual {worst}")
+    return g, worst, a.size
+
+
+def modified_fe_check(table: BesselTable, trials: int = 100,
+                      seed: int = exjs.DEFAULT_SEED):
+    """(gamma~, max residual) of `modified_fe_scan`, for callers that need
+    no pair count."""
+    gamma_t, worst, _ = modified_fe_scan(table, trials, seed)
     return gamma_t, worst
 
 

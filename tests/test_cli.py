@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from gammalab import cli
@@ -149,8 +150,8 @@ def test_gamma_q5n2_rows_share_one_pool(capsys, monkeypatch):
     rows = json.loads(out)["rows"]
     assert len(rows) == 10
     for row in rows:
-        if not row["shalika"]:
-            assert row["pairs_checked"] == 2400  # |GL_2(F_5)| * 5, exhaustive
+        # |GL_2(F_5)| * 5, exhaustive, for both certificates
+        assert row["pairs_checked"] == 2400
     # with the pool built, a pass decomposes only the canonical-pair and
     # torus arguments of each row, not the 2,400 pairs
     calls = []
@@ -179,16 +180,16 @@ def test_zero_trials_refused_before_any_build(capsys, monkeypatch):
     assert calls == []
 
 
-def test_verify_q5n2_builds_the_exhaustive_pool_once():
-    # the certificates (trials 100) and the Shalika zero search (samples
-    # 200) share one all-of-GL_2 pool: 1,920 Bruhat decompositions, once
+def _fresh_bruhat_calls(argv):
+    """(exit code, Bruhat decompositions) of cli.main(argv) in a fresh
+    process, so no cache of this one is reused."""
     script = (
         "import sys\n"
         "from gammalab import cli, matgrp as mg\n"
         "calls = []\n"
         "bruhat = mg.bruhat\n"
         "mg.bruhat = lambda ctx, g: calls.append(g) or bruhat(ctx, g)\n"
-        "code = cli.main(['verify', '--q', '5', '--n', '2'])\n"
+        f"code = cli.main({argv!r})\n"
         "print(code, len(calls), file=sys.stderr)\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -197,5 +198,29 @@ def test_verify_q5n2_builds_the_exhaustive_pool_once():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     code, calls = map(int, done.stderr.split()[-2:])
+    return code, calls
+
+
+def test_verify_q5n2_builds_the_exhaustive_pool_once():
+    # the certificates (trials 100) and the Shalika zero search (samples
+    # 200) share one all-of-GL_2 pool: 1,920 Bruhat decompositions, once
+    code, calls = _fresh_bruhat_calls(["verify", "--q", "5", "--n", "2"])
     assert code == 0
     assert calls <= 3040  # 4,960 with one pool per (seed, trials) key
+
+
+def test_verify_q2n4_grows_one_sampled_pool():
+    # the certificates' 100 seeded translates are the first 100 of the
+    # Shalika zero search's 200, so each is decomposed once
+    code, calls = _fresh_bruhat_calls(["verify", "--q", "2", "--n", "4"])
+    assert code == 0
+    assert calls <= 2250  # 2,850 when the 100 were decomposed twice
+
+
+def test_gamma_beyond_the_class_typing_limit_refused(capsys):
+    # (2, 7) needs 2^21 unipotents x 64 support keys = 134,217,728 class
+    # typings: refused before the first one, not left to run for hours
+    t0 = time.perf_counter()
+    code, out = run_main(["gamma", "--q", "2", "--n", "7"], capsys)
+    assert code == cli.EXIT_PRECONDITION and out == ""
+    assert time.perf_counter() - t0 < 10

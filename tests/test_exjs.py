@@ -71,10 +71,10 @@ def test_pool_profiles_match_js_profiles_and_pointwise(p, n, trials):
     translates = exjs._fe_translates(f, n, exjs.DEFAULT_SEED, trials)
     assert len(translates) == (mg.gl_order(p, n) if n == 2 else trials)
     pool = exjs._fe_pool(f, n, exjs.DEFAULT_SEED, trials)
-    profiles = exjs._pool_profiles(table, pool)
-    assert len(profiles) == len(translates)
+    js_arr, dual_arr = exjs._pool_profiles(table, pool)
     probe = CFun(f, m)
-    for h, (js_vec, dual_vec) in zip(translates, profiles):
+    assert js_arr.shape == dual_arr.shape == (len(translates), probe.size)
+    for h, js_vec, dual_vec in zip(translates, js_arr, dual_arr):
         w = exjs.WhittakerFun.translate(table, h)
         ref_js, ref_dual = exjs.js_profiles(table, w)
         for i in range(probe.size):

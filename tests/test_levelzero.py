@@ -5,11 +5,11 @@ import random
 import pytest
 
 from gammalab.bessel import bessel_build
-from gammalab.charkit import AddChar, CFun
+from gammalab.charkit import AddChar, CFun, regular_orbit_reps
 from gammalab.cuspchar import CuspidalRep
-from gammalab.errors import PreconditionViolated
+from gammalab.errors import NonConstantRatio, PreconditionViolated
 from gammalab.ffield import build_field
-from gammalab import exjs
+from gammalab import exjs, levelzero
 from gammalab import matgrp as mg
 from gammalab.levelzero import (
     LevelZeroCtx,
@@ -21,6 +21,7 @@ from gammalab.levelzero import (
     local_L_eps,
     local_gamma,
     modified_fe_check,
+    modified_fe_scan,
     shalika_functional_value,
 )
 
@@ -198,6 +199,51 @@ def test_modified_fe_shalika_matches_local_gamma_at_c1():
     gam = local_gamma(LevelZeroCtx(table, 1.0))
     # c = 1 means the s-shift vanishes: gamma~ equals the local gamma
     assert gamma_t.equals(gam, 1e-8)
+
+
+def _per_pair_residual(table, trials=100, seed=exjs.DEFAULT_SEED):
+    """The modified-FE residual pair by pair in RatQS arithmetic: the
+    reference for the batched rows of modified_fe_scan."""
+    lz = LevelZeroCtx(table, 1.0)
+    gamma_t = levelzero._canonical_ratio(lz)
+    phat_0 = lz.q ** (-lz.m / 2.0)
+    js_arr, dual_arr = exjs._pool_profiles(
+        table, exjs._fe_pool(table.ctx, table.n, seed, trials))
+    worst = 0.0
+    for js_vec, dual_vec in zip(js_arr, dual_arr):
+        j1 = sum(js_vec)
+        for i, (a, b) in enumerate(zip(js_vec, dual_vec)):
+            lhs = lz.lift(b, phat_0, j1, dual=True)
+            rhs = lz.lift(a, float(i == 0), j1)
+            worst = max(worst, lhs.residual(gamma_t * rhs))
+    return worst
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (2, 4)])
+def test_modified_fe_batched_rows_match_per_pair_reference(p, n):
+    # exhaustive at n = 2, sampled (100 translates) at (2, 4); numerical
+    # zero pairs (every coefficient <= ZERO_COEFF) count as 0 = 0
+    f = build_field(p, 1, n)
+    for k in regular_orbit_reps(f, n):
+        table = make_table(p, 1, n, k)
+        gamma_t, worst, checked = modified_fe_scan(table)
+        translates = exjs._fe_translates(f, n, exjs.DEFAULT_SEED, 100)
+        assert checked == len(translates) * p ** (n // 2)
+        assert modified_fe_check(table) == (gamma_t, worst)
+        assert worst <= 1e-13
+        assert _per_pair_residual(table) <= 1e-13
+
+
+@pytest.mark.parametrize("p,n,k", [(5, 2, 4), (3, 4, 1)])
+def test_modified_fe_detects_a_perturbed_gamma(p, n, k, monkeypatch):
+    # a gamma~ off by a relative 1e-6 fails the 1e-8 bound, with and
+    # without a Shalika vector (q5n2 theta = 4 has one, q3n4 theta = 1 not)
+    table = make_table(p, 1, n, k)
+    canonical = levelzero._canonical_ratio
+    monkeypatch.setattr(levelzero, "_canonical_ratio",
+                        lambda lz: canonical(lz) * RatQS.const(1 + 1e-6))
+    with pytest.raises(NonConstantRatio):
+        modified_fe_check(table)
 
 
 def test_shalika_functional_linearity_and_values():
