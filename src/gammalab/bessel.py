@@ -25,8 +25,9 @@ from .ffield import FieldCtx
 from . import matgrp as mg
 
 #: the most class typings (|N_n| per support key) a support profile may
-#: take; (q, n) = (3, 5) needs 9,565,938 and (2, 7) 134,217,728
-MAX_CLASS_TYPINGS = 2 ** 24
+#: take; (q, n) = (2, 6) needs 1,048,576 and (4, 4) 786,432, while
+#: (5, 4) needs 7,812,500, (3, 5) 9,565,938 and (2, 7) 134,217,728
+MAX_CLASS_TYPINGS = 2 ** 21
 
 
 @lru_cache(maxsize=None)
@@ -53,25 +54,31 @@ def _support_profile(ctx: FieldCtx, n: int) -> dict:
         raise PreconditionViolated(
             f"the Bessel support profile at q = {ctx.q}, n = {n} needs"
             f" {typings} class typings, over the limit of {MAX_CLASS_TYPINGS}")
+    mul = ctx.mul
     profile = {}
     for key in support_keys(ctx, n):
-        comp, scalars = key
-        t = mg.antidiag_elem(ctx, comp, scalars)
+        t = mg.antidiag_elem(ctx, *key)
+        # t is monomial: row i of t*u is row j of u scaled by t[i][j] != 0
+        spots = [next((j, x) for j, x in enumerate(row) if x) for row in t]
         rows = []
         for u, s in _unipotent_psi_data(ctx, n):
-            rows.append((_class_data(ctx, mg.mat_mul(ctx, t, u)), s))
+            tu = tuple(tuple(mul(lam, x) for x in u[j]) for j, lam in spots)
+            rows.append((_class_data(ctx, tu), s))
         profile[key] = tuple(rows)
     return profile
 
 
 def support_signature(ctx: FieldCtx, g: mg.Mat):
     """(table key, additive-character argument) of the Bessel evaluation at
-    g, or None off the support; representation independent."""
-    dec = mg.bruhat(ctx, g)
-    parsed = mg.parse_antidiag(mg.mat_mul(ctx, dec.w, dec.d))
+    g, or None off the support; representation independent.  With
+    lacc g racc = w d from `mg.bruhat_reduce`, g = u1 (w d) u2 for
+    u1 = lacc^-1 and u2 = racc^-1, and a unipotent (I + N)^-1 has
+    superdiagonal -superdiag(N): nothing is inverted."""
+    monomial, lacc, racc = mg.bruhat_reduce(ctx, g)
+    parsed = mg.parse_antidiag(monomial)
     if parsed is None:
         return None
-    s = ctx.add(mg.superdiag_sum(ctx, dec.u1), mg.superdiag_sum(ctx, dec.u2))
+    s = ctx.neg(ctx.add(mg.superdiag_sum(ctx, lacc), mg.superdiag_sum(ctx, racc)))
     return parsed, s
 
 

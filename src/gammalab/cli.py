@@ -136,9 +136,11 @@ def _gamma_row(cfg: RunConfig, table) -> dict:
     if shalika:
         lz = LevelZeroCtx(table, cfg.c)
         L, eps = levelzero.local_L_eps(lz)
-        gam = levelzero.local_gamma(lz)
         gtilde, resid, checked = levelzero.modified_fe_scan(table, cfg.trials,
                                                             cfg.seed)
+        # gamma~ is the canonical-pair ratio at c = 1: at that c local_gamma
+        # cross-checks against it instead of computing it again
+        gam = levelzero.local_gamma(lz, gtilde if cfg.c == 1 else None)
         row["c"] = _cnum(cfg.c)
         row["L"] = L.to_json_dict()
         row["eps"] = eps.to_json_dict()

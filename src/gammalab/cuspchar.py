@@ -23,7 +23,6 @@ from .ffield import FieldCtx
 from . import matgrp as mg
 
 
-@lru_cache(maxsize=None)
 def _class_data(ctx: FieldCtx, g: mg.Mat):
     """Conjugacy data needed by the character: None if not primary, else
     (d, k, alpha)."""

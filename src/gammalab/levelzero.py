@@ -307,13 +307,15 @@ def local_L_eps(ctx: LevelZeroCtx):
     return L, eps
 
 
-def local_gamma(ctx: LevelZeroCtx) -> RatQS:
+def local_gamma(ctx: LevelZeroCtx, ratio: RatQS = None) -> RatQS:
     """gamma = epsilon * L(m(1-s), dual) / L(ms); cross-checked against the
-    ratio of lifted sums on the canonical pair."""
+    ratio of lifted sums on the canonical pair (`_canonical_ratio(ctx)`,
+    computed here unless the caller passes it)."""
     L, eps = local_L_eps(ctx)
     dual_L = ctx.dual_L if ctx.has_shalika_vector() else RatQS.one()
     gamma = eps * dual_L / L
-    ratio = _canonical_ratio(ctx)
+    if ratio is None:
+        ratio = _canonical_ratio(ctx)
     if not gamma.equals(ratio, 1e-7):
         raise OracleFailed("local_gamma",
                            f"theorem value {gamma} vs lifted ratio {ratio}")

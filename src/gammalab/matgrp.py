@@ -282,9 +282,10 @@ def compositions(m: int):
 
 # -- Bruhat decomposition ------------------------------------------------------
 
-def bruhat(ctx: FieldCtx, g: Mat) -> BruhatDecomp:
-    """g = u1 * (w d) * u2 with u1, u2 upper unipotent, w a permutation
-    matrix and d diagonal; (w, d) is unique."""
+def bruhat_reduce(ctx: FieldCtx, g: Mat):
+    """The elimination behind `bruhat`: (monomial, lacc, racc) as lists of
+    rows, with lacc * g * racc = monomial = w d and lacc, racc upper
+    unipotent, so g = lacc^-1 (w d) racc^-1."""
     n = len(g)
     work = [list(r) for r in g]
     add, mul, inv, neg = ctx.add, ctx.mul, ctx.inv, ctx.neg
@@ -308,7 +309,14 @@ def bruhat(ctx: FieldCtx, g: Mat) -> BruhatDecomp:
                 for i in range(n):
                     work[i][c] = add(work[i][c], mul(f, work[i][j]))
                     racc[i][c] = add(racc[i][c], mul(f, racc[i][j]))
-    monomial = tuple(tuple(r) for r in work)
+    return work, lacc, racc
+
+
+def bruhat(ctx: FieldCtx, g: Mat) -> BruhatDecomp:
+    """g = u1 * (w d) * u2 with u1, u2 upper unipotent, w a permutation
+    matrix and d diagonal; (w, d) is unique."""
+    n = len(g)
+    monomial, lacc, racc = bruhat_reduce(ctx, g)
     perm = [0] * n
     dvals = [0] * n
     for j in range(n):
@@ -538,14 +546,13 @@ def charpoly(ctx: FieldCtx, a: Mat) -> list:
     return polys[n]
 
 
-def class_type(ctx: FieldCtx, g: Mat) -> ClassType:
-    """Primary-type data of an invertible matrix: if charpoly = f^c with f
-    irreducible of degree d, report (d, c, alpha = deterministic root of f,
-    k = dim ker f(g) / d); otherwise primary=False."""
-    n = len(g)
-    if not is_invertible(ctx, g):
-        raise Singular("class_type of a singular matrix")
-    c = charpoly(ctx, g)
+@lru_cache(maxsize=None)
+def _primary_factor(ctx: FieldCtx, c: tuple):
+    """(d, mult, alpha, f) when the monic polynomial c = f^mult with f
+    irreducible of degree d and alpha its root of least dlog, else None.
+    Keyed by polynomial: at most q^n entries, and a support profile meets
+    only tens of distinct ones among its thousands of matrices."""
+    n = len(c) - 1
     q = ctx.q
     f = None
     d0 = None
@@ -561,17 +568,32 @@ def class_type(ctx: FieldCtx, g: Mat) -> ClassType:
         f = gg
         break
     if f is None or len(f) - 1 != d0 or n % d0:
-        return ClassType(False, None, None, None, None)
+        return None
     mult = n // d0
     power = [1]
     for _ in range(mult):
         power = poly_mul(ctx, power, f)
-    if power != c:
-        return ClassType(False, None, None, None, None)
+    if power != list(c):
+        return None
     roots = [xi for xi in ctx.subfield_units(d0) if poly_eval(ctx, f, xi) == 0]
-    alpha = min(roots, key=ctx.dlog)
+    return d0, mult, min(roots, key=ctx.dlog), tuple(f)
+
+
+def class_type(ctx: FieldCtx, g: Mat) -> ClassType:
+    """Primary-type data of an invertible matrix: if charpoly = f^c with f
+    irreducible of degree d, report (d, c, alpha = deterministic root of f,
+    k = dim ker f(g) / d); otherwise primary=False."""
+    n = len(g)
+    c = charpoly(ctx, g)
+    if c[0] == 0:  # the constant term is +-det g
+        raise Singular("class_type of a singular matrix")
+    primary = _primary_factor(ctx, tuple(c))
+    if primary is None:
+        return ClassType(False, None, None, None, None)
+    d0, mult, alpha, f = primary
+    if mult == 1:  # f(g) = charpoly(g) = 0 (Cayley-Hamilton): k = n / d = 1
+        return ClassType(True, d0, 1, alpha, 1)
     # k from the kernel of f(g)
-    fg = zero(n)
     acc = identity(n)
     fg = scalar_mul(ctx, f[0], acc)
     for coef in f[1:]:

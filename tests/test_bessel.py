@@ -1,15 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammalab.bessel import (
     bessel_build,
     bessel_closed_form_gl3,
     bessel_closed_form_gl4,
     export_bessel_csv,
+    support_signature,
 )
 from gammalab.charkit import AddChar, regular_exponents, regular_orbit_reps
 from gammalab.cuspchar import CuspidalRep
+from gammalab.errors import Singular
 from gammalab.ffield import build_field
 from gammalab import matgrp as mg
 
@@ -169,3 +172,39 @@ def test_csv_export(tmp_path):
     path2 = tmp_path / "bessel2.csv"
     export_bessel_csv(table, path2)
     assert path.read_text() == path2.read_text()
+
+
+def reference_signature(ctx, g):
+    """support_signature through the full decomposition: both unipotents
+    inverted and w d multiplied out; test oracle."""
+    dec = mg.bruhat(ctx, g)
+    parsed = mg.parse_antidiag(mg.mat_mul(ctx, dec.w, dec.d))
+    if parsed is None:
+        return None
+    return parsed, ctx.add(mg.superdiag_sum(ctx, dec.u1),
+                           mg.superdiag_sum(ctx, dec.u2))
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 4), (3, 1, 4), (5, 1, 2), (2, 2, 3)])
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_support_signature_matches_bruhat_reference(p, e, n, data):
+    # half the draws are u1 t u2 with t on the support, so both the parsed
+    # and the off-support branches are exercised
+    f = build_field(p, e, n)
+    elems = f.subfield_elements(1)
+    g = tuple(tuple(data.draw(st.sampled_from(elems)) for _ in range(n))
+              for _ in range(n))
+    if data.draw(st.booleans()):
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        comp = data.draw(st.sampled_from(mg.compositions(n)))
+        lams = [data.draw(st.sampled_from(f.subfield_units(1))) for _ in comp]
+        g = mg.mat_chain(f, mg.random_unipotent(f, n, rng),
+                         mg.antidiag_elem(f, comp, lams),
+                         mg.random_unipotent(f, n, rng))
+        assert support_signature(f, g) is not None
+    if not mg.is_invertible(f, g):
+        with pytest.raises(Singular):
+            support_signature(f, g)
+        return
+    assert support_signature(f, g) == reference_signature(f, g)

@@ -5,7 +5,7 @@ import sys
 import time
 from pathlib import Path
 
-from gammalab import cli
+from gammalab import cli, levelzero
 from gammalab import matgrp as mg
 
 
@@ -152,19 +152,19 @@ def test_gamma_q5n2_rows_share_one_pool(capsys, monkeypatch):
     for row in rows:
         # |GL_2(F_5)| * 5, exhaustive, for both certificates
         assert row["pairs_checked"] == 2400
-    # with the pool built, a pass decomposes only the canonical-pair and
+    # with the pool built, a pass reduces only the canonical-pair and
     # torus arguments of each row, not the 2,400 pairs
     calls = []
-    bruhat = mg.bruhat
+    reduce = mg.bruhat_reduce
 
     def counting(ctx, g):
         calls.append(g)
-        return bruhat(ctx, g)
+        return reduce(ctx, g)
 
-    monkeypatch.setattr(mg, "bruhat", counting)
+    monkeypatch.setattr(mg, "bruhat_reduce", counting)
     code, warm = run_main(argv, capsys)
     assert code == 0 and warm == out
-    assert len(calls) <= 20 * len(rows)
+    assert 0 < len(calls) <= 20 * len(rows)
 
 
 def test_zero_trials_refused_before_any_build(capsys, monkeypatch):
@@ -181,14 +181,15 @@ def test_zero_trials_refused_before_any_build(capsys, monkeypatch):
 
 
 def _fresh_bruhat_calls(argv):
-    """(exit code, Bruhat decompositions) of cli.main(argv) in a fresh
-    process, so no cache of this one is reused."""
+    """(exit code, Bruhat reductions) of cli.main(argv) in a fresh process,
+    so no cache of this one is reused.  Every Bruhat decomposition and every
+    support signature runs `mg.bruhat_reduce` once."""
     script = (
         "import sys\n"
         "from gammalab import cli, matgrp as mg\n"
         "calls = []\n"
-        "bruhat = mg.bruhat\n"
-        "mg.bruhat = lambda ctx, g: calls.append(g) or bruhat(ctx, g)\n"
+        "reduce = mg.bruhat_reduce\n"
+        "mg.bruhat_reduce = lambda ctx, g: calls.append(g) or reduce(ctx, g)\n"
         f"code = cli.main({argv!r})\n"
         "print(code, len(calls), file=sys.stderr)\n"
     )
@@ -206,7 +207,7 @@ def test_verify_q5n2_builds_the_exhaustive_pool_once():
     # 200) share one all-of-GL_2 pool: 1,920 Bruhat decompositions, once
     code, calls = _fresh_bruhat_calls(["verify", "--q", "5", "--n", "2"])
     assert code == 0
-    assert calls <= 3040  # 4,960 with one pool per (seed, trials) key
+    assert 0 < calls <= 3040  # 4,960 with one pool per (seed, trials) key
 
 
 def test_verify_q2n4_grows_one_sampled_pool():
@@ -214,13 +215,33 @@ def test_verify_q2n4_grows_one_sampled_pool():
     # Shalika zero search's 200, so each is decomposed once
     code, calls = _fresh_bruhat_calls(["verify", "--q", "2", "--n", "4"])
     assert code == 0
-    assert calls <= 2250  # 2,850 when the 100 were decomposed twice
+    assert 0 < calls <= 2250  # 2,850 when the 100 were decomposed twice
 
 
 def test_gamma_beyond_the_class_typing_limit_refused(capsys):
     # (2, 7) needs 2^21 unipotents x 64 support keys = 134,217,728 class
-    # typings: refused before the first one, not left to run for hours
-    t0 = time.perf_counter()
-    code, out = run_main(["gamma", "--q", "2", "--n", "7"], capsys)
-    assert code == cli.EXIT_PRECONDITION and out == ""
-    assert time.perf_counter() - t0 < 10
+    # typings and (3, 5) 3^10 x 162 = 9,565,938: refused before the first
+    # one, not left to run for hours
+    for q, n in (("2", "7"), ("3", "5")):
+        t0 = time.perf_counter()
+        code, out = run_main(["gamma", "--q", q, "--n", n], capsys)
+        assert code == cli.EXIT_PRECONDITION and out == ""
+        assert time.perf_counter() - t0 < 10
+
+
+def test_gamma_row_reads_one_canonical_ratio_at_c1(capsys, monkeypatch):
+    # at c = 1 local_gamma cross-checks against the certificate's gamma~,
+    # so each Shalika row computes the canonical-pair ratio once
+    calls = []
+    canonical = levelzero._canonical_ratio
+    monkeypatch.setattr(levelzero, "_canonical_ratio",
+                        lambda lz: calls.append(lz) or canonical(lz))
+    code, out = run_main(["gamma", "--q", "5", "--n", "2"], capsys)
+    assert code == 0
+    shalika = sum(row["shalika"] for row in json.loads(out)["rows"])
+    assert shalika == 2 and len(calls) == shalika
+    # at another c the certificate's c = 1 ratio is no cross-check
+    calls.clear()
+    code, out = run_main(["gamma", "--q", "5", "--n", "2", "--c-re", "0",
+                          "--c-im", "1"], capsys)
+    assert code == 0 and len(calls) == 2 * shalika

@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gammalab.bessel import _support_profile, _unipotent_psi_data, support_keys
 from gammalab.errors import Singular
 from gammalab.ffield import build_field
 from gammalab import matgrp as mg
@@ -193,6 +195,77 @@ def test_class_type_conjugation_invariant():
         h = mg.random_invertible(f, 3, rng)
         conj = mg.mat_chain(f, h, g, mg.mat_inv(f, h))
         assert mg.class_type(f, g) == mg.class_type(f, conj)
+
+
+def reference_class_type(ctx, g):
+    """class_type without the per-charpoly memo or the mult = 1 shortcut:
+    an invertibility elimination, then the factor search, the f^mult check,
+    the root search and the kernel rank of f(g) on every call; test oracle."""
+    n = len(g)
+    if not mg.is_invertible(ctx, g):
+        raise Singular("class_type of a singular matrix")
+    c = mg.charpoly(ctx, g)
+    for d in range(1, n + 1):
+        diff = list(mg.poly_pow_x(ctx, ctx.q ** d, c)) + [0, 0]
+        diff[1] = ctx.sub(diff[1], 1)
+        f = mg.poly_gcd(ctx, c, mg._poly_trim(diff))
+        if len(f) > 1:
+            break
+    if len(f) - 1 != d or n % d:
+        return mg.ClassType(False, None, None, None, None)
+    power = [1]
+    for _ in range(n // d):
+        power = mg.poly_mul(ctx, power, f)
+    if power != c:
+        return mg.ClassType(False, None, None, None, None)
+    alpha = min((xi for xi in ctx.subfield_units(d) if mg.poly_eval(ctx, f, xi) == 0),
+                key=ctx.dlog)
+    fg = mg.zero(n)
+    acc = mg.identity(n)
+    for coef in f:
+        fg = tuple(tuple(ctx.add(x, y) for x, y in zip(r1, r2))
+                   for r1, r2 in zip(fg, mg.scalar_mul(ctx, coef, acc)))
+        acc = mg.mat_mul(ctx, acc, g)
+    kdim = n - mg.rank(ctx, fg)
+    assert kdim % d == 0
+    return mg.ClassType(True, d, n // d, alpha, kdim // d)
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3)])
+def test_support_profile_types_match_reference_exhaustive(p, n):
+    # every t*u of the support profile, typed by the reference through the
+    # generic product: checks the memo, the mult = 1 shortcut and the
+    # row-scaling t*u of _support_profile at once
+    f = build_field(p, 1, n)
+    profile = _support_profile(f, n)
+    kinds = set()
+    for key in support_keys(f, n):
+        t = mg.antidiag_elem(f, *key)
+        for (u, s), (data, s2) in zip(_unipotent_psi_data(f, n), profile[key]):
+            ct = reference_class_type(f, mg.mat_mul(f, t, u))
+            assert mg.class_type(f, mg.mat_mul(f, t, u)) == ct
+            assert data == ((ct.d, ct.k, ct.alpha) if ct.primary else None)
+            assert s == s2
+            kinds.add((ct.primary, ct.c, ct.k))
+    # non-primary classes, and mult > 1 with both a full and a partial kernel
+    assert (False, None, None) in kinds
+    assert any(c > 1 and k == c for _, c, k in kinds if c)
+    assert any(c > 1 and k < c for _, c, k in kinds if c)
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 4), (3, 1, 3), (5, 1, 2), (2, 2, 3)])
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_class_type_matches_reference_random(p, e, n, data):
+    f = build_field(p, e, n)
+    elems = f.subfield_elements(1)
+    g = tuple(tuple(data.draw(st.sampled_from(elems)) for _ in range(n))
+              for _ in range(n))
+    if not mg.is_invertible(f, g):
+        with pytest.raises(Singular):
+            mg.class_type(f, g)
+        return
+    assert mg.class_type(f, g) == reference_class_type(f, g)
 
 
 def _binom2(x):
