@@ -42,6 +42,10 @@ EXHAUSTIVE_PAIR_CAP = 3000
 #: certificates, the canonical normalization JS(W0, phi0) = 1 and the
 #: Shalika witness and zero search
 FE_TOL = 1e-8
+#: the bound on ||gamma| - 1| for the gamma of every route
+UNITARITY_TOL = 1e-6
+#: the distance of the averaged character sum dim Hom_H(pi, 1) from 0 or 1
+HOMDIM_TOL = 1e-6
 
 
 class WhittakerFun:
@@ -168,48 +172,28 @@ def _exhaustive(q: int, n: int) -> bool:
 def _fe_translates(ctx: FieldCtx, n: int, seed: int, trials: int) -> tuple:
     """The translates h of the certificates' test functions W = B(. h): every
     h in GL_n when |GL_n| * q^m <= EXHAUSTIVE_PAIR_CAP, else the first
-    `trials` of the seeded random stream."""
+    `trials` of the seeded random stream, so a larger count extends a
+    smaller one and shares its rows (`_translate_rows`)."""
     if _exhaustive(ctx.q, n):
         return mg.all_gl(ctx, n)
-    return _sampled_stream(ctx, n, seed).translates(trials)
+    rng = random.Random(f"fe:{seed}:{ctx.q}:{n}")
+    return tuple(mg.random_invertible(ctx, n, rng) for _ in range(trials))
 
 
-def _translate_rows(ctx: FieldCtx, n: int, h: mg.Mat) -> list:
+# bounded: holds every translate of the largest pool (1,000 sampled, 480 at
+# q = 5, n = 2) together with the canonical and Shalika-witness translates
+@lru_cache(maxsize=4096)
+def _translate_rows(ctx: FieldCtx, n: int, h: mg.Mat) -> tuple:
     """The rows (support key, psi-argument, i_js, i_dual) of the sum-frame
-    terms g with g h on the Bessel support."""
+    terms g with g h on the Bessel support.  Representation independent:
+    every representation at (q, n) reads the rows of a translate h from
+    this cache, so each g h is decomposed once."""
     rows = []
     for g, ntr, i_js, i_dual in _sum_frame(ctx, n):
         sig = support_signature(ctx, mg.mat_mul(ctx, g, h))
         if sig is not None:
             rows.append((sig[0], ctx.add(sig[1], ntr), i_js, i_dual))
-    return rows
-
-
-class _SampledStream:
-    """The seeded random translates of a sampled cell and their pool rows,
-    grown on demand: every `trials` count at one (q, n, seed) reads a prefix
-    of the same stream, so no translate is decomposed twice."""
-
-    def __init__(self, ctx: FieldCtx, n: int, seed: int):
-        self._ctx, self._n = ctx, n
-        self._rng = random.Random(f"fe:{seed}:{ctx.q}:{n}")
-        self._translates = []
-        self._rows = []
-
-    def translates(self, count: int) -> tuple:
-        while len(self._translates) < count:
-            self._translates.append(mg.random_invertible(self._ctx, self._n, self._rng))
-        return tuple(self._translates[:count])
-
-    def rows(self, count: int) -> list:
-        for h in self.translates(count)[len(self._rows):]:
-            self._rows.append(_translate_rows(self._ctx, self._n, h))
-        return self._rows[:count]
-
-
-@lru_cache(maxsize=16)
-def _sampled_stream(ctx: FieldCtx, n: int, seed: int) -> _SampledStream:
-    return _SampledStream(ctx, n, seed)
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -228,7 +212,8 @@ class FePool:
     dual_cell: np.ndarray
 
 
-def _compile_pool(ctx: FieldCtx, n: int, rows: list) -> FePool:
+def _compile_pool(ctx: FieldCtx, n: int, translates) -> FePool:
+    rows = [_translate_rows(ctx, n, h) for h in translates]
     key_of = {k: i for i, k in enumerate(support_keys(ctx, n))}
     arg_of = {s: i for i, s in enumerate(ctx.subfield_elements(1))}
     size = ctx.q ** (n // 2)
@@ -260,11 +245,7 @@ def _fe_pool(ctx: FieldCtx, n: int, seed: int, trials: int) -> FePool:
 
 @lru_cache(maxsize=64)
 def _cached_pool(ctx: FieldCtx, n: int, seed, trials) -> FePool:
-    if seed is None:
-        rows = [_translate_rows(ctx, n, h) for h in mg.all_gl(ctx, n)]
-    else:
-        rows = _sampled_stream(ctx, n, seed).rows(trials)
-    return _compile_pool(ctx, n, rows)
+    return _compile_pool(ctx, n, _fe_translates(ctx, n, seed, trials))
 
 
 def _delta_profiles(table: BesselTable, s_js, s_dual):
@@ -310,37 +291,43 @@ def _split(table: BesselTable):
     return n, n // 2, n % 2 == 1
 
 
-def _frame_sum(table: BesselTable, w, phi: CFun, dual: bool) -> complex:
-    """sum W(g) psi(-tr X) phi[i] / norm over the frame terms whose index i
-    (i_dual if `dual`, else i_js) is set."""
-    n, m, _ = _split(table)
+def _profiles(table: BesselTable, w):
+    """(js(W, delta_x), dual_js(W, delta_x)) over all points x.  A
+    `WhittakerFun` on `table` reads the cached rows of its translates, W's
+    profile being sum_i scale_i * profile(B(. h_i)); any other W is
+    evaluated on every frame term (`js_profiles`)."""
+    if not (isinstance(w, WhittakerFun) and w.table is table):
+        return js_profiles(table, w)
+    a, b = _pool_profiles(table, _compile_pool(table.ctx, table.n,
+                                               [h for _, h in w.terms]))
+    scales = np.array([scale for scale, _ in w.terms], dtype=complex)
+    return np.einsum("t,tx->x", scales, a), np.einsum("t,tx->x", scales, b)
+
+
+def _phi_sum(table: BesselTable, w, phi: CFun, dual: bool) -> complex:
+    """sum_x phi(x) * js(W, delta_x) (dual_js if `dual`): both sums are
+    linear in phi."""
+    _, m, _ = _split(table)
     if phi.m != m:
         raise DimensionMismatch(f"phi lives on F_q^{phi.m}, need m = {m}")
-    psi = table.psi
-    values = phi.values.tolist()
-    slot = 3 if dual else 2
-    total = 0j
-    for term in _sum_frame(table.ctx, n):
-        i = term[slot]
-        if i is not None and values[i]:
-            total += w(term[0]) * psi(term[1]) * values[i]
-    return total / _norm_const(table.ctx, n)
+    return complex(np.einsum("x,x->", _profiles(table, w)[dual], phi.values))
 
 
 def js(table: BesselTable, w, phi: CFun) -> complex:
     """The Jacquet-Shalika sum JS(W, phi)."""
-    return _frame_sum(table, w, phi, dual=False)
+    return _phi_sum(table, w, phi, dual=False)
 
 
 def dual_js(table: BesselTable, w, phi: CFun) -> complex:
     """The dual sum via the direct formulas (Fourier transform of phi on the
     flipped argument)."""
-    return _frame_sum(table, w, fourier(phi, table.psi), dual=True)
+    return _phi_sum(table, w, phi, dual=True)
 
 
 def js_profiles(table: BesselTable, w):
     """js(W, delta_x) and dual_js(W, delta_x) for every point x at once,
-    evaluating W on every frame term; the reference for `_pool_profiles`."""
+    evaluating W on every frame term: the reference for the compiled rows
+    (`_pool_profiles`), and the path of a W that is not a `WhittakerFun`."""
     ctx = table.ctx
     n, m, _ = _split(table)
     psi = table.psi
@@ -557,7 +544,7 @@ def gamma_closed(table: BesselTable) -> GammaResult:
 
 
 def _unitarity_guard(gamma: complex, route: str):
-    if abs(abs(gamma) - 1.0) > 1e-6:
+    if abs(abs(gamma) - 1.0) > UNITARITY_TOL:
         raise OracleFailed("unitarity", f"|gamma| = {abs(gamma)} on route {route}")
 
 
@@ -655,7 +642,7 @@ def broken_equation_witness(table: BesselTable):
 
 # -- appendix multiplicity bounds -------------------------------------------------
 
-def homdim_check(rep: CuspidalRep, tol: float = 1e-6) -> int:
+def homdim_check(rep: CuspidalRep, tol: float = HOMDIM_TOL) -> int:
     """dim Hom_H(pi, 1) = |H|^{-1} sum_{h in H} chi(h) for the appendix
     subgroup H of matching parity; must come out 0 or 1."""
     ctx = rep.ctx

@@ -21,6 +21,15 @@ from .errors import NonConstantRatio, OracleFailed, PreconditionViolated
 from . import exjs
 
 COEFF_TOL = 1e-9
+#: the bound on ||c| - 1| for the unit c = omega(uniformizer)
+UNIT_CIRCLE_TOL = 1e-9
+#: theorem gamma against the lifted canonical-pair ratio in `local_gamma`
+GAMMA_TOL = 1e-7
+#: a twisted Shalika period of at most this size counts as vanishing
+PERIOD_ZERO_TOL = 1e-9
+#: `RatQS.simplified` cancels a denominator root r when |num(r)| is below
+#: this times max(1, largest numerator coefficient)
+ROOT_TOL = 1e-8
 #: coefficients of at most this size count as zero: `_trim` drops them from
 #: the ends of every RatQS polynomial, the printed form skips them, and a
 #: modified-functional-equation pair whose rows have no larger one is 0 = 0
@@ -180,7 +189,7 @@ class RatQS:
         while changed and len(num) > 1 and len(den) > 1:
             changed = False
             for r in np.roots(den[::-1]):
-                if abs(np.polyval(num[::-1], r)) < 1e-8 * max(1.0, np.abs(num).max()):
+                if abs(np.polyval(num[::-1], r)) < ROOT_TOL * max(1.0, np.abs(num).max()):
                     num = deflate(num, r)
                     den = deflate(den, r)
                     changed = True
@@ -234,7 +243,7 @@ class LevelZeroCtx:
     lifts its finite Jacquet-Shalika sums."""
 
     def __init__(self, table: BesselTable, c: complex = 1.0):
-        if abs(abs(c) - 1.0) > 1e-9:
+        if abs(abs(c) - 1.0) > UNIT_CIRCLE_TOL:
             raise PreconditionViolated("c must lie on the unit circle")
         self.table = table
         self.rep = table.rep
@@ -316,7 +325,7 @@ def local_gamma(ctx: LevelZeroCtx, ratio: RatQS = None) -> RatQS:
     gamma = eps * dual_L / L
     if ratio is None:
         ratio = _canonical_ratio(ctx)
-    if not gamma.equals(ratio, 1e-7):
+    if not gamma.equals(ratio, GAMMA_TOL):
         raise OracleFailed("local_gamma",
                            f"theorem value {gamma} vs lifted ratio {ratio}")
     return gamma
@@ -408,7 +417,7 @@ def l_factor_from_shalika_functionals(ctx: LevelZeroCtx) -> RatQS:
     if ctx.n % 2:
         return RatQS.one()
     witness = exjs.shalika_witness(ctx.table)
-    if abs(shalika_functional_value(ctx, witness)) <= 1e-9:
+    if abs(shalika_functional_value(ctx, witness)) <= PERIOD_ZERO_TOL:
         return RatQS.one()
     base = cmath.exp(1j * cmath.phase(ctx.c) / ctx.m) * (abs(ctx.c) ** (1.0 / ctx.m))
     out = RatQS.one()

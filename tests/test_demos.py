@@ -14,7 +14,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("demo", ["demo_level_zero.py",
                                   "demo_characters_and_sums.py",
-                                  "demo_field_tower.py"])
+                                  "demo_field_tower.py",
+                                  "demo_bessel.py",
+                                  "demo_gamma_three_routes.py"])
 def test_demo_exits_zero(demo):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)

@@ -5,7 +5,8 @@ import pytest
 from gammalab.bessel import bessel_build
 from gammalab.charkit import AddChar, CFun, fourier, regular_orbit_reps
 from gammalab.cuspchar import CuspidalRep
-from gammalab.errors import PreconditionViolated, ShalikaVectorPresent
+from gammalab.errors import (DimensionMismatch, PreconditionViolated,
+                             ShalikaVectorPresent)
 from gammalab.ffield import build_field
 from gammalab import exjs
 from gammalab import matgrp as mg
@@ -48,19 +49,44 @@ def test_even_dual_canonical_value():
         assert abs(exjs.dual_js(table, w0, phi) - f.q ** (m / 2)) < 1e-8
 
 
-def test_js_profiles_match_pointwise():
-    table = make_table(3, 1, 2, 1)
-    f = table.ctx
+@pytest.mark.parametrize("p,n", [(3, 2), (2, 3), (2, 4)])
+def test_js_profiles_match_pointwise(p, n):
+    # js / dual_js read the compiled rows of a WhittakerFun's translates:
+    # one-term, right-translated, two scaled copies of one translate and
+    # (even n) the psi-scaled Shalika witness, against the pointwise sums
+    table = make_table(p, 1, n, 1)
+    f, m = table.ctx, n // 2
     rng = random.Random(2)
-    for _ in range(5):
-        h = mg.random_invertible(f, 2, rng)
-        w = exjs.WhittakerFun.translate(table, h)
+    hs = [mg.random_invertible(f, n, rng) for _ in range(3)]
+    ws = [exjs.WhittakerFun.translate(table, h) for h in hs]
+    ws.append(exjs.WhittakerFun(table, [(0.5, hs[0]), (2j, hs[1])])
+              .right_translated(hs[2]))
+    ws.append(exjs.WhittakerFun(table, [(1.5, hs[0]), (-0.25j, hs[0])]))
+    if n % 2 == 0:
+        ws.append(exjs.shalika_witness(table))
+    probe = CFun(f, m)
+    for w in ws:
         js_vec, dual_vec = exjs.js_profiles(table, w)
-        probe = CFun(f, 1)
         for i in range(probe.size):
-            phi = CFun.delta(f, 1, probe.point_at(i))
+            phi = CFun.delta(f, m, probe.point_at(i))
             assert abs(js_vec[i] - exjs.js(table, w, phi)) < 1e-10
             assert abs(dual_vec[i] - exjs.dual_js(table, w, phi)) < 1e-10
+        # a bare callable takes the pointwise path for any phi
+        phi = CFun(f, m, [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                          for _ in range(probe.size)])
+        assert abs(exjs.js(table, w, phi) - exjs.js(table, lambda g: w(g), phi)) < 1e-10
+        assert abs(exjs.dual_js(table, w, phi)
+                   - exjs.dual_js(table, lambda g: w(g), phi)) < 1e-10
+
+
+def test_sums_refuse_phi_of_the_wrong_dimension():
+    table = make_table(3, 1, 2, 1)
+    w, _ = exjs.canonical_pair(table)
+    phi = CFun.constant(table.ctx, 2, 1.0)
+    for total in (exjs.js, exjs.dual_js):
+        for fun in (w, lambda g: w(g)):
+            with pytest.raises(DimensionMismatch):
+                total(table, fun, phi)
 
 
 @pytest.mark.parametrize("p,n,trials", [(2, 2, 100), (3, 2, 100), (3, 3, 4)])

@@ -246,6 +246,33 @@ def test_modified_fe_detects_a_perturbed_gamma(p, n, k, monkeypatch):
         modified_fe_check(table)
 
 
+@pytest.mark.parametrize("p,n,first,second", [(3, 2, (2, 1), (6, 5)),
+                                               (2, 4, (3, 1), (6, 7))])
+def test_second_representation_reads_shared_rows(p, n, first, second,
+                                                 monkeypatch):
+    # (Shalika exponent, non-Shalika exponent): once one of each kind has
+    # run, the translate rows and pools are cached for every representation
+    # at (q, n), so a second of each kind decomposes nothing but the
+    # witness's pointwise W(sigma) in shalika_detect
+    def run(shalika, plain):
+        lz = LevelZeroCtx(shalika, 1.0)
+        local_gamma(lz)
+        l_factor_from_shalika_functionals(lz)
+        exjs.gamma_ratio(plain)
+
+    shalika, plain, shalika2, plain2 = [make_table(p, 1, n, k) for k in first + second]
+    run(shalika, plain)
+    exjs.shalika_detect(shalika)
+    calls = []
+    reduce = mg.bruhat_reduce
+    monkeypatch.setattr(mg, "bruhat_reduce",
+                        lambda ctx, g: calls.append(g) or reduce(ctx, g))
+    run(shalika2, plain2)
+    assert calls == []
+    flag, _ = exjs.shalika_detect(shalika2)
+    assert flag and len(calls) == len(exjs.shalika_witness(shalika2).terms)
+
+
 def test_shalika_functional_linearity_and_values():
     table = make_table(3, 1, 2, 2)
     ctx = LevelZeroCtx(table, 1.0)
