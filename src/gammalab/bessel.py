@@ -18,9 +18,11 @@ import csv
 import itertools
 from functools import lru_cache
 
+import numpy as np
+
 from .charkit import TOL, AddChar
-from .cuspchar import CuspidalRep, _class_data
-from .errors import OracleFailed, PreconditionViolated
+from .cuspchar import CuspidalRep
+from .errors import OracleFailed, PreconditionViolated, Singular
 from .ffield import FieldCtx
 from . import matgrp as mg
 
@@ -31,12 +33,6 @@ MAX_CLASS_TYPINGS = 2 ** 21
 
 
 @lru_cache(maxsize=None)
-def _unipotent_psi_data(ctx: FieldCtx, n: int) -> tuple:
-    """(u, superdiagonal sum) for every upper unipotent u in N_n."""
-    return tuple((u, mg.superdiag_sum(ctx, u)) for u in mg.all_unipotent(ctx, n))
-
-
-@lru_cache(maxsize=None)
 def support_keys(ctx: FieldCtx, n: int) -> tuple:
     """All (composition of n, scalar tuple) support parameters."""
     units = ctx.subfield_units(1)
@@ -44,28 +40,117 @@ def support_keys(ctx: FieldCtx, n: int) -> tuple:
                  for lams in itertools.product(units, repeat=len(comp)))
 
 
+def _unipotents(ctx: FieldCtx, n: int):
+    """Every u in N_n as a stack of base-field codes, in the order of
+    `mg.all_unipotent`, with the codes of their superdiagonal sums."""
+    F = ctx.base
+    q = ctx.q
+    spots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    count = q ** len(spots)
+    unip = np.broadcast_to(np.eye(n, dtype=F.dtype), (count, n, n)).copy()
+    idx = np.arange(count)
+    for pos, (i, j) in enumerate(spots):
+        unip[:, i, j] = idx // q ** (len(spots) - 1 - pos) % q
+    sums = F.sum(unip[:, np.arange(n - 1), np.arange(1, n)])
+    return unip, sums
+
+
 @lru_cache(maxsize=None)
 def _support_profile(ctx: FieldCtx, n: int) -> dict:
-    """For each support key, the conjugacy data of t*u over u in N_n;
-    shared by every representation at this (q, n).  Refused up front when
-    it would type more than MAX_CLASS_TYPINGS classes."""
-    typings = ctx.q ** (n * (n - 1) // 2) * len(support_keys(ctx, n))
+    """For each support key, the conjugacy data `(d, k, alpha)` (None off the
+    primary classes) and superdiagonal sum of t*u over u in N_n; shared by
+    every representation at this (q, n).  Refused up front when it would
+    type more than MAX_CLASS_TYPINGS classes.
+
+    Built in array passes of `mg.BATCH_CHUNK` matrices t*u: their
+    characteristic polynomials (`mg.batch_charpoly`), the factorisation of
+    each distinct one (`mg._primary_factor`), and, only where f^mult has
+    mult > 1, the kernel rank of f(t*u) (`mg.batch_rank`).  Every row is
+    one shared (data, s) tuple; `mg.class_type` is the pointwise reference."""
+    keys = support_keys(ctx, n)
+    typings = ctx.q ** (n * (n - 1) // 2) * len(keys)
     if typings > MAX_CLASS_TYPINGS:
         raise PreconditionViolated(
             f"the Bessel support profile at q = {ctx.q}, n = {n} needs"
             f" {typings} class typings, over the limit of {MAX_CLASS_TYPINGS}")
-    mul = ctx.mul
-    profile = {}
-    for key in support_keys(ctx, n):
+    F = ctx.base
+    q = ctx.q
+    unip, sums = _unipotents(ctx, n)
+    # t is monomial: row i of t*u is row spot[i] of u scaled by lam[i]
+    spot = np.empty((len(keys), n), dtype=np.intp)
+    lam = np.empty((len(keys), n), dtype=F.dtype)
+    for row, key in enumerate(keys):
         t = mg.antidiag_elem(ctx, *key)
-        # t is monomial: row i of t*u is row j of u scaled by t[i][j] != 0
-        spots = [next((j, x) for j, x in enumerate(row) if x) for row in t]
-        rows = []
-        for u, s in _unipotent_psi_data(ctx, n):
-            tu = tuple(tuple(mul(lam, x) for x in u[j]) for j, lam in spots)
-            rows.append((_class_data(ctx, tu), s))
-        profile[key] = tuple(rows)
-    return profile
+        spot[row] = [next(j for j, x in enumerate(r) if x) for r in t]
+        lam[row] = F.codes([r[j] for r, j in zip(t, spot[row])])
+    classes = {None: 0}  # class data -> class id
+    kinds = {}  # charpoly code -> `_poly_kind`
+    digits = q ** np.arange(n)
+    ids = np.empty(len(keys) * len(unip), dtype=np.int32)  # class id * q + s
+    for lo in range(0, ids.size, mg.BATCH_CHUNK):
+        flat = np.arange(lo, min(lo + mg.BATCH_CHUNK, ids.size))
+        k, u = np.divmod(flat, len(unip))
+        tu = F.mul(lam[k][:, :, None], unip[u[:, None], spot[k]])
+        polys = mg.batch_charpoly(ctx, tu)
+        codes, first, inverse = np.unique(polys[:, :n] @ digits, return_index=True,
+                                          return_inverse=True)
+        for code, at in zip(codes.tolist(), first.tolist()):
+            if code not in kinds:
+                kinds[code] = _poly_kind(ctx, F.elems[polys[at]].tolist(), classes)
+        chunk_kinds = [kinds[code] for code in codes.tolist()]
+        cls = np.array([cid for cid, _ in chunk_kinds])[inverse]
+        rank = np.array([need is not None for _, need in chunk_kinds])[inverse]
+        if rank.any():
+            cls[rank] = _kernel_classes(ctx, tu[rank], chunk_kinds, inverse[rank],
+                                        classes)
+        ids[lo:lo + flat.size] = cls * q + sums[u]
+    rows = np.empty(len(classes) * q, dtype=object)
+    for data, cid in classes.items():
+        for s_code, s in enumerate(F.elems.tolist()):
+            rows[cid * q + s_code] = (data, s)
+    ids = ids.reshape(len(keys), len(unip))
+    return {key: tuple(rows[ids[i]].tolist()) for i, key in enumerate(keys)}
+
+
+def _poly_kind(ctx: FieldCtx, poly: list, classes: dict):
+    """(class id, None) of the matrices with charpoly `poly`, or, when it is
+    f^mult with mult > 1 and the class needs the kernel rank of f(g),
+    (0, (d, alpha, codes of f))."""
+    primary = mg._primary_factor(ctx, tuple(poly))
+    if primary is None:
+        return 0, None
+    d, mult, alpha, f = primary
+    if mult == 1:  # f(g) = 0 (Cayley-Hamilton), so k = 1
+        return classes.setdefault((d, 1, alpha), len(classes)), None
+    return 0, (d, alpha, ctx.base.codes(f))
+
+
+def _kernel_classes(ctx: FieldCtx, g, kinds: list, which, classes: dict):
+    """Class ids of a stack g of matrices, the i-th of charpoly f^mult with
+    mult > 1 and (d, alpha, f) = kinds[which[i]][1]: k = dim ker f(g) / d,
+    with f(g) by Horner's rule and f padded to degree n / 2."""
+    F = ctx.base
+    n = g.shape[1]
+    coef = np.zeros((len(kinds), n // 2 + 1), dtype=F.dtype)
+    for i, (_, need) in enumerate(kinds):
+        if need is not None:
+            coef[i, :need[2].size] = need[2]
+    coef = coef[which]
+    diag = np.arange(n)
+    fg = np.zeros_like(g)
+    for i in range(n // 2, -1, -1):
+        fg = mg.batch_mat_mul(ctx, fg, g)
+        fg[:, diag, diag] = F.add(fg[:, diag, diag], coef[:, i, None])
+    combos, inverse = np.unique(which * (n + 1) + n - mg.batch_rank(ctx, fg),
+                                return_inverse=True)
+    ids = []
+    for combo in combos.tolist():
+        i, kdim = divmod(combo, n + 1)
+        d, alpha, _ = kinds[i][1]
+        if kdim % d:
+            raise Singular("kernel dimension incompatible with factor degree")
+        ids.append(classes.setdefault((d, kdim // d, alpha), len(classes)))
+    return np.array(ids)[inverse]
 
 
 def support_signature(ctx: FieldCtx, g: mg.Mat):
@@ -80,6 +165,55 @@ def support_signature(ctx: FieldCtx, g: mg.Mat):
         return None
     s = ctx.neg(ctx.add(mg.superdiag_sum(ctx, lacc), mg.superdiag_sum(ctx, racc)))
     return parsed, s
+
+
+@lru_cache(maxsize=64)
+def _key_lookup(ctx: FieldCtx, n: int):
+    """Arrays that read a support key off a monomial matrix: the sorted
+    codes sum_j row(j) n^j of the block antidiagonal permutations (row(j)
+    the row of column j's entry) and, in the same order, the composition's
+    first key, whether each column continues the block of the one before,
+    and the mixed-radix weight of the scalar read at each column."""
+    radix = n ** np.arange(n)
+    perms, first, same, weight = [], [], [], []
+    start = 0
+    for comp in mg.compositions(n):
+        t = mg.antidiag_elem(ctx, comp, (1,) * len(comp))
+        row = np.array([[r[j] for r in t].index(1) for j in range(n)])
+        perms.append(row @ radix)
+        first.append(start)
+        same.append(row[1:] == row[:-1] + 1)
+        w = np.zeros(n, dtype=np.intp)
+        top = 0
+        for k, size in enumerate(comp):  # block k's scalar, read in its top row
+            w[t[top].index(1)] = (ctx.q - 1) ** (len(comp) - 1 - k)
+            top += size
+        weight.append(w)
+        start += (ctx.q - 1) ** len(comp)
+    order = np.argsort(perms)
+    return (np.array(perms)[order], np.array(first)[order], np.array(same)[order],
+            np.array(weight)[order])
+
+
+def support_signatures(ctx: FieldCtx, g):
+    """`support_signature` of every matrix of a stack (B, n, n) of invertible
+    base-field codes at once: (key, s), key the index into `support_keys`
+    (-1 off the support) and s the code of the additive-character argument.
+    The key is a permutation lookup, a check that the scalars are constant
+    on each block and a mixed-radix index of the scalars."""
+    F = ctx.base
+    n = g.shape[1]
+    monomial, lacc, racc, _ = mg.batch_bruhat(ctx, g)
+    row = np.argmax(monomial != 0, axis=1)
+    scalar = np.take_along_axis(monomial, row[:, None, :], axis=1)[:, 0].astype(np.intp)
+    perms, first, same, weight = _key_lookup(ctx, n)
+    code = row @ (n ** np.arange(n))
+    at = np.minimum(np.searchsorted(perms, code), len(perms) - 1)
+    on = (perms[at] == code) & ~(same[at] & (scalar[:, 1:] != scalar[:, :-1])).any(axis=1)
+    key = np.where(on, first[at] + ((scalar - 1) * weight[at]).sum(axis=1), -1)
+    diag = np.arange(n - 1)
+    s = F.neg(F.add(F.sum(lacc[:, diag, diag + 1]), F.sum(racc[:, diag, diag + 1])))
+    return key, s
 
 
 class BesselTable:

@@ -16,7 +16,8 @@ import numpy as np
 from .errors import DimensionMismatch, NotInSubfield, ZeroHasNoLog
 from .ffield import FieldCtx
 
-#: absolute tolerance for complex comparisons of desk-scale sums
+#: the bound on |B(I) - 1|, the normalization every Bessel table is checked
+#: against in `bessel.bessel_build`
 TOL = 1e-8
 
 

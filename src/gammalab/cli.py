@@ -37,6 +37,23 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PRECONDITION = 2
 EXIT_ROUTE_DISAGREEMENT = 3
 
+#: default of --tol: the bound on the distance between any two gamma routes
+ROUTE_TOL = 1e-7
+#: `verify`'s bound on |sum_x psi(x)| over F_q
+ADDITIVE_ORTHOGONALITY_TOL = 1e-9
+#: `verify`'s bound on |sum_x theta(x)| over F_{q^n}^x for each theta = gen^k
+#: with 0 < k < min(q^n - 1, 40)
+MULTIPLICATIVE_ORTHOGONALITY_TOL = 1e-8
+#: `verify`'s bound on |B(u1 g u2) - psi(u1) psi(u2) B(g)| over sampled u1, g, u2
+BIEQUIVARIANCE_TOL = 1e-8
+#: `verify`'s bound on the distance of each Bessel value from the printed
+#: GL_3 closed form
+GL3_CLOSED_FORM_TOL = 1e-8
+#: `verify`'s bound on ||gamma| - 1| for the ratio route's gamma
+VERIFY_UNITARITY_TOL = 1e-8
+#: `verify`'s bound on the RatQS residual of f * f^-1 against 1
+RATQS_IDENTITY_TOL = 1e-10
+
 
 @dataclass
 class RunConfig:
@@ -88,7 +105,7 @@ def parse_config(argv) -> RunConfig:
         sp.add_argument("--c-im", type=float, default=0.0)
         sp.add_argument("--seed", type=int, default=exjs.DEFAULT_SEED)
         sp.add_argument("--trials", type=int, default=100)
-        sp.add_argument("--tol", type=float, default=1e-7)
+        sp.add_argument("--tol", type=float, default=ROUTE_TOL)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default=None)
         sp.add_argument("--exhaustive", action="store_true")
@@ -233,12 +250,13 @@ def _verify_checks(cfg: RunConfig, ctx):
     psi = AddChar(ctx, cfg.psi_inverse)
     # character orthogonality
     resid = abs(sum(psi(x) for x in ctx.subfield_elements(1)))
-    yield ("additive_orthogonality", resid < 1e-9, resid)
+    yield ("additive_orthogonality", resid < ADDITIVE_ORTHOGONALITY_TOL, resid)
     worst = 0.0
     for k in range(1, min(q ** n - 1, 40)):
         th = MultChar(ctx, n, k)
         worst = max(worst, abs(sum(th(x) for x in ctx.subfield_units(n))))
-    yield ("multiplicative_orthogonality", worst < 1e-8, worst)
+    yield ("multiplicative_orthogonality", worst < MULTIPLICATIVE_ORTHOGONALITY_TOL,
+           worst)
     ks = regular_orbit_reps(ctx, n)
     reps = [CuspidalRep(ctx, k) for k in ks]
     # character oracle
@@ -265,7 +283,7 @@ def _verify_checks(cfg: RunConfig, ctx):
             rhs = (psi(mg.superdiag_sum(ctx, u1)) * psi(mg.superdiag_sum(ctx, u2))
                    * table.eval(g))
             worst = max(worst, abs(lhs - rhs))
-    yield ("bessel_biequivariance", worst < 1e-8, worst)
+    yield ("bessel_biequivariance", worst < BIEQUIVARIANCE_TOL, worst)
     if n == 3:
         worst = 0.0
         for table in tables:
@@ -273,7 +291,7 @@ def _verify_checks(cfg: RunConfig, ctx):
                 for l2 in ctx.subfield_units(1):
                     printed = bessel_closed_form_gl3(table.rep, psi, l1, l2)
                     worst = max(worst, abs(printed - table.value((1, 2), (l1, l2))))
-        yield ("bessel_gl3_closed_form", worst < 1e-8, worst)
+        yield ("bessel_gl3_closed_form", worst < GL3_CLOSED_FORM_TOL, worst)
     # functional equation and route agreement
     worst_fe = 0.0
     worst_route = 0.0
@@ -301,7 +319,7 @@ def _verify_checks(cfg: RunConfig, ctx):
             ok = False
     yield ("functional_equation", ok and worst_fe < exjs.FE_TOL, worst_fe)
     yield ("route_agreement", worst_route < cfg.tol, worst_route)
-    yield ("gamma_unitarity", worst_unit < 1e-8, worst_unit)
+    yield ("gamma_unitarity", worst_unit < VERIFY_UNITARITY_TOL, worst_unit)
     # Shalika criterion
     if n % 2 == 0:
         ok = True
@@ -326,7 +344,8 @@ def _verify_checks(cfg: RunConfig, ctx):
     f = (one - x) / (one + RatQS.const(0.5j) * x)
     resid = (f * f.inverse()).residual(one)
     lf = l_factor(cfg.c, max(n // 2, 1))
-    yield ("ratqs_identities", resid < 1e-10 and lf.equals(lf.simplified()), resid)
+    yield ("ratqs_identities",
+           resid < RATQS_IDENTITY_TOL and lf.equals(lf.simplified()), resid)
 
 
 def cmd_verify(cfg: RunConfig) -> int:

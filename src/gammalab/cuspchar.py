@@ -22,6 +22,10 @@ from .errors import NotRegular, OracleFailed
 from .ffield import FieldCtx
 from . import matgrp as mg
 
+#: the default bound on every residual of `verify_irreducible`: |<chi, chi> - 1|,
+#: |chi(1) - dim|, |chi(g^-1) - conj chi(g)| and |chi(h g h^-1) - chi(g)|
+CHARACTER_TOL = 1e-6
+
 
 def _class_data(ctx: FieldCtx, g: mg.Mat):
     """Conjugacy data needed by the character: None if not primary, else
@@ -174,7 +178,7 @@ def inner_product_with_self(rep: CuspidalRep) -> float:
 
 
 def verify_irreducible(rep: CuspidalRep, samples: int = 40, seed: int = 1729,
-                       tol: float = 1e-6) -> dict:
+                       tol: float = CHARACTER_TOL) -> dict:
     """Certify the character formula for this representation.
 
     Checks: (a) <chi, chi> = 1; (b) chi(1) equals the cuspidal dimension;

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .bessel import BesselTable, support_keys, support_signature
+from .bessel import BesselTable, support_keys, support_signature, support_signatures
 from .charkit import (CFun, _pairing_matrix, fourier, gauss_sum,
                       restriction_is_trivial)
 from .cuspchar import CuspidalRep
@@ -180,20 +181,49 @@ def _fe_translates(ctx: FieldCtx, n: int, seed: int, trials: int) -> tuple:
     return tuple(mg.random_invertible(ctx, n, rng) for _ in range(trials))
 
 
-# bounded: holds every translate of the largest pool (1,000 sampled, 480 at
-# q = 5, n = 2) together with the canonical and Shalika-witness translates
-@lru_cache(maxsize=4096)
-def _translate_rows(ctx: FieldCtx, n: int, h: mg.Mat) -> tuple:
-    """The rows (support key, psi-argument, i_js, i_dual) of the sum-frame
-    terms g with g h on the Bessel support.  Representation independent:
-    every representation at (q, n) reads the rows of a translate h from
-    this cache, so each g h is decomposed once."""
-    rows = []
-    for g, ntr, i_js, i_dual in _sum_frame(ctx, n):
-        sig = support_signature(ctx, mg.mat_mul(ctx, g, h))
-        if sig is not None:
-            rows.append((sig[0], ctx.add(sig[1], ntr), i_js, i_dual))
-    return tuple(rows)
+@lru_cache(maxsize=64)
+def _frame_arrays(ctx: FieldCtx, n: int) -> tuple:
+    """`_sum_frame` as arrays: the terms g as base-field codes, -tr X as a
+    code, and i_js and i_dual with -1 for None."""
+    frame = _sum_frame(ctx, n)
+    F = ctx.base
+    index = [np.array([-1 if t[i] is None else t[i] for t in frame]) for i in (2, 3)]
+    return (F.codes(np.array([t[0] for t in frame])), F.codes([t[1] for t in frame]),
+            *index)
+
+
+#: translates whose rows are kept: every translate of the largest pool
+#: (1,000 sampled, 480 at q = 5, n = 2) with the canonical and
+#: Shalika-witness translates; least recently used out first
+ROW_CACHE_SIZE = 4096
+_ROWS = OrderedDict()  # (ctx, n, h) -> the rows of `_translate_rows`
+
+
+def _translate_rows(ctx: FieldCtx, n: int, translates) -> list:
+    """For each translate h, the support key (-1 off the Bessel support) and
+    psi-argument code of every sum-frame term g at g h.  Representation
+    independent: every representation at (q, n) reads the rows of h from
+    one bounded cache, and the translates missing from it are decomposed
+    together (`support_signatures`), so each g h is decomposed once."""
+    new = [h for h in dict.fromkeys(translates) if (ctx, n, h) not in _ROWS]
+    if new:
+        F = ctx.base
+        g, ntr, _, _ = _frame_arrays(ctx, n)
+        step = max(1, mg.BATCH_CHUNK // len(g))
+        for lo in range(0, len(new), step):
+            part = new[lo:lo + step]
+            prod = mg.batch_mat_mul(ctx, g, F.codes(np.array(part))[:, None])
+            key, s = support_signatures(ctx, prod.reshape(-1, n, n))
+            key, arg = key.reshape(len(part), -1), F.add(s.reshape(len(part), -1), ntr)
+            for i, h in enumerate(part):
+                _ROWS[(ctx, n, h)] = key[i], arg[i]
+    out = []
+    for h in translates:
+        _ROWS.move_to_end((ctx, n, h))
+        out.append(_ROWS[(ctx, n, h)])
+    while len(_ROWS) > ROW_CACHE_SIZE:
+        _ROWS.popitem(last=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -213,18 +243,19 @@ class FePool:
 
 
 def _compile_pool(ctx: FieldCtx, n: int, translates) -> FePool:
-    rows = [_translate_rows(ctx, n, h) for h in translates]
-    key_of = {k: i for i, k in enumerate(support_keys(ctx, n))}
-    arg_of = {s: i for i, s in enumerate(ctx.subfield_elements(1))}
+    rows = _translate_rows(ctx, n, translates)
+    _, _, i_js, i_dual = _frame_arrays(ctx, n)
+    key = np.stack([k for k, _ in rows])
+    t, term = np.nonzero(key >= 0)
     size = ctx.q ** (n // 2)
-    count = len(rows)
-    none = count * size
-    flat = [(key_of[key], arg_of[s],
-             none if i_js is None else t * size + i_js,
-             none if i_dual is None else t * size + i_dual)
-            for t, trows in enumerate(rows) for key, s, i_js, i_dual in trows]
-    cols = np.array(flat, dtype=np.intp).reshape(-1, 4).T
-    return FePool(count, size, *cols)
+    none = len(rows) * size
+
+    def cells(index):
+        i = index[term]
+        return np.where(i < 0, none, t * size + i)
+
+    arg = np.stack([a for _, a in rows])[t, term].astype(np.intp)
+    return FePool(len(rows), size, key[t, term], arg, cells(i_js), cells(i_dual))
 
 
 def _fe_pool(ctx: FieldCtx, n: int, seed: int, trials: int) -> FePool:
@@ -474,22 +505,37 @@ def gamma_ratio(table: BesselTable, trials: int = 100,
                        {"max_residual": worst, "pairs_checked": checked})
 
 
+@lru_cache(maxsize=64)
+def _torus_terms(ctx: FieldCtx, n: int) -> tuple:
+    """The representation-independent terms (weight, support signature of
+    t^-1 or None, extra psi-argument or None) of `gamma_torus`, one per
+    antidiagonal block torus element t, in its order of summation."""
+    m, odd = n // 2, n % 2 == 1
+    units = ctx.subfield_units(1)
+    out = []
+    for comp in mg.compositions(m):
+        weight = ctx.q ** (-sum(2 * (mi * (mi - 1) // 2) for mi in comp))
+        for lams in itertools.product(units, repeat=len(comp)):
+            t = mg.antidiag_elem(ctx, comp, lams, block_scale=2, tail_one=odd)
+            extra = lams[-1] if not odd and comp[-1] == 1 else None
+            out.append((weight, support_signature(ctx, mg.mat_inv(ctx, t)), extra))
+    return tuple(out)
+
+
 def gamma_torus(table: BesselTable) -> GammaResult:
-    """Route 2: the Bessel sum over antidiagonal block tori."""
+    """Route 2: the Bessel sum over antidiagonal block tori, B(t^-1) read
+    through the cached signatures of `_torus_terms`."""
     _require_no_shalika(table)
     ctx = table.ctx
     n, m, odd = _split(table)
     q = ctx.q
-    units = ctx.subfield_units(1)
+    psi, entries = table.psi, table.entries
     total = 0j
-    for comp in mg.compositions(m):
-        weight = q ** (-sum(2 * (mi * (mi - 1) // 2) for mi in comp))
-        for lams in itertools.product(units, repeat=len(comp)):
-            t = mg.antidiag_elem(ctx, comp, lams, block_scale=2, tail_one=odd)
-            val = table.eval(mg.mat_inv(ctx, t))
-            if not odd and comp[-1] == 1:
-                val *= table.psi(lams[-1])
-            total += weight * val
+    for weight, sig, extra in _torus_terms(ctx, n):
+        val = 0j if sig is None else psi(sig[1]) * entries[sig[0]]
+        if extra is not None:
+            val *= psi(extra)
+        total += weight * val
     exp2 = 2 * (m * (m - 1) // 2)
     front = q ** (m / 2.0 + exp2) if odd else q ** (-m / 2.0 + exp2)
     gamma = front * total

@@ -14,12 +14,15 @@ are reproducible bit for bit.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .errors import DivideByZero, NotInSubfield, NotPrime, TooLarge, ZeroHasNoLog
 
 ORDER_CAP = 2 ** 24
 _TABLE_MAX = 4096  # full add/mul tables below this order
+_TABLE_ROWS = 256  # rows of the full tables computed per array pass
 
 
 def _is_prime(p: int) -> bool:
@@ -193,9 +196,36 @@ class FieldCtx:
             raise TooLarge("generator does not have full order")  # pragma: no cover
         self._small = P <= _TABLE_MAX
         if self._small:
-            self._add_t = [[self._add_raw(a, b) for b in range(P)] for a in range(P)]
-            self._mul_t = [[self._mul_raw(a, b) for b in range(P)] for a in range(P)]
+            # built in blocks of rows, so the arrays stay small beside the lists
+            idx = np.arange(P)
+            self._add_t, self._mul_t = [], []
+            for lo in range(0, P, _TABLE_ROWS):
+                rows = idx[lo:lo + _TABLE_ROWS, None]
+                self._add_t += self._add_indices(rows, idx).tolist()
+                self._mul_t += self._mul_indices(rows, idx).tolist()
         self._subfield_cache = {}
+
+    def _add_indices(self, a, b):
+        """a + b for broadcast arrays of indices: digit-wise mod p."""
+        p = self.p
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+        mult = 1
+        for _ in range(self.deg):
+            out += (a // mult % p + b // mult % p) % p * mult
+            mult *= p
+        return out
+
+    def _mul_indices(self, a, b):
+        """a * b for broadcast arrays of indices, through the dlog table."""
+        dlog = np.array(self._dlog)
+        power = np.array(self._exp)[(dlog[a] + dlog[b]) % (self.order - 1)]
+        return np.where((a != 0) & (b != 0), power, 0)
+
+    @cached_property
+    def base(self) -> "BaseCodes":
+        """The base field F_q as codes with gather tables (`BaseCodes`), for
+        the batched matrix kernels of `matgrp`; built on first use."""
+        return BaseCodes(self)
 
     # -- raw index arithmetic --------------------------------------------
 
@@ -365,6 +395,50 @@ class FieldCtx:
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, e={self.e}, n={self.n})"
+
+
+class BaseCodes:
+    """The base field F_q as codes 0..q-1: code c is the c-th element of
+    `subfield_elements(1)`, ascending by index, so 0 and 1 keep their codes
+    (and for e = 1 every element is its own code).  Arrays of codes use the
+    narrowest unsigned dtype holding q^2 - 1, so a * q + b indexes the flat
+    q x q add and mul tables without widening; `inv` maps 0 to 0."""
+
+    def __init__(self, ctx: FieldCtx):
+        self.q = ctx.q
+        elems = ctx.subfield_elements(1)
+        self.elems = np.array(elems)
+        self.dtype = np.min_scalar_type(self.q * self.q - 1)
+        self.add_t = self.codes([ctx.add(a, b) for a in elems for b in elems])
+        self.mul_t = self.codes([ctx.mul(a, b) for a in elems for b in elems])
+        self.neg_t = self.codes([ctx.neg(a) for a in elems])
+        self.inv_t = self.codes([ctx.inv(a) if a else 0 for a in elems])
+
+    def codes(self, elements) -> np.ndarray:
+        """The codes of an array of base-field element indices."""
+        return np.searchsorted(self.elems, elements).astype(self.dtype)
+
+    # np.take rather than fancy indexing: about 3x faster on these tables
+    def add(self, a, b):
+        return np.take(self.add_t, a * self.q + b)
+
+    def mul(self, a, b):
+        return np.take(self.mul_t, a * self.q + b)
+
+    def neg(self, a):
+        return np.take(self.neg_t, a)
+
+    def inv(self, a):
+        return np.take(self.inv_t, a)
+
+    def sum(self, x):
+        """The field sum over the last axis."""
+        if x.shape[-1] == 0:
+            return np.zeros(x.shape[:-1], dtype=self.dtype)
+        out = x[..., 0]
+        for j in range(1, x.shape[-1]):
+            out = self.add(out, x[..., j])
+        return out
 
 
 @lru_cache(maxsize=None)

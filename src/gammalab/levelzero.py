@@ -20,6 +20,9 @@ from .charkit import CFun, fourier, restriction_is_trivial
 from .errors import NonConstantRatio, OracleFailed, PreconditionViolated
 from . import exjs
 
+#: the default bound of `RatQS.equals` (and so of ==) on `RatQS.residual`,
+#: the largest coefficient gap of the cross-multiplied pair over its largest
+#: coefficient
 COEFF_TOL = 1e-9
 #: the bound on ||c| - 1| for the unit c = omega(uniformizer)
 UNIT_CIRCLE_TOL = 1e-9

@@ -5,6 +5,13 @@ the degree-1 subfield of the ambient context.  Everything here is pure:
 Bruhat decomposition, canonical coset systems for N\\G and B\\M, the
 interleaving shuffles, antidiagonal block elements, and conjugacy-class
 typing (primary or not) used by the character formula.
+
+The representation-independent tables (support profiles, functional-equation
+pools) are built by batched kernels on stacks of matrices given as numpy
+arrays of base-field codes (`FieldCtx.base`): `batch_mat_mul`,
+`batch_bruhat` with `batch_rank`, and `batch_charpoly`.  The pointwise
+functions stay the path of single matrices and the reference the kernels
+are tested against.
 """
 
 from __future__ import annotations
@@ -12,6 +19,8 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import Singular, ZeroScalar
 from .ffield import FieldCtx
@@ -289,8 +298,10 @@ def bruhat_reduce(ctx: FieldCtx, g: Mat):
     n = len(g)
     work = [list(r) for r in g]
     add, mul, inv, neg = ctx.add, ctx.mul, ctx.inv, ctx.neg
-    lacc = [list(r) for r in identity(n)]
-    racc = [list(r) for r in identity(n)]
+    lacc = [[0] * n for _ in range(n)]
+    racc = [[0] * n for _ in range(n)]
+    for i in range(n):
+        lacc[i][i] = racc[i][i] = 1
     for j in range(n):
         piv = next((i for i in range(n - 1, -1, -1) if work[i][j]), None)
         if piv is None:
@@ -623,3 +634,88 @@ def random_unipotent(ctx: FieldCtx, m: int, rng) -> Mat:
         for j in range(i + 1, m):
             rows[i][j] = rng.choice(elems)
     return tuple(tuple(r) for r in rows)
+
+
+# -- batched kernels on stacks of base-field codes -----------------------------
+
+#: the most matrices a caller hands the batched kernels in one pass: bounds
+#: their working memory to a few tens of MB, whatever the cell
+BATCH_CHUNK = 2 ** 14
+
+
+def batch_mat_mul(ctx: FieldCtx, a, b):
+    """The products a @ b of broadcast stacks (..., n, k) and (..., k, m) of
+    base-field codes."""
+    F = ctx.base
+    out = F.mul(a[..., :, :1], b[..., :1, :])
+    for j in range(1, a.shape[-1]):
+        out = F.add(out, F.mul(a[..., :, j:j + 1], b[..., j:j + 1, :]))
+    return out
+
+
+def batch_bruhat(ctx: FieldCtx, g):
+    """The elimination of `bruhat_reduce` on a stack (B, n, n) of invertible
+    base-field codes, every matrix at once: (monomial, lacc, racc, pivots)
+    with lacc g racc = monomial."""
+    return _eliminate(ctx, g)
+
+
+def batch_rank(ctx: FieldCtx, a):
+    """The ranks of a stack (B, n, n) of base-field codes: the pivots of the
+    elimination of `batch_bruhat`, which leaves a column without a pivot as
+    it is, so it reduces singular matrices too."""
+    return _eliminate(ctx, a)[3]
+
+
+def _eliminate(ctx: FieldCtx, g):
+    """`bruhat_reduce`'s column-by-column elimination on a stack, with a
+    column that has no nonzero entry skipped and the pivots counted."""
+    F = ctx.base
+    work = np.array(g, dtype=F.dtype)
+    count, n, _ = work.shape
+    lacc = np.broadcast_to(np.eye(n, dtype=F.dtype), work.shape).copy()
+    racc = lacc.copy()
+    pivots = np.zeros(count, dtype=np.intp)
+    at = np.arange(count)
+    cols = np.arange(n)
+    for j in range(n):
+        nonzero = work[:, :, j] != 0
+        piv = n - 1 - np.argmax(nonzero[:, ::-1], axis=1)  # the lowest nonzero
+        pivots += nonzero.any(axis=1)
+        ip = F.inv(work[at, piv, j])  # 0 without a pivot, so nothing moves
+        # clear the column above the pivot with lower-row additions
+        f = F.neg(F.mul(work[:, :, j], ip[:, None]))
+        f[cols >= piv[:, None]] = 0
+        work = F.add(work, F.mul(f[:, :, None], work[at, piv][:, None, :]))
+        lacc = F.add(lacc, F.mul(f[:, :, None], lacc[at, piv][:, None, :]))
+        # clear the pivot row to the right with earlier-column additions
+        f = F.neg(F.mul(work[at, piv], ip[:, None]))
+        f[:, :j + 1] = 0
+        work = F.add(work, F.mul(work[:, :, j, None], f[:, None, :]))
+        racc = F.add(racc, F.mul(racc[:, :, j, None], f[:, None, :]))
+    return work, lacc, racc, pivots
+
+
+def batch_charpoly(ctx: FieldCtx, a):
+    """Monic characteristic polynomials det(xI - a) of a stack (B, n, n) of
+    base-field codes, as (B, n + 1) ascending codes.  Berkowitz's
+    division-free recurrence: with a[k:, k:] = [[x, r], [c, S]], its
+    polynomial is the lower-triangular Toeplitz matrix of
+    (1, -x, -r c, -r S c, ..., -r S^(n-k-2) c) times that of S."""
+    F = ctx.base
+    count, n, _ = a.shape
+    poly = np.ones((count, 1), dtype=F.dtype)  # descending, of the empty block
+    for k in range(n - 1, -1, -1):
+        size = n - k
+        r, c, sub = a[:, k, k + 1:], a[:, k + 1:, k], a[:, k + 1:, k + 1:]
+        col = np.empty((count, size + 1), dtype=F.dtype)
+        col[:, 0] = 1
+        col[:, 1] = F.neg(a[:, k, k])
+        for i in range(2, size + 1):
+            col[:, i] = F.neg(F.sum(F.mul(r, c)))
+            c = F.sum(F.mul(sub, c[:, None, :]))
+        new = np.zeros((count, size + 1), dtype=F.dtype)
+        for j in range(size):
+            new[:, j:] = F.add(new[:, j:], F.mul(col[:, :size + 1 - j], poly[:, j, None]))
+        poly = new
+    return poly[:, ::-1]

@@ -8,7 +8,9 @@ from gammalab.bessel import (
     bessel_closed_form_gl3,
     bessel_closed_form_gl4,
     export_bessel_csv,
+    support_keys,
     support_signature,
+    support_signatures,
 )
 from gammalab.charkit import AddChar, regular_exponents, regular_orbit_reps
 from gammalab.cuspchar import CuspidalRep
@@ -208,3 +210,29 @@ def test_support_signature_matches_bruhat_reference(p, e, n, data):
             support_signature(f, g)
         return
     assert support_signature(f, g) == reference_signature(f, g)
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 4), (3, 1, 4), (5, 1, 2), (2, 2, 3)])
+@settings(max_examples=50, deadline=None, database=None)
+@given(data=st.data())
+def test_batched_support_signatures_match_pointwise(p, e, n, data):
+    # a stack of invertible matrices, half of them u1 t u2 on the support
+    f = build_field(p, e, n)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    mats = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        if data.draw(st.booleans()):
+            comp = data.draw(st.sampled_from(mg.compositions(n)))
+            lams = [data.draw(st.sampled_from(f.subfield_units(1))) for _ in comp]
+            mats.append(mg.mat_chain(f, mg.random_unipotent(f, n, rng),
+                                     mg.antidiag_elem(f, comp, lams),
+                                     mg.random_unipotent(f, n, rng)))
+        else:
+            mats.append(mg.random_invertible(f, n, rng))
+    key, s = support_signatures(f, f.base.codes(mats))
+    keys = support_keys(f, n)
+    for g, k, code in zip(mats, key.tolist(), s.tolist()):
+        sig = support_signature(f, g)
+        assert (k == -1) == (sig is None)
+        if sig is not None:
+            assert (keys[k], f.subfield_elements(1)[code]) == sig

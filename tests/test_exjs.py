@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from gammalab.bessel import bessel_build
+from gammalab.bessel import bessel_build, support_keys, support_signature
 from gammalab.charkit import AddChar, CFun, fourier, regular_orbit_reps
 from gammalab.cuspchar import CuspidalRep
 from gammalab.errors import (DimensionMismatch, PreconditionViolated,
@@ -109,6 +110,64 @@ def test_pool_profiles_match_js_profiles_and_pointwise(p, n, trials):
             assert abs(dual_vec[i] - ref_dual[i]) < 1e-10
             assert abs(js_vec[i] - exjs.js(table, w, phi)) < 1e-10
             assert abs(dual_vec[i] - exjs.dual_js(table, w, phi)) < 1e-10
+
+
+def pointwise_pool(ctx, n, translates):
+    """The rows (key, arg, js cell, dual cell) of a pool, one
+    `support_signature` of g h per sum-frame term g and translate h; test
+    oracle of the batched `_compile_pool`."""
+    keys = {k: i for i, k in enumerate(support_keys(ctx, n))}
+    elems = ctx.subfield_elements(1)
+    size = ctx.q ** (n // 2)
+    none = len(translates) * size
+    rows = []
+    for t, h in enumerate(translates):
+        for g, ntr, i_js, i_dual in exjs._sum_frame(ctx, n):
+            sig = support_signature(ctx, mg.mat_mul(ctx, g, h))
+            if sig is not None:
+                rows.append((keys[sig[0]], elems.index(ctx.add(sig[1], ntr)),
+                             none if i_js is None else t * size + i_js,
+                             none if i_dual is None else t * size + i_dual))
+    return rows
+
+
+@pytest.mark.parametrize("p,e,n", [(5, 1, 2), (2, 2, 3), (3, 1, 4), (2, 1, 4),
+                                   (3, 1, 3)])
+def test_pool_matches_pointwise_signatures(p, e, n):
+    f = build_field(p, e, n)
+    translates = exjs._fe_translates(f, n, exjs.DEFAULT_SEED, 100)
+    pool = exjs._fe_pool(f, n, exjs.DEFAULT_SEED, 100)
+    assert (pool.translates, pool.size) == (len(translates), f.q ** (n // 2))
+    got = list(zip(*(x.tolist() for x in (pool.key, pool.arg, pool.js_cell,
+                                          pool.dual_cell))))
+    assert got == pointwise_pool(f, n, translates)
+
+
+def pointwise_gamma_torus(table):
+    """gamma_torus with every torus element t decomposed at B(t^-1) through
+    `BesselTable.eval`; test oracle of the cached `_torus_terms`."""
+    ctx = table.ctx
+    n, m, odd = table.n, table.n // 2, table.n % 2 == 1
+    q = ctx.q
+    total = 0j
+    for comp in mg.compositions(m):
+        weight = q ** (-sum(2 * (mi * (mi - 1) // 2) for mi in comp))
+        for lams in itertools.product(ctx.subfield_units(1), repeat=len(comp)):
+            t = mg.antidiag_elem(ctx, comp, lams, block_scale=2, tail_one=odd)
+            val = table.eval(mg.mat_inv(ctx, t))
+            if not odd and comp[-1] == 1:
+                val *= table.psi(lams[-1])
+            total += weight * val
+    exp2 = 2 * (m * (m - 1) // 2)
+    return (q ** (m / 2.0 + exp2) if odd else q ** (-m / 2.0 + exp2)) * total
+
+
+@pytest.mark.parametrize("p,e,n", [(5, 1, 2), (2, 2, 3), (3, 1, 4), (2, 1, 5)])
+def test_torus_terms_keep_gamma_bit_identical(p, e, n):
+    f = build_field(p, e, n)
+    for k in no_shalika_reps(f, n)[:3]:
+        table = make_table(p, e, n, k)
+        assert exjs.gamma_torus(table).value == pointwise_gamma_torus(table)
 
 
 def test_sampled_certificate_refuses_zero_trials():

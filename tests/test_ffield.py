@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammalab.errors import DivideByZero, NotInSubfield, NotPrime, TooLarge, ZeroHasNoLog
 from gammalab.ffield import build_field
@@ -125,3 +126,26 @@ def test_modulus_deterministic():
     a = build_field.__wrapped__(3, 1, 2)
     b = build_field.__wrapped__(3, 1, 2)
     assert a.modulus == b.modulus and a.gen == b.gen
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 3), (3, 1, 2), (2, 2, 3), (5, 1, 2),
+                                   (3, 1, 4), (2, 2, 4), (7, 1, 2)])
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_tables_match_raw_arithmetic(p, e, n, data):
+    # the dense tables, built from digit arrays and the dlog table, and the
+    # base-field code tables against the polynomial arithmetic
+    f = build_field(p, e, n)
+    a, b = (data.draw(st.integers(0, f.order - 1)) for _ in range(2))
+    assert f._add_t[a][b] == f._add_raw(a, b)
+    assert f._mul_t[a][b] == f._mul_raw(a, b)
+    base = f.base
+    i, j = (data.draw(st.integers(0, f.q - 1)) for _ in range(2))
+    x, y = (f.subfield_elements(1)[c] for c in (i, j))
+    assert base.elems[base.add(i, j)] == f._add_raw(x, y)
+    assert base.elems[base.mul(i, j)] == f._mul_raw(x, y)
+    assert base.elems[base.neg(i)] == f.neg(x)
+    if x:
+        assert f._mul_raw(x, int(base.elems[base.inv(i)])) == 1
+    else:
+        assert base.inv(i) == 0

@@ -1,6 +1,7 @@
 import cmath
 import json
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -261,16 +262,26 @@ def test_second_representation_reads_shared_rows(p, n, first, second,
         exjs.gamma_ratio(plain)
 
     shalika, plain, shalika2, plain2 = [make_table(p, 1, n, k) for k in first + second]
-    run(shalika, plain)
-    exjs.shalika_detect(shalika)
-    calls = []
-    reduce = mg.bruhat_reduce
+    calls, batched = [], []
+    reduce, batch = mg.bruhat_reduce, mg.batch_bruhat
     monkeypatch.setattr(mg, "bruhat_reduce",
                         lambda ctx, g: calls.append(g) or reduce(ctx, g))
+    monkeypatch.setattr(mg, "batch_bruhat",
+                        lambda ctx, g: batched.append(len(g)) or batch(ctx, g))
+    # empty row and pool caches, so the first of each kind decomposes its
+    # rows through the batched kernel: the counter is live
+    monkeypatch.setattr(exjs, "_ROWS", OrderedDict())
+    exjs._cached_pool.cache_clear()
+    run(shalika, plain)
+    exjs.shalika_detect(shalika)
+    assert sum(batched) > 0
+    calls.clear()
+    batched.clear()
     run(shalika2, plain2)
-    assert calls == []
+    assert calls == [] and batched == []
     flag, _ = exjs.shalika_detect(shalika2)
-    assert flag and len(calls) == len(exjs.shalika_witness(shalika2).terms)
+    assert flag and batched == []
+    assert len(calls) == len(exjs.shalika_witness(shalika2).terms)
 
 
 def test_shalika_functional_linearity_and_values():

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gammalab.bessel import _support_profile, _unipotent_psi_data, support_keys
+from gammalab.bessel import _support_profile, support_keys
 from gammalab.errors import Singular
 from gammalab.ffield import build_field
 from gammalab import matgrp as mg
@@ -166,6 +166,55 @@ def test_charpoly_random_larger():
             assert mg.charpoly(f, a) == naive_charpoly(f, a)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_charpoly_matches_determinant_random(p, data):
+    # det(xI - A) by cofactor expansion against the Hessenberg and the
+    # batched Berkowitz charpoly, singular matrices included
+    f = build_field(p, 1, 2)
+    n = data.draw(st.integers(1, 3))
+    a = tuple(tuple(data.draw(st.sampled_from(f.subfield_elements(1)))
+                    for _ in range(n)) for _ in range(n))
+    expect = naive_charpoly(f, a)
+    assert mg.charpoly(f, a) == expect
+    assert f.base.elems[mg.batch_charpoly(f, f.base.codes([a]))[0]].tolist() == expect
+
+
+def _as_mat(ctx, codes):
+    return tuple(map(tuple, ctx.base.elems[codes].tolist()))
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1)])
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_batched_kernels_match_pointwise(p, e, data):
+    # a stack of random matrices, on a drawn flag each with its first row
+    # repeated in its last, so the ranks cover singular inputs
+    f = build_field(p, e, 2)
+    elems = f.subfield_elements(1)
+    n = data.draw(st.integers(1, 4))
+    row = st.tuples(*[st.sampled_from(elems)] * n)
+    mats = data.draw(st.lists(st.tuples(*[row] * n), min_size=1, max_size=6))
+    if n > 1 and data.draw(st.booleans()):
+        mats = [m[:-1] + m[:1] for m in mats]
+    a = f.base.codes(mats)
+    prod = mg.batch_mat_mul(f, a, a[::-1])
+    polys = mg.batch_charpoly(f, a)
+    ranks = mg.batch_rank(f, a)
+    for i, g in enumerate(mats):
+        assert _as_mat(f, prod[i]) == mg.mat_mul(f, g, mats[-1 - i])
+        assert f.base.elems[polys[i]].tolist() == mg.charpoly(f, g)
+        assert ranks[i] == mg.rank(f, g)
+    full = [i for i, g in enumerate(mats) if mg.is_invertible(f, g)]
+    if full:
+        monomial, lacc, racc, pivots = mg.batch_bruhat(f, a[full])
+        assert (pivots == n).all()
+        for j, i in enumerate(full):
+            ref = [tuple(map(tuple, x)) for x in mg.bruhat_reduce(f, mats[i])]
+            assert [_as_mat(f, x[j]) for x in (monomial, lacc, racc)] == ref
+
+
 def test_class_type_examples():
     f = build_field(2, 1, 4)
     n = 4
@@ -241,16 +290,38 @@ def test_support_profile_types_match_reference_exhaustive(p, n):
     kinds = set()
     for key in support_keys(f, n):
         t = mg.antidiag_elem(f, *key)
-        for (u, s), (data, s2) in zip(_unipotent_psi_data(f, n), profile[key]):
+        for u, (data, s) in zip(mg.all_unipotent(f, n), profile[key]):
             ct = reference_class_type(f, mg.mat_mul(f, t, u))
             assert mg.class_type(f, mg.mat_mul(f, t, u)) == ct
             assert data == ((ct.d, ct.k, ct.alpha) if ct.primary else None)
-            assert s == s2
+            assert s == mg.superdiag_sum(f, u)
             kinds.add((ct.primary, ct.c, ct.k))
     # non-primary classes, and mult > 1 with both a full and a partial kernel
     assert (False, None, None) in kinds
     assert any(c > 1 and k == c for _, c, k in kinds if c)
     assert any(c > 1 and k < c for _, c, k in kinds if c)
+
+
+def pointwise_profile(ctx, n):
+    """The support profile typed one t*u at a time by `mg.class_type`;
+    test oracle of the batched `_support_profile`."""
+    out = {}
+    for key in support_keys(ctx, n):
+        t = mg.antidiag_elem(ctx, *key)
+        rows = []
+        for u in mg.all_unipotent(ctx, n):
+            ct = mg.class_type(ctx, mg.mat_mul(ctx, t, u))
+            rows.append(((ct.d, ct.k, ct.alpha) if ct.primary else None,
+                         mg.superdiag_sum(ctx, u)))
+        out[key] = tuple(rows)
+    return out
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 3), (2, 1, 4), (3, 1, 3), (2, 2, 3),
+                                   (5, 1, 2), (3, 1, 4), (2, 1, 5)])
+def test_support_profile_matches_pointwise(p, e, n):
+    f = build_field(p, e, n)
+    assert _support_profile(f, n) == pointwise_profile(f, n)
 
 
 @pytest.mark.parametrize("p,e,n", [(2, 1, 4), (3, 1, 3), (5, 1, 2), (2, 2, 3)])
