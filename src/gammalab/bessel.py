@@ -32,7 +32,7 @@ from . import matgrp as mg
 MAX_CLASS_TYPINGS = 2 ** 21
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def support_keys(ctx: FieldCtx, n: int) -> tuple:
     """All (composition of n, scalar tuple) support parameters."""
     units = ctx.subfield_units(1)
@@ -55,18 +55,24 @@ def _unipotents(ctx: FieldCtx, n: int):
     return unip, sums
 
 
-@lru_cache(maxsize=None)
-def _support_profile(ctx: FieldCtx, n: int) -> dict:
-    """For each support key, the conjugacy data `(d, k, alpha)` (None off the
-    primary classes) and superdiagonal sum of t*u over u in N_n; shared by
-    every representation at this (q, n).  Refused up front when it would
-    type more than MAX_CLASS_TYPINGS classes.
+@lru_cache(maxsize=64)
+def _support_profile(ctx: FieldCtx, n: int) -> tuple:
+    """The class-count histogram of t*u over u in N_n, for each support key
+    t; shared by every representation at this (q, n).  Returns (classes,
+    counts): `classes` the conjugacy data `(d, k, alpha)` of each class id,
+    with id 0 = None (the non-primary classes), and `counts` the read-only
+    integer array (keys x classes x q), in `support_keys` order, of
+
+        C[key, c, s] = #{u in N_n : class(t u) = c, superdiag(u) = code s}.
+
+    Refused up front when it would type more than MAX_CLASS_TYPINGS classes.
 
     Built in array passes of `mg.BATCH_CHUNK` matrices t*u: their
     characteristic polynomials (`mg.batch_charpoly`), the factorisation of
     each distinct one (`mg._primary_factor`), and, only where f^mult has
-    mult > 1, the kernel rank of f(t*u) (`mg.batch_rank`).  Every row is
-    one shared (data, s) tuple; `mg.class_type` is the pointwise reference."""
+    mult > 1, the kernel rank of f(t*u) (`mg.batch_rank`); each pass is
+    counted into the histogram as it goes.  `mg.class_type` is the
+    pointwise reference."""
     keys = support_keys(ctx, n)
     typings = ctx.q ** (n * (n - 1) // 2) * len(keys)
     if typings > MAX_CLASS_TYPINGS:
@@ -86,9 +92,10 @@ def _support_profile(ctx: FieldCtx, n: int) -> dict:
     classes = {None: 0}  # class data -> class id
     kinds = {}  # charpoly code -> `_poly_kind`
     digits = q ** np.arange(n)
-    ids = np.empty(len(keys) * len(unip), dtype=np.int32)  # class id * q + s
-    for lo in range(0, ids.size, mg.BATCH_CHUNK):
-        flat = np.arange(lo, min(lo + mg.BATCH_CHUNK, ids.size))
+    counts = np.zeros((len(keys), 0), dtype=np.int64)  # key x (class id * q + s)
+    size = len(keys) * len(unip)
+    for lo in range(0, size, mg.BATCH_CHUNK):
+        flat = np.arange(lo, min(lo + mg.BATCH_CHUNK, size))
         k, u = np.divmod(flat, len(unip))
         tu = F.mul(lam[k][:, :, None], unip[u[:, None], spot[k]])
         polys = mg.batch_charpoly(ctx, tu)
@@ -103,13 +110,30 @@ def _support_profile(ctx: FieldCtx, n: int) -> dict:
         if rank.any():
             cls[rank] = _kernel_classes(ctx, tu[rank], chunk_kinds, inverse[rank],
                                         classes)
-        ids[lo:lo + flat.size] = cls * q + sums[u]
-    rows = np.empty(len(classes) * q, dtype=object)
-    for data, cid in classes.items():
-        for s_code, s in enumerate(F.elems.tolist()):
-            rows[cid * q + s_code] = (data, s)
-    ids = ids.reshape(len(keys), len(unip))
-    return {key: tuple(rows[ids[i]].tolist()) for i, key in enumerate(keys)}
+        width = len(classes) * q
+        if width > counts.shape[1]:
+            counts = np.pad(counts, ((0, 0), (0, width - counts.shape[1])))
+        k0, k1 = int(k[0]), int(k[-1]) + 1
+        counts[k0:k1] += np.bincount((k - k0) * width + cls * q + sums[u],
+                                     minlength=(k1 - k0) * width).reshape(-1, width)
+    counts = counts.reshape(len(keys), len(classes), q)
+    counts.flags.writeable = False
+    return tuple(classes), counts
+
+
+@lru_cache(maxsize=64)
+def _class_sums(ctx: FieldCtx, n: int, inverse: bool) -> np.ndarray:
+    """M[key, c] = sum_s C[key, c, s] * psibar(s) over the support profile's
+    histogram C, with psibar the inverse of the additive character whose
+    `inverse` flag is given: B(t) = |N_n|^-1 * sum_c M[key(t), c] chi(c)."""
+    _, counts = _support_profile(ctx, n)
+    psi_bar = AddChar(ctx, not inverse)
+    # einsum rather than @ here and in `bessel_build`: a first BLAS call
+    # alone adds about 0.5 MB to the peak memory of a cell
+    out = np.einsum("kcs,s->kc", counts,
+                    np.array([psi_bar(s) for s in ctx.subfield_elements(1)]))
+    out.flags.writeable = False
+    return out
 
 
 def _poly_kind(ctx: FieldCtx, poly: list, classes: dict):
@@ -217,14 +241,17 @@ def support_signatures(ctx: FieldCtx, g):
 
 
 class BesselTable:
-    """Bessel values of (rep, psi) on the antidiagonal scalar-block torus."""
+    """Bessel values of (rep, psi) on the antidiagonal scalar-block torus:
+    `values` in `support_keys` order, and `entries` the same values keyed
+    by support key."""
 
-    def __init__(self, rep: CuspidalRep, psi: AddChar, entries: dict):
+    def __init__(self, rep: CuspidalRep, psi: AddChar, values: np.ndarray):
         self.rep = rep
         self.psi = psi
-        self.entries = entries
         self.ctx = rep.ctx
         self.n = rep.n
+        self.values = values
+        self.entries = dict(zip(support_keys(self.ctx, self.n), values.tolist()))
 
     def value(self, comp, scalars) -> complex:
         return self.entries[(tuple(comp), tuple(scalars))]
@@ -237,20 +264,17 @@ class BesselTable:
 
 def bessel_build(rep: CuspidalRep, psi: AddChar) -> BesselTable:
     """Tabulate B on every antidiagonal scalar-block element via the
-    averaging formula; the normalization B(I) = 1 is asserted."""
+    averaging formula, as one product of the cached class sums
+    (`_class_sums`) with the character on the profile's classes; the
+    normalization B(I) = 1 is asserted."""
     ctx, n = rep.ctx, rep.n
-    psi_inv = psi.inverted()
-    psi_vals = {s: psi_inv(s) for s in ctx.subfield_elements(1)}
-    norm = 1.0 / (ctx.q ** (n * (n - 1) // 2))
-    entries = {}
-    for key, rows in _support_profile(ctx, n).items():
-        total = 0j
-        for data, s in rows:
-            if data is not None:
-                total += rep.char_of_class(data) * psi_vals[s]
-        entries[key] = total * norm
-    table = BesselTable(rep, psi, entries)
-    ident = entries[((n,), (1,))]
+    classes, _ = _support_profile(ctx, n)
+    chi = np.array([rep.char_of_class(data) for data in classes])
+    values = (np.einsum("kc,c->k", _class_sums(ctx, n, psi.inverse), chi)
+              / ctx.q ** (n * (n - 1) // 2))
+    values.flags.writeable = False
+    table = BesselTable(rep, psi, values)
+    ident = table.value((n,), (1,))
     if abs(ident - 1.0) > TOL:
         raise OracleFailed("bessel_normalization", f"B(I) = {ident}")
     return table

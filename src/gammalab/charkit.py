@@ -81,6 +81,10 @@ class MultChar:
         j = self.ctx.subfield_dlog(xi, self.level_deg)
         return self._zeta[(self.exponent * j) % self.modulus]
 
+    def at_dlogs(self, j: np.ndarray) -> np.ndarray:
+        """theta(gen_d^j) for an array of exponents j, in one gather."""
+        return self._zeta[self.exponent * j % self.modulus]
+
     def is_trivial(self) -> bool:
         return self.exponent == 0
 

@@ -19,6 +19,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import exjs, levelzero
 from .bessel import bessel_build, bessel_closed_form_gl3, export_bessel_csv
@@ -86,7 +87,10 @@ def _factor_prime_power(q: int):
     raise PreconditionViolated(f"q = {q} is not a prime power")
 
 
-def parse_config(argv) -> RunConfig:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every `main` call shares it."""
     ap = argparse.ArgumentParser(
         prog="gammalab",
         description="Exterior-square gamma factors of cuspidal representations"
@@ -109,6 +113,11 @@ def parse_config(argv) -> RunConfig:
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default=None)
         sp.add_argument("--exhaustive", action="store_true")
+    return ap
+
+
+def parse_config(argv) -> RunConfig:
+    ap = _parser()
     ns = ap.parse_args(argv)
     if ns.q is not None:
         p, e = _factor_prime_power(ns.q)

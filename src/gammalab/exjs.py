@@ -19,9 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bessel import BesselTable, support_keys, support_signature, support_signatures
-from .charkit import (CFun, _pairing_matrix, fourier, gauss_sum,
-                      restriction_is_trivial)
+from .bessel import BesselTable, support_signature, support_signatures
+from .charkit import (AddChar, CFun, _pairing_matrix, fourier, gauss_sum,
+                      kloosterman, restriction_is_trivial)
 from .cuspchar import CuspidalRep
 from .errors import (
     DimensionMismatch,
@@ -306,10 +306,8 @@ def _cell_sums(cells: np.ndarray, vals: np.ndarray, shape) -> np.ndarray:
 def _pool_profiles(table: BesselTable, pool: FePool):
     """(js, dual): the (translates x q^m) arrays of js(W, delta_x) and
     dual_js(W, delta_x) over the pooled translates W and all points x."""
-    ctx = table.ctx
-    entries = np.array([table.entries[k] for k in support_keys(ctx, table.n)])
-    psi = np.array([table.psi(s) for s in ctx.subfield_elements(1)])
-    vals = psi[pool.arg] * entries[pool.key]
+    psi = np.array([table.psi(s) for s in table.ctx.subfield_elements(1)])
+    vals = psi[pool.arg] * table.values[pool.key]
     shape = (pool.translates, pool.size)
     return _delta_profiles(table, _cell_sums(pool.js_cell, vals, shape),
                            _cell_sums(pool.dual_cell, vals, shape))
@@ -543,8 +541,49 @@ def gamma_torus(table: BesselTable) -> GammaResult:
     return GammaResult(gamma, "torus", {})
 
 
+@lru_cache(maxsize=64)
+def _closed_terms(ctx: FieldCtx, inverse: bool) -> tuple:
+    """The representation-independent terms (j, w) of `gamma_closed` at
+    n = 3, 4, one per xi in F_{q^n}^x: j the dlog of xi^2 at level n, and w
+    its weight under the additive character with this `inverse` flag,
+
+        n = 3: w = psi(-Tr(xi^2) / N(xi)),
+        n = 4: w = K_psi(1, b + c) + K_psi(1, b - c), b = Tr(1/xi^2) and
+               c = Tr(xi^2) / N(xi),
+
+    so that sum_xi w * theta(xi^2) is one gather and one dot product."""
+    n = ctx.n
+    psi = AddChar(ctx, inverse)
+    dlogs, weights = [], []
+    for xi in ctx.subfield_units(n):
+        xi2 = ctx.mul(xi, xi)
+        wing = ctx.mul(ctx.trace(xi2, n, 1), ctx.inv(ctx.norm(xi, n, 1)))
+        if n == 3:
+            w = psi(ctx.neg(wing))
+        else:
+            # sum_b psi(-b + c/b) = K_psi(1, -c) with c = (a1 + a3 lam)/lam^2
+            # at lam = +-N(xi), so the kernel is Tr(1/xi^2) +- Tr(xi^2)/N(xi)
+            base = ctx.trace(ctx.inv(xi2), n, 1)
+            w = (kloosterman(1, ctx.add(base, wing), psi)
+                 + kloosterman(1, ctx.sub(base, wing), psi))
+        dlogs.append(ctx.subfield_dlog(xi2, n))
+        weights.append(w)
+    out = np.array(dlogs), np.array(weights, dtype=complex)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _closed_sum(rep: CuspidalRep, psi: AddChar) -> complex:
+    """sum_xi w * theta(xi^2) over the terms of `_closed_terms`; einsum
+    rather than @, as in `_delta_profiles`."""
+    dlogs, weights = _closed_terms(rep.ctx, psi.inverse)
+    return complex(np.einsum("x,x->", weights, rep.theta.at_dlogs(dlogs)))
+
+
 def gamma_closed(table: BesselTable) -> GammaResult:
-    """Route 3: the printed character-sum forms for n = 2, 3, 4."""
+    """Route 3: the printed character-sum forms for n = 2, 3, 4; at n = 3
+    and 4 the sum over F_{q^n}^x reads its terms from `_closed_terms`."""
     ctx = table.ctx
     rep = table.rep
     psi = table.psi
@@ -556,33 +595,14 @@ def gamma_closed(table: BesselTable) -> GammaResult:
                                        " central character")
         gamma = q ** -0.5 * gauss_sum(rep.central_char, psi)
     elif n == 3:
-        total = 0j
-        for xi in ctx.subfield_units(3):
-            xi2 = ctx.mul(xi, xi)
-            arg = ctx.neg(ctx.mul(ctx.trace(xi2, 3, 1),
-                                  ctx.inv(ctx.norm(xi, 3, 1))))
-            total += psi(arg) * rep.theta(xi2)
-        gamma = q ** -1.5 * total
+        gamma = q ** -1.5 * _closed_sum(rep, psi)
     elif n == 4:
         if restriction_is_trivial(rep.theta, 2):
             raise PreconditionViolated("n = 4 closed form needs theta"
                                        " non-trivial on the quadratic subfield")
-        from .charkit import kloosterman
         t0 = q * q - 1 if rep.central_char.is_trivial() else 0
         g_sum = gauss_sum(rep.central_char, psi)
-        # sum_b psi(-b + c/b) = K_psi(1, -c) with c = (a1 + a3 lam)/lam^2
-        # at lam = +-N(xi), so the kernel is Tr(1/xi^2) +- Tr(xi^2)/N(xi)
-        s_plus = 0j
-        s_minus = 0j
-        for xi in ctx.subfield_units(4):
-            xi2 = ctx.mul(xi, xi)
-            nx = ctx.norm(xi, 4, 1)
-            base = ctx.trace(ctx.inv(xi2), 4, 1)
-            wing = ctx.mul(ctx.trace(xi2, 4, 1), ctx.inv(nx))
-            tv = rep.theta(xi2)
-            s_plus += tv * kloosterman(1, ctx.add(base, wing), psi)
-            s_minus += tv * kloosterman(1, ctx.sub(base, wing), psi)
-        gamma = t0 / q ** 2 - 0.5 * q ** -3 * g_sum * (s_plus + s_minus)
+        gamma = t0 / q ** 2 - 0.5 * q ** -3 * g_sum * _closed_sum(rep, psi)
     else:
         raise UnsupportedN(f"no closed form for n = {n}")
     _unitarity_guard(gamma, "closed_form")

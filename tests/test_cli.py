@@ -5,6 +5,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from gammalab import cli, levelzero
 from gammalab import matgrp as mg
 
@@ -246,3 +248,28 @@ def test_gamma_row_reads_one_canonical_ratio_at_c1(capsys, monkeypatch):
     code, out = run_main(["gamma", "--q", "5", "--n", "2", "--c-re", "0",
                           "--c-im", "1"], capsys)
     assert code == 0 and len(calls) == 2 * shalika
+
+
+def test_shared_parser_still_refuses_after_a_valid_call(capsys):
+    # the parser is built once per process; a valid parse must leave no
+    # state behind that lets a later bad argument through
+    for bad in (["--q", "6"], ["--q", "x"], ["--q", "3", "--trials", "0"]):
+        code, out = run_main(["gamma", "--q", "2", "--n", "2", "--theta", "1"],
+                             capsys)
+        assert code == 0 and json.loads(out)["rows"]
+        code, out = run_main(["gamma", "--n", "3", "--theta", "1", *bad], capsys)
+        assert code == cli.EXIT_PRECONDITION and out == ""
+
+
+def test_shared_parser_help_matches_a_fresh_parser(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    run_main(["gamma", "--q", "2", "--n", "2", "--theta", "1"], capsys)
+    for args in (["--help"], ["gamma", "--help"], ["verify", "--help"],
+                 ["export", "--help"]):
+        code, shared = run_main(args, capsys)
+        assert code == 0
+        with pytest.raises(SystemExit) as done:
+            cli._parser.__wrapped__().parse_args(args)
+        assert done.value.code == 0
+        assert shared == capsys.readouterr().out
+        assert shared.startswith("usage: gammalab")

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from gammalab.bessel import bessel_build, support_keys, support_signature
-from gammalab.charkit import AddChar, CFun, fourier, regular_orbit_reps
+from gammalab.charkit import (AddChar, CFun, fourier, gauss_sum, kloosterman,
+                              regular_exponents, regular_orbit_reps,
+                              restriction_is_trivial)
 from gammalab.cuspchar import CuspidalRep
 from gammalab.errors import (DimensionMismatch, PreconditionViolated,
                              ShalikaVectorPresent)
@@ -419,3 +421,45 @@ def test_gamma_closed_preconditions():
     # n = 4 with theta trivial on the quadratic subfield (3 | k at q = 2)
     with pytest.raises(PreconditionViolated):
         exjs.gamma_closed(make_table(2, 1, 4, 3))
+
+
+def printed_gamma_closed(table):
+    """The printed closed forms at n = 3, 4, summed one xi in F_{q^n}^x at a
+    time; test oracle of the cached terms of `gamma_closed`."""
+    ctx, rep, psi = table.ctx, table.rep, table.psi
+    n, q = table.n, ctx.q
+    if n == 3:
+        total = 0j
+        for xi in ctx.subfield_units(3):
+            xi2 = ctx.mul(xi, xi)
+            arg = ctx.neg(ctx.mul(ctx.trace(xi2, 3, 1),
+                                  ctx.inv(ctx.norm(xi, 3, 1))))
+            total += psi(arg) * rep.theta(xi2)
+        return q ** -1.5 * total
+    t0 = q * q - 1 if rep.central_char.is_trivial() else 0
+    s_plus = s_minus = 0j
+    for xi in ctx.subfield_units(4):
+        xi2 = ctx.mul(xi, xi)
+        base = ctx.trace(ctx.inv(xi2), 4, 1)
+        wing = ctx.mul(ctx.trace(xi2, 4, 1), ctx.inv(ctx.norm(xi, 4, 1)))
+        tv = rep.theta(xi2)
+        s_plus += tv * kloosterman(1, ctx.add(base, wing), psi)
+        s_minus += tv * kloosterman(1, ctx.sub(base, wing), psi)
+    return (t0 / q ** 2
+            - 0.5 * q ** -3 * gauss_sum(rep.central_char, psi) * (s_plus + s_minus))
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 3), (3, 1, 3), (2, 2, 3), (5, 1, 3),
+                                   (2, 1, 4), (3, 1, 4)])
+def test_gamma_closed_matches_printed_sums(p, e, n):
+    f = build_field(p, e, n)
+    for k in regular_exponents(f, n):
+        rep = CuspidalRep(f, k)
+        for inverse in (False, True):
+            table = bessel_build(rep, AddChar(f, inverse))
+            if n == 4 and restriction_is_trivial(rep.theta, 2):
+                with pytest.raises(PreconditionViolated):
+                    exjs.gamma_closed(table)
+                continue
+            assert abs(exjs.gamma_closed(table).value
+                       - printed_gamma_closed(table)) < 1e-13

@@ -1,10 +1,15 @@
 import itertools
 import random
+from collections import Counter
+from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gammalab.bessel import _support_profile, support_keys
+from gammalab.bessel import _support_profile, bessel_build, support_keys
+from gammalab.charkit import AddChar, regular_exponents
+from gammalab.cuspchar import CuspidalRep
 from gammalab.errors import Singular
 from gammalab.ffield import build_field
 from gammalab import matgrp as mg
@@ -280,31 +285,52 @@ def reference_class_type(ctx, g):
     return mg.ClassType(True, d, n // d, alpha, kdim // d)
 
 
+def profile_histogram(ctx, n):
+    """The nonzero counts of `_support_profile` as a Counter over
+    (support key, class data, superdiagonal sum)."""
+    classes, counts = _support_profile(ctx, n)
+    assert classes[0] is None and len(set(classes)) == len(classes)
+    assert counts.shape == (len(support_keys(ctx, n)), len(classes), ctx.q)
+    keys, elems = support_keys(ctx, n), ctx.subfield_elements(1)
+    return Counter({(keys[i], classes[c], elems[s]): int(counts[i, c, s])
+                    for i, c, s in zip(*np.nonzero(counts))})
+
+
+def rows_histogram(profile):
+    """The same Counter from per-typing rows {key: ((data, s), ...)}."""
+    return Counter((key, data, s) for key, rows in profile.items() for data, s in rows)
+
+
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 3)])
 def test_support_profile_types_match_reference_exhaustive(p, n):
     # every t*u of the support profile, typed by the reference through the
     # generic product: checks the memo, the mult = 1 shortcut and the
     # row-scaling t*u of _support_profile at once
     f = build_field(p, 1, n)
-    profile = _support_profile(f, n)
+    reference = {}
     kinds = set()
     for key in support_keys(f, n):
         t = mg.antidiag_elem(f, *key)
-        for u, (data, s) in zip(mg.all_unipotent(f, n), profile[key]):
+        rows = []
+        for u in mg.all_unipotent(f, n):
             ct = reference_class_type(f, mg.mat_mul(f, t, u))
             assert mg.class_type(f, mg.mat_mul(f, t, u)) == ct
-            assert data == ((ct.d, ct.k, ct.alpha) if ct.primary else None)
-            assert s == mg.superdiag_sum(f, u)
+            rows.append(((ct.d, ct.k, ct.alpha) if ct.primary else None,
+                         mg.superdiag_sum(f, u)))
             kinds.add((ct.primary, ct.c, ct.k))
+        reference[key] = rows
+    assert profile_histogram(f, n) == rows_histogram(reference)
     # non-primary classes, and mult > 1 with both a full and a partial kernel
     assert (False, None, None) in kinds
     assert any(c > 1 and k == c for _, c, k in kinds if c)
     assert any(c > 1 and k < c for _, c, k in kinds if c)
 
 
+@lru_cache(maxsize=None)
 def pointwise_profile(ctx, n):
-    """The support profile typed one t*u at a time by `mg.class_type`;
-    test oracle of the batched `_support_profile`."""
+    """The support profile typed one t*u at a time by `mg.class_type`, as
+    rows (class data, superdiagonal sum) per key; test oracle of the
+    batched `_support_profile`."""
     out = {}
     for key in support_keys(ctx, n):
         t = mg.antidiag_elem(ctx, *key)
@@ -321,7 +347,39 @@ def pointwise_profile(ctx, n):
                                    (5, 1, 2), (3, 1, 4), (2, 1, 5)])
 def test_support_profile_matches_pointwise(p, e, n):
     f = build_field(p, e, n)
-    assert _support_profile(f, n) == pointwise_profile(f, n)
+    assert profile_histogram(f, n) == rows_histogram(pointwise_profile(f, n))
+
+
+def rowwise_bessel(rep, psi):
+    """Every Bessel entry by the averaging formula summed one row of
+    `pointwise_profile` at a time; test oracle of `bessel_build`'s product
+    of class sums with a character vector."""
+    ctx, n = rep.ctx, rep.n
+    psi_inv = psi.inverted()
+    norm = 1.0 / ctx.q ** (n * (n - 1) // 2)
+    out = {}
+    for key, rows in pointwise_profile(ctx, n).items():
+        total = 0j
+        for data, s in rows:
+            if data is not None:
+                total += rep.char_of_class(data) * psi_inv(s)
+        out[key] = total * norm
+    return out
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 3), (2, 2, 3), (3, 1, 3), (5, 1, 2),
+                                   (2, 1, 4)])
+def test_bessel_tables_match_rowwise_profile_sum(p, e, n):
+    f = build_field(p, e, n)
+    keys = support_keys(f, n)
+    for k in regular_exponents(f, n):
+        rep = CuspidalRep(f, k)
+        for inverse in (False, True):
+            table = bessel_build(rep, AddChar(f, inverse))
+            expect = rowwise_bessel(rep, table.psi)
+            assert list(table.entries) == list(keys)
+            assert table.values.tolist() == list(table.entries.values())
+            assert max(abs(table.entries[key] - expect[key]) for key in keys) < 1e-13
 
 
 @pytest.mark.parametrize("p,e,n", [(2, 1, 4), (3, 1, 3), (5, 1, 2), (2, 2, 3)])
