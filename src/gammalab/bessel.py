@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import csv
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .charkit import TOL, AddChar
-from .cuspchar import CuspidalRep
+from .cuspchar import CuspidalRep, character_matrix
 from .errors import OracleFailed, PreconditionViolated, Singular
 from .ffield import FieldCtx
 from . import matgrp as mg
@@ -30,6 +31,27 @@ from . import matgrp as mg
 #: take; (q, n) = (2, 6) needs 1,048,576 and (4, 4) 786,432, while
 #: (5, 4) needs 7,812,500, (3, 5) 9,565,938 and (2, 7) 134,217,728
 MAX_CLASS_TYPINGS = 2 ** 21
+#: the most representations whose tables or certificates are computed
+#: together: it bounds the (classes x THETA_BLOCK) character matrices of
+#: `bessel_tables` and the (THETA_BLOCK x translates x q^m) profiles of
+#: `exjs._pool_profiles`, whatever the number of representations
+THETA_BLOCK = 64
+#: the most (row, representation) values a batched product gathers at once:
+#: `bessel_tables` and `exjs._pool_profiles` take their rows in passes of
+#: PASS_VALUES // T, so their working memory does not grow with the rows
+PASS_VALUES = 2 ** 13
+
+
+def require_profile_size(q: int, n: int) -> None:
+    """Refuse a cell whose support profile needs more than MAX_CLASS_TYPINGS
+    class typings: |N_n| = q^(n(n-1)/2) for each of the (q - 1) * q^(n-1)
+    support keys, a count that depends on (q, n) alone, so no table need be
+    built first."""
+    typings = q ** (n * (n - 1) // 2) * (q - 1) * q ** (n - 1)
+    if typings > MAX_CLASS_TYPINGS:
+        raise PreconditionViolated(
+            f"the Bessel support profile at q = {q}, n = {n} needs"
+            f" {typings} class typings, over the limit of {MAX_CLASS_TYPINGS}")
 
 
 @lru_cache(maxsize=64)
@@ -55,30 +77,36 @@ def _unipotents(ctx: FieldCtx, n: int):
     return unip, sums
 
 
+class SupportProfile(NamedTuple):
+    """The class-count histogram of t*u over u in N_n for every support key
+    t, kept sparse: `classes` the conjugacy data `(d, k, alpha)` of each
+    class id, with id 0 = None (the non-primary classes), and one row
+    (key[r], cls[r], s[r], count[r]) per nonzero cell of
+
+        C[key, c, s] = #{u in N_n : class(t u) = c, superdiag(u) = code s},
+
+    sorted by (key, class, s), with keys in `support_keys` order."""
+    classes: tuple
+    key: np.ndarray
+    cls: np.ndarray
+    s: np.ndarray
+    count: np.ndarray
+
+
 @lru_cache(maxsize=64)
-def _support_profile(ctx: FieldCtx, n: int) -> tuple:
-    """The class-count histogram of t*u over u in N_n, for each support key
-    t; shared by every representation at this (q, n).  Returns (classes,
-    counts): `classes` the conjugacy data `(d, k, alpha)` of each class id,
-    with id 0 = None (the non-primary classes), and `counts` the read-only
-    integer array (keys x classes x q), in `support_keys` order, of
-
-        C[key, c, s] = #{u in N_n : class(t u) = c, superdiag(u) = code s}.
-
+def _support_profile(ctx: FieldCtx, n: int) -> SupportProfile:
+    """The support profile at (q, n), shared by every representation.
     Refused up front when it would type more than MAX_CLASS_TYPINGS classes.
 
     Built in array passes of `mg.BATCH_CHUNK` matrices t*u: their
     characteristic polynomials (`mg.batch_charpoly`), the factorisation of
     each distinct one (`mg._primary_factor`), and, only where f^mult has
-    mult > 1, the kernel rank of f(t*u) (`mg.batch_rank`); each pass is
-    counted into the histogram as it goes.  `mg.class_type` is the
-    pointwise reference."""
+    mult > 1, the kernel rank of f(t*u) (`mg.batch_rank`).  Each pass counts
+    its distinct cells with `np.unique`, and the passes are merged at the
+    end, so the rows held never outnumber the typings.  `mg.class_type` is
+    the pointwise reference."""
+    require_profile_size(ctx.q, n)
     keys = support_keys(ctx, n)
-    typings = ctx.q ** (n * (n - 1) // 2) * len(keys)
-    if typings > MAX_CLASS_TYPINGS:
-        raise PreconditionViolated(
-            f"the Bessel support profile at q = {ctx.q}, n = {n} needs"
-            f" {typings} class typings, over the limit of {MAX_CLASS_TYPINGS}")
     F = ctx.base
     q = ctx.q
     unip, sums = _unipotents(ctx, n)
@@ -92,7 +120,10 @@ def _support_profile(ctx: FieldCtx, n: int) -> tuple:
     classes = {None: 0}  # class data -> class id
     kinds = {}  # charpoly code -> `_poly_kind`
     digits = q ** np.arange(n)
-    counts = np.zeros((len(keys), 0), dtype=np.int64)  # key x (class id * q + s)
+    # a cell's flat code (key * radix + class id) * q + s: class ids stay
+    # below radix, as each typing adds at most one class
+    radix = len(keys) * len(unip) + 1
+    cells, counts = [], []
     size = len(keys) * len(unip)
     for lo in range(0, size, mg.BATCH_CHUNK):
         flat = np.arange(lo, min(lo + mg.BATCH_CHUNK, size))
@@ -110,29 +141,38 @@ def _support_profile(ctx: FieldCtx, n: int) -> tuple:
         if rank.any():
             cls[rank] = _kernel_classes(ctx, tu[rank], chunk_kinds, inverse[rank],
                                         classes)
-        width = len(classes) * q
-        if width > counts.shape[1]:
-            counts = np.pad(counts, ((0, 0), (0, width - counts.shape[1])))
-        k0, k1 = int(k[0]), int(k[-1]) + 1
-        counts[k0:k1] += np.bincount((k - k0) * width + cls * q + sums[u],
-                                     minlength=(k1 - k0) * width).reshape(-1, width)
-    counts = counts.reshape(len(keys), len(classes), q)
-    counts.flags.writeable = False
-    return tuple(classes), counts
+        cell, count = np.unique((k * radix + cls) * q + sums[u], return_counts=True)
+        cells.append(cell)
+        counts.append(count)
+    cell, inverse = np.unique(np.concatenate(cells), return_inverse=True)
+    count = np.bincount(inverse, np.concatenate(counts)).astype(np.int64)
+    key, rest = np.divmod(cell, radix * q)
+    out = SupportProfile(tuple(classes), key, *np.divmod(rest, q), count)
+    for a in out[1:]:
+        a.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=64)
-def _class_sums(ctx: FieldCtx, n: int, inverse: bool) -> np.ndarray:
-    """M[key, c] = sum_s C[key, c, s] * psibar(s) over the support profile's
-    histogram C, with psibar the inverse of the additive character whose
-    `inverse` flag is given: B(t) = |N_n|^-1 * sum_c M[key(t), c] chi(c)."""
-    _, counts = _support_profile(ctx, n)
-    psi_bar = AddChar(ctx, not inverse)
-    # einsum rather than @ here and in `bessel_build`: a first BLAS call
-    # alone adds about 0.5 MB to the peak memory of a cell
-    out = np.einsum("kcs,s->kc", counts,
-                    np.array([psi_bar(s) for s in ctx.subfield_elements(1)]))
-    out.flags.writeable = False
+def _class_sums(ctx: FieldCtx, n: int, inverse: bool) -> tuple:
+    """The nonzero class sums M[key, c] = sum_s C[key, c, s] * psibar(s) over
+    the primary classes c of the support profile's histogram C, with psibar
+    the inverse of the additive character whose `inverse` flag is given:
+    B(t) = |N_n|^-1 * sum_c M[key(t), c] chi(c).  Kept sparse, as arrays
+    (key, cls, value) sorted by (key, class) and read from the profile's
+    rows with one weighted bincount per real and imaginary part; the
+    non-primary class 0, where every character vanishes, is left out."""
+    prof = _support_profile(ctx, n)
+    live = prof.cls > 0
+    pair, which = np.unique(prof.key[live] * len(prof.classes) + prof.cls[live],
+                            return_inverse=True)
+    weight = prof.count[live] * AddChar(ctx, not inverse).values[prof.s[live]]
+    value = np.empty(len(pair), dtype=complex)
+    value.real = np.bincount(which, weight.real, len(pair))
+    value.imag = np.bincount(which, weight.imag, len(pair))
+    out = (*np.divmod(pair, len(prof.classes)), value)
+    for a in out:
+        a.flags.writeable = False
     return out
 
 
@@ -251,7 +291,10 @@ class BesselTable:
         self.ctx = rep.ctx
         self.n = rep.n
         self.values = values
-        self.entries = dict(zip(support_keys(self.ctx, self.n), values.tolist()))
+
+    @cached_property
+    def entries(self) -> dict:
+        return dict(zip(support_keys(self.ctx, self.n), self.values.tolist()))
 
     def value(self, comp, scalars) -> complex:
         return self.entries[(tuple(comp), tuple(scalars))]
@@ -262,22 +305,53 @@ class BesselTable:
         return 0j if sig is None else self.psi(sig[1]) * self.entries[sig[0]]
 
 
-def bessel_build(rep: CuspidalRep, psi: AddChar) -> BesselTable:
-    """Tabulate B on every antidiagonal scalar-block element via the
-    averaging formula, as one product of the cached class sums
-    (`_class_sums`) with the character on the profile's classes; the
-    normalization B(I) = 1 is asserted."""
-    ctx, n = rep.ctx, rep.n
-    classes, _ = _support_profile(ctx, n)
-    chi = np.array([rep.char_of_class(data) for data in classes])
-    values = (np.einsum("kc,c->k", _class_sums(ctx, n, psi.inverse), chi)
-              / ctx.q ** (n * (n - 1) // 2))
+def _tables(reps, psi: AddChar) -> list:
+    """The Bessel tables of representations at one (q, n), via the averaging
+    formula: B[theta, key] = |N_n|^-1 * sum_c M[key, c] X[c, theta], the
+    cached sparse class sums M (`_class_sums`) against the character matrix
+    X (`cuspchar.character_matrix`) of THETA_BLOCK representations at a
+    time, gathered and summed per key over PASS_VALUES values at a time.
+    The normalization B(I) = 1 is asserted for every table."""
+    ctx, n = reps[0].ctx, reps[0].n
+    key, cls, value = _class_sums(ctx, n, psi.inverse)
+    classes = _support_profile(ctx, n).classes
+    nkeys = len(support_keys(ctx, n))
+    values = np.empty((len(reps), nkeys), dtype=complex)
+    for lo in range(0, len(reps), THETA_BLOCK):
+        block = [rep.exponent for rep in reps[lo:lo + THETA_BLOCK]]
+        chi = character_matrix(ctx, n, classes, block)
+        theta = np.arange(len(block))
+        sums = np.zeros(nkeys * len(block), dtype=complex)
+        step = max(1, PASS_VALUES // len(block))
+        for r in range(0, len(key), step):
+            part = slice(r, r + step)
+            terms = chi[cls[part]]
+            terms *= value[part, None]
+            np.add.at(sums, (key[part, None] * len(block) + theta).ravel(),
+                      terms.ravel())
+        values[lo:lo + len(block)] = sums.reshape(nkeys, len(block)).T
+    values /= ctx.q ** (n * (n - 1) // 2)
     values.flags.writeable = False
-    table = BesselTable(rep, psi, values)
-    ident = table.value((n,), (1,))
-    if abs(ident - 1.0) > TOL:
-        raise OracleFailed("bessel_normalization", f"B(I) = {ident}")
-    return table
+    ident = values[:, support_keys(ctx, n).index(((n,), (1,)))]
+    bad = np.flatnonzero(np.abs(ident - 1.0) > TOL)
+    if bad.size:
+        raise OracleFailed("bessel_normalization",
+                           f"B(I) = {ident[bad[0]]} at theta = {reps[bad[0]].exponent}")
+    return [BesselTable(rep, psi, row) for rep, row in zip(reps, values)]
+
+
+def bessel_tables(ctx: FieldCtx, n: int, exponents, psi: AddChar) -> list:
+    """One `BesselTable` per exponent k of a regular theta = gen^k of
+    F_{q^n}^x, all from the cell's cached tables in one pass (`_tables`)."""
+    if n != ctx.n:
+        raise PreconditionViolated(f"the field is built for n = {ctx.n}, not {n}")
+    return _tables([CuspidalRep(ctx, k) for k in exponents], psi) if exponents else []
+
+
+def bessel_build(rep: CuspidalRep, psi: AddChar) -> BesselTable:
+    """The Bessel table of one representation: a block of one of
+    `bessel_tables`."""
+    return _tables([rep], psi)[0]
 
 
 def bessel_eval(table: BesselTable, g: mg.Mat) -> complex:

@@ -47,6 +47,9 @@ class AddChar:
             k = ctx.lift_prime(t)
             self._exps[x] = (-k) % p if inverse else k
         self._q_elems = set(ctx.subfield_elements(1))
+        #: psi at every base-field code c, the c-th of `subfield_elements(1)`
+        self.values = self._zeta[[self._exps[x] for x in ctx.subfield_elements(1)]]
+        self.values.flags.writeable = False
 
     def __call__(self, x: int) -> complex:
         if x not in self._q_elems:

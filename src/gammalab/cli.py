@@ -22,11 +22,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import exjs, levelzero
-from .bessel import bessel_build, bessel_closed_form_gl3, export_bessel_csv
+from .bessel import (bessel_build, bessel_closed_form_gl3, bessel_tables,
+                     export_bessel_csv, require_profile_size)
 from .charkit import (AddChar, MultChar, is_regular, regular_orbit_reps,
                       restriction_is_trivial)
 from .cuspchar import CuspidalRep, verify_irreducible
-from .errors import GammalabError, PreconditionViolated
+from .errors import (GammalabError, NonConstantRatio, OracleFailed,
+                     PreconditionViolated)
 from .ffield import build_field
 from .levelzero import LevelZeroCtx, RatQS, l_factor
 from . import matgrp as mg
@@ -149,7 +151,24 @@ def _table(cfg: RunConfig, ctx, k: int):
     return bessel_build(CuspidalRep(ctx, k), AddChar(ctx, cfg.psi_inverse))
 
 
-def _gamma_row(cfg: RunConfig, table) -> dict:
+def _has_shalika(cfg: RunConfig, table) -> bool:
+    return cfg.n % 2 == 0 and restriction_is_trivial(table.rep.theta, cfg.n // 2)
+
+
+def _gamma_rows(cfg: RunConfig, tables) -> list:
+    """The rows of `tables`, in their order: the tables without a Shalika
+    vector are certified together by one `exjs.gamma_ratios` call, and each
+    with one by the level-zero modified functional equation."""
+    shalika = [_has_shalika(cfg, table) for table in tables]
+    ratios = iter(exjs.gamma_ratios([t for t, s in zip(tables, shalika) if not s],
+                                    cfg.trials, cfg.seed))
+    return [_gamma_row(cfg, table, None if s else next(ratios))
+            for table, s in zip(tables, shalika)]
+
+
+def _gamma_row(cfg: RunConfig, table, ratio) -> dict:
+    """One `gamma` row; `ratio` is the table's certified ratio-route
+    `GammaResult`, None for a table with a Shalika vector."""
     rep = table.rep
     row = {
         "theta": rep.exponent,
@@ -157,7 +176,7 @@ def _gamma_row(cfg: RunConfig, table) -> dict:
         "regular": True,
         "central_char_exponent": rep.central_char.exponent,
     }
-    shalika = cfg.n % 2 == 0 and restriction_is_trivial(rep.theta, cfg.n // 2)
+    shalika = ratio is None
     row["shalika"] = shalika
     if shalika:
         lz = LevelZeroCtx(table, cfg.c)
@@ -176,7 +195,6 @@ def _gamma_row(cfg: RunConfig, table) -> dict:
         row["pairs_checked"] = checked
     else:
         routes = {}
-        ratio = exjs.gamma_ratio(table, cfg.trials, cfg.seed)
         routes["ratio"] = ratio.value
         routes["torus"] = exjs.gamma_torus(table).value
         if cfg.n in (2, 3, 4):
@@ -234,12 +252,11 @@ def _flatten_gamma_row(row: dict) -> dict:
 
 def cmd_gamma(cfg: RunConfig) -> int:
     ctx = build_field(cfg.p, cfg.e, cfg.n)
-    rows = []
-    for k in _theta_exponents(cfg, ctx):
-        t0 = time.perf_counter()
-        rows.append(_gamma_row(cfg, _table(cfg, ctx, k)))
-        print(f"theta={rows[-1]['theta']} elapsed={time.perf_counter() - t0:.3f}s",
-              file=sys.stderr)
+    t0 = time.perf_counter()
+    tables = bessel_tables(ctx, cfg.n, _theta_exponents(cfg, ctx),
+                           AddChar(ctx, cfg.psi_inverse))
+    rows = _gamma_rows(cfg, tables)
+    print(f"rows={len(rows)} elapsed={time.perf_counter() - t0:.3f}s", file=sys.stderr)
     bad = [row for row in rows
            if not row["shalika"] and row["max_route_delta"] > cfg.tol]
     payload = {"schema": SCHEMA, "command": "gamma", "q": ctx.q, "n": cfg.n,
@@ -278,7 +295,7 @@ def _verify_checks(cfg: RunConfig, ctx):
         except GammalabError:
             ok = False
     yield ("character_oracle", ok, worst)
-    tables = [bessel_build(rep, psi) for rep in reps]
+    tables = bessel_tables(ctx, n, ks, psi)
     # Bessel support and bi-equivariance
     rng = random.Random(cfg.seed)
     samples = 10000 if cfg.exhaustive else 500
@@ -307,8 +324,7 @@ def _verify_checks(cfg: RunConfig, ctx):
     worst_unit = 0.0
     ok = True
     for table in tables:
-        shal = n % 2 == 0 and restriction_is_trivial(table.rep.theta, n // 2)
-        if shal:
+        if _has_shalika(cfg, table):
             try:
                 _, resid = levelzero.modified_fe_check(table, cfg.trials, cfg.seed)
                 worst_fe = max(worst_fe, resid)
@@ -386,7 +402,7 @@ def cmd_export(cfg: RunConfig) -> int:
         path = os.path.join(cfg.out, f"bessel_q{ctx.q}_n{cfg.n}_k{table.rep.exponent}.csv")
         export_bessel_csv(table, path)
         print(f"wrote {path}", file=sys.stderr)
-        rows.append(_gamma_row(cfg, table))
+        rows.extend(_gamma_rows(cfg, [table]))
     sweep = {"schema": SCHEMA, "command": "export", "q": ctx.q, "n": cfg.n,
              "psi_inverse": cfg.psi_inverse, "seed": cfg.seed, "rows": rows}
     sweep_path = os.path.join(cfg.out, f"gamma_sweep_q{ctx.q}_n{cfg.n}.{cfg.fmt}")
@@ -398,6 +414,7 @@ def cmd_export(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     try:
         cfg = parse_config(argv)
+        require_profile_size(cfg.p ** cfg.e, cfg.n)
         if cfg.command == "gamma":
             return cmd_gamma(cfg)
         if cfg.command == "verify":
@@ -405,6 +422,9 @@ def main(argv=None) -> int:
         return cmd_export(cfg)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except (OracleFailed, NonConstantRatio) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     except GammalabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -17,7 +17,9 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .charkit import MultChar, is_regular
+import numpy as np
+
+from .charkit import MultChar, _roots_of_unity, is_regular
 from .errors import NotRegular, OracleFailed
 from .ffield import FieldCtx
 from . import matgrp as mg
@@ -109,6 +111,53 @@ def primary_class_inventory(ctx: FieldCtx, n: int) -> tuple:
     return tuple(out)
 
 
+def _class_coefficient(q: int, n: int, d: int, k: int) -> int:
+    """(-1)^(n-1) * prod_{i=1}^{k-1} (1 - q^(d i)), the factor of the
+    character on a primary class with k blocks of a degree-d factor."""
+    coef = 1
+    for i in range(1, k):
+        coef *= 1 - q ** (d * i)
+    return -coef if n % 2 == 0 else coef
+
+
+@lru_cache(maxsize=64)
+def _class_conjugates(ctx: FieldCtx, n: int, classes: tuple) -> tuple:
+    """(coef, dlogs, live) of a tuple of class data (d, k, alpha), None for
+    the non-primary classes: coef[c] the class's `_class_coefficient` (0 for
+    None), dlogs[c, i] the level-n dlog of alpha^(q^i) and live[c, i] = [i < d],
+    over i < n."""
+    coef = np.zeros(len(classes))
+    dlogs = np.zeros((len(classes), n), dtype=np.int64)
+    live = np.zeros((len(classes), n))
+    for c, data in enumerate(classes):
+        if data is None:
+            continue
+        d, k, alpha = data
+        coef[c] = _class_coefficient(ctx.q, n, d, k)
+        acc = alpha
+        for i in range(d):
+            dlogs[c, i] = ctx.subfield_dlog(acc, n)
+            acc = ctx.pow(acc, ctx.q)
+        live[c, :d] = 1.0
+    return coef, dlogs, live
+
+
+def character_matrix(ctx: FieldCtx, n: int, classes: tuple, exponents) -> np.ndarray:
+    """X[c, j], the character on the class classes[c] of the cuspidal
+    representation with theta = gen^(exponents[j]):
+
+        X[c, j] = coef_c * sum_{i<d} zeta[k_j * D[c, i] mod (q^n - 1)],
+
+    one gather from the roots of unity over the class dlogs D of
+    `_class_conjugates`, cached per class tuple.  `CuspidalRep.char_of_class`
+    is the pointwise reference."""
+    coef, dlogs, live = _class_conjugates(ctx, n, classes)
+    modulus = ctx.q ** n - 1
+    k = np.asarray(exponents, dtype=np.int64) % modulus
+    zeta = _roots_of_unity(modulus)[dlogs[:, :, None] * k % modulus]
+    return coef[:, None] * np.einsum("ci,cij->cj", live, zeta)
+
+
 class CuspidalRep:
     """The pair (n, theta) with theta a regular character of F_{q^n}^x."""
 
@@ -143,11 +192,7 @@ class CuspidalRep:
             return 0j
         if data not in self._class_cache:
             d, k, alpha = data
-            coef = 1
-            for i in range(1, k):
-                coef *= 1 - self.q ** (d * i)
-            if self.n % 2 == 0:
-                coef = -coef
+            coef = _class_coefficient(self.q, self.n, d, k)
             ssum = 0j
             acc = alpha
             for _ in range(d):

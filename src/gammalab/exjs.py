@@ -19,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bessel import BesselTable, support_signature, support_signatures
+from .bessel import (PASS_VALUES, THETA_BLOCK, BesselTable, support_signature,
+                     support_signatures)
 from .charkit import (AddChar, CFun, _pairing_matrix, fourier, gauss_sum,
                       kloosterman, restriction_is_trivial)
 from .cuspchar import CuspidalRep
@@ -291,26 +292,39 @@ def _delta_profiles(table: BesselTable, s_js, s_dual):
     # einsum rather than @: these products are small, and a first BLAS
     # matrix-matrix call alone adds about 0.4 MB to the peak memory of a cell
     dual = np.einsum("...z,xz->...x", np.asarray(s_dual), K)
-    return np.asarray(s_js) / norm, scale * dual
+    dual *= scale
+    js = np.asarray(s_js, dtype=complex)
+    js /= norm  # in place on an array: the block's sums are the largest arrays
+    return js, dual
 
 
-def _cell_sums(cells: np.ndarray, vals: np.ndarray, shape) -> np.ndarray:
-    """vals summed into the flat cells of a zero array of `shape`; the cell
-    one past the last is dropped."""
-    length = shape[0] * shape[1] + 1
-    re = np.bincount(cells, vals.real, length)[:-1]
-    im = np.bincount(cells, vals.imag, length)[:-1]
-    return (re + 1j * im).reshape(shape)
-
-
-def _pool_profiles(table: BesselTable, pool: FePool):
-    """(js, dual): the (translates x q^m) arrays of js(W, delta_x) and
-    dual_js(W, delta_x) over the pooled translates W and all points x."""
-    psi = np.array([table.psi(s) for s in table.ctx.subfield_elements(1)])
-    vals = psi[pool.arg] * table.values[pool.key]
-    shape = (pool.translates, pool.size)
-    return _delta_profiles(table, _cell_sums(pool.js_cell, vals, shape),
-                           _cell_sums(pool.dual_cell, vals, shape))
+def _pool_profiles(tables, pool: FePool):
+    """(js, dual): the (T x translates x q^m) arrays of js(W, delta_x) and
+    dual_js(W, delta_x) of a block of T tables at one (q, n, psi), over the
+    pooled translates W = B(. h) and all points x.  A gather of
+    psi[arg] * V[key, theta] over the pool rows, accumulated per sum by an
+    unbuffered `np.add.at` over the flat index cell * T + theta, in passes
+    of PASS_VALUES values; the cell one past the last, where a row feeds no
+    sum, is dropped."""
+    first = tables[0]
+    if any(t.ctx is not first.ctx or t.n != first.n
+           or t.psi.inverse != first.psi.inverse for t in tables):
+        raise PreconditionViolated("a block of tables shares one (q, n, psi)")
+    count = len(tables)
+    values = np.stack([t.values for t in tables], axis=1)
+    theta = np.arange(count)
+    sums = [np.zeros((pool.translates * pool.size + 1) * count, dtype=complex)
+            for _ in range(2)]
+    step = max(1, PASS_VALUES // count)
+    for lo in range(0, len(pool.key), step):
+        part = slice(lo, lo + step)
+        vals = values[pool.key[part]]
+        vals *= first.psi.values[pool.arg[part], None]
+        for out, cells in zip(sums, (pool.js_cell, pool.dual_cell)):
+            np.add.at(out, (cells[part, None] * count + theta).ravel(), vals.ravel())
+    shape = (pool.translates, pool.size, count)
+    return _delta_profiles(first, *(np.moveaxis(out[:-count].reshape(shape), -1, 0)
+                                    for out in sums))
 
 
 def _split(table: BesselTable):
@@ -327,8 +341,8 @@ def _profiles(table: BesselTable, w):
     evaluated on every frame term (`js_profiles`)."""
     if not (isinstance(w, WhittakerFun) and w.table is table):
         return js_profiles(table, w)
-    a, b = _pool_profiles(table, _compile_pool(table.ctx, table.n,
-                                               [h for _, h in w.terms]))
+    (a,), (b,) = _pool_profiles([table], _compile_pool(table.ctx, table.n,
+                                                       [h for _, h in w.terms]))
     scales = np.array([scale for scale, _ in w.terms], dtype=complex)
     return np.einsum("t,tx->x", scales, a), np.einsum("t,tx->x", scales, b)
 
@@ -448,6 +462,13 @@ def shalika_action(table: BesselTable, s: mg.Mat, phi: CFun) -> CFun:
 
 # -- canonical test vectors ----------------------------------------------------
 
+def _canonical_point(ctx: FieldCtx, n: int) -> int:
+    """The flat point of the canonical phi's delta function: 0 for odd n,
+    and eps = (0, ..., 0, 1) for even n."""
+    m = n // 2
+    return CFun(ctx, m).index_of((0,) * m if n % 2 else (0,) * (m - 1) + (1,))
+
+
 def canonical_pair(table: BesselTable):
     """The (W, phi) with JS(W, phi) = 1: the sigma^{-1}-translate of the
     Bessel function at full normalizing scale, against a delta function."""
@@ -455,31 +476,59 @@ def canonical_pair(table: BesselTable):
     n, m, odd = _split(table)
     sig_inv = mg.mat_inv(ctx, mg.sigma_perm(n))
     w = WhittakerFun.translate(table, sig_inv, scale=float(_norm_const(ctx, n)))
-    if odd:
-        phi = CFun.delta(ctx, m, (0,) * m)
-    else:
-        eps = (0,) * (m - 1) + (1,)
-        phi = CFun.delta(ctx, m, eps)
+    phi = CFun(ctx, m)
+    phi.values[_canonical_point(ctx, n)] = 1.0
     return w, phi
 
 
-def functional_equation_scan(table: BesselTable, trials: int = 100,
-                             seed: int = DEFAULT_SEED):
-    """gamma from the canonical pair plus a constancy verification of
-    dual_js = gamma * js over every (translate, delta_x) pair of the shared
-    pool (`_fe_pool`: exhaustive on small cells, else `trials` translates).
+@lru_cache(maxsize=64)
+def _canonical_pool(ctx: FieldCtx, n: int) -> FePool:
+    """The compiled rows of the canonical translate sigma^-1, shared by every
+    representation at (q, n)."""
+    return _compile_pool(ctx, n, [mg.mat_inv(ctx, mg.sigma_perm(n))])
 
-    Returns (gamma, max_residual, pairs_checked)."""
-    w0, phi0 = canonical_pair(table)
-    base = js(table, w0, phi0)
-    if abs(base - 1.0) > FE_TOL:
-        raise OracleFailed("canonical_js", f"JS(W0, phi0) = {base}")
-    gamma = dual_js(table, w0, phi0)
-    a, b = _pool_profiles(table, _fe_pool(table.ctx, table.n, seed, trials))
-    worst = float(np.abs(b - gamma * a).max())
-    if worst > FE_TOL:
-        raise NonConstantRatio(f"functional equation residual {worst}")
-    return gamma, worst, a.size
+
+def canonical_profiles(tables):
+    """(js, dual): the (T x q^m) arrays js(W0, delta_x) and dual_js(W0,
+    delta_x) of the canonical W0 of each table of a block, from one
+    `_pool_profiles` call on the cached canonical pool.  JS(W0, phi0) and
+    dual_js(W0, phi0) are their entries at `_canonical_point`."""
+    ctx, n = tables[0].ctx, tables[0].n
+    a, b = _pool_profiles(tables, _canonical_pool(ctx, n))
+    scale = float(_norm_const(ctx, n))
+    return scale * a[:, 0], scale * b[:, 0]
+
+
+def functional_equation_scans(tables, trials: int = 100, seed: int = DEFAULT_SEED):
+    """gamma of every table of a block at one (q, n, psi) from its canonical
+    pair, plus a constancy verification of dual_js = gamma * js over every
+    (translate, delta_x) pair of the shared pool (`_fe_pool`: exhaustive on
+    small cells, else `trials` translates), THETA_BLOCK tables at a time.
+
+    Returns (gamma, max_residual, pairs_checked): arrays over the tables and
+    the pairs checked per table."""
+    ctx, n = tables[0].ctx, tables[0].n
+    pool = _fe_pool(ctx, n, seed, trials)
+    at = _canonical_point(ctx, n)
+    gammas, worst = [], []
+    for lo in range(0, len(tables), THETA_BLOCK):
+        block = tables[lo:lo + THETA_BLOCK]
+        a0, b0 = canonical_profiles(block)
+        off = np.flatnonzero(np.abs(a0[:, at] - 1.0) > FE_TOL)
+        if off.size:
+            raise OracleFailed("canonical_js", f"JS(W0, phi0) = {a0[off[0], at]}"
+                                               f" at theta = {block[off[0]].rep.exponent}")
+        gamma = b0[:, at]
+        a, b = _pool_profiles(block, pool)
+        a *= gamma[:, None, None]  # in place: the block's arrays are the largest
+        resid = np.abs(np.subtract(b, a, out=b)).max(axis=(1, 2))
+        bad = np.flatnonzero(resid > FE_TOL)
+        if bad.size:
+            raise NonConstantRatio(f"functional equation residual {resid[bad[0]]}"
+                                   f" at theta = {block[bad[0]].rep.exponent}")
+        gammas.append(gamma)
+        worst.append(resid)
+    return np.concatenate(gammas), np.concatenate(worst), pool.translates * pool.size
 
 
 # -- the three gamma routes ----------------------------------------------------
@@ -492,15 +541,27 @@ def _require_no_shalika(table: BesselTable):
             " modified functional equation")
 
 
+def gamma_ratios(tables, trials: int = 100, seed: int = DEFAULT_SEED) -> list:
+    """Route 1 for a block of tables at one (q, n, psi): the
+    functional-equation ratio on each canonical pair, with one constancy
+    certificate over further pairs (`functional_equation_scans`)."""
+    if not tables:
+        return []
+    for table in tables:
+        _require_no_shalika(table)
+    gammas, worst, checked = functional_equation_scans(tables, trials, seed)
+    out = []
+    for gamma, resid in zip(gammas.tolist(), worst.tolist()):
+        _unitarity_guard(gamma, "ratio")
+        out.append(GammaResult(gamma, "ratio",
+                               {"max_residual": resid, "pairs_checked": checked}))
+    return out
+
+
 def gamma_ratio(table: BesselTable, trials: int = 100,
                 seed: int = DEFAULT_SEED) -> GammaResult:
-    """Route 1: the functional-equation ratio on the canonical pair, with a
-    constancy certificate over further pairs."""
-    _require_no_shalika(table)
-    gamma, worst, checked = functional_equation_scan(table, trials, seed)
-    _unitarity_guard(gamma, "ratio")
-    return GammaResult(gamma, "ratio",
-                       {"max_residual": worst, "pairs_checked": checked})
+    """Route 1 for one table: `gamma_ratios` on a block of one."""
+    return gamma_ratios([table], trials, seed)[0]
 
 
 @lru_cache(maxsize=64)
@@ -687,7 +748,7 @@ def shalika_detect(table: BesselTable, samples: int = 1000,
             raise OracleFailed("shalika_witness", f"JS(W,1) = {val}, "
                                                   f"W(sigma) = {at_sigma}")
     else:
-        a, _ = _pool_profiles(table, _fe_pool(ctx, n, seed, samples))
+        (a,), _ = _pool_profiles([table], _fe_pool(ctx, n, seed, samples))
         worst = float(np.abs(a.sum(axis=1)).max())
         report["max_js_one"] = worst
         if worst > FE_TOL:

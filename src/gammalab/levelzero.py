@@ -301,10 +301,17 @@ def lifted_dual_js(ctx: LevelZeroCtx, w, phi: CFun) -> RatQS:
 
 
 def _canonical_ratio(ctx: LevelZeroCtx) -> RatQS:
-    """lifted dual_js / lifted js on the canonical pair, sharing js(W0, 1)."""
-    w0, phi0 = exjs.canonical_pair(ctx.table)
-    j1 = _js_one(ctx, w0)
-    return _lifted(ctx, w0, phi0, j1, dual=True) / _lifted(ctx, w0, phi0, j1)
+    """lifted dual_js / lifted js on the canonical pair (W0, phi0 = delta at
+    x0), all three sums read off one canonical profile
+    (`exjs.canonical_profiles`): js(W0, phi0) = a[x0], dual_js(W0, phi0) =
+    b[x0] and js(W0, 1) = sum_x a[x] (0 for odd n), with phi0(0) = [x0 = 0]
+    and phi0^(0) = q^(-m/2)."""
+    table = ctx.table
+    (a,), (b,) = exjs.canonical_profiles([table])
+    at = exjs._canonical_point(table.ctx, ctx.n)
+    j1 = 0j if ctx.n % 2 else complex(a.sum())
+    return (ctx.lift(b[at], ctx.q ** (-ctx.m / 2.0), j1, dual=True)
+            / ctx.lift(a[at], float(at == 0), j1))
 
 
 def local_L_eps(ctx: LevelZeroCtx):
@@ -379,7 +386,8 @@ def modified_fe_scan(table: BesselTable, trials: int = 100,
     block = np.zeros((4, 2 * width), dtype=complex)
     block[:2, :width] = coef[:2]
     block[2:, width:] = coef[2:]
-    a, b = exjs._pool_profiles(table, exjs._fe_pool(table.ctx, table.n, seed, trials))
+    (a,), (b,) = exjs._pool_profiles([table],
+                                     exjs._fe_pool(table.ctx, table.n, seed, trials))
     j1 = np.broadcast_to(a.sum(axis=1, keepdims=True), a.shape)
     at_zero = np.zeros(a.shape[1])
     at_zero[0] = 1.0

@@ -4,17 +4,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gammalab.bessel import (
+    MAX_CLASS_TYPINGS,
     bessel_build,
     bessel_closed_form_gl3,
     bessel_closed_form_gl4,
     export_bessel_csv,
+    require_profile_size,
     support_keys,
     support_signature,
     support_signatures,
 )
 from gammalab.charkit import AddChar, regular_exponents, regular_orbit_reps
 from gammalab.cuspchar import CuspidalRep
-from gammalab.errors import Singular
+from gammalab.errors import PreconditionViolated, Singular
 from gammalab.ffield import build_field
 from gammalab import matgrp as mg
 
@@ -24,6 +26,21 @@ def table_for(p, e, n, k, inverse=False):
     rep = CuspidalRep(f, k)
     psi = AddChar(f, inverse)
     return bessel_build(rep, psi)
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 6), (2, 2, 4), (3, 1, 4), (5, 1, 4),
+                                   (3, 1, 5), (2, 1, 7)])
+def test_profile_size_counts_the_typings_of_every_support_key(p, e, n):
+    # the up-front count against |N_n| typings for each key of support_keys:
+    # (2, 6) at 2^20 and (4, 4) at 786,432 are allowed, (5, 4), (3, 5) and
+    # (2, 7) refused
+    f = build_field(p, e, n)
+    typings = len(support_keys(f, n)) * f.q ** (n * (n - 1) // 2)
+    if typings <= MAX_CLASS_TYPINGS:
+        require_profile_size(f.q, n)
+    else:
+        with pytest.raises(PreconditionViolated, match=f" {typings} class typings"):
+            require_profile_size(f.q, n)
 
 
 def test_identity_normalization():

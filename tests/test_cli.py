@@ -232,6 +232,42 @@ def test_gamma_beyond_the_class_typing_limit_refused(capsys):
         assert time.perf_counter() - t0 < 10
 
 
+def test_over_limit_cells_refused_before_any_build(tmp_path, capsys, monkeypatch):
+    # (16, 3) needs 16^3 x 15 x 16^2 = 15,728,640 class typings; the count
+    # depends on (q, n) alone, so every command refuses it before building
+    # a field (1.27 GB of field tables and 5.8 s when refused after it)
+    calls = []
+    monkeypatch.setattr(cli, "build_field", lambda *a: calls.append(a))
+    for command in ("gamma", "verify", "export"):
+        t0 = time.perf_counter()
+        code, out = run_main([command, "--q", "16", "--n", "3",
+                              "--out", str(tmp_path / command)], capsys)
+        assert code == cli.EXIT_PRECONDITION and out == ""
+        assert time.perf_counter() - t0 < 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("bound,argv,error", [
+    # OracleFailed: the canonical pair's JS(W0, phi0) = 1 check of the plain
+    # certificate
+    ("FE_TOL", ["--q", "3", "--n", "3", "--theta", "1"], "canonical_js"),
+    # NonConstantRatio: the modified certificate of a Shalika row
+    ("FE_TOL", ["--q", "5", "--n", "2", "--theta", "4"],
+     "modified functional equation residual"),
+    # OracleFailed: the unitarity of the ratio route's gamma
+    ("UNITARITY_TOL", ["--q", "3", "--n", "3", "--theta", "1"], "unitarity"),
+])
+def test_failed_self_check_exits_1(bound, argv, error, capsys, monkeypatch):
+    # a bound no residual can meet makes a self-check fail, which is a
+    # verification failure: exit 1, not 2
+    from gammalab import exjs
+    monkeypatch.setattr(exjs, bound, -1.0)
+    code = cli.main(["gamma", *argv])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VERIFY_FAILED and captured.out == ""
+    assert captured.err.startswith("error:") and error in captured.err
+
+
 def test_gamma_row_reads_one_canonical_ratio_at_c1(capsys, monkeypatch):
     # at c = 1 local_gamma cross-checks against the certificate's gamma~,
     # so each Shalika row computes the canonical-pair ratio once

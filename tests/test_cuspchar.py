@@ -4,9 +4,11 @@ import random
 import pytest
 
 from gammalab.charkit import regular_exponents, regular_orbit_reps
+from gammalab.bessel import _support_profile
 from gammalab.cuspchar import (
     CuspidalRep,
     centralizer_order,
+    character_matrix,
     inner_product_with_self,
     partitions,
     primary_class_inventory,
@@ -164,3 +166,23 @@ def test_cuspidality_vanishing_on_parabolic_radical(p, n):
                     rows[i][j] = v
                 total += rep.character(tuple(tuple(r) for r in rows))
             assert abs(total) < 1e-9
+
+
+#: the acceptance cells (p, e, n) of the batched per-cell tables
+BATCH_CELLS = [(2, 1, 3), (3, 1, 3), (2, 2, 3), (5, 1, 2), (2, 1, 4), (3, 1, 4),
+               (2, 1, 5)]
+
+
+@pytest.mark.parametrize("p,e,n", BATCH_CELLS)
+def test_character_matrix_matches_char_of_class(p, e, n):
+    # every regular theta on every class of the support profile, the
+    # non-primary class 0 included, in one matrix
+    f = build_field(p, e, n)
+    classes = _support_profile(f, n).classes
+    ks = regular_exponents(f, n)
+    chi = character_matrix(f, n, classes, ks)
+    assert chi.shape == (len(classes), len(ks))
+    for j, k in enumerate(ks):
+        rep = CuspidalRep(f, k)
+        ref = [rep.char_of_class(data) for data in classes]
+        assert max(abs(x - y) for x, y in zip(chi[:, j], ref)) < 1e-13

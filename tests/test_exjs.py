@@ -3,13 +3,16 @@ import random
 
 import pytest
 
-from gammalab.bessel import bessel_build, support_keys, support_signature
+import numpy as np
+
+from gammalab.bessel import (BesselTable, bessel_build, bessel_tables, support_keys,
+                             support_signature)
 from gammalab.charkit import (AddChar, CFun, fourier, gauss_sum, kloosterman,
                               regular_exponents, regular_orbit_reps,
                               restriction_is_trivial)
 from gammalab.cuspchar import CuspidalRep
-from gammalab.errors import (DimensionMismatch, PreconditionViolated,
-                             ShalikaVectorPresent)
+from gammalab.errors import (DimensionMismatch, NonConstantRatio,
+                             PreconditionViolated, ShalikaVectorPresent)
 from gammalab.ffield import build_field
 from gammalab import exjs
 from gammalab import matgrp as mg
@@ -100,7 +103,7 @@ def test_pool_profiles_match_js_profiles_and_pointwise(p, n, trials):
     translates = exjs._fe_translates(f, n, exjs.DEFAULT_SEED, trials)
     assert len(translates) == (mg.gl_order(p, n) if n == 2 else trials)
     pool = exjs._fe_pool(f, n, exjs.DEFAULT_SEED, trials)
-    js_arr, dual_arr = exjs._pool_profiles(table, pool)
+    (js_arr,), (dual_arr,) = exjs._pool_profiles([table], pool)
     probe = CFun(f, m)
     assert js_arr.shape == dual_arr.shape == (len(translates), probe.size)
     for h, js_vec, dual_vec in zip(translates, js_arr, dual_arr):
@@ -143,6 +146,77 @@ def test_pool_matches_pointwise_signatures(p, e, n):
     got = list(zip(*(x.tolist() for x in (pool.key, pool.arg, pool.js_cell,
                                           pool.dual_cell))))
     assert got == pointwise_pool(f, n, translates)
+
+
+#: the acceptance cells (p, e, n) of the batched per-cell certificate
+BATCH_CELLS = [(2, 1, 3), (3, 1, 3), (2, 2, 3), (5, 1, 2), (2, 1, 4), (3, 1, 4),
+               (2, 1, 5)]
+
+
+def no_shalika_exponents(f, n):
+    """Every regular exponent without a Shalika vector."""
+    from gammalab.charkit import MultChar
+    return [k for k in regular_exponents(f, n)
+            if n % 2 or not restriction_is_trivial(MultChar(f, n, k), n // 2)]
+
+
+@pytest.mark.parametrize("p,e,n", BATCH_CELLS)
+def test_batched_certificate_matches_js_profiles(p, e, n):
+    # gamma and the residual of every theta of a block against the
+    # pointwise `js_profiles` of the canonical pair and of each pool
+    # translate W = B(. h); the support signatures of g h, which do not
+    # depend on theta, are computed once per cell
+    f = build_field(p, e, n)
+    translates = exjs._fe_translates(f, n, exjs.DEFAULT_SEED, 100)
+    sigs = {(g, t): support_signature(f, mg.mat_mul(f, g, h))
+            for t, h in enumerate(translates) for g, *_ in exjs._sum_frame(f, n)}
+    ks = no_shalika_exponents(f, n)
+    for inverse in (False, True):
+        tables = bessel_tables(f, n, ks, AddChar(f, inverse))
+        gammas, worst, checked = exjs.functional_equation_scans(tables)
+        assert checked == len(translates) * f.q ** (n // 2)
+        for table, gamma, resid in zip(tables, gammas, worst):
+            w0, phi0 = exjs.canonical_pair(table)
+            ref_js, ref_dual = exjs.js_profiles(table, w0)
+            assert abs(np.dot(ref_js, phi0.values) - 1) < 1e-13
+            ref_gamma = np.dot(ref_dual, phi0.values)
+            assert abs(gamma - ref_gamma) < 1e-13
+            ref_resid = 0.0
+            for t in range(len(translates)):
+                def w(g, t=t):
+                    sig = sigs[(g, t)]
+                    return 0j if sig is None else table.psi(sig[1]) * table.entries[sig[0]]
+                a, b = exjs.js_profiles(table, w)
+                ref_resid = max(ref_resid, np.abs(b - ref_gamma * a).max())
+            assert abs(resid - ref_resid) < 1e-13
+            ratio = exjs.gamma_ratio(table)
+            assert abs(ratio.value - gamma) < 1e-13
+            assert abs(ratio.diagnostics["max_residual"] - resid) < 1e-13
+
+
+@pytest.mark.parametrize("p,e,n", BATCH_CELLS)
+def test_batched_certificate_refuses_one_perturbed_table(p, e, n):
+    # one theta's table moved by 1e-6 on every key the canonical pair does
+    # not read: JS(W0, phi0) stays 1, so only the constancy check can see it
+    f = build_field(p, e, n)
+    tables = bessel_tables(f, n, no_shalika_exponents(f, n), AddChar(f))
+    exjs.functional_equation_scans(tables)
+    at = len(tables) // 2
+    values = tables[at].values.copy()
+    off = np.ones(len(values), dtype=bool)
+    off[exjs._canonical_pool(f, n).key] = False
+    values[off] += 1e-6
+    block = list(tables)
+    block[at] = BesselTable(tables[at].rep, tables[at].psi, values)
+    with pytest.raises(NonConstantRatio, match=f"at theta = {tables[at].rep.exponent}$"):
+        exjs.functional_equation_scans(block)
+
+
+def test_block_refuses_tables_of_two_characters():
+    # a block shares one psi: its gathers read the first table's psi-values
+    tables = [make_table(3, 1, 3, 1), make_table(3, 1, 3, 2, inverse=True)]
+    with pytest.raises(PreconditionViolated):
+        exjs.gamma_ratios(tables)
 
 
 def pointwise_gamma_torus(table):

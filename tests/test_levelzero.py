@@ -208,8 +208,8 @@ def _per_pair_residual(table, trials=100, seed=exjs.DEFAULT_SEED):
     lz = LevelZeroCtx(table, 1.0)
     gamma_t = levelzero._canonical_ratio(lz)
     phat_0 = lz.q ** (-lz.m / 2.0)
-    js_arr, dual_arr = exjs._pool_profiles(
-        table, exjs._fe_pool(table.ctx, table.n, seed, trials))
+    (js_arr,), (dual_arr,) = exjs._pool_profiles(
+        [table], exjs._fe_pool(table.ctx, table.n, seed, trials))
     worst = 0.0
     for js_vec, dual_vec in zip(js_arr, dual_arr):
         j1 = sum(js_vec)

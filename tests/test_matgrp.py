@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gammalab.bessel import _support_profile, bessel_build, support_keys
+from gammalab.bessel import _support_profile, bessel_build, bessel_tables, support_keys
 from gammalab.charkit import AddChar, regular_exponents
 from gammalab.cuspchar import CuspidalRep
 from gammalab.errors import Singular
@@ -286,14 +286,16 @@ def reference_class_type(ctx, g):
 
 
 def profile_histogram(ctx, n):
-    """The nonzero counts of `_support_profile` as a Counter over
+    """The sparse rows of `_support_profile` as a Counter over
     (support key, class data, superdiagonal sum)."""
-    classes, counts = _support_profile(ctx, n)
+    prof = _support_profile(ctx, n)
+    classes = prof.classes
     assert classes[0] is None and len(set(classes)) == len(classes)
-    assert counts.shape == (len(support_keys(ctx, n)), len(classes), ctx.q)
+    cells = list(zip(prof.key.tolist(), prof.cls.tolist(), prof.s.tolist()))
+    assert cells == sorted(set(cells)) and (prof.count > 0).all()
     keys, elems = support_keys(ctx, n), ctx.subfield_elements(1)
-    return Counter({(keys[i], classes[c], elems[s]): int(counts[i, c, s])
-                    for i, c, s in zip(*np.nonzero(counts))})
+    return Counter({(keys[i], classes[c], elems[s]): count
+                    for (i, c, s), count in zip(cells, prof.count.tolist())})
 
 
 def rows_histogram(profile):
@@ -351,35 +353,44 @@ def test_support_profile_matches_pointwise(p, e, n):
 
 
 def rowwise_bessel(rep, psi):
-    """Every Bessel entry by the averaging formula summed one row of
-    `pointwise_profile` at a time; test oracle of `bessel_build`'s product
-    of class sums with a character vector."""
+    """Every Bessel entry by the averaging formula summed over the rows of
+    `pointwise_profile`, equal rows taken once with their count; test
+    oracle of `bessel_tables`' product of class sums with the character
+    matrix."""
     ctx, n = rep.ctx, rep.n
     psi_inv = psi.inverted()
     norm = 1.0 / ctx.q ** (n * (n - 1) // 2)
-    out = {}
-    for key, rows in pointwise_profile(ctx, n).items():
-        total = 0j
-        for data, s in rows:
-            if data is not None:
-                total += rep.char_of_class(data) * psi_inv(s)
-        out[key] = total * norm
-    return out
+    out = dict.fromkeys(support_keys(ctx, n), 0j)
+    for (key, data, s), count in profile_counts(ctx, n).items():
+        if data is not None:
+            out[key] += count * rep.char_of_class(data) * psi_inv(s)
+    return {key: total * norm for key, total in out.items()}
+
+
+@lru_cache(maxsize=None)
+def profile_counts(ctx, n):
+    return rows_histogram(pointwise_profile(ctx, n))
 
 
 @pytest.mark.parametrize("p,e,n", [(2, 1, 3), (2, 2, 3), (3, 1, 3), (5, 1, 2),
-                                   (2, 1, 4)])
+                                   (2, 1, 4), (3, 1, 4), (2, 1, 5)])
 def test_bessel_tables_match_rowwise_profile_sum(p, e, n):
+    # every regular theta of the cell in one `bessel_tables` call, and each
+    # one alone through `bessel_build`
     f = build_field(p, e, n)
     keys = support_keys(f, n)
-    for k in regular_exponents(f, n):
-        rep = CuspidalRep(f, k)
-        for inverse in (False, True):
-            table = bessel_build(rep, AddChar(f, inverse))
-            expect = rowwise_bessel(rep, table.psi)
+    ks = regular_exponents(f, n)
+    for inverse in (False, True):
+        psi = AddChar(f, inverse)
+        tables = bessel_tables(f, n, ks, psi)
+        assert [t.rep.exponent for t in tables] == ks
+        for k, table in zip(ks, tables):
+            expect = rowwise_bessel(table.rep, psi)
             assert list(table.entries) == list(keys)
             assert table.values.tolist() == list(table.entries.values())
             assert max(abs(table.entries[key] - expect[key]) for key in keys) < 1e-13
+            alone = bessel_build(CuspidalRep(f, k), psi)
+            assert np.abs(alone.values - table.values).max() < 1e-13
 
 
 @pytest.mark.parametrize("p,e,n", [(2, 1, 4), (3, 1, 3), (5, 1, 2), (2, 2, 3)])
