@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import exjs, levelzero
-from .bessel import (bessel_build, bessel_closed_form_gl3, bessel_tables,
-                     export_bessel_csv, require_profile_size)
-from .charkit import (AddChar, MultChar, is_regular, regular_orbit_reps,
-                      restriction_is_trivial)
+from .bessel import (bessel_closed_form_gl3, bessel_tables, export_bessel_csv,
+                     require_profile_size)
+from .charkit import AddChar, MultChar, is_regular, regular_orbit_reps
 from .cuspchar import CuspidalRep, verify_irreducible
 from .errors import (GammalabError, NonConstantRatio, OracleFailed,
                      PreconditionViolated)
@@ -147,28 +146,23 @@ def _cnum(z: complex):
     return [float(z.real), float(z.imag)]
 
 
-def _table(cfg: RunConfig, ctx, k: int):
-    return bessel_build(CuspidalRep(ctx, k), AddChar(ctx, cfg.psi_inverse))
-
-
-def _has_shalika(cfg: RunConfig, table) -> bool:
-    return cfg.n % 2 == 0 and restriction_is_trivial(table.rep.theta, cfg.n // 2)
-
-
 def _gamma_rows(cfg: RunConfig, tables) -> list:
     """The rows of `tables`, in their order: the tables without a Shalika
-    vector are certified together by one `exjs.gamma_ratios` call, and each
-    with one by the level-zero modified functional equation."""
-    shalika = [_has_shalika(cfg, table) for table in tables]
+    vector are certified together by one `exjs.gamma_ratios` call, and those
+    with one by one `levelzero.modified_fe_scans` call."""
+    shalika = [exjs.has_shalika_vector(table) for table in tables]
     ratios = iter(exjs.gamma_ratios([t for t, s in zip(tables, shalika) if not s],
                                     cfg.trials, cfg.seed))
-    return [_gamma_row(cfg, table, None if s else next(ratios))
+    modified = iter(levelzero.modified_fe_scans(
+        [t for t, s in zip(tables, shalika) if s], cfg.trials, cfg.seed))
+    return [_gamma_row(cfg, table, s, next(modified) if s else next(ratios))
             for table, s in zip(tables, shalika)]
 
 
-def _gamma_row(cfg: RunConfig, table, ratio) -> dict:
-    """One `gamma` row; `ratio` is the table's certified ratio-route
-    `GammaResult`, None for a table with a Shalika vector."""
+def _gamma_row(cfg: RunConfig, table, shalika: bool, cert) -> dict:
+    """One `gamma` row; `cert` is the table's certified ratio-route
+    `GammaResult` or, with a Shalika vector, its (gamma~, residual, pairs
+    checked) from `levelzero.modified_fe_scans`."""
     rep = table.rep
     row = {
         "theta": rep.exponent,
@@ -176,13 +170,11 @@ def _gamma_row(cfg: RunConfig, table, ratio) -> dict:
         "regular": True,
         "central_char_exponent": rep.central_char.exponent,
     }
-    shalika = ratio is None
     row["shalika"] = shalika
     if shalika:
         lz = LevelZeroCtx(table, cfg.c)
         L, eps = levelzero.local_L_eps(lz)
-        gtilde, resid, checked = levelzero.modified_fe_scan(table, cfg.trials,
-                                                            cfg.seed)
+        gtilde, resid, checked = cert
         # gamma~ is the canonical-pair ratio at c = 1: at that c local_gamma
         # cross-checks against it instead of computing it again
         gam = levelzero.local_gamma(lz, gtilde if cfg.c == 1 else None)
@@ -194,6 +186,7 @@ def _gamma_row(cfg: RunConfig, table, ratio) -> dict:
         row["modified_fe_residual"] = resid
         row["pairs_checked"] = checked
     else:
+        ratio = cert
         routes = {}
         routes["ratio"] = ratio.value
         routes["torus"] = exjs.gamma_torus(table).value
@@ -318,21 +311,26 @@ def _verify_checks(cfg: RunConfig, ctx):
                     printed = bessel_closed_form_gl3(table.rep, psi, l1, l2)
                     worst = max(worst, abs(printed - table.value((1, 2), (l1, l2))))
         yield ("bessel_gl3_closed_form", worst < GL3_CLOSED_FORM_TOL, worst)
-    # functional equation and route agreement
+    # functional equation and route agreement: each kind of table certified
+    # as one block
     worst_fe = 0.0
     worst_route = 0.0
     worst_unit = 0.0
     ok = True
-    for table in tables:
-        if _has_shalika(cfg, table):
-            try:
-                _, resid = levelzero.modified_fe_check(table, cfg.trials, cfg.seed)
-                worst_fe = max(worst_fe, resid)
-            except GammalabError:
-                ok = False
-            continue
+    shalika = [exjs.has_shalika_vector(table) for table in tables]
+    try:
+        for _, resid, _ in levelzero.modified_fe_scans(
+                [t for t, s in zip(tables, shalika) if s], cfg.trials, cfg.seed):
+            worst_fe = max(worst_fe, resid)
+    except GammalabError:
+        ok = False
+    plain = [t for t, s in zip(tables, shalika) if not s]
+    try:
+        ratios = exjs.gamma_ratios(plain, cfg.trials, cfg.seed)
+    except GammalabError:
+        ok, ratios = False, []
+    for table, r in zip(plain, ratios):
         try:
-            r = exjs.gamma_ratio(table, cfg.trials, cfg.seed)
             t = exjs.gamma_torus(table)
             worst_fe = max(worst_fe, r.diagnostics["max_residual"])
             worst_route = max(worst_route, abs(r.value - t.value))
@@ -396,13 +394,13 @@ def cmd_export(cfg: RunConfig) -> int:
         raise PreconditionViolated("export needs --out DIRECTORY")
     os.makedirs(cfg.out, exist_ok=True)
     ctx = build_field(cfg.p, cfg.e, cfg.n)
-    rows = []
-    for k in _theta_exponents(cfg, ctx):
-        table = _table(cfg, ctx, k)
+    tables = bessel_tables(ctx, cfg.n, _theta_exponents(cfg, ctx),
+                           AddChar(ctx, cfg.psi_inverse))
+    for table in tables:
         path = os.path.join(cfg.out, f"bessel_q{ctx.q}_n{cfg.n}_k{table.rep.exponent}.csv")
         export_bessel_csv(table, path)
         print(f"wrote {path}", file=sys.stderr)
-        rows.extend(_gamma_rows(cfg, [table]))
+    rows = _gamma_rows(cfg, tables)
     sweep = {"schema": SCHEMA, "command": "export", "q": ctx.q, "n": cfg.n,
              "psi_inverse": cfg.psi_inverse, "seed": cfg.seed, "rows": rows}
     sweep_path = os.path.join(cfg.out, f"gamma_sweep_q{ctx.q}_n{cfg.n}.{cfg.fmt}")

@@ -11,12 +11,13 @@ function with complex coefficients, compared by cross-multiplication.
 from __future__ import annotations
 
 import cmath
-from functools import reduce
+from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
 from .bessel import BesselTable
-from .charkit import CFun, fourier, restriction_is_trivial
+from .charkit import CFun, fourier
 from .errors import NonConstantRatio, OracleFailed, PreconditionViolated
 from . import exjs
 
@@ -239,31 +240,66 @@ def l_factor(c: complex, m: int) -> RatQS:
     return RatQS([1.0], den)
 
 
+class _Terms(NamedTuple):
+    """The representation-independent rational functions of a level-zero
+    lift at (q, m, c)."""
+    js_corr: RatQS
+    dual_L: RatQS
+    dual_corr: RatQS
+    L: RatQS
+    eps: RatQS
+    gamma: RatQS
+
+
+@lru_cache(maxsize=64)
+def _level_zero_terms(q: int, m: int, c: complex) -> _Terms:
+    """The pair-independent factors of the js(W, 1) corrections,
+    js_corr = X^m c L(ms) and dual_corr = X^(-m) q^(-m) c^(-1) dual_L with
+    dual_L = L(m(1-s), omega^{-1}) = 1 / (1 - c^{-1} q^{-m} X^{-m}), and the
+    theorem's L = 1/(1 - c X^m), epsilon = q^{-m/2} c^{-1} X^{-m} and
+    gamma = epsilon dual_L / L of a lift with a Shalika vector: built once
+    per (q, m, c) and shared read-only.  `l_factor` refuses m < 1."""
+    L = l_factor(c, m)
+    js_corr = RatQS.x_power(m) * RatQS.const(c) * L
+    dual_L = (RatQS.one() - RatQS.const(q ** -m / c) * RatQS.x_power(-m)).inverse()
+    dual_corr = RatQS.x_power(-m) * RatQS.const(q ** -m / c) * dual_L
+    eps = RatQS.const(q ** (-m / 2.0) / c) * RatQS.x_power(-m)
+    terms = _Terms(js_corr, dual_L, dual_corr, L, eps, eps * dual_L / L)
+    for f in terms:
+        f.num.flags.writeable = f.den.flags.writeable = False
+    return terms
+
+
 class LevelZeroCtx:
     """A cuspidal representation of the residue field together with the unit
     c = omega(uniformizer) parameterizing the compatible central characters
     of its level-zero lift, and the one correction formula (`lift`) that
-    lifts its finite Jacquet-Shalika sums."""
+    lifts its finite Jacquet-Shalika sums.  `canonical`, if given, is the
+    table's row pair of `exjs.canonical_profiles`, read from its block."""
 
-    def __init__(self, table: BesselTable, c: complex = 1.0):
+    def __init__(self, table: BesselTable, c: complex = 1.0, canonical=None):
         if abs(abs(c) - 1.0) > UNIT_CIRCLE_TOL:
             raise PreconditionViolated("c must lie on the unit circle")
         self.table = table
         self.rep = table.rep
         self.c = complex(c)
         self.n = table.n
-        self.m = m = self.n // 2
-        self.q = q = table.ctx.q
-        # the pair-independent factors of the js(W, 1) corrections; l_factor
-        # refuses n < 2 (m = 0)
-        self.js_corr = RatQS.x_power(m) * RatQS.const(self.c) * l_factor(self.c, m)
-        # L(m(1-s), omega^{-1}) = 1 / (1 - c^{-1} q^{-m} X^{-m})
-        self.dual_L = (RatQS.one()
-                       - RatQS.const(q ** -m / self.c) * RatQS.x_power(-m)).inverse()
-        self.dual_corr = RatQS.x_power(-m) * RatQS.const(q ** -m / self.c) * self.dual_L
+        self.m = table.n // 2
+        self.q = table.ctx.q
+        self.terms = _level_zero_terms(self.q, self.m, self.c)
+        self.js_corr, self.dual_L, self.dual_corr = self.terms[:3]
+        self._canonical = canonical
+
+    @property
+    def canonical(self):
+        """(js(W0, delta_x), dual_js(W0, delta_x)) of the canonical W0."""
+        if self._canonical is None:
+            (a,), (b,) = exjs.canonical_profiles([self.table])
+            self._canonical = a, b
+        return self._canonical
 
     def has_shalika_vector(self) -> bool:
-        return self.n % 2 == 0 and restriction_is_trivial(self.rep.theta, self.m)
+        return exjs.has_shalika_vector(self.table)
 
     def lift(self, base: complex, at_zero: complex, j1: complex,
              dual: bool = False) -> RatQS:
@@ -302,13 +338,12 @@ def lifted_dual_js(ctx: LevelZeroCtx, w, phi: CFun) -> RatQS:
 
 def _canonical_ratio(ctx: LevelZeroCtx) -> RatQS:
     """lifted dual_js / lifted js on the canonical pair (W0, phi0 = delta at
-    x0), all three sums read off one canonical profile
-    (`exjs.canonical_profiles`): js(W0, phi0) = a[x0], dual_js(W0, phi0) =
-    b[x0] and js(W0, 1) = sum_x a[x] (0 for odd n), with phi0(0) = [x0 = 0]
-    and phi0^(0) = q^(-m/2)."""
-    table = ctx.table
-    (a,), (b,) = exjs.canonical_profiles([table])
-    at = exjs._canonical_point(table.ctx, ctx.n)
+    x0), all three sums read off the canonical profile (`ctx.canonical`):
+    js(W0, phi0) = a[x0], dual_js(W0, phi0) = b[x0] and js(W0, 1) =
+    sum_x a[x] (0 for odd n), with phi0(0) = [x0 = 0] and phi0^(0) =
+    q^(-m/2)."""
+    a, b = ctx.canonical
+    at = exjs._canonical_point(ctx.table.ctx, ctx.n)
     j1 = 0j if ctx.n % 2 else complex(a.sum())
     return (ctx.lift(b[at], ctx.q ** (-ctx.m / 2.0), j1, dual=True)
             / ctx.lift(a[at], float(at == 0), j1))
@@ -321,18 +356,17 @@ def local_L_eps(ctx: LevelZeroCtx):
     if not ctx.has_shalika_vector():
         gamma0 = exjs.gamma_torus(ctx.table).value
         return RatQS.one(), RatQS.const(gamma0)
-    L = l_factor(ctx.c, ctx.m)
-    eps = RatQS.const(ctx.q ** (-ctx.m / 2.0) / ctx.c) * RatQS.x_power(-ctx.m)
-    return L, eps
+    return ctx.terms.L, ctx.terms.eps
 
 
 def local_gamma(ctx: LevelZeroCtx, ratio: RatQS = None) -> RatQS:
     """gamma = epsilon * L(m(1-s), dual) / L(ms); cross-checked against the
     ratio of lifted sums on the canonical pair (`_canonical_ratio(ctx)`,
     computed here unless the caller passes it)."""
-    L, eps = local_L_eps(ctx)
-    dual_L = ctx.dual_L if ctx.has_shalika_vector() else RatQS.one()
-    gamma = eps * dual_L / L
+    if ctx.has_shalika_vector():
+        gamma = ctx.terms.gamma
+    else:
+        gamma = local_L_eps(ctx)[1]
     if ratio is None:
         ratio = _canonical_ratio(ctx)
     if not gamma.equals(ratio, GAMMA_TOL):
@@ -354,53 +388,87 @@ def _laurent_rows(terms) -> np.ndarray:
     return rows
 
 
-def modified_fe_scan(table: BesselTable, trials: int = 100,
-                     seed: int = exjs.DEFAULT_SEED):
-    """The modified functional equation at the trivial-twist normalization
-    c = 1: one rational function gamma~, the lifted canonical-pair ratio,
-    covers every (W, phi) pair.  The pairs are (translate, delta_x) over the
-    shared pool `exjs._fe_pool`, whose profiles give a = js(W, delta_x) and
-    b = dual_js(W, delta_x); then j1 = js(W, 1) = sum_x a, delta_x(0) =
-    [x = 0] and delta_x^(0) = q^(-m/2).
-
-    With dual_corr = X^sd Nd/Dd, js_corr = X^sj Nj/Dj and gamma~ = X^sg Ng/Dg,
-    the lifted sides lhs = b + p dual_corr (p = q^(-m/2) j1) and
-    gamma~ (a + r js_corr) (r = [x = 0] j1) cross-multiply to the rows
-
-        row0 = (b Dd + p X^sd Nd) Dg Dj,  row1 = X^sg Ng (a Dj + r X^sj Nj) Dd,
-
-    linear in (b, p, a, r) with pair-independent coefficients, so one
-    product gives the rows of every pair.  A pair's residual is
-    max|row0 - row1| / max(|row0|, |row1|), and 0 (0 = 0) when no coefficient
-    exceeds ZERO_COEFF.  Returns (gamma~, max residual, pairs checked)."""
-    if table.n % 2:
-        raise PreconditionViolated("modified functional equation is for even n")
-    lz = LevelZeroCtx(table, 1.0)
-    g = _canonical_ratio(lz)
+def _coefficient_block(lz: LevelZeroCtx, g: RatQS) -> np.ndarray:
+    """The (4, width) coefficient rows of `modified_fe_scans` for one table:
+    dual_corr = X^sd Nd/Dd, js_corr = X^sj Nj/Dj and gamma~ = X^sg Ng/Dg
+    give row0 = (b Dd + p X^sd Nd) Dg Dj and row1 = X^sg Ng (a Dj + r X^sj
+    Nj) Dd, whose coefficients of b, p, a and r these are."""
     d, j = lz.dual_corr, lz.js_corr
-    coef = _laurent_rows([(0, d.den, g.den, j.den),
+    return _laurent_rows([(0, d.den, g.den, j.den),
                           (d.x_shift, d.num, g.den, j.den),
                           (g.x_shift, g.num, j.den, d.den),
                           (g.x_shift + j.x_shift, g.num, j.num, d.den)])
-    width = coef.shape[1]
-    block = np.zeros((4, 2 * width), dtype=complex)
-    block[:2, :width] = coef[:2]
-    block[2:, width:] = coef[2:]
-    (a,), (b,) = exjs._pool_profiles([table],
-                                     exjs._fe_pool(table.ctx, table.n, seed, trials))
-    j1 = np.broadcast_to(a.sum(axis=1, keepdims=True), a.shape)
-    at_zero = np.zeros(a.shape[1])
-    at_zero[0] = 1.0
-    scalars = np.stack([b, lz.q ** (-lz.m / 2.0) * j1, a, at_zero * j1], axis=-1)
-    # einsum rather than @, as in exjs._delta_profiles: no BLAS buffers
-    rows = np.einsum("pk,kl->pl", scalars.reshape(-1, 4), block)
-    scale = np.abs(rows).max(axis=1)
-    gap = np.abs(rows[:, :width] - rows[:, width:]).max(axis=1)
-    live = scale > ZERO_COEFF
-    worst = float((gap[live] / scale[live]).max(initial=0.0))
-    if worst > exjs.FE_TOL:
-        raise NonConstantRatio(f"modified functional equation residual {worst}")
-    return g, worst, a.size
+
+
+def modified_fe_scans(tables, trials: int = 100, seed: int = exjs.DEFAULT_SEED):
+    """The modified functional equation at the trivial-twist normalization
+    c = 1 for a block of tables at one (q, n, psi), all with a Shalika
+    vector or all without one: per table, one rational function gamma~, the
+    lifted canonical-pair ratio, covers every (W, phi) pair.  The pairs are
+    (translate, delta_x) over the shared pool `exjs._fe_pool`, whose
+    profiles give a = js(W, delta_x) and b = dual_js(W, delta_x); then
+    j1 = js(W, 1) = sum_x a, delta_x(0) = [x = 0] and delta_x^(0) = q^(-m/2).
+
+    The lifted sides lhs = b + p dual_corr (p = q^(-m/2) j1) and
+    gamma~ (a + r js_corr) (r = [x = 0] j1), cross-multiplied over their
+    denominators, are rows linear in (b, p, a, r) with pair-independent
+    coefficients (`_coefficient_block`), so the rows of every pair of a
+    block are a few broadcast products.  A pair's residual is
+    max|row0 - row1| / max(|row0|, |row1|), and 0 (0 = 0) when no
+    coefficient exceeds ZERO_COEFF.  Each THETA_BLOCK of tables reads one
+    `exjs.canonical_profiles` and one pool `exjs._pool_profiles` call.
+
+    Returns one (gamma~, max residual, pairs checked) per table."""
+    if not tables:
+        return []
+    n = tables[0].n
+    if n % 2:
+        raise PreconditionViolated("modified functional equation is for even n")
+    if len({exjs.has_shalika_vector(table) for table in tables}) > 1:
+        raise PreconditionViolated("a modified-FE block is all Shalika or all"
+                                   " without a Shalika vector")
+    pool = exjs._fe_pool(tables[0].ctx, n, seed, trials)
+    out = []
+    for lo in range(0, len(tables), exjs.THETA_BLOCK):
+        block = tables[lo:lo + exjs.THETA_BLOCK]
+        lzs = [LevelZeroCtx(table, 1.0, canonical)
+               for table, *canonical in zip(block, *exjs.canonical_profiles(block))]
+        gammas = [_canonical_ratio(lz) for lz in lzs]
+        blocks = [_coefficient_block(lz, g) for lz, g in zip(lzs, gammas)]
+        # the coefficients of (b, p, a, r), each (T, width, 1, 1); a table's
+        # shorter rows are padded with zeros, which change no residual
+        coef = np.zeros((4, len(block), max(c.shape[1] for c in blocks), 1, 1),
+                        dtype=complex)
+        for t, c in enumerate(blocks):
+            coef[:, t, :c.shape[1], 0, 0] = c
+        c0, c1, c2, c3 = coef
+        a, b = exjs._pool_profiles(block, pool)
+        a, b = a[:, None], b[:, None]
+        j1 = a.sum(axis=-1, keepdims=True)
+        # row0 and row1 as (T, width, translates, q^m), the pair axes last
+        # and contiguous: p is constant over the points of a translate, and
+        # r lives on the point x = 0 only
+        row0 = c0 * b
+        row0 += c1 * (lzs[0].q ** (-lzs[0].m / 2.0) * j1)
+        row1 = c2 * a
+        row1[..., :1] += c3 * j1
+        scale = np.maximum(np.abs(row0).max(axis=1), np.abs(row1).max(axis=1))
+        gap = np.abs(np.subtract(row0, row1, out=row0)).max(axis=1)
+        resid = np.divide(gap, scale, out=np.zeros_like(gap), where=scale > ZERO_COEFF)
+        worst = resid.max(axis=(1, 2))
+        bad = np.flatnonzero(worst > exjs.FE_TOL)
+        if bad.size:
+            raise NonConstantRatio(f"modified functional equation residual {worst[bad[0]]}"
+                                   f" at theta = {block[bad[0]].rep.exponent}")
+        out.extend(zip(gammas, worst.tolist(), [a[0].size] * len(block)))
+    return out
+
+
+def modified_fe_scan(table: BesselTable, trials: int = 100,
+                     seed: int = exjs.DEFAULT_SEED):
+    """(gamma~, max residual, pairs checked) of one table: `modified_fe_scans`
+    on a block of one."""
+    return modified_fe_scans([table], trials, seed)[0]
 
 
 def modified_fe_check(table: BesselTable, trials: int = 100,

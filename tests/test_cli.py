@@ -132,17 +132,18 @@ def test_exit_code_on_zero_sampled_trials(capsys):
 
 def test_export_builds_each_table_once(tmp_path, capsys, monkeypatch):
     calls = []
-    build = cli.bessel_build
+    build = cli.bessel_tables
 
-    def counting(*args):
-        calls.append(args)
-        return build(*args)
+    def counting(ctx, n, exponents, psi):
+        calls.append(list(exponents))
+        return build(ctx, n, exponents, psi)
 
-    monkeypatch.setattr(cli, "bessel_build", counting)
+    monkeypatch.setattr(cli, "bessel_tables", counting)
     code, _ = run_main(["export", "--q", "2", "--n", "3", "--out",
                         str(tmp_path / "exp")], capsys)
     assert code == 0
-    assert len(calls) == 2  # one per orbit
+    # one call for the whole cell, one table per orbit
+    assert len(calls) == 1 and len(calls[0]) == 2
 
 
 def test_gamma_q5n2_rows_share_one_pool(capsys):
@@ -165,12 +166,45 @@ def test_gamma_q5n2_rows_share_one_pool(capsys):
     assert warm_calls <= 20 * len(rows)
 
 
+def test_warm_q5n2_pass_certifies_each_block_once(capsys, monkeypatch):
+    # a warm pass certifies its 8 tables without and 2 with a Shalika vector
+    # as two blocks: one canonical and one pool profile call each, and no
+    # level-zero rational function is built again for the same (q, m, c)
+    from gammalab import exjs
+    argv = ["gamma", "--q", "5", "--n", "2"]
+    levelzero._level_zero_terms.cache_clear()
+    assert run_main(argv, capsys)[0] == 0
+    assert levelzero._level_zero_terms.cache_info().misses == 1
+    canonical, pooled, built = [], [], []
+    profiles, canonical_profiles = exjs._pool_profiles, exjs.canonical_profiles
+    l_factor = levelzero.l_factor
+
+    def count_pool(tables, pool):
+        if pool is not exjs._canonical_pool(tables[0].ctx, tables[0].n):
+            pooled.append(len(tables))
+        return profiles(tables, pool)
+
+    monkeypatch.setattr(exjs, "_pool_profiles", count_pool)
+    monkeypatch.setattr(exjs, "canonical_profiles",
+                        lambda tables: canonical.append(len(tables))
+                        or canonical_profiles(tables))
+    monkeypatch.setattr(levelzero, "l_factor",
+                        lambda c, m: built.append((c, m)) or l_factor(c, m))
+    code, out = run_main(argv, capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    blocks = sorted([sum(r["shalika"] for r in rows), sum(not r["shalika"] for r in rows)])
+    assert blocks == [2, 8]
+    assert sorted(pooled) == blocks and sorted(canonical) == blocks
+    assert built == [] and levelzero._level_zero_terms.cache_info().misses == 1
+
+
 def test_zero_trials_refused_before_any_build(capsys, monkeypatch):
     # --trials < 1 is refused while parsing: no field and no Bessel table
     # is built, even on a cell whose support profile takes seconds
     calls = []
     monkeypatch.setattr(cli, "build_field", lambda *a: calls.append(a))
-    monkeypatch.setattr(cli, "bessel_build", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli, "bessel_tables", lambda *a: calls.append(a))
     for argv in (["gamma", "--q", "2", "--n", "5", "--trials", "0"],
                  ["verify", "--q", "5", "--n", "2", "--trials", "-1"]):
         code, out = run_main(argv, capsys)

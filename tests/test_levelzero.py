@@ -3,9 +3,10 @@ import json
 import random
 from collections import OrderedDict
 
+import numpy as np
 import pytest
 
-from gammalab.bessel import bessel_build
+from gammalab.bessel import BesselTable, bessel_build, bessel_tables
 from gammalab.charkit import AddChar, CFun, regular_orbit_reps
 from gammalab.cuspchar import CuspidalRep
 from gammalab.errors import NonConstantRatio, PreconditionViolated
@@ -23,6 +24,7 @@ from gammalab.levelzero import (
     local_gamma,
     modified_fe_check,
     modified_fe_scan,
+    modified_fe_scans,
     shalika_functional_value,
 )
 
@@ -245,6 +247,84 @@ def test_modified_fe_detects_a_perturbed_gamma(p, n, k, monkeypatch):
                         lambda lz: canonical(lz) * RatQS.const(1 + 1e-6))
     with pytest.raises(NonConstantRatio):
         modified_fe_check(table)
+
+
+def shalika_tables(p, n, inverse=False):
+    """The Bessel tables of every regular theta with a Shalika vector."""
+    f = build_field(p, 1, n)
+    tables = bessel_tables(f, n, regular_orbit_reps(f, n), AddChar(f, inverse))
+    return [t for t in tables if exjs.has_shalika_vector(t)]
+
+
+def assert_ratqs_close(x, y, tol=1e-13):
+    assert x.x_shift == y.x_shift
+    assert x.num.shape == y.num.shape and x.den.shape == y.den.shape
+    assert np.abs(x.num - y.num).max(initial=0.0) <= tol
+    assert np.abs(x.den - y.den).max() <= tol
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2), (2, 4), (3, 4)])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_modified_fe_block_matches_per_pair_reference(p, n, inverse):
+    # one block of every Shalika theta against the per-pair RatQS residual
+    # and the canonical ratio of each table alone, and against blocks of one
+    tables = shalika_tables(p, n, inverse)
+    assert tables
+    block = modified_fe_scans(tables)
+    assert len(block) == len(tables)
+    for table, (gamma_t, worst, checked) in zip(tables, block):
+        assert_ratqs_close(gamma_t, levelzero._canonical_ratio(LevelZeroCtx(table, 1.0)))
+        assert abs(worst - _per_pair_residual(table)) <= 1e-13
+        one_gamma, one_worst, one_checked = modified_fe_scan(table)
+        assert_ratqs_close(gamma_t, one_gamma)
+        assert abs(worst - one_worst) <= 1e-13 and checked == one_checked > 0
+
+
+@pytest.mark.parametrize("p,n", [(5, 2), (7, 2), (3, 4)])
+def test_modified_fe_block_refuses_one_perturbed_table(p, n):
+    # one table moved by up to 1e-6 on every key the canonical pair does not
+    # read: its gamma~ stays, so only the pairs of the pool can see it.  The
+    # shifts are random: at n = 2 one constant shift of those keys leaves
+    # every pair's equation intact
+    tables = shalika_tables(p, n)
+    modified_fe_scans(tables)
+    f = tables[0].ctx
+    at = len(tables) // 2
+    values = tables[at].values.copy()
+    off = np.ones(len(values), dtype=bool)
+    off[exjs._canonical_pool(f, n).key] = False
+    rng = np.random.default_rng(7)
+    values[off] += 1e-6 * np.exp(2j * np.pi * rng.random(off.sum()))
+    block = list(tables)
+    block[at] = BesselTable(tables[at].rep, tables[at].psi, values)
+    with pytest.raises(NonConstantRatio, match=f"at theta = {tables[at].rep.exponent}$"):
+        modified_fe_scans(block)
+
+
+def test_modified_fe_block_refuses_mixed_tables():
+    # q5n2: theta = 4 has a Shalika vector, theta = 1 has none
+    with_vector, without = make_table(5, 1, 2, 4), make_table(5, 1, 2, 1)
+    assert exjs.has_shalika_vector(with_vector) and not exjs.has_shalika_vector(without)
+    with pytest.raises(PreconditionViolated):
+        modified_fe_scans([with_vector, without])
+    assert modified_fe_scans([]) == []
+
+
+def test_level_zero_terms_built_once_per_q_m_c(monkeypatch):
+    # LevelZeroCtx shares the cached rational functions of its (q, m, c)
+    calls = []
+    build = levelzero.l_factor
+    monkeypatch.setattr(levelzero, "l_factor", lambda c, m: calls.append((c, m)) or build(c, m))
+    levelzero._level_zero_terms.cache_clear()
+    table = make_table(5, 1, 2, 4)
+    first = LevelZeroCtx(table, 1j)
+    again = LevelZeroCtx(make_table(5, 1, 2, 8), 1j)
+    assert calls == [(1j, 1)]
+    assert first.terms is again.terms and first.js_corr is again.js_corr
+    assert local_gamma(first) is first.terms.gamma
+    assert LevelZeroCtx(table, 1.0).terms is not first.terms and len(calls) == 2
+    with pytest.raises(ValueError):
+        first.terms.L.num[0] = 2.0  # shared read-only
 
 
 @pytest.mark.parametrize("p,n,first,second", [(3, 2, (2, 1), (6, 5)),
