@@ -10,10 +10,11 @@ root-of-unity table per modulus, so repeated evaluation is a table lookup.
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotInSubfield, ZeroHasNoLog
+from .errors import DimensionMismatch, NotInSubfield, NotRegular, ZeroHasNoLog
 from .ffield import FieldCtx
 
 #: the bound on |B(I) - 1|, the normalization every Bessel table is checked
@@ -21,7 +22,7 @@ from .ffield import FieldCtx
 TOL = 1e-8
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _roots_of_unity(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(m) / m)
 
@@ -84,10 +85,6 @@ class MultChar:
         j = self.ctx.subfield_dlog(xi, self.level_deg)
         return self._zeta[(self.exponent * j) % self.modulus]
 
-    def at_dlogs(self, j: np.ndarray) -> np.ndarray:
-        """theta(gen_d^j) for an array of exponents j, in one gather."""
-        return self._zeta[self.exponent * j % self.modulus]
-
     def is_trivial(self) -> bool:
         return self.exponent == 0
 
@@ -123,17 +120,36 @@ def regular_exponents(ctx: FieldCtx, n: int) -> list:
             if len({(k * pow(ctx.q, i, m)) % m for i in range(n)}) == n]
 
 
+@lru_cache(maxsize=64)
+def _regular_orbits(ctx: FieldCtx, n: int) -> tuple:
+    """(reps, orbit): the least exponent of each Galois orbit of regular
+    characters of F_{q^n}^x, ascending, and a read-only map from every
+    regular exponent k mod q^n - 1 to its orbit {k q^i}, sorted.  One array
+    pass over all k per (q, n): k is regular when k q^d != k for 0 < d < n,
+    so that its n conjugates differ."""
+    m = ctx.q ** n - 1
+    k = np.arange(m, dtype=np.int64)
+    powers = np.array([pow(ctx.q, i, m) for i in range(n)], dtype=np.int64)
+    conj = k[:, None] * powers % m
+    regular = (conj[:, 1:] != k[:, None]).all(axis=1)
+    orbits = [tuple(sorted(row)) for row in conj[regular].tolist()]
+    exponents = k[regular].tolist()
+    reps = tuple(e for e, orbit in zip(exponents, orbits) if orbit[0] == e)
+    return reps, MappingProxyType(dict(zip(exponents, orbits)))
+
+
 def regular_orbit_reps(ctx: FieldCtx, n: int) -> list:
     """Least exponent of each Galois orbit of regular characters."""
-    m = ctx.q ** n - 1
-    seen, reps = set(), []
-    for k in regular_exponents(ctx, n):
-        if k in seen:
-            continue
-        orbit = {(k * pow(ctx.q, i, m)) % m for i in range(n)}
-        seen |= orbit
-        reps.append(k)
-    return reps
+    return list(_regular_orbits(ctx, n)[0])
+
+
+def regular_orbit(ctx: FieldCtx, n: int, k: int) -> tuple:
+    """The Galois orbit of the regular exponent k, sorted: `galois_orbit`
+    read from the table of the cell (`_regular_orbits`)."""
+    orbit = _regular_orbits(ctx, n)[1].get(k % (ctx.q ** n - 1))
+    if orbit is None:
+        raise NotRegular(f"exponent {k} is not regular for n={n}")
+    return orbit
 
 
 def gauss_sum(chi: MultChar, psi: AddChar) -> complex:
@@ -210,12 +226,12 @@ class CFun:
         return [self.point_at(i) for i in range(self.size)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _ordinals(ctx: FieldCtx):
     return {x: i for i, x in enumerate(ctx.subfield_elements(1))}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _pairing_matrix(ctx: FieldCtx, m: int, inverse: bool) -> np.ndarray:
     """K[x, y] = psi(<x, y>) over all pairs of points of F_q^m."""
     psi = AddChar(ctx, inverse)

@@ -21,10 +21,13 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import exjs, levelzero
 from .bessel import (bessel_closed_form_gl3, bessel_tables, export_bessel_csv,
                      require_profile_size)
-from .charkit import AddChar, MultChar, is_regular, regular_orbit_reps
+from .charkit import (AddChar, MultChar, is_regular, regular_orbit,
+                      regular_orbit_reps)
 from .cuspchar import CuspidalRep, verify_irreducible
 from .errors import (GammalabError, NonConstantRatio, OracleFailed,
                      PreconditionViolated)
@@ -148,68 +151,109 @@ def _cnum(z: complex):
 
 def _gamma_rows(cfg: RunConfig, tables) -> list:
     """The rows of `tables`, in their order: the tables without a Shalika
-    vector are certified together by one `exjs.gamma_ratios` call, and those
-    with one by one `levelzero.modified_fe_scans` call."""
+    vector have every route computed as one block (`_route_rows`), and those
+    with one are certified by one `levelzero.modified_fe_scans` call."""
     shalika = [exjs.has_shalika_vector(table) for table in tables]
-    ratios = iter(exjs.gamma_ratios([t for t, s in zip(tables, shalika) if not s],
-                                    cfg.trials, cfg.seed))
+    plain = iter(_route_rows(cfg, [t for t, s in zip(tables, shalika) if not s]))
     modified = iter(levelzero.modified_fe_scans(
         [t for t, s in zip(tables, shalika) if s], cfg.trials, cfg.seed))
-    return [_gamma_row(cfg, table, s, next(modified) if s else next(ratios))
-            for table, s in zip(tables, shalika)]
+    rows = []
+    for table, s in zip(tables, shalika):
+        rep = table.rep
+        row = {"theta": rep.exponent,
+               "orbit": list(regular_orbit(rep.ctx, rep.n, rep.exponent)),
+               "regular": True,
+               "central_char_exponent": rep.central_char.exponent,
+               "shalika": s}
+        row.update(_shalika_fields(cfg, table, next(modified)) if s else next(plain))
+        rows.append(row)
+    return rows
 
 
-def _gamma_row(cfg: RunConfig, table, shalika: bool, cert) -> dict:
-    """One `gamma` row; `cert` is the table's certified ratio-route
-    `GammaResult` or, with a Shalika vector, its (gamma~, residual, pairs
-    checked) from `levelzero.modified_fe_scans`."""
-    rep = table.rep
-    row = {
-        "theta": rep.exponent,
-        "orbit": list(rep.galois_orbit()),
-        "regular": True,
-        "central_char_exponent": rep.central_char.exponent,
-    }
-    row["shalika"] = shalika
-    if shalika:
-        lz = LevelZeroCtx(table, cfg.c)
-        L, eps = levelzero.local_L_eps(lz)
-        gtilde, resid, checked = cert
-        # gamma~ is the canonical-pair ratio at c = 1: at that c local_gamma
-        # cross-checks against it instead of computing it again
-        gam = levelzero.local_gamma(lz, gtilde if cfg.c == 1 else None)
-        row["c"] = _cnum(cfg.c)
-        row["L"] = L.to_json_dict()
-        row["eps"] = eps.to_json_dict()
-        row["gamma"] = gam.to_json_dict()
-        row["modified_gamma"] = gtilde.to_json_dict()
-        row["modified_fe_residual"] = resid
-        row["pairs_checked"] = checked
-    else:
-        ratio = cert
-        routes = {}
-        routes["ratio"] = ratio.value
-        routes["torus"] = exjs.gamma_torus(table).value
-        if cfg.n in (2, 3, 4):
-            routes["closed_form"] = exjs.gamma_closed(table).value
-        names = sorted(routes)
-        deltas = {f"{a}-{b}": abs(routes[a] - routes[b])
-                  for i, a in enumerate(names) for b in names[i + 1:]}
-        row["routes"] = {name: _cnum(v) for name, v in sorted(routes.items())}
-        row["abs_gamma"] = abs(routes["ratio"])
-        row["route_deltas"] = deltas
-        row["max_route_delta"] = max(deltas.values()) if deltas else 0.0
-        row["fe_residual"] = ratio.diagnostics["max_residual"]
-        row["pairs_checked"] = ratio.diagnostics["pairs_checked"]
-    return row
+def _route_block(cfg: RunConfig, tables):
+    """Every gamma route of a nonempty block of tables without a Shalika
+    vector, as arrays over the block: ({route: gammas}, the ratio
+    certificate's residuals, the pairs it checked per table)."""
+    ratio, resid, checked = exjs.gamma_ratios(tables, cfg.trials, cfg.seed)
+    routes = {"ratio": ratio, "torus": exjs.gamma_tori(tables)}
+    if cfg.n in (2, 3, 4):
+        routes["closed_form"] = exjs.gamma_closed_forms(tables)
+    return routes, resid, checked
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise, equal bit for bit to Python's abs of each complex
+    (numpy's own complex abs may differ in the last place)."""
+    return np.hypot(z.real, z.imag)
+
+
+def _route_rows(cfg: RunConfig, tables) -> list:
+    """The route fields of the rows of tables without a Shalika vector,
+    from the block arrays of `_route_block`: each route's gamma, |gamma| of
+    the ratio route, the distance between every two routes and its maximum,
+    and the certificate's residual and pairs checked."""
+    if not tables:
+        return []
+    routes, resid, checked = _route_block(cfg, tables)
+    names = sorted(routes)
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    deltas = np.array([_modulus(routes[a] - routes[b]) for a, b in pairs])
+    cnums = [np.stack([routes[name].real, routes[name].imag], axis=1).tolist()
+             for name in names]
+    labels = [f"{a}-{b}" for a, b in pairs]
+    return [{"routes": dict(zip(names, gammas)),
+             "abs_gamma": abs_gamma,
+             "route_deltas": dict(zip(labels, delta)),
+             "max_route_delta": worst,
+             "fe_residual": fe_residual,
+             "pairs_checked": checked}
+            for gammas, abs_gamma, delta, worst, fe_residual in zip(
+                zip(*cnums), _modulus(routes["ratio"]).tolist(), deltas.T.tolist(),
+                deltas.max(axis=0).tolist(), resid.tolist())]
+
+
+def _shalika_fields(cfg: RunConfig, table, cert) -> dict:
+    """The level-zero fields of a Shalika row; `cert` is the table's
+    (gamma~, residual, pairs checked) from `levelzero.modified_fe_scans`."""
+    lz = LevelZeroCtx(table, cfg.c)
+    L, eps = levelzero.local_L_eps(lz)
+    gtilde, resid, checked = cert
+    # gamma~ is the canonical-pair ratio at c = 1: at that c local_gamma
+    # cross-checks against it instead of computing it again
+    gam = levelzero.local_gamma(lz, gtilde if cfg.c == 1 else None)
+    return {"c": _cnum(cfg.c), "L": L.to_json_dict(), "eps": eps.to_json_dict(),
+            "gamma": gam.to_json_dict(), "modified_gamma": gtilde.to_json_dict(),
+            "modified_fe_residual": resid, "pairs_checked": checked}
+
+
+#: the encoder of every JSON value below the top level: without `indent`
+#: the standard library encodes through its C accelerator
+_JSON_LINE = json.JSONEncoder(sort_keys=True)
+
+
+def _json_text(payload: dict) -> str:
+    """The JSON of a payload: the top-level object one sorted key per line,
+    and each element of a top-level list (`rows`, `checks`) on one line of
+    its own, with sorted keys.  It parses to the same value as
+    `json.dumps(payload, indent=2, sort_keys=True)`."""
+    lines = []
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, list) and value:
+            items = ",\n    ".join(map(_JSON_LINE.encode, value))
+            text = f"[\n    {items}\n  ]"
+        else:
+            text = _JSON_LINE.encode(value)
+        lines.append(f"  {_JSON_LINE.encode(key)}: {text}")
+    return "{\n" + ",\n".join(lines) + "\n}\n" if lines else "{}\n"
 
 
 def _emit(cfg: RunConfig, payload: dict, path) -> None:
-    """The one output writer: render a command's payload as JSON, or under a
-    CSV schema line as verify's check lines or the flattened gamma rows, and
-    write it to `path` (stdout when None)."""
+    """The one output writer: render a command's payload as JSON
+    (`_json_text`), or under a CSV schema line as verify's check lines or
+    the flattened gamma rows, and write it to `path` (stdout when None)."""
     if cfg.fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload)
     elif payload["command"] == "verify":
         text = f"# schema {SCHEMA}\n" + "\n".join(payload["checks"]) + "\n"
     else:
@@ -325,19 +369,13 @@ def _verify_checks(cfg: RunConfig, ctx):
     except GammalabError:
         ok = False
     plain = [t for t, s in zip(tables, shalika) if not s]
-    try:
-        ratios = exjs.gamma_ratios(plain, cfg.trials, cfg.seed)
-    except GammalabError:
-        ok, ratios = False, []
-    for table, r in zip(plain, ratios):
+    if plain:
         try:
-            t = exjs.gamma_torus(table)
-            worst_fe = max(worst_fe, r.diagnostics["max_residual"])
-            worst_route = max(worst_route, abs(r.value - t.value))
-            worst_unit = max(worst_unit, abs(abs(r.value) - 1))
-            if n in (2, 3, 4):
-                worst_route = max(worst_route,
-                                  abs(r.value - exjs.gamma_closed(table).value))
+            routes, resid, _ = _route_block(cfg, plain)
+            ratio = routes.pop("ratio")
+            worst_fe = max(worst_fe, float(resid.max()))
+            worst_route = max(float(_modulus(ratio - g).max()) for g in routes.values())
+            worst_unit = float(np.abs(_modulus(ratio) - 1).max())
         except GammalabError:
             ok = False
     yield ("functional_equation", ok and worst_fe < exjs.FE_TOL, worst_fe)

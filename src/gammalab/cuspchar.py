@@ -79,7 +79,7 @@ def centralizer_order(lam: tuple, t: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def primary_class_inventory(ctx: FieldCtx, n: int) -> tuple:
     """All primary conjugacy classes of GL_n(F_q): entries
     (d, alpha, k, class_size) with one alpha per Galois orbit of degree d."""
@@ -180,9 +180,6 @@ class CuspidalRep:
         for i in range(1, self.n):
             out *= self.q ** i - 1
         return out
-
-    def galois_orbit(self) -> tuple:
-        return self.theta.galois_orbit()
 
     # -- character evaluation ------------------------------------------------
 

@@ -19,10 +19,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bessel import (PASS_VALUES, THETA_BLOCK, BesselTable, support_signature,
-                     support_signatures)
-from .charkit import (AddChar, CFun, _pairing_matrix, fourier, gauss_sum,
-                      kloosterman, restriction_is_trivial)
+from .bessel import (PASS_VALUES, THETA_BLOCK, BesselTable, support_keys,
+                     support_signature, support_signatures)
+from .charkit import (AddChar, CFun, _pairing_matrix, _roots_of_unity, fourier,
+                      gauss_sum, kloosterman, restriction_is_trivial)
 from .cuspchar import CuspidalRep
 from .errors import (
     DimensionMismatch,
@@ -85,7 +85,7 @@ class GammaResult:
 
 # -- precomputed summation frames (representation independent) ----------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _sum_frame(ctx: FieldCtx, n: int) -> tuple:
     """Both Jacquet-Shalika sums as one list of terms (g, -tr X, i_js, i_dual):
 
@@ -310,10 +310,8 @@ def _pool_profiles(tables, pool: FePool):
     q^m + cell, in passes of PASS_VALUES values.  Each table's sums are
     contiguous, with one spare translate behind them that takes the rows
     feeding no sum (the pool's cell one past the last) and is dropped."""
+    _block_cell(tables)
     first = tables[0]
-    if any(t.ctx is not first.ctx or t.n != first.n
-           or t.psi.inverse != first.psi.inverse for t in tables):
-        raise PreconditionViolated("a block of tables shares one (q, n, psi)")
     count = len(tables)
     values = np.stack([t.values for t in tables], axis=1)
     shape = (count, pool.translates + 1, pool.size)
@@ -329,6 +327,18 @@ def _pool_profiles(tables, pool: FePool):
                       vals.ravel())
     js, dual = _delta_profiles(first, *sums)
     return js[:, :-1], dual[:, :-1]
+
+
+def _block_cell(tables):
+    """(ctx, n, psi) of a block of tables, which must share them: a block's
+    gathers read the first table's psi-values and cached terms."""
+    if not tables:
+        raise PreconditionViolated("a block needs at least one table")
+    first = tables[0]
+    if any(t.ctx is not first.ctx or t.n != first.n
+           or t.psi.inverse != first.psi.inverse for t in tables):
+        raise PreconditionViolated("a block of tables shares one (q, n, psi)")
+    return first.ctx, first.n, first.psi
 
 
 def _split(table: BesselTable):
@@ -551,72 +561,102 @@ def _require_no_shalika(table: BesselTable):
             " modified functional equation")
 
 
-def gamma_ratios(tables, trials: int = 100, seed: int = DEFAULT_SEED) -> list:
+def gamma_ratios(tables, trials: int = 100, seed: int = DEFAULT_SEED):
     """Route 1 for a block of tables at one (q, n, psi): the
     functional-equation ratio on each canonical pair, with one constancy
-    certificate over further pairs (`functional_equation_scans`)."""
+    certificate over further pairs (`functional_equation_scans`).
+
+    Returns (gamma, max_residual, pairs_checked): arrays over the tables and
+    the pairs checked per table."""
     if not tables:
-        return []
+        return np.empty(0, dtype=complex), np.empty(0), 0
     for table in tables:
         _require_no_shalika(table)
     gammas, worst, checked = functional_equation_scans(tables, trials, seed)
-    out = []
-    for gamma, resid in zip(gammas.tolist(), worst.tolist()):
-        _unitarity_guard(gamma, "ratio")
-        out.append(GammaResult(gamma, "ratio",
-                               {"max_residual": resid, "pairs_checked": checked}))
-    return out
+    _unitarity_guard(gammas, "ratio", tables)
+    return gammas, worst, checked
 
 
 def gamma_ratio(table: BesselTable, trials: int = 100,
                 seed: int = DEFAULT_SEED) -> GammaResult:
     """Route 1 for one table: `gamma_ratios` on a block of one."""
-    return gamma_ratios([table], trials, seed)[0]
+    (gamma,), (resid,), checked = gamma_ratios([table], trials, seed)
+    return GammaResult(complex(gamma), "ratio",
+                       {"max_residual": float(resid), "pairs_checked": checked})
+
+
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @lru_cache(maxsize=64)
-def _torus_terms(ctx: FieldCtx, n: int) -> tuple:
-    """The representation-independent terms (weight, support signature of
-    t^-1 or None, extra psi-argument or None) of `gamma_torus`, one per
-    antidiagonal block torus element t, in its order of summation."""
+def _torus_weights(ctx: FieldCtx, n: int, inverse: bool) -> tuple:
+    """(key, weight): the torus sum of `gamma_tori` as
+    gamma = sum_i weight[i] * B[key[i]], one term per antidiagonal block
+    torus element t with t^-1 on the Bessel support, key[i] the index of
+    t^-1's support key.  The weight folds together t's composition weight
+    q^-(sum 2 C(m_i, 2)), psi of the signature's argument, psi(lambda_last)
+    at even n with a last block of size 1, and the front factor
+    q^(+-m/2 + 2 C(m, 2)).  Representation independent and read-only."""
     m, odd = n // 2, n % 2 == 1
-    units = ctx.subfield_units(1)
-    out = []
+    q = ctx.q
+    psi = AddChar(ctx, inverse)
+    index = {key: i for i, key in enumerate(support_keys(ctx, n))}
+    exp2 = 2 * (m * (m - 1) // 2)
+    front = q ** (m / 2.0 + exp2) if odd else q ** (-m / 2.0 + exp2)
+    keys, weights = [], []
     for comp in mg.compositions(m):
-        weight = ctx.q ** (-sum(2 * (mi * (mi - 1) // 2) for mi in comp))
-        for lams in itertools.product(units, repeat=len(comp)):
+        weight = front * q ** (-sum(2 * (mi * (mi - 1) // 2) for mi in comp))
+        for lams in itertools.product(ctx.subfield_units(1), repeat=len(comp)):
             t = mg.antidiag_elem(ctx, comp, lams, block_scale=2, tail_one=odd)
-            extra = lams[-1] if not odd and comp[-1] == 1 else None
-            out.append((weight, support_signature(ctx, mg.mat_inv(ctx, t)), extra))
-    return tuple(out)
+            sig = support_signature(ctx, mg.mat_inv(ctx, t))
+            if sig is None:
+                continue
+            w = psi(sig[1])
+            if not odd and comp[-1] == 1:
+                w *= psi(lams[-1])
+            keys.append(index[sig[0]])
+            weights.append(weight * w)
+    return _read_only(np.array(keys, dtype=np.intp), np.array(weights, dtype=complex))
+
+
+def gamma_tori(tables) -> np.ndarray:
+    """Route 2 for a block of tables at one (q, n, psi): the Bessel sums
+    over antidiagonal block tori, one gather of the tables' values at the
+    keys of `_torus_weights` and one einsum with its weights (so that no
+    product reaches BLAS)."""
+    ctx, n, psi = _block_cell(tables)
+    for table in tables:
+        _require_no_shalika(table)
+    key, weight = _torus_weights(ctx, n, psi.inverse)
+    gammas = np.einsum("tk,k->t", np.stack([t.values[key] for t in tables]), weight)
+    _unitarity_guard(gammas, "torus", tables)
+    return gammas
 
 
 def gamma_torus(table: BesselTable) -> GammaResult:
-    """Route 2: the Bessel sum over antidiagonal block tori, B(t^-1) read
-    through the cached signatures of `_torus_terms`."""
-    _require_no_shalika(table)
-    ctx = table.ctx
-    n, m, odd = _split(table)
-    q = ctx.q
-    psi, entries = table.psi, table.entries
-    total = 0j
-    for weight, sig, extra in _torus_terms(ctx, n):
-        val = 0j if sig is None else psi(sig[1]) * entries[sig[0]]
-        if extra is not None:
-            val *= psi(extra)
-        total += weight * val
-    exp2 = 2 * (m * (m - 1) // 2)
-    front = q ** (m / 2.0 + exp2) if odd else q ** (-m / 2.0 + exp2)
-    gamma = front * total
-    _unitarity_guard(gamma, "torus")
-    return GammaResult(gamma, "torus", {})
+    """Route 2 for one table: `gamma_tori` on a block of one."""
+    return GammaResult(complex(gamma_tori([table])[0]), "torus", {})
+
+
+@lru_cache(maxsize=64)
+def _gauss_terms(ctx: FieldCtx, inverse: bool) -> tuple:
+    """The representation-independent terms (j, w) of the Gauss sums
+    G_psi(chi) = sum_a chi(a^-1) psi(a) of `gamma_closed_forms`, one per
+    a in F_q^x: j the base-level dlog of a^-1 and w = psi(a)."""
+    psi = AddChar(ctx, inverse)
+    units = ctx.subfield_units(1)
+    return _read_only(np.array([ctx.subfield_dlog(ctx.inv(a), 1) for a in units]),
+                      np.array([psi(a) for a in units], dtype=complex))
 
 
 @lru_cache(maxsize=64)
 def _closed_terms(ctx: FieldCtx, inverse: bool) -> tuple:
-    """The representation-independent terms (j, w) of `gamma_closed` at
-    n = 3, 4, one per xi in F_{q^n}^x: j the dlog of xi^2 at level n, and w
-    its weight under the additive character with this `inverse` flag,
+    """The representation-independent terms (j, w) of `gamma_closed_forms`
+    at n = 3, 4, one per xi in F_{q^n}^x: j the dlog of xi^2 at level n, and
+    w its weight under the additive character with this `inverse` flag,
 
         n = 3: w = psi(-Tr(xi^2) / N(xi)),
         n = 4: w = K_psi(1, b + c) + K_psi(1, b - c), b = Tr(1/xi^2) and
@@ -639,50 +679,68 @@ def _closed_terms(ctx: FieldCtx, inverse: bool) -> tuple:
                  + kloosterman(1, ctx.sub(base, wing), psi))
         dlogs.append(ctx.subfield_dlog(xi2, n))
         weights.append(w)
-    out = np.array(dlogs), np.array(weights, dtype=complex)
-    for a in out:
-        a.flags.writeable = False
+    return _read_only(np.array(dlogs), np.array(weights, dtype=complex))
+
+
+def _character_sums(terms, modulus: int, exponents) -> np.ndarray:
+    """sum_x w[x] * zeta^(k * j[x]) over the terms (j, w), zeta a primitive
+    modulus-th root of unity, for each exponent k: a (THETA_BLOCK x terms)
+    gather from the roots of unity and an einsum at a time, as in
+    `_delta_profiles`, so that no product reaches BLAS."""
+    dlogs, weights = terms
+    zeta = _roots_of_unity(modulus)
+    out = np.empty(len(exponents), dtype=complex)
+    for lo in range(0, len(exponents), THETA_BLOCK):
+        k = exponents[lo:lo + THETA_BLOCK, None]
+        out[lo:lo + THETA_BLOCK] = np.einsum("tx,x->t", zeta[k * dlogs % modulus], weights)
     return out
 
 
-def _closed_sum(rep: CuspidalRep, psi: AddChar) -> complex:
-    """sum_xi w * theta(xi^2) over the terms of `_closed_terms`, an einsum
-    as in `_delta_profiles`, so that no product reaches BLAS."""
-    dlogs, weights = _closed_terms(rep.ctx, psi.inverse)
-    return complex(np.einsum("x,x->", weights, rep.theta.at_dlogs(dlogs)))
+def gamma_closed_forms(tables) -> np.ndarray:
+    """Route 3 for a block of tables at one (q, n, psi): the printed
+    character-sum forms for n = 2, 3, 4.  The Gauss sums of the central
+    characters (n = 2, 4) and the sums over F_{q^n}^x (n = 3, 4) are each
+    one gather over cached terms (`_gauss_terms`, `_closed_terms`)."""
+    ctx, n, psi = _block_cell(tables)
+    q = ctx.q
+    k = np.array([t.rep.exponent for t in tables], dtype=np.int64)
+    if n == 2:
+        _require_nontrivial(tables, 1, "n = 2 closed form needs a non-trivial"
+                                       " central character")
+        gammas = q ** -0.5 * _character_sums(_gauss_terms(ctx, psi.inverse), q - 1, k)
+    elif n == 3:
+        gammas = q ** -1.5 * _character_sums(_closed_terms(ctx, psi.inverse),
+                                             q ** 3 - 1, k)
+    elif n == 4:
+        _require_nontrivial(tables, 2, "n = 4 closed form needs theta"
+                                       " non-trivial on the quadratic subfield")
+        t0 = np.where(k % (q - 1) == 0, q * q - 1, 0)
+        g_sums = _character_sums(_gauss_terms(ctx, psi.inverse), q - 1, k)
+        sums = _character_sums(_closed_terms(ctx, psi.inverse), q ** 4 - 1, k)
+        gammas = t0 / q ** 2 - 0.5 * q ** -3 * g_sums * sums
+    else:
+        raise UnsupportedN(f"no closed form for n = {n}")
+    _unitarity_guard(gammas, "closed_form", tables)
+    return gammas
+
+
+def _require_nontrivial(tables, d: int, message: str):
+    for table in tables:
+        if restriction_is_trivial(table.rep.theta, d):
+            raise PreconditionViolated(f"{message} (theta = {table.rep.exponent})")
 
 
 def gamma_closed(table: BesselTable) -> GammaResult:
-    """Route 3: the printed character-sum forms for n = 2, 3, 4; at n = 3
-    and 4 the sum over F_{q^n}^x reads its terms from `_closed_terms`."""
-    ctx = table.ctx
-    rep = table.rep
-    psi = table.psi
-    n = table.n
-    q = ctx.q
-    if n == 2:
-        if rep.central_char.is_trivial():
-            raise PreconditionViolated("n = 2 closed form needs a non-trivial"
-                                       " central character")
-        gamma = q ** -0.5 * gauss_sum(rep.central_char, psi)
-    elif n == 3:
-        gamma = q ** -1.5 * _closed_sum(rep, psi)
-    elif n == 4:
-        if restriction_is_trivial(rep.theta, 2):
-            raise PreconditionViolated("n = 4 closed form needs theta"
-                                       " non-trivial on the quadratic subfield")
-        t0 = q * q - 1 if rep.central_char.is_trivial() else 0
-        g_sum = gauss_sum(rep.central_char, psi)
-        gamma = t0 / q ** 2 - 0.5 * q ** -3 * g_sum * _closed_sum(rep, psi)
-    else:
-        raise UnsupportedN(f"no closed form for n = {n}")
-    _unitarity_guard(gamma, "closed_form")
-    return GammaResult(gamma, "closed_form", {})
+    """Route 3 for one table: `gamma_closed_forms` on a block of one."""
+    return GammaResult(complex(gamma_closed_forms([table])[0]), "closed_form", {})
 
 
-def _unitarity_guard(gamma: complex, route: str):
-    if abs(abs(gamma) - 1.0) > UNITARITY_TOL:
-        raise OracleFailed("unitarity", f"|gamma| = {abs(gamma)} on route {route}")
+def _unitarity_guard(gammas: np.ndarray, route: str, tables):
+    """Refuse the first gamma of a block of tables off the unit circle."""
+    bad = np.flatnonzero(np.abs(np.hypot(gammas.real, gammas.imag) - 1.0) > UNITARITY_TOL)
+    if bad.size:
+        raise OracleFailed("unitarity", f"|gamma| = {abs(gammas[bad[0]])} on route"
+                                        f" {route} at theta = {tables[bad[0]].rep.exponent}")
 
 
 def s0_s1_decomposition(table: BesselTable):

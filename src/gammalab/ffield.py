@@ -441,7 +441,7 @@ class BaseCodes:
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def build_field(p: int, e: int, n: int) -> FieldCtx:
     """Construct (and cache) the ambient field F_{p^(e*n)} with q = p^e."""
     return FieldCtx(p, e, n)

@@ -374,7 +374,7 @@ def canonical_unipotent_coset(ctx: FieldCtx, g: Mat) -> Mat:
     return tuple(tuple(r) for r in rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def all_gl(ctx: FieldCtx, m: int) -> tuple:
     """Every invertible m x m matrix over F_q, in a deterministic order."""
     elems = ctx.subfield_elements(1)
@@ -386,7 +386,7 @@ def all_gl(ctx: FieldCtx, m: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def all_unipotent(ctx: FieldCtx, m: int) -> tuple:
     """The group N_m of upper unipotent matrices."""
     elems = ctx.subfield_elements(1)
@@ -400,7 +400,7 @@ def all_unipotent(ctx: FieldCtx, m: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def lower_nilpotent_reps(ctx: FieldCtx, m: int) -> tuple:
     """Strictly lower triangular matrices: the coset system B\\M."""
     elems = ctx.subfield_elements(1)
@@ -414,7 +414,7 @@ def lower_nilpotent_reps(ctx: FieldCtx, m: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def unipotent_coset_reps(ctx: FieldCtx, m: int) -> tuple:
     """Canonical representatives for N\\GL_m(F_q)."""
     if m == 1:
@@ -431,7 +431,7 @@ def coset_reps(ctx: FieldCtx, m: int, kind: str) -> tuple:
     raise ValueError(f"unknown coset system {kind!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def mirabolic_coset_reps(ctx: FieldCtx, m: int) -> tuple:
     """Canonical representatives for N\\P_m, P_m the mirabolic subgroup."""
     if m == 1:
@@ -557,12 +557,21 @@ def charpoly(ctx: FieldCtx, a: Mat) -> list:
     return polys[n]
 
 
-@lru_cache(maxsize=None)
+#: the factorisations `_primary_factor` keeps.  A cell has at most
+#: q^(n-1) (q - 1) distinct charpolys of invertible matrices: 4,032 at the
+#: frontier cell (q, n) = (64, 2), and at most 1,210 at any cell with n > 2
+#: under `bessel.MAX_CLASS_TYPINGS`.  A support profile factors each
+#: distinct charpoly once whatever the bound, so past it (n = 2, q > 64)
+#: only `class_type` calls factor an evicted charpoly again
+PRIMARY_FACTOR_CACHE = 4096
+
+
+@lru_cache(maxsize=PRIMARY_FACTOR_CACHE)
 def _primary_factor(ctx: FieldCtx, c: tuple):
     """(d, mult, alpha, f) when the monic polynomial c = f^mult with f
     irreducible of degree d and alpha its root of least dlog, else None.
-    Keyed by polynomial: at most q^n entries, and a support profile meets
-    only tens of distinct ones among its thousands of matrices."""
+    Keyed by polynomial: at most q^n entries per field, and a support
+    profile meets far fewer distinct ones than it has matrices."""
     n = len(c) - 1
     q = ctx.q
     f = None

@@ -12,8 +12,11 @@ from gammalab.charkit import (
     is_regular,
     kloosterman,
     regular_exponents,
+    regular_orbit,
+    regular_orbit_reps,
     restriction_is_trivial,
 )
+from gammalab.errors import NotRegular
 from gammalab.ffield import build_field
 
 
@@ -213,3 +216,33 @@ def test_square_sum_identity_odd_one_term():
         lhs, _ = _square_sum_sides(f, n, J)
         one_term = sum(J(f.mul(xi, xi), f.norm(xi, n, 1)) for xi in f.subfield_units(n))
         assert abs(lhs - one_term) < 1e-9
+
+
+def looped_orbit_reps(ctx, n):
+    """The least exponent of each Galois orbit of regular characters, one
+    exponent and one Python set at a time; test oracle of the per-cell
+    orbit table."""
+    m = ctx.q ** n - 1
+    seen, reps = set(), []
+    for k in regular_exponents(ctx, n):
+        if k in seen:
+            continue
+        seen |= {(k * pow(ctx.q, i, m)) % m for i in range(n)}
+        reps.append(k)
+    return reps
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 1), (2, 1, 2), (2, 1, 4), (2, 1, 6), (3, 1, 2),
+                                   (3, 1, 3), (3, 1, 4), (2, 2, 2), (2, 2, 3), (2, 2, 4),
+                                   (5, 1, 2), (7, 1, 3)])
+def test_regular_orbit_table_matches_loops(p, e, n):
+    f = build_field(p, e, n)
+    assert regular_orbit_reps(f, n) == looped_orbit_reps(f, n)
+    regular = regular_exponents(f, n)
+    for k in regular:
+        assert regular_orbit(f, n, k) == MultChar(f, n, k).galois_orbit()
+        assert regular_orbit(f, n, k + f.q ** n - 1) == regular_orbit(f, n, k)
+    non_regular = set(range(f.q ** n - 1)) - set(regular)
+    for k in non_regular:
+        with pytest.raises(NotRegular):
+            regular_orbit(f, n, k)

@@ -343,3 +343,67 @@ def test_shared_parser_help_matches_a_fresh_parser(capsys, monkeypatch):
         assert done.value.code == 0
         assert shared == capsys.readouterr().out
         assert shared.startswith("usage: gammalab")
+
+
+def _element_lines(text: str) -> list:
+    """The elements of the top-level lists of `_json_text` output, one
+    parsed line each; each line must be the element's one-line encoding
+    with sorted keys."""
+    lines = [line.strip().rstrip(",") for line in text.splitlines()
+             if line.startswith("    ")]
+    elements = [json.loads(line) for line in lines]
+    assert lines == [json.dumps(e, sort_keys=True) for e in elements]
+    return elements
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["gamma", "--q", "3", "--n", "3"], "rows"),  # no Shalika rows
+    (["gamma", "--q", "5", "--n", "2"], "rows"),  # Shalika and plain rows
+    (["gamma", "--q", "2", "--n", "4", "--theta", "1"], "rows"),
+    (["verify", "--q", "2", "--n", "3"], "checks"),
+])
+def test_json_output_parses_as_the_indented_payload(argv, key, capsys, monkeypatch):
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda cfg, payload, path:
+                        payloads.append(payload) or emit(cfg, payload, path))
+    code, out = run_main(argv, capsys)
+    assert code == 0
+    (payload,) = payloads
+    parsed = json.loads(out)
+    assert parsed == json.loads(json.dumps(payload, indent=2, sort_keys=True))
+    # each element of the top-level list on a line of its own, in order
+    assert parsed[key] and _element_lines(out) == parsed[key]
+    # the top-level object one sorted key per line
+    top = [line for line in out.splitlines() if line.startswith('  "')]
+    assert [line.split('"')[1] for line in top] == sorted(payload)
+
+
+def test_export_sweep_parses_as_the_indented_payload(tmp_path, capsys, monkeypatch):
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda cfg, payload, path:
+                        payloads.append(payload) or emit(cfg, payload, path))
+    code = cli.main(["export", "--q", "5", "--n", "2", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    text = (tmp_path / "gamma_sweep_q5_n2.json").read_text()
+    (payload,) = payloads
+    assert json.loads(text) == json.loads(json.dumps(payload, indent=2, sort_keys=True))
+    assert _element_lines(text) == json.loads(text)["rows"]
+
+
+def test_json_text_edge_values():
+    payload = {"rows": [{"x": float("nan"), "y": [float("inf"), -float("inf")],
+                         "s": 'quote " back \\ tab \t line \n é ☃', "e": {}},
+                        [], {}, "a \"string\" element", None, 1.5e-300],
+               "empty_list": [], "empty_dict": {}, "nested": {"b": [1, {"z": 0, "a": 1}]},
+               "text": "é\n", "nan": float("nan"), "zero": -0.0}
+    text = cli._json_text(payload)
+    reference = json.dumps(payload, indent=2, sort_keys=True)
+    # NaN != NaN, so compare the parsed values re-encoded
+    assert (json.dumps(json.loads(text), sort_keys=True)
+            == json.dumps(json.loads(reference), sort_keys=True))
+    assert len(_element_lines(text)) == len(payload["rows"])
+    assert cli._json_text({}) == "{}\n"
+    assert json.loads(cli._json_text({"rows": []})) == {"rows": []}

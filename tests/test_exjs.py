@@ -12,7 +12,8 @@ from gammalab.charkit import (AddChar, CFun, fourier, gauss_sum, kloosterman,
                               restriction_is_trivial)
 from gammalab.cuspchar import CuspidalRep
 from gammalab.errors import (DimensionMismatch, NonConstantRatio,
-                             PreconditionViolated, ShalikaVectorPresent)
+                             PreconditionViolated, ShalikaVectorPresent,
+                             UnsupportedN)
 from gammalab.ffield import build_field
 from gammalab import exjs
 from gammalab import matgrp as mg
@@ -221,7 +222,7 @@ def test_block_refuses_tables_of_two_characters():
 
 def pointwise_gamma_torus(table):
     """gamma_torus with every torus element t decomposed at B(t^-1) through
-    `BesselTable.eval`; test oracle of the cached `_torus_terms`."""
+    `BesselTable.eval`; test oracle of the cached `_torus_weights`."""
     ctx = table.ctx
     n, m, odd = table.n, table.n // 2, table.n % 2 == 1
     q = ctx.q
@@ -240,10 +241,13 @@ def pointwise_gamma_torus(table):
 
 @pytest.mark.parametrize("p,e,n", [(5, 1, 2), (2, 2, 3), (3, 1, 4), (2, 1, 5)])
 def test_torus_terms_keep_gamma_bit_identical(p, e, n):
+    # the cached weights fold psi and the front factor into one product per
+    # term, so the sum agrees with the pointwise one to rounding (1e-13),
+    # no longer bit for bit
     f = build_field(p, e, n)
     for k in no_shalika_reps(f, n)[:3]:
         table = make_table(p, e, n, k)
-        assert exjs.gamma_torus(table).value == pointwise_gamma_torus(table)
+        assert abs(exjs.gamma_torus(table).value - pointwise_gamma_torus(table)) < 1e-13
 
 
 def test_sampled_certificate_refuses_zero_trials():
@@ -537,3 +541,62 @@ def test_gamma_closed_matches_printed_sums(p, e, n):
                 continue
             assert abs(exjs.gamma_closed(table).value
                        - printed_gamma_closed(table)) < 1e-13
+
+
+def looped_gamma_closed(table):
+    """gamma_closed one table at a time: `gauss_sum` of the central
+    character and, at n = 3, 4, the sum over the cached `_closed_terms` one
+    xi at a time; test oracle of the block gathers of `gamma_closed_forms`."""
+    ctx, rep, psi = table.ctx, table.rep, table.psi
+    n, q = table.n, ctx.q
+    g_sum = gauss_sum(rep.central_char, psi)
+    if n == 2:
+        return q ** -0.5 * g_sum
+    dlogs, weights = exjs._closed_terms(ctx, psi.inverse)
+    total = 0j
+    for j, w in zip(dlogs.tolist(), weights.tolist()):
+        total += w * rep.theta(ctx.gen_power(j))  # xi^2 = gen^j at level n
+    if n == 3:
+        return q ** -1.5 * total
+    t0 = q * q - 1 if rep.central_char.is_trivial() else 0
+    return t0 / q ** 2 - 0.5 * q ** -3 * g_sum * total
+
+
+@pytest.mark.parametrize("p,e,n", [(3, 1, 2), (5, 1, 2), (2, 2, 3), (3, 1, 4),
+                                   (2, 1, 5), (2, 3, 3), (2, 2, 4)])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_block_routes_match_per_table_sums(p, e, n, inverse):
+    # every table of the cell without a Shalika vector in one block, against
+    # the pointwise torus sum and the looped closed form of each table
+    f = build_field(p, e, n)
+    tables = bessel_tables(f, n, no_shalika_reps(f, n), AddChar(f, inverse))
+    tori = exjs.gamma_tori(tables)
+    assert tori.shape == (len(tables),)
+    for table, gamma in zip(tables, tori.tolist()):
+        assert abs(gamma - pointwise_gamma_torus(table)) < 1e-13
+    if n > 4:
+        with pytest.raises(UnsupportedN):
+            exjs.gamma_closed_forms(tables)
+        return
+    closed = exjs.gamma_closed_forms(tables)
+    for table, gamma in zip(tables, closed.tolist()):
+        assert abs(gamma - looped_gamma_closed(table)) < 1e-13
+    # a block of one is the single-table route
+    assert exjs.gamma_torus(tables[-1]).value == tori[-1]
+    assert exjs.gamma_closed(tables[-1]).value == closed[-1]
+
+
+def test_block_routes_refuse_a_shalika_table_and_mixed_blocks():
+    f = build_field(3, 1, 2)
+    tables = bessel_tables(f, 2, regular_orbit_reps(f, 2), AddChar(f))
+    assert any(exjs.has_shalika_vector(t) for t in tables)
+    with pytest.raises(ShalikaVectorPresent):
+        exjs.gamma_tori(tables)
+    with pytest.raises(PreconditionViolated):
+        exjs.gamma_closed_forms(tables)
+    mixed = [make_table(3, 1, 3, 1), make_table(3, 1, 3, 2, inverse=True)]
+    for route in (exjs.gamma_tori, exjs.gamma_closed_forms):
+        with pytest.raises(PreconditionViolated):
+            route(mixed)
+        with pytest.raises(PreconditionViolated):
+            route([])

@@ -149,3 +149,72 @@ def test_tables_match_raw_arithmetic(p, e, n, data):
         assert f._mul_raw(x, int(base.elems[base.inv(i)])) == 1
     else:
         assert base.inv(i) == 0
+
+
+#: every (p, e, n) with field order p^(e n) <= 64
+SMALL_FIELDS = [(p, e, n) for p in range(2, 65) if all(p % d for d in range(2, p))
+                for e in range(1, 7) for n in range(1, 7) if p ** (e * n) <= 64]
+
+
+class BrutePoly:
+    """The field of `ctx` as F_p[x] / (modulus) in plain integer
+    arithmetic on coefficient lists: the test oracle of `FieldCtx`, which
+    works through index digits and dlog tables."""
+
+    def __init__(self, ctx):
+        self.p, self.deg = ctx.p, ctx.deg
+        self.f = list(ctx.modulus)  # ascending, monic
+
+    def digits(self, a):
+        return [a // self.p ** i % self.p for i in range(self.deg)]
+
+    def index(self, coeffs):
+        return sum(c * self.p ** i for i, c in enumerate(coeffs))
+
+    def add(self, a, b):
+        return self.index([(x + y) % self.p for x, y in zip(self.digits(a), self.digits(b))])
+
+    def neg(self, a):
+        return self.index([-x % self.p for x in self.digits(a)])
+
+    def mul(self, a, b):
+        prod = [0] * (2 * self.deg - 1)
+        for i, x in enumerate(self.digits(a)):
+            for j, y in enumerate(self.digits(b)):
+                prod[i + j] = (prod[i + j] + x * y) % self.p
+        for top in range(len(prod) - 1, self.deg - 1, -1):  # reduce mod f
+            c = prod[top]
+            for i, fi in enumerate(self.f):
+                prod[top - self.deg + i] = (prod[top - self.deg + i] - c * fi) % self.p
+        return self.index(prod[:self.deg])
+
+    def pow(self, a, k):
+        out = 1
+        for _ in range(k):
+            out = self.mul(out, a)
+        return out
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_arithmetic_matches_polynomials_mod_the_modulus(data):
+    f = build_field(*data.draw(st.sampled_from(SMALL_FIELDS)))
+    ref = BrutePoly(f)
+    a, b = (data.draw(st.integers(0, f.order - 1)) for _ in range(2))
+    assert f.add(a, b) == ref.add(a, b)
+    assert f.neg(a) == ref.neg(a)
+    assert f.sub(a, b) == ref.add(a, ref.neg(b))
+    assert f.mul(a, b) == ref.mul(a, b)
+    assert f.frobenius(a) == ref.pow(a, f.q)
+    k = data.draw(st.integers(0, 2 * f.order))
+    assert f.pow(a, k) == ref.pow(a, k)
+    if a:
+        inv = f.inv(a)
+        assert ref.mul(a, inv) == 1
+        # a^-k is the inverse of a^k
+        assert ref.mul(f.pow(a, -k), ref.pow(a, k)) == 1
+    else:
+        with pytest.raises(DivideByZero):
+            f.inv(a)
+        with pytest.raises(DivideByZero):
+            f.pow(a, -1 - k)

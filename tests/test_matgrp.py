@@ -480,3 +480,22 @@ def test_gl_order():
     assert mg.gl_order(2, 3) == 168
     assert mg.gl_order(2, 4) == 20160
     assert len(mg.all_gl(build_field(3, 1, 2), 2)) == 48
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_charpoly_matches_determinant_over_every_small_base_field(data):
+    # det(xI - A) by cofactor expansion against the Hessenberg and the
+    # batched Berkowitz charpoly over prime and non-prime q, n up to 4
+    p, e = data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
+                                      (3, 2)]))
+    f = build_field(p, e, 1)
+    n = data.draw(st.integers(1, 4))
+    elems = st.sampled_from(f.subfield_elements(1))
+    mats = data.draw(st.lists(st.tuples(*[st.tuples(*[elems] * n)] * n),
+                              min_size=1, max_size=4))
+    polys = f.base.elems[mg.batch_charpoly(f, f.base.codes(mats))].tolist()
+    for a, batched in zip(mats, polys):
+        expect = naive_charpoly(f, a)
+        assert mg.charpoly(f, a) == expect
+        assert batched == expect
