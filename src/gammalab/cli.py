@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -26,8 +27,7 @@ import numpy as np
 from . import exjs, levelzero
 from .bessel import (bessel_closed_form_gl3, bessel_tables, export_bessel_csv,
                      require_profile_size)
-from .charkit import (AddChar, MultChar, is_regular, regular_orbit,
-                      regular_orbit_reps)
+from .charkit import AddChar, MultChar, regular_orbit, regular_orbit_reps
 from .cuspchar import CuspidalRep, verify_irreducible
 from .errors import (GammalabError, NonConstantRatio, OracleFailed,
                      PreconditionViolated)
@@ -140,8 +140,7 @@ def _theta_exponents(cfg: RunConfig, ctx):
     if cfg.theta == "all-regular":
         return regular_orbit_reps(ctx, cfg.n)
     k = int(cfg.theta)
-    if not is_regular(MultChar(ctx, cfg.n, k), cfg.n):
-        raise PreconditionViolated(f"theta exponent {k} is not regular")
+    regular_orbit(ctx, cfg.n, k)  # raises NotRegular off the regular exponents
     return [k]
 
 
@@ -181,12 +180,6 @@ def _route_block(cfg: RunConfig, tables):
     return routes, resid, checked
 
 
-def _modulus(z: np.ndarray) -> np.ndarray:
-    """|z| elementwise, equal bit for bit to Python's abs of each complex
-    (numpy's own complex abs may differ in the last place)."""
-    return np.hypot(z.real, z.imag)
-
-
 def _route_rows(cfg: RunConfig, tables) -> list:
     """The route fields of the rows of tables without a Shalika vector,
     from the block arrays of `_route_block`: each route's gamma, |gamma| of
@@ -197,7 +190,7 @@ def _route_rows(cfg: RunConfig, tables) -> list:
     routes, resid, checked = _route_block(cfg, tables)
     names = sorted(routes)
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
-    deltas = np.array([_modulus(routes[a] - routes[b]) for a, b in pairs])
+    deltas = np.array([exjs.modulus(routes[a] - routes[b]) for a, b in pairs])
     cnums = [np.stack([routes[name].real, routes[name].imag], axis=1).tolist()
              for name in names]
     labels = [f"{a}-{b}" for a, b in pairs]
@@ -208,7 +201,7 @@ def _route_rows(cfg: RunConfig, tables) -> list:
              "fe_residual": fe_residual,
              "pairs_checked": checked}
             for gammas, abs_gamma, delta, worst, fe_residual in zip(
-                zip(*cnums), _modulus(routes["ratio"]).tolist(), deltas.T.tolist(),
+                zip(*cnums), exjs.modulus(routes["ratio"]).tolist(), deltas.T.tolist(),
                 deltas.max(axis=0).tolist(), resid.tolist())]
 
 
@@ -374,10 +367,13 @@ def _verify_checks(cfg: RunConfig, ctx):
             routes, resid, _ = _route_block(cfg, plain)
             ratio = routes.pop("ratio")
             worst_fe = max(worst_fe, float(resid.max()))
-            worst_route = max(float(_modulus(ratio - g).max()) for g in routes.values())
-            worst_unit = float(np.abs(_modulus(ratio) - 1).max())
+            worst_route = max(float(exjs.modulus(ratio - g).max()) for g in routes.values())
+            worst_unit = float(np.abs(exjs.modulus(ratio) - 1).max())
         except GammalabError:
+            # a route that raised (a certificate or unitarity guard) fails
+            # the route checks as well, not only the functional equation
             ok = False
+            worst_route = worst_unit = math.inf
     yield ("functional_equation", ok and worst_fe < exjs.FE_TOL, worst_fe)
     yield ("route_agreement", worst_route < cfg.tol, worst_route)
     yield ("gamma_unitarity", worst_unit < VERIFY_UNITARITY_TOL, worst_unit)

@@ -19,8 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .charkit import MultChar, _roots_of_unity, is_regular
-from .errors import NotRegular, OracleFailed
+from .charkit import MultChar, _roots_of_unity, regular_orbit
+from .errors import OracleFailed
 from .ffield import FieldCtx
 from . import matgrp as mg
 
@@ -166,8 +166,7 @@ class CuspidalRep:
         self.n = ctx.n
         self.q = ctx.q
         self.theta = MultChar(ctx, self.n, exponent)
-        if not is_regular(self.theta, self.n):
-            raise NotRegular(f"exponent {exponent} is not regular for n={self.n}")
+        regular_orbit(ctx, self.n, exponent)  # raises NotRegular
         self.exponent = self.theta.exponent
         self.central_char = MultChar(ctx, 1, self.exponent)
         self._class_cache = {}

@@ -592,46 +592,69 @@ def _read_only(*arrays) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _torus_weights(ctx: FieldCtx, n: int, inverse: bool) -> tuple:
-    """(key, weight): the torus sum of `gamma_tori` as
-    gamma = sum_i weight[i] * B[key[i]], one term per antidiagonal block
-    torus element t with t^-1 on the Bessel support, key[i] the index of
-    t^-1's support key.  The weight folds together t's composition weight
-    q^-(sum 2 C(m_i, 2)), psi of the signature's argument, psi(lambda_last)
-    at even n with a last block of size 1, and the front factor
-    q^(+-m/2 + 2 C(m, 2)).  Representation independent and read-only."""
+def _torus_terms(ctx: FieldCtx, n: int, inverse: bool) -> tuple:
+    """(key, phase, extra, weight, front): the representation-independent
+    terms of `gamma_tori`, one per antidiagonal block torus element t with
+    t^-1 on the Bessel support, in the order of the pointwise sum:
+
+        gamma = front * sum_i weight[i] * ((phase[i] * B[key[i]]) * extra[i])
+
+    with key[i] the index of t^-1's support key, phase[i] psi of its
+    signature's argument, extra[i] psi(lambda_last) at even n with a last
+    block of size 1 (1 otherwise), weight[i] q^-(sum 2 C(m_i, 2)) over t's
+    composition and front q^(+-m/2 + 2 C(m, 2)).  Read-only arrays."""
     m, odd = n // 2, n % 2 == 1
     q = ctx.q
     psi = AddChar(ctx, inverse)
     index = {key: i for i, key in enumerate(support_keys(ctx, n))}
-    exp2 = 2 * (m * (m - 1) // 2)
-    front = q ** (m / 2.0 + exp2) if odd else q ** (-m / 2.0 + exp2)
-    keys, weights = [], []
+    keys, phases, extras, weights = [], [], [], []
     for comp in mg.compositions(m):
-        weight = front * q ** (-sum(2 * (mi * (mi - 1) // 2) for mi in comp))
+        weight = q ** (-sum(2 * (mi * (mi - 1) // 2) for mi in comp))
         for lams in itertools.product(ctx.subfield_units(1), repeat=len(comp)):
             t = mg.antidiag_elem(ctx, comp, lams, block_scale=2, tail_one=odd)
             sig = support_signature(ctx, mg.mat_inv(ctx, t))
             if sig is None:
                 continue
-            w = psi(sig[1])
-            if not odd and comp[-1] == 1:
-                w *= psi(lams[-1])
             keys.append(index[sig[0]])
-            weights.append(weight * w)
-    return _read_only(np.array(keys, dtype=np.intp), np.array(weights, dtype=complex))
+            phases.append(psi(sig[1]))
+            extras.append(psi(lams[-1]) if not odd and comp[-1] == 1 else 1)
+            weights.append(weight)
+    exp2 = 2 * (m * (m - 1) // 2)
+    front = q ** (m / 2.0 + exp2) if odd else q ** (-m / 2.0 + exp2)
+    return _read_only(np.array(keys, dtype=np.intp), np.array(phases, dtype=complex),
+                      np.array(extras, dtype=complex), np.array(weights)) + (front,)
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise as Python's complex product,
+    (ar br - ai bi) + (ar bi + ai br) i, bit for bit: numpy's own complex
+    multiply may fuse these operations and differ in the last place."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def modulus(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise, equal bit for bit to Python's abs of each complex
+    (numpy's own complex abs may differ in the last place)."""
+    return np.hypot(z.real, z.imag)
 
 
 def gamma_tori(tables) -> np.ndarray:
     """Route 2 for a block of tables at one (q, n, psi): the Bessel sums
     over antidiagonal block tori, one gather of the tables' values at the
-    keys of `_torus_weights` and one einsum with its weights (so that no
-    product reaches BLAS)."""
+    keys of `_torus_terms`.  Each term is formed and added in the order of
+    the pointwise sum, so every gamma equals it bit for bit."""
     ctx, n, psi = _block_cell(tables)
     for table in tables:
         _require_no_shalika(table)
-    key, weight = _torus_weights(ctx, n, psi.inverse)
-    gammas = np.einsum("tk,k->t", np.stack([t.values[key] for t in tables]), weight)
+    key, phase, extra, weight, front = _torus_terms(ctx, n, psi.inverse)
+    terms = weight * _cmul(_cmul(phase, np.stack([t.values[key] for t in tables])), extra)
+    total = np.zeros(len(tables), dtype=complex)
+    for column in terms.T:
+        total += column
+    gammas = front * total
     _unitarity_guard(gammas, "torus", tables)
     return gammas
 
@@ -737,7 +760,7 @@ def gamma_closed(table: BesselTable) -> GammaResult:
 
 def _unitarity_guard(gammas: np.ndarray, route: str, tables):
     """Refuse the first gamma of a block of tables off the unit circle."""
-    bad = np.flatnonzero(np.abs(np.hypot(gammas.real, gammas.imag) - 1.0) > UNITARITY_TOL)
+    bad = np.flatnonzero(np.abs(modulus(gammas) - 1.0) > UNITARITY_TOL)
     if bad.size:
         raise OracleFailed("unitarity", f"|gamma| = {abs(gammas[bad[0]])} on route"
                                         f" {route} at theta = {tables[bad[0]].rep.exponent}")

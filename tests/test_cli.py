@@ -75,6 +75,21 @@ def test_verify_green(capsys):
     assert all(line.startswith("PASS") for line in data["checks"])
 
 
+def test_verify_fails_the_route_checks_when_a_route_raises(monkeypatch, capsys):
+    # a route that raises leaves no deltas to report: the route checks must
+    # fail with it rather than print the PASS of an empty maximum
+    def refuse(tables):
+        raise cli.OracleFailed("unitarity", "refused")
+    monkeypatch.setattr(cli.exjs, "gamma_tori", refuse)
+    code, out = run_main(["verify", "--q", "3", "--n", "2"], capsys)
+    assert code == cli.EXIT_VERIFY_FAILED
+    checks = {line.split()[1]: line for line in json.loads(out)["checks"]}
+    for name in ("functional_equation", "route_agreement", "gamma_unitarity"):
+        assert checks[name].startswith("FAIL"), checks[name]
+    assert checks["route_agreement"].endswith("residual=inf")
+    assert checks["character_oracle"].startswith("PASS")
+
+
 def test_csv_format(capsys):
     code, out = run_main(["gamma", "--q", "2", "--n", "2",
                           "--theta", "all-regular", "--format", "csv"], capsys)

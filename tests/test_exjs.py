@@ -222,7 +222,7 @@ def test_block_refuses_tables_of_two_characters():
 
 def pointwise_gamma_torus(table):
     """gamma_torus with every torus element t decomposed at B(t^-1) through
-    `BesselTable.eval`; test oracle of the cached `_torus_weights`."""
+    `BesselTable.eval`; test oracle of the cached `_torus_terms`."""
     ctx = table.ctx
     n, m, odd = table.n, table.n // 2, table.n % 2 == 1
     q = ctx.q
@@ -241,13 +241,10 @@ def pointwise_gamma_torus(table):
 
 @pytest.mark.parametrize("p,e,n", [(5, 1, 2), (2, 2, 3), (3, 1, 4), (2, 1, 5)])
 def test_torus_terms_keep_gamma_bit_identical(p, e, n):
-    # the cached weights fold psi and the front factor into one product per
-    # term, so the sum agrees with the pointwise one to rounding (1e-13),
-    # no longer bit for bit
     f = build_field(p, e, n)
     for k in no_shalika_reps(f, n)[:3]:
         table = make_table(p, e, n, k)
-        assert abs(exjs.gamma_torus(table).value - pointwise_gamma_torus(table)) < 1e-13
+        assert exjs.gamma_torus(table).value == pointwise_gamma_torus(table)
 
 
 def test_sampled_certificate_refuses_zero_trials():
@@ -573,7 +570,7 @@ def test_block_routes_match_per_table_sums(p, e, n, inverse):
     tori = exjs.gamma_tori(tables)
     assert tori.shape == (len(tables),)
     for table, gamma in zip(tables, tori.tolist()):
-        assert abs(gamma - pointwise_gamma_torus(table)) < 1e-13
+        assert gamma == pointwise_gamma_torus(table)
     if n > 4:
         with pytest.raises(UnsupportedN):
             exjs.gamma_closed_forms(tables)
