@@ -16,13 +16,12 @@ from .charkit import (
     regular_orbit_reps,
     restriction_is_trivial,
 )
-from .cuspchar import CuspidalRep, cuspidal_character, verify_irreducible
+from .cuspchar import CuspidalRep, verify_irreducible
 from .bessel import (
     BesselTable,
     bessel_build,
     bessel_closed_form_gl3,
     bessel_closed_form_gl4,
-    bessel_eval,
     export_bessel_csv,
 )
 from .exjs import (
@@ -58,8 +57,8 @@ __all__ = [
     "AddChar", "MultChar", "CFun", "fourier", "gauss_sum", "kloosterman",
     "is_regular", "restriction_is_trivial", "regular_exponents",
     "regular_orbit_reps",
-    "CuspidalRep", "cuspidal_character", "verify_irreducible",
-    "BesselTable", "bessel_build", "bessel_eval", "bessel_closed_form_gl3",
+    "CuspidalRep", "verify_irreducible",
+    "BesselTable", "bessel_build", "bessel_closed_form_gl3",
     "bessel_closed_form_gl4", "export_bessel_csv",
     "WhittakerFun", "GammaResult", "js", "dual_js", "canonical_pair",
     "gamma_ratio", "gamma_torus", "gamma_closed", "s0_s1_decomposition",

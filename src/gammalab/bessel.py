@@ -99,12 +99,13 @@ def _support_profile(ctx: FieldCtx, n: int) -> SupportProfile:
     Refused up front when it would type more than MAX_CLASS_TYPINGS classes.
 
     Built in array passes of `mg.BATCH_CHUNK` matrices t*u: their
-    characteristic polynomials (`mg.batch_charpoly`), the factorisation of
-    each distinct one (`mg._primary_factor`), and, only where f^mult has
-    mult > 1, the kernel rank of f(t*u) (`mg.batch_rank`).  Each pass counts
-    its distinct cells with `np.unique`, and the passes are merged at the
-    end, so the rows held never outnumber the typings.  `mg.class_type` is
-    the pointwise reference."""
+    characteristic polynomials (`mg.batch_charpoly`), the primary class of
+    each distinct one, read from the cell's table `mg.primary_charpolys`,
+    and, only where f^mult has mult > 1, the kernel rank of f(t*u)
+    (`mg.batch_rank`).  Each pass counts its distinct cells with
+    `np.unique`, and the passes are merged at the end, so the rows held
+    never outnumber the typings.  `mg.class_type` is the pointwise
+    reference."""
     require_profile_size(ctx.q, n)
     keys = support_keys(ctx, n)
     F = ctx.base
@@ -180,7 +181,7 @@ def _poly_kind(ctx: FieldCtx, poly: list, classes: dict):
     """(class id, None) of the matrices with charpoly `poly`, or, when it is
     f^mult with mult > 1 and the class needs the kernel rank of f(g),
     (0, (d, alpha, codes of f))."""
-    primary = mg._primary_factor(ctx, tuple(poly))
+    primary = mg.primary_charpolys(ctx, len(poly) - 1).get(tuple(poly))
     if primary is None:
         return 0, None
     d, mult, alpha, f = primary
@@ -352,10 +353,6 @@ def bessel_build(rep: CuspidalRep, psi: AddChar) -> BesselTable:
     """The Bessel table of one representation: a block of one of
     `bessel_tables`."""
     return _tables([rep], psi)[0]
-
-
-def bessel_eval(table: BesselTable, g: mg.Mat) -> complex:
-    return table.eval(g)
 
 
 # -- printed closed forms -----------------------------------------------------

@@ -131,9 +131,16 @@ def parse_config(argv) -> RunConfig:
         ap.error("one of --q or --p is required")
     if ns.trials < 1:
         ap.error(f"--trials must be >= 1, got {ns.trials}")
-    return RunConfig(ns.command, p, e, ns.n, str(ns.theta), ns.psi_inverse,
-                     complex(ns.c_re, ns.c_im), ns.seed, ns.trials, ns.tol,
-                     ns.format, ns.out, ns.exhaustive)
+    if ns.theta != "all-regular":
+        try:
+            int(ns.theta)
+        except ValueError:
+            ap.error(f"--theta must be an integer or 'all-regular', got {ns.theta!r}")
+    c = complex(ns.c_re, ns.c_im)
+    if not abs(abs(c) - 1.0) <= levelzero.UNIT_CIRCLE_TOL:  # NaN fails too
+        ap.error(f"c = {c} must lie on the unit circle")
+    return RunConfig(ns.command, p, e, ns.n, ns.theta, ns.psi_inverse, c,
+                     ns.seed, ns.trials, ns.tol, ns.format, ns.out, ns.exhaustive)
 
 
 def _theta_exponents(cfg: RunConfig, ctx):

@@ -7,9 +7,12 @@ primary conjugacy classes (charpoly = f^c with f irreducible):
     chi(g) = (-1)^(n-1) * prod_{i=1}^{k-1} (1 - q^(d i)) * sum_{i<d} theta(alpha^(q^i))
 
 with d = deg f, alpha a root of f and k the number of f-blocks; chi vanishes
-off primary classes.  The formula is never trusted blindly: verify_irreducible
-checks the norm <chi, chi> = 1, the degree, and unitarity on every
-representation before gamma factors are computed from it.
+off primary classes.  The classes (d, alpha), alpha the least-dlog member of
+a degree-d Frobenius orbit, are read from `matgrp.primary_charpolys`, the
+one place they are derived.  The formula is never trusted blindly:
+verify_irreducible checks the norm <chi, chi> = 1, the degree, and
+unitarity on every representation before gamma factors are computed from
+it.
 """
 
 from __future__ import annotations
@@ -27,15 +30,6 @@ from . import matgrp as mg
 #: the default bound on every residual of `verify_irreducible`: |<chi, chi> - 1|,
 #: |chi(1) - dim|, |chi(g^-1) - conj chi(g)| and |chi(h g h^-1) - chi(g)|
 CHARACTER_TOL = 1e-6
-
-
-def _class_data(ctx: FieldCtx, g: mg.Mat):
-    """Conjugacy data needed by the character: None if not primary, else
-    (d, k, alpha)."""
-    ct = mg.class_type(ctx, g)
-    if not ct.primary:
-        return None
-    return (ct.d, ct.k, ct.alpha)
 
 
 def partitions(c: int):
@@ -82,32 +76,16 @@ def centralizer_order(lam: tuple, t: int) -> int:
 @lru_cache(maxsize=64)
 def primary_class_inventory(ctx: FieldCtx, n: int) -> tuple:
     """All primary conjugacy classes of GL_n(F_q): entries
-    (d, alpha, k, class_size) with one alpha per Galois orbit of degree d."""
+    (d, alpha, k, class_size, lam) for each (d, alpha) of
+    `mg.primary_charpolys`, in its order, and each Jordan type lam of
+    c = n / d, k = len(lam)."""
     q = ctx.q
+    order = mg.gl_order(q, n)
     out = []
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        c = n // d
-        # degree-d elements of the subfield tower, one per Frobenius orbit
-        seen = set()
-        alphas = []
-        for xi in ctx.subfield_units(d):
-            if xi in seen:
-                continue
-            orbit = set()
-            acc = xi
-            for _ in range(d):
-                orbit.add(acc)
-                acc = ctx.pow(acc, q)
-            if len(orbit) == d:
-                alphas.append(min(orbit, key=ctx.dlog))
-            seen |= orbit
-        order = mg.gl_order(q, n)
-        for alpha in alphas:
-            for lam in partitions(c):
-                size = order // centralizer_order(lam, q ** d)
-                out.append((d, alpha, len(lam), size, lam))
+    for d, c, alpha, _ in mg.primary_charpolys(ctx, n).values():
+        for lam in partitions(c):
+            size = order // centralizer_order(lam, q ** d)
+            out.append((d, alpha, len(lam), size, lam))
     return tuple(out)
 
 
@@ -198,14 +176,11 @@ class CuspidalRep:
         return self._class_cache[data]
 
     def character(self, g: mg.Mat) -> complex:
-        return self.char_of_class(_class_data(self.ctx, g))
+        ct = mg.class_type(self.ctx, g)
+        return self.char_of_class((ct.d, ct.k, ct.alpha) if ct.primary else None)
 
     def __repr__(self):
         return f"CuspidalRep(q={self.q}, n={self.n}, k={self.exponent})"
-
-
-def cuspidal_character(rep: CuspidalRep, g: mg.Mat) -> complex:
-    return rep.character(g)
 
 
 def inner_product_with_self(rep: CuspidalRep) -> float:

@@ -6,6 +6,12 @@ Bruhat decomposition, canonical coset systems for N\\G and B\\M, the
 interleaving shuffles, antidiagonal block elements, and conjugacy-class
 typing (primary or not) used by the character formula.
 
+The primary classes (d, alpha) have one home, `primary_charpolys`: a table
+per (ctx, n), built from the Frobenius orbits of F_{q^d} for d | n, that
+maps each primary characteristic polynomial f^(n/d) to (d, n/d, alpha, f).
+`class_type`, the support profile and `cuspchar.primary_class_inventory`
+all read it; no polynomial is factored.
+
 The representation-independent tables (support profiles, functional-equation
 pools) are built by batched kernels on stacks of matrices given as numpy
 arrays of base-field codes (`FieldCtx.base`): `batch_mat_mul`,
@@ -19,10 +25,11 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import Singular, ZeroScalar
+from .errors import DimensionMismatch, Singular, ZeroScalar
 from .ffield import FieldCtx
 
 Mat = tuple  # tuple of row tuples
@@ -470,51 +477,6 @@ def poly_mul(ctx, a, b):
     return _poly_trim(out)
 
 
-def poly_mod(ctx, a, f):
-    a = list(a)
-    add, mul, inv, neg = ctx.add, ctx.mul, ctx.inv, ctx.neg
-    df = len(f) - 1
-    ilead = inv(f[-1])
-    while len(a) - 1 >= df and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = mul(a[-1], ilead)
-        shift = len(a) - 1 - df
-        for i, fi in enumerate(f):
-            a[shift + i] = add(a[shift + i], neg(mul(c, fi)))
-        a = _poly_trim(a)
-    return a
-
-
-def poly_gcd(ctx, a, b):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, poly_mod(ctx, a, b)
-    if a:
-        il = ctx.inv(a[-1])
-        a = [ctx.mul(il, x) for x in a]
-    return a
-
-
-def poly_pow_x(ctx, exp, f):
-    result = [1]
-    base = poly_mod(ctx, [0, 1], f)
-    while exp:
-        if exp & 1:
-            result = poly_mod(ctx, poly_mul(ctx, result, base), f)
-        base = poly_mod(ctx, poly_mul(ctx, base, base), f)
-        exp >>= 1
-    return result
-
-
-def poly_eval(ctx, f, x):
-    acc = 0
-    for c in reversed(f):
-        acc = ctx.add(ctx.mul(acc, x), c)
-    return acc
-
-
 def charpoly(ctx: FieldCtx, a: Mat) -> list:
     """Monic characteristic polynomial, ascending coefficients, computed by
     Hessenberg reduction (a similarity, so exact over F_q)."""
@@ -557,57 +519,56 @@ def charpoly(ctx: FieldCtx, a: Mat) -> list:
     return polys[n]
 
 
-#: the factorisations `_primary_factor` keeps.  A cell has at most
-#: q^(n-1) (q - 1) distinct charpolys of invertible matrices: 4,032 at the
-#: frontier cell (q, n) = (64, 2), and at most 1,210 at any cell with n > 2
-#: under `bessel.MAX_CLASS_TYPINGS`.  A support profile factors each
-#: distinct charpoly once whatever the bound, so past it (n = 2, q > 64)
-#: only `class_type` calls factor an evicted charpoly again
-PRIMARY_FACTOR_CACHE = 4096
-
-
-@lru_cache(maxsize=PRIMARY_FACTOR_CACHE)
-def _primary_factor(ctx: FieldCtx, c: tuple):
-    """(d, mult, alpha, f) when the monic polynomial c = f^mult with f
-    irreducible of degree d and alpha its root of least dlog, else None.
-    Keyed by polynomial: at most q^n entries per field, and a support
-    profile meets far fewer distinct ones than it has matrices."""
-    n = len(c) - 1
+@lru_cache(maxsize=64)
+def primary_charpolys(ctx: FieldCtx, n: int) -> MappingProxyType:
+    """Every primary characteristic polynomial of GL_n(F_q): f^(n/d) ->
+    (d, n/d, alpha, f) for each Frobenius orbit of degree-d elements xi of
+    F_{q^d}, d | n, with f = prod_{i<d} (x - xi^(q^i)) and alpha the
+    conjugate of least dlog.  Entries are in order of d, then of the first
+    orbit member in `subfield_units(d)`; a charpoly that is not a key is
+    not primary.  O(q^n) field operations, once per cell; read-only, as
+    every caller shares it."""
     q = ctx.q
-    f = None
-    d0 = None
+    out = {}
     for d in range(1, n + 1):
-        xq = poly_pow_x(ctx, q ** d, c)
-        # gcd(c, x^{q^d} - x)
-        diff = list(xq) + [0, 0]
-        diff[1] = ctx.sub(diff[1], 1)
-        gg = poly_gcd(ctx, c, _poly_trim(diff))
-        if len(gg) - 1 == 0:
+        if n % d:
             continue
-        d0 = d
-        f = gg
-        break
-    if f is None or len(f) - 1 != d0 or n % d0:
-        return None
-    mult = n // d0
-    power = [1]
-    for _ in range(mult):
-        power = poly_mul(ctx, power, f)
-    if power != list(c):
-        return None
-    roots = [xi for xi in ctx.subfield_units(d0) if poly_eval(ctx, f, xi) == 0]
-    return d0, mult, min(roots, key=ctx.dlog), tuple(f)
+        seen = set()
+        for xi in ctx.subfield_units(d):
+            if xi in seen:
+                continue
+            orbit = [xi]
+            acc = ctx.pow(xi, q)
+            while acc != xi:
+                orbit.append(acc)
+                acc = ctx.pow(acc, q)
+            seen.update(orbit)
+            if len(orbit) != d:  # xi lies in a proper subfield
+                continue
+            f = [1]
+            for root in orbit:
+                f = poly_mul(ctx, f, [ctx.neg(root), 1])
+            power = [1]
+            for _ in range(n // d):
+                power = poly_mul(ctx, power, f)
+            out[tuple(power)] = (d, n // d, min(orbit, key=ctx.dlog), tuple(f))
+    return MappingProxyType(out)
 
 
 def class_type(ctx: FieldCtx, g: Mat) -> ClassType:
     """Primary-type data of an invertible matrix: if charpoly = f^c with f
     irreducible of degree d, report (d, c, alpha = deterministic root of f,
-    k = dim ker f(g) / d); otherwise primary=False."""
+    k = dim ker f(g) / d); otherwise primary=False.  The class is read from
+    `primary_charpolys(ctx, ctx.n)`, so a matrix of another size is
+    refused."""
     n = len(g)
+    if n != ctx.n:
+        raise DimensionMismatch(f"class_type of a {n} x {n} matrix over a field"
+                                f" built for n = {ctx.n}")
     c = charpoly(ctx, g)
     if c[0] == 0:  # the constant term is +-det g
         raise Singular("class_type of a singular matrix")
-    primary = _primary_factor(ctx, tuple(c))
+    primary = primary_charpolys(ctx, n).get(tuple(c))
     if primary is None:
         return ClassType(False, None, None, None, None)
     d0, mult, alpha, f = primary

@@ -19,6 +19,7 @@ from gammalab.cuspchar import CuspidalRep
 from gammalab.errors import PreconditionViolated, Singular
 from gammalab.ffield import build_field
 from gammalab import matgrp as mg
+from polyref import poly_eval
 
 
 def table_for(p, e, n, k, inverse=False):
@@ -62,13 +63,13 @@ def test_gl2_independent_averaging():
 
         def chi_table(g):
             cp = mg.charpoly(f, g)
-            roots = [x for x in f.subfield_units(1) if mg.poly_eval(f, cp, x) == 0]
+            roots = [x for x in f.subfield_units(1) if poly_eval(f, cp, x) == 0]
             if len(roots) == 2:
                 return 0j
             if len(roots) == 1:
                 lam = roots[0]
                 return (q - 1) * th(lam) if g == ((lam, 0), (0, lam)) else -th(lam)
-            alpha = next(x for x in f.subfield_units(2) if mg.poly_eval(f, cp, x) == 0)
+            alpha = next(x for x in f.subfield_units(2) if poly_eval(f, cp, x) == 0)
             return -(th(alpha) + th(f.pow(alpha, q)))
 
         for l1 in f.subfield_units(1):

@@ -32,7 +32,7 @@ def test_every_lru_cache_has_a_finite_maxsize():
                                     path.read_text(), re.M))
                      for path in Path(gammalab.__file__).parent.glob("*.py"))
     assert len(caches) == decorators
-    assert "gammalab.matgrp._primary_factor" in caches
+    assert "gammalab.matgrp.primary_charpolys" in caches
     for name, params in caches.items():
         if name not in UNBOUNDED:
             assert params["maxsize"] is not None, name

@@ -338,7 +338,9 @@ def test_gamma_row_reads_one_canonical_ratio_at_c1(capsys, monkeypatch):
 def test_shared_parser_still_refuses_after_a_valid_call(capsys):
     # the parser is built once per process; a valid parse must leave no
     # state behind that lets a later bad argument through
-    for bad in (["--q", "6"], ["--q", "x"], ["--q", "3", "--trials", "0"]):
+    for bad in (["--q", "6"], ["--q", "x"], ["--q", "3", "--trials", "0"],
+                ["--q", "4", "--theta", "x"], ["--q", "4", "--c-re", "2"],
+                ["--q", "4", "--c-re", "nan"]):
         code, out = run_main(["gamma", "--q", "2", "--n", "2", "--theta", "1"],
                              capsys)
         assert code == 0 and json.loads(out)["rows"]

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gammalab.bessel import _support_profile, bessel_build, bessel_tables, support_keys
+from gammalab.bessel import (_support_profile, _unipotents, bessel_build, bessel_tables,
+                             support_keys)
 from gammalab.charkit import AddChar, regular_exponents
 from gammalab.cuspchar import CuspidalRep
-from gammalab.errors import Singular
+from gammalab.errors import DimensionMismatch, Singular
 from gammalab.ffield import build_field
 from gammalab import matgrp as mg
+from polyref import poly_eval, poly_gcd, poly_pow_x
 
 
 def naive_charpoly(ctx, a):
@@ -234,7 +236,7 @@ def test_class_type_examples():
     comp = ((0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0))
     ct = mg.class_type(f, comp)
     assert ct.primary and ct.d == 4 and ct.c == 1 and ct.k == 1
-    assert mg.poly_eval(f, mg.charpoly(f, comp), ct.alpha) == 0
+    assert poly_eval(f, mg.charpoly(f, comp), ct.alpha) == 0
     # two distinct eigenvalues in the base field: not primary
     f3 = build_field(3, 1, 2)
     ct = mg.class_type(f3, ((1, 0), (0, 2)))
@@ -251,29 +253,44 @@ def test_class_type_conjugation_invariant():
         assert mg.class_type(f, g) == mg.class_type(f, conj)
 
 
-def reference_class_type(ctx, g):
-    """class_type without the per-charpoly memo or the mult = 1 shortcut:
-    an invertibility elimination, then the factor search, the f^mult check,
-    the root search and the kernel rank of f(g) on every call; test oracle."""
-    n = len(g)
-    if not mg.is_invertible(ctx, g):
-        raise Singular("class_type of a singular matrix")
-    c = mg.charpoly(ctx, g)
+def reference_factor(ctx, c):
+    """(d, mult, alpha, f) when the monic polynomial c = f^mult with f
+    irreducible of degree d and alpha its root of least dlog, else None, by
+    factoring: the first d with gcd(c, x^(q^d) - x) nontrivial, the f^mult
+    check and a root search over F_{q^d}; test oracle of
+    `mg.primary_charpolys`."""
+    c = list(c)
+    n = len(c) - 1
     for d in range(1, n + 1):
-        diff = list(mg.poly_pow_x(ctx, ctx.q ** d, c)) + [0, 0]
+        diff = list(poly_pow_x(ctx, ctx.q ** d, c)) + [0, 0]
         diff[1] = ctx.sub(diff[1], 1)
-        f = mg.poly_gcd(ctx, c, mg._poly_trim(diff))
+        f = poly_gcd(ctx, c, mg._poly_trim(diff))
         if len(f) > 1:
             break
     if len(f) - 1 != d or n % d:
-        return mg.ClassType(False, None, None, None, None)
+        return None
     power = [1]
     for _ in range(n // d):
         power = mg.poly_mul(ctx, power, f)
     if power != c:
-        return mg.ClassType(False, None, None, None, None)
-    alpha = min((xi for xi in ctx.subfield_units(d) if mg.poly_eval(ctx, f, xi) == 0),
+        return None
+    alpha = min((xi for xi in ctx.subfield_units(d) if poly_eval(ctx, f, xi) == 0),
                 key=ctx.dlog)
+    return d, n // d, alpha, tuple(f)
+
+
+def reference_class_type(ctx, g):
+    """class_type without the per-cell table or the mult = 1 shortcut:
+    an invertibility elimination, then the factorisation of the charpoly
+    (`reference_factor`) and the kernel rank of f(g) on every call; test
+    oracle."""
+    n = len(g)
+    if not mg.is_invertible(ctx, g):
+        raise Singular("class_type of a singular matrix")
+    primary = reference_factor(ctx, mg.charpoly(ctx, g))
+    if primary is None:
+        return mg.ClassType(False, None, None, None, None)
+    d, _, alpha, f = primary
     fg = mg.zero(n)
     acc = mg.identity(n)
     for coef in f:
@@ -283,6 +300,54 @@ def reference_class_type(ctx, g):
     kdim = n - mg.rank(ctx, fg)
     assert kdim % d == 0
     return mg.ClassType(True, d, n // d, alpha, kdim // d)
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2),
+                                   (3, 1, 3), (2, 2, 2), (5, 1, 2), (2, 2, 3)])
+def test_primary_charpolys_match_reference_on_every_polynomial(p, e, n):
+    # every monic degree-n polynomial with a nonzero constant term: the
+    # table holds exactly the primary ones, with the factoriser's entry
+    f = build_field(p, e, n)
+    table = mg.primary_charpolys(f, n)
+    elems = f.subfield_elements(1)
+    polys = [(c0, *rest, 1) for c0 in f.subfield_units(1)
+             for rest in itertools.product(elems, repeat=n - 1)]
+    found = {c: reference_factor(f, c) for c in polys}
+    assert {c: v for c, v in found.items() if v is not None} == dict(table)
+    # entries in order of d, with every d | n present
+    ds = [d for d, _, _, _ in table.values()]
+    assert ds == sorted(ds) and set(ds) == {d for d in range(1, n + 1) if n % d == 0}
+
+
+def profile_charpolys(ctx, n):
+    """The distinct characteristic polynomials of every t*u of the support
+    profile, as tuples of field elements."""
+    F = ctx.base
+    unip = _unipotents(ctx, n)[0]
+    digits = ctx.q ** np.arange(n)
+    codes = set()
+    for key in support_keys(ctx, n):
+        t = F.codes(mg.antidiag_elem(ctx, *key))
+        polys = mg.batch_charpoly(ctx, mg.batch_mat_mul(ctx, t, unip))
+        codes.update(np.unique(polys[:, :n] @ digits).tolist())
+    return [(*F.elems[code // digits % ctx.q].tolist(), 1) for code in sorted(codes)]
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 3, 3), (2, 2, 4)])
+def test_primary_charpolys_match_reference_on_profile_charpolys(p, e, n):
+    f = build_field(p, e, n)
+    table = mg.primary_charpolys(f, n)
+    polys = profile_charpolys(f, n)
+    kinds = [table.get(c) for c in polys]
+    assert kinds == [reference_factor(f, c) for c in polys]
+    assert None in kinds and {k[:2] for k in kinds if k} == {
+        (d, n // d) for d in range(1, n + 1) if n % d == 0}
+
+
+def test_class_type_refuses_another_size():
+    f = build_field(3, 1, 3)
+    with pytest.raises(DimensionMismatch):
+        mg.class_type(f, mg.identity(2))
 
 
 def profile_histogram(ctx, n):
