@@ -357,6 +357,23 @@ def bessel_build(rep: CuspidalRep, psi: AddChar) -> BesselTable:
 
 # -- printed closed forms -----------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _norm_fibres(ctx: FieldCtx, n: int) -> dict:
+    """The units xi of F_{q^n} grouped by their norm N(xi) to F_q, each
+    group in `subfield_units` order, as tuples (xi, Tr xi, Tr xi^-1, N2):
+    traces to F_q, and N2 the norm of xi from F_{q^2} to F_q when xi lies in
+    F_{q^2} but not in F_q, else None.  Representation independent, so the
+    pointwise closed forms read the xi of one norm from here and add their
+    terms in the order of the full loop over F_{q^n}^x."""
+    fibres = {}
+    for xi in ctx.subfield_units(n):
+        n2 = (ctx.norm(xi, 2, 1)
+              if ctx.in_subfield(xi, 2) and not ctx.in_subfield(xi, 1) else None)
+        fibres.setdefault(ctx.norm(xi, n, 1), []).append(
+            (xi, ctx.trace(xi, n, 1), ctx.trace(ctx.inv(xi), n, 1), n2))
+    return {norm: tuple(group) for norm, group in fibres.items()}
+
+
 def bessel_closed_form_gl3(rep: CuspidalRep, psi: AddChar, lam1: int, lam2: int) -> complex:
     """B(antidiag(lam1 I_1, lam2 I_2)) as a character sum over F_{q^3}."""
     if rep.n != 3:
@@ -365,10 +382,8 @@ def bessel_closed_form_gl3(rep: CuspidalRep, psi: AddChar, lam1: int, lam2: int)
     target = ctx.mul(lam1, ctx.mul(lam2, lam2))
     inv_l2 = ctx.inv(lam2)
     total = 0j
-    for xi in ctx.subfield_units(3):
-        if ctx.norm(xi, 3, 1) != target:
-            continue
-        arg = ctx.neg(ctx.mul(inv_l2, ctx.trace(xi, 3, 1)))
+    for xi, trace, _, _ in _norm_fibres(ctx, 3).get(target, ()):
+        arg = ctx.neg(ctx.mul(inv_l2, trace))
         total += psi(arg) * rep.theta(xi)
     return total / ctx.q ** 2
 
@@ -385,15 +400,12 @@ def bessel_closed_form_gl4(rep: CuspidalRep, psi: AddChar, mu: int, nu: int) -> 
     mu_nu2 = ctx.mul(mu_nu, nu)
     units_base = ctx.subfield_units(1)
     total = 0j
-    for xi in ctx.subfield_units(4):
-        if ctx.norm(xi, 4, 1) != det_t:
-            continue
-        a3 = ctx.neg(ctx.trace(xi, 4, 1))
-        a1 = ctx.neg(ctx.mul(ctx.trace(ctx.inv(xi), 4, 1), ctx.norm(xi, 4, 1)))
+    for xi, trace, trace_inv, n2 in _norm_fibres(ctx, 4).get(det_t, ()):
+        a3 = ctx.neg(trace)
+        a1 = ctx.neg(ctx.mul(trace_inv, det_t))
         numer = ctx.add(a1, ctx.mul(a3, mu_nu))
         inner = 0j
-        if ctx.in_subfield(xi, 2) and not ctx.in_subfield(xi, 1) \
-                and mu_nu == ctx.neg(ctx.norm(xi, 2, 1)):
+        if n2 is not None and mu_nu == ctx.neg(n2):
             inner += -q
         for beta in units_base:
             arg = ctx.add(ctx.neg(beta),

@@ -136,6 +136,8 @@ def parse_config(argv) -> RunConfig:
             int(ns.theta)
         except ValueError:
             ap.error(f"--theta must be an integer or 'all-regular', got {ns.theta!r}")
+    if not 0 <= ns.tol < math.inf:  # NaN fails too
+        ap.error(f"--tol must be finite and >= 0, got {ns.tol}")
     c = complex(ns.c_re, ns.c_im)
     if not abs(abs(c) - 1.0) <= levelzero.UNIT_CIRCLE_TOL:  # NaN fails too
         ap.error(f"c = {c} must lie on the unit circle")
@@ -287,6 +289,12 @@ def _flatten_gamma_row(row: dict) -> dict:
     return flat
 
 
+def _routes_agree(delta: float, tol: float) -> bool:
+    """The one verdict of `gamma` and `verify` on a route distance: within
+    --tol when delta <= tol (NaN disagrees)."""
+    return delta <= tol
+
+
 def cmd_gamma(cfg: RunConfig) -> int:
     ctx = build_field(cfg.p, cfg.e, cfg.n)
     t0 = time.perf_counter()
@@ -295,7 +303,7 @@ def cmd_gamma(cfg: RunConfig) -> int:
     rows = _gamma_rows(cfg, tables)
     print(f"rows={len(rows)} elapsed={time.perf_counter() - t0:.3f}s", file=sys.stderr)
     bad = [row for row in rows
-           if not row["shalika"] and row["max_route_delta"] > cfg.tol]
+           if not row["shalika"] and not _routes_agree(row["max_route_delta"], cfg.tol)]
     payload = {"schema": SCHEMA, "command": "gamma", "q": ctx.q, "n": cfg.n,
                "psi_inverse": cfg.psi_inverse, "seed": cfg.seed, "rows": rows}
     _emit(cfg, payload, cfg.out)
@@ -382,7 +390,7 @@ def _verify_checks(cfg: RunConfig, ctx):
             ok = False
             worst_route = worst_unit = math.inf
     yield ("functional_equation", ok and worst_fe < exjs.FE_TOL, worst_fe)
-    yield ("route_agreement", worst_route < cfg.tol, worst_route)
+    yield ("route_agreement", _routes_agree(worst_route, cfg.tol), worst_route)
     yield ("gamma_unitarity", worst_unit < VERIFY_UNITARITY_TOL, worst_unit)
     # Shalika criterion
     if n % 2 == 0:

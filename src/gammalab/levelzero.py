@@ -460,7 +460,7 @@ def modified_fe_scans(tables, trials: int = 100, seed: int = exjs.DEFAULT_SEED):
         if bad.size:
             raise NonConstantRatio(f"modified functional equation residual {worst[bad[0]]}"
                                    f" at theta = {block[bad[0]].rep.exponent}")
-        out.extend(zip(gammas, worst.tolist(), [a[0].size] * len(block)))
+        out.extend(zip(gammas, worst.tolist(), [pool.pairs] * len(block)))
     return out
 
 

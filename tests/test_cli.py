@@ -67,6 +67,18 @@ def test_exit_code_on_route_disagreement(capsys):
     assert json.loads(out)["rows"]  # report still emitted
 
 
+def test_gamma_and_verify_share_the_route_verdict_at_tol(capsys):
+    # a route distance equal to --tol is within it for both commands; at
+    # (3, 2) verify's worst ratio distance is the largest row delta
+    code, out = run_main(["gamma", "--q", "3", "--n", "2"], capsys)
+    tol = max(r["max_route_delta"] for r in json.loads(out)["rows"] if not r["shalika"])
+    for command in ("gamma", "verify"):
+        code, out = run_main([command, "--q", "3", "--n", "2", "--tol", repr(tol)],
+                             capsys)
+        assert code == cli.EXIT_OK
+    assert f"PASS route_agreement residual={tol:.3e}" in json.loads(out)["checks"]
+
+
 def test_verify_green(capsys):
     code, out = run_main(["verify", "--q", "2", "--n", "2"], capsys)
     assert code == 0
@@ -340,7 +352,8 @@ def test_shared_parser_still_refuses_after_a_valid_call(capsys):
     # state behind that lets a later bad argument through
     for bad in (["--q", "6"], ["--q", "x"], ["--q", "3", "--trials", "0"],
                 ["--q", "4", "--theta", "x"], ["--q", "4", "--c-re", "2"],
-                ["--q", "4", "--c-re", "nan"]):
+                ["--q", "4", "--c-re", "nan"], ["--q", "4", "--tol", "nan"],
+                ["--q", "4", "--tol", "inf"], ["--q", "4", "--tol", "-1"]):
         code, out = run_main(["gamma", "--q", "2", "--n", "2", "--theta", "1"],
                              capsys)
         assert code == 0 and json.loads(out)["rows"]

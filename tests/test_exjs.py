@@ -15,7 +15,7 @@ from gammalab.errors import (DimensionMismatch, NonConstantRatio,
                              PreconditionViolated, ShalikaVectorPresent,
                              UnsupportedN)
 from gammalab.ffield import build_field
-from gammalab import exjs
+from gammalab import exjs, levelzero
 from gammalab import matgrp as mg
 
 
@@ -103,7 +103,7 @@ def test_pool_profiles_match_js_profiles_and_pointwise(p, n, trials):
     f, m = table.ctx, n // 2
     translates = exjs._fe_translates(f, n, exjs.DEFAULT_SEED, trials)
     assert len(translates) == (mg.gl_order(p, n) if n == 2 else trials)
-    pool = exjs._fe_pool(f, n, exjs.DEFAULT_SEED, trials)
+    pool = exjs._compile_pool(f, n, translates)
     (js_arr,), (dual_arr,) = exjs._pool_profiles([table], pool)
     probe = CFun(f, m)
     assert js_arr.shape == dual_arr.shape == (len(translates), probe.size)
@@ -142,7 +142,7 @@ def pointwise_pool(ctx, n, translates):
 def test_pool_matches_pointwise_signatures(p, e, n):
     f = build_field(p, e, n)
     translates = exjs._fe_translates(f, n, exjs.DEFAULT_SEED, 100)
-    pool = exjs._fe_pool(f, n, exjs.DEFAULT_SEED, 100)
+    pool = exjs._compile_pool(f, n, translates)
     assert (pool.translates, pool.size) == (len(translates), f.q ** (n // 2))
     got = list(zip(*(x.tolist() for x in (pool.key, pool.arg, pool.js_cell,
                                           pool.dual_cell))))
@@ -193,6 +193,48 @@ def test_batched_certificate_matches_js_profiles(p, e, n):
             ratio = exjs.gamma_ratio(table)
             assert abs(ratio.value - gamma) < 1e-13
             assert abs(ratio.diagnostics["max_residual"] - resid) < 1e-13
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("p,e,n", BATCH_CELLS + [(3, 1, 2), (2, 2, 2)])
+def test_distinct_pool_stands_for_every_translate(p, e, n, inverse):
+    # the shared pool compiles one translate per distinct row set; the
+    # full compile of every translate is the reference
+    f = build_field(p, e, n)
+    size = f.q ** (n // 2)
+    translates = exjs._fe_translates(f, n, exjs.DEFAULT_SEED, 100)
+    rows = [(key, np.where(key >= 0, arg, -1))
+            for key, arg in exjs._translate_rows(f, n, translates)]
+    kept, member = [], []
+    for key, arg in rows:
+        same = [j for j in kept
+                if np.array_equal(rows[j][0], key) and np.array_equal(rows[j][1], arg)]
+        assert len(same) <= 1
+        if not same:
+            kept.append(len(member))
+        member.append(kept.index(same[0]) if same else len(kept) - 1)
+    pool = exjs._fe_pool(f, n, exjs.DEFAULT_SEED, 100)
+    ref = exjs._compile_pool(f, n, [translates[j] for j in kept])
+    assert (pool.translates, pool.size, pool.pairs) == (len(kept), size,
+                                                        len(translates) * size)
+    for name in ("key", "arg", "js_cell", "dual_cell"):
+        assert np.array_equal(getattr(pool, name), getattr(ref, name))
+    full = exjs._compile_pool(f, n, translates)
+    assert set(full.key.tolist()) == set(pool.key.tolist())
+    psi = AddChar(f, inverse)
+    tables = bessel_tables(f, n, regular_exponents(f, n), psi)
+    want, got = exjs._pool_profiles(tables, full), exjs._pool_profiles(tables, pool)
+    for a, b in zip(want, got):
+        assert np.array_equal(a, b[:, member])
+    # every certificate counts the pairs of every translate
+    count = mg.gl_order(f.q, n) if exjs._exhaustive(f.q, n) else 100
+    plain = [t for t in tables if not exjs.has_shalika_vector(t)]
+    assert exjs.gamma_ratios(plain)[2] == count * size
+    if n % 2 == 0:
+        shalika = [t for t in tables if exjs.has_shalika_vector(t)]
+        for block in (plain, shalika):
+            assert [c for _, _, c in levelzero.modified_fe_scans(block)] == \
+                [count * size] * len(block)
 
 
 @pytest.mark.parametrize("p,e,n", BATCH_CELLS)
