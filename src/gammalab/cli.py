@@ -318,6 +318,7 @@ def _verify_checks(cfg: RunConfig, ctx):
     """Yield (name, passed, residual) tuples for the invariant suites."""
     import random
     q, n = ctx.q, cfg.n
+    ks = _theta_exponents(cfg, ctx)
     psi = AddChar(ctx, cfg.psi_inverse)
     # character orthogonality
     resid = abs(sum(psi(x) for x in ctx.subfield_elements(1)))
@@ -328,7 +329,6 @@ def _verify_checks(cfg: RunConfig, ctx):
         worst = max(worst, abs(sum(th(x) for x in ctx.subfield_units(n))))
     yield ("multiplicative_orthogonality", worst < MULTIPLICATIVE_ORTHOGONALITY_TOL,
            worst)
-    ks = regular_orbit_reps(ctx, n)
     reps = [CuspidalRep(ctx, k) for k in ks]
     # character oracle
     worst = 0.0

@@ -21,8 +21,6 @@ import numpy as np
 from .errors import DivideByZero, NotInSubfield, NotPrime, TooLarge, ZeroHasNoLog
 
 ORDER_CAP = 2 ** 24
-_TABLE_MAX = 4096  # full add/mul tables below this order
-_TABLE_ROWS = 256  # rows of the full tables computed per array pass
 
 
 def _is_prime(p: int) -> bool:
@@ -123,7 +121,8 @@ class FieldCtx:
 
     q = p^e is the base-field size; degrees d | n index the tower levels
     F_{q^d}.  `gen` generates the full multiplicative group; `dlog` is a
-    precomputed table inverse to j -> gen^j.
+    precomputed table inverse to j -> gen^j, and every operation is a
+    lookup in such tables of length O(order), with Zech logarithms for `add`.
     """
 
     def __init__(self, p: int, e: int, n: int):
@@ -181,7 +180,7 @@ class FieldCtx:
         return True
 
     def _build_tables(self):
-        p, D, P = self.p, self.deg, self.order
+        p, P = self.p, self.order
         # index <-> coefficient vector: digits of the index base p, ascending
         self._dlog = [-1] * P
         self._exp = [1] * max(P - 1, 1)
@@ -194,32 +193,16 @@ class FieldCtx:
             acc = self._mul_raw(acc, g)
         if acc != 1:
             raise TooLarge("generator does not have full order")  # pragma: no cover
-        self._small = P <= _TABLE_MAX
-        if self._small:
-            # built in blocks of rows, so the arrays stay small beside the lists
-            idx = np.arange(P)
-            self._add_t, self._mul_t = [], []
-            for lo in range(0, P, _TABLE_ROWS):
-                rows = idx[lo:lo + _TABLE_ROWS, None]
-                self._add_t += self._add_indices(rows, idx).tolist()
-                self._mul_t += self._mul_indices(rows, idx).tolist()
+        # Zech logarithms: _zech[k] = dlog(1 + g^k), and -1 (= _dlog[0])
+        # where 1 + g^k = 0.  Adding 1 moves only the constant digit.
+        exp = np.array(self._exp)
+        self._zech = np.array(self._dlog)[exp - exp % p + (exp + 1) % p].tolist()
+        # two periods of g^j, so a sum of two logs indexes it unreduced
+        self._exp *= 2
+        # -1 = g^_half: half the group order for odd p, g^0 = 1 = -1 in
+        # characteristic 2
+        self._half = (P - 1) // 2 if p != 2 else 0
         self._subfield_cache = {}
-
-    def _add_indices(self, a, b):
-        """a + b for broadcast arrays of indices: digit-wise mod p."""
-        p = self.p
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
-        mult = 1
-        for _ in range(self.deg):
-            out += (a // mult % p + b // mult % p) % p * mult
-            mult *= p
-        return out
-
-    def _mul_indices(self, a, b):
-        """a * b for broadcast arrays of indices, through the dlog table."""
-        dlog = np.array(self._dlog)
-        power = np.array(self._exp)[(dlog[a] + dlog[b]) % (self.order - 1)]
-        return np.where((a != 0) & (b != 0), power, 0)
 
     @cached_property
     def base(self) -> "BaseCodes":
@@ -260,27 +243,30 @@ class FieldCtx:
 
     # -- public operations ------------------------------------------------
 
+    # Every operation is a lookup in tables of length O(P).  A log
+    # difference j - i in (-(P - 1), P - 1) indexes _zech from the end when
+    # negative, which reduces it mod P - 1.
+
     def add(self, a: int, b: int) -> int:
-        if self._small:
-            return self._add_t[a][b]
-        return self._add_raw(a, b)
+        """g^i + g^j = g^(i + Z[j - i])."""
+        if not a:
+            return b
+        if not b:
+            return a
+        i = self._dlog[a]
+        z = self._zech[self._dlog[b] - i]
+        return self._exp[i + z] if z >= 0 else 0
 
     def neg(self, a: int) -> int:
-        p = self.p
-        out, mult = 0, 1
-        while a:
-            out += ((p - a % p) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self._exp[self._dlog[a] + self._half] if a else 0
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self._small:
-            return self._mul_t[a][b]
-        return self._mul_raw(a, b)
+        if not a or not b:
+            return 0
+        return self._exp[self._dlog[a] + self._dlog[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -87,6 +87,27 @@ def test_verify_green(capsys):
     assert all(line.startswith("PASS") for line in data["checks"])
 
 
+@pytest.mark.parametrize("theta", ["0", "6"])
+def test_verify_refuses_a_non_regular_theta(theta, capsys):
+    # as gamma and export do: 0 and 6 are not regular at (5, 2)
+    code, out = run_main(["verify", "--q", "5", "--n", "2", "--theta", theta], capsys)
+    assert code == cli.EXIT_PRECONDITION and not out
+
+
+def test_verify_checks_only_the_named_theta(capsys, monkeypatch):
+    built = []
+    tables = cli.bessel_tables
+
+    def record(ctx, n, ks, psi):
+        built.append(list(ks))
+        return tables(ctx, n, ks, psi)
+    monkeypatch.setattr(cli, "bessel_tables", record)
+    code, out = run_main(["verify", "--q", "5", "--n", "2", "--theta", "3"], capsys)
+    assert code == cli.EXIT_OK and built == [[3]]
+    data = json.loads(out)
+    assert data["failed"] == 0 and len(data["checks"]) == 10
+
+
 def test_verify_fails_the_route_checks_when_a_route_raises(monkeypatch, capsys):
     # a route that raises leaves no deltas to report: the route checks must
     # fail with it rather than print the PASS of an empty maximum

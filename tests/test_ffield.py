@@ -1,8 +1,10 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gammalab.errors import DivideByZero, NotInSubfield, NotPrime, TooLarge, ZeroHasNoLog
-from gammalab.ffield import build_field
+from gammalab.ffield import FieldCtx, build_field
 
 
 def test_build_rejects_bad_input():
@@ -129,16 +131,17 @@ def test_modulus_deterministic():
 
 
 @pytest.mark.parametrize("p,e,n", [(2, 1, 3), (3, 1, 2), (2, 2, 3), (5, 1, 2),
-                                   (3, 1, 4), (2, 2, 4), (7, 1, 2)])
+                                   (3, 1, 4), (2, 2, 4), (7, 1, 2), (2, 6, 2),
+                                   (2, 1, 13)])
 @settings(max_examples=100, deadline=None, database=None)
 @given(data=st.data())
 def test_tables_match_raw_arithmetic(p, e, n, data):
-    # the dense tables, built from digit arrays and the dlog table, and the
-    # base-field code tables against the polynomial arithmetic
+    # the log-table arithmetic and the base-field code tables against the
+    # polynomial arithmetic, up to orders 4,096 and 8,192
     f = build_field(p, e, n)
     a, b = (data.draw(st.integers(0, f.order - 1)) for _ in range(2))
-    assert f._add_t[a][b] == f._add_raw(a, b)
-    assert f._mul_t[a][b] == f._mul_raw(a, b)
+    assert f.add(a, b) == f._add_raw(a, b)
+    assert f.mul(a, b) == f._mul_raw(a, b)
     base = f.base
     i, j = (data.draw(st.integers(0, f.q - 1)) for _ in range(2))
     x, y = (f.subfield_elements(1)[c] for c in (i, j))
@@ -149,6 +152,17 @@ def test_tables_match_raw_arithmetic(p, e, n, data):
         assert f._mul_raw(x, int(base.elems[base.inv(i)])) == 1
     else:
         assert base.inv(i) == 0
+
+
+def test_field_build_memory_is_linear_in_the_order():
+    # O(P) lists take about 0.1 MB at P = 1,024; P x P tables take tens of MB
+    tracemalloc.start()
+    try:
+        FieldCtx(2, 5, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 #: every (p, e, n) with field order p^(e n) <= 64
