@@ -31,14 +31,10 @@ from . import matgrp as mg
 #: take; (q, n) = (2, 6) needs 1,048,576 and (4, 4) 786,432, while
 #: (5, 4) needs 7,812,500, (3, 5) 9,565,938 and (2, 7) 134,217,728
 MAX_CLASS_TYPINGS = 2 ** 21
-#: the most representations whose tables or certificates are computed
-#: together: it bounds the (classes x THETA_BLOCK) character matrices of
-#: `bessel_tables` and the (THETA_BLOCK x translates x q^m) profiles of
-#: `exjs._pool_profiles`, whatever the number of representations
-THETA_BLOCK = 64
 #: the most (row, representation) values a batched product gathers at once:
-#: `bessel_tables` and `exjs._pool_profiles` take their rows in passes of
-#: PASS_VALUES // T, so their working memory does not grow with the rows
+#: `bessel_tables` and `exjs._pool_profiles` take the rows of a block of T
+#: representations in passes of PASS_VALUES // T, so their working memory
+#: does not grow with the rows
 PASS_VALUES = 2 ** 13
 
 
@@ -307,30 +303,28 @@ class BesselTable:
 
 
 def _tables(reps, psi: AddChar) -> list:
-    """The Bessel tables of representations at one (q, n), via the averaging
-    formula: B[theta, key] = |N_n|^-1 * sum_c M[key, c] X[c, theta], the
-    cached sparse class sums M (`_class_sums`) against the character matrix
-    X (`cuspchar.character_matrix`) of THETA_BLOCK representations at a
-    time, gathered and summed per key over PASS_VALUES values at a time.
-    The normalization B(I) = 1 is asserted for every table."""
+    """The Bessel tables of a block of representations at one (q, n), via
+    the averaging formula: B[theta, key] = |N_n|^-1 * sum_c M[key, c]
+    X[c, theta], the cached sparse class sums M (`_class_sums`) against the
+    character matrix X (`cuspchar.character_matrix`) of the whole block,
+    gathered and summed per key over PASS_VALUES values at a time.  Its
+    memory grows with the block: the caller chooses how many
+    representations to compute together.  The normalization B(I) = 1 is
+    asserted for every table."""
     ctx, n = reps[0].ctx, reps[0].n
     key, cls, value = _class_sums(ctx, n, psi.inverse)
     classes = _support_profile(ctx, n).classes
     nkeys = len(support_keys(ctx, n))
-    values = np.empty((len(reps), nkeys), dtype=complex)
-    for lo in range(0, len(reps), THETA_BLOCK):
-        block = [rep.exponent for rep in reps[lo:lo + THETA_BLOCK]]
-        chi = character_matrix(ctx, n, classes, block)
-        theta = np.arange(len(block))
-        sums = np.zeros(nkeys * len(block), dtype=complex)
-        step = max(1, PASS_VALUES // len(block))
-        for r in range(0, len(key), step):
-            part = slice(r, r + step)
-            terms = chi[cls[part]]
-            terms *= value[part, None]
-            np.add.at(sums, (key[part, None] * len(block) + theta).ravel(),
-                      terms.ravel())
-        values[lo:lo + len(block)] = sums.reshape(nkeys, len(block)).T
+    chi = character_matrix(ctx, n, classes, [rep.exponent for rep in reps])
+    theta = np.arange(len(reps))
+    sums = np.zeros(nkeys * len(reps), dtype=complex)
+    step = max(1, PASS_VALUES // len(reps))
+    for r in range(0, len(key), step):
+        part = slice(r, r + step)
+        terms = chi[cls[part]]
+        terms *= value[part, None]
+        np.add.at(sums, (key[part, None] * len(reps) + theta).ravel(), terms.ravel())
+    values = np.ascontiguousarray(sums.reshape(nkeys, len(reps)).T)
     values /= ctx.q ** (n * (n - 1) // 2)
     values.flags.writeable = False
     ident = values[:, support_keys(ctx, n).index(((n,), (1,)))]
@@ -343,7 +337,7 @@ def _tables(reps, psi: AddChar) -> list:
 
 def bessel_tables(ctx: FieldCtx, n: int, exponents, psi: AddChar) -> list:
     """One `BesselTable` per exponent k of a regular theta = gen^k of
-    F_{q^n}^x, all from the cell's cached tables in one pass (`_tables`)."""
+    F_{q^n}^x, all from the cell's cached sums in one block (`_tables`)."""
     if n != ctx.n:
         raise PreconditionViolated(f"the field is built for n = {ctx.n}, not {n}")
     return _tables([CuspidalRep(ctx, k) for k in exponents], psi) if exponents else []

@@ -18,7 +18,7 @@ from .errors import DimensionMismatch, NotInSubfield, NotRegular, ZeroHasNoLog
 from .ffield import FieldCtx
 
 #: the bound on |B(I) - 1|, the normalization every Bessel table is checked
-#: against in `bessel.bessel_build`
+#: against in `bessel._tables`
 TOL = 1e-8
 
 

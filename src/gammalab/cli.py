@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -58,6 +59,9 @@ GL3_CLOSED_FORM_TOL = 1e-8
 VERIFY_UNITARITY_TOL = 1e-8
 #: `verify`'s bound on the RatQS residual of f * f^-1 against 1
 RATQS_IDENTITY_TOL = 1e-10
+#: the most representations computed together (`_blocks`): it bounds the
+#: Bessel values, character matrices and certificate profiles held at once
+THETA_BLOCK = 64
 
 
 @dataclass
@@ -129,6 +133,8 @@ def parse_config(argv) -> RunConfig:
         p, e = ns.p, ns.e
     else:
         ap.error("one of --q or --p is required")
+    if ns.n < 2:
+        ap.error(f"--n must be >= 2, got {ns.n}")
     if ns.trials < 1:
         ap.error(f"--trials must be >= 1, got {ns.trials}")
     if ns.theta != "all-regular":
@@ -151,6 +157,16 @@ def _theta_exponents(cfg: RunConfig, ctx):
     k = int(cfg.theta)
     regular_orbit(ctx, cfg.n, k)  # raises NotRegular off the regular exponents
     return [k]
+
+
+def _blocks(cfg: RunConfig, ctx):
+    """The Bessel tables of the selected representations, THETA_BLOCK at a
+    time in order.  Each table's results depend on it alone, so no output
+    depends on the block size."""
+    ks = _theta_exponents(cfg, ctx)
+    psi = AddChar(ctx, cfg.psi_inverse)
+    for lo in range(0, len(ks), THETA_BLOCK):
+        yield bessel_tables(ctx, cfg.n, ks[lo:lo + THETA_BLOCK], psi)
 
 
 def _cnum(z: complex):
@@ -298,9 +314,7 @@ def _routes_agree(delta: float, tol: float) -> bool:
 def cmd_gamma(cfg: RunConfig) -> int:
     ctx = build_field(cfg.p, cfg.e, cfg.n)
     t0 = time.perf_counter()
-    tables = bessel_tables(ctx, cfg.n, _theta_exponents(cfg, ctx),
-                           AddChar(ctx, cfg.psi_inverse))
-    rows = _gamma_rows(cfg, tables)
+    rows = [row for tables in _blocks(cfg, ctx) for row in _gamma_rows(cfg, tables)]
     print(f"rows={len(rows)} elapsed={time.perf_counter() - t0:.3f}s", file=sys.stderr)
     bad = [row for row in rows
            if not row["shalika"] and not _routes_agree(row["max_route_delta"], cfg.tol)]
@@ -340,67 +354,67 @@ def _verify_checks(cfg: RunConfig, ctx):
         except GammalabError:
             ok = False
     yield ("character_oracle", ok, worst)
-    tables = bessel_tables(ctx, n, ks, psi)
-    # Bessel support and bi-equivariance
+    # the table checks, one block at a time, each keeping its worst residual
+    # over the blocks; the bi-equivariance draws share one rng in table order
     rng = random.Random(cfg.seed)
-    samples = 10000 if cfg.exhaustive else 500
-    worst = 0.0
-    for table in tables:
-        for _ in range(samples // max(len(tables), 1) + 1):
-            g = mg.random_invertible(ctx, n, rng)
-            u1 = mg.random_unipotent(ctx, n, rng)
-            u2 = mg.random_unipotent(ctx, n, rng)
-            lhs = table.eval(mg.mat_chain(ctx, u1, g, u2))
-            rhs = (psi(mg.superdiag_sum(ctx, u1)) * psi(mg.superdiag_sum(ctx, u2))
-                   * table.eval(g))
-            worst = max(worst, abs(lhs - rhs))
-    yield ("bessel_biequivariance", worst < BIEQUIVARIANCE_TOL, worst)
-    if n == 3:
-        worst = 0.0
+    draws = (10000 if cfg.exhaustive else 500) // len(ks) + 1
+    worst_bieq = worst_gl3 = worst_fe = worst_route = worst_unit = 0.0
+    fe_ok = shalika_ok = True
+    routed = False
+    for tables in _blocks(cfg, ctx):
         for table in tables:
-            for l1 in ctx.subfield_units(1):
-                for l2 in ctx.subfield_units(1):
+            # Bessel support and bi-equivariance
+            for _ in range(draws):
+                g = mg.random_invertible(ctx, n, rng)
+                u1 = mg.random_unipotent(ctx, n, rng)
+                u2 = mg.random_unipotent(ctx, n, rng)
+                lhs = table.eval(mg.mat_chain(ctx, u1, g, u2))
+                rhs = (psi(mg.superdiag_sum(ctx, u1)) * psi(mg.superdiag_sum(ctx, u2))
+                       * table.eval(g))
+                worst_bieq = max(worst_bieq, abs(lhs - rhs))
+            if n == 3:
+                for l1, l2 in itertools.product(ctx.subfield_units(1), repeat=2):
                     printed = bessel_closed_form_gl3(table.rep, psi, l1, l2)
-                    worst = max(worst, abs(printed - table.value((1, 2), (l1, l2))))
-        yield ("bessel_gl3_closed_form", worst < GL3_CLOSED_FORM_TOL, worst)
-    # functional equation and route agreement: each kind of table certified
-    # as one block
-    worst_fe = 0.0
-    worst_route = 0.0
-    worst_unit = 0.0
-    ok = True
-    shalika = [exjs.has_shalika_vector(table) for table in tables]
-    try:
-        for _, resid, _ in levelzero.modified_fe_scans(
-                [t for t, s in zip(tables, shalika) if s], cfg.trials, cfg.seed):
-            worst_fe = max(worst_fe, resid)
-    except GammalabError:
-        ok = False
-    plain = [t for t, s in zip(tables, shalika) if not s]
-    if plain:
+                    worst_gl3 = max(worst_gl3, abs(printed - table.value((1, 2), (l1, l2))))
+            # Shalika criterion
+            if n % 2 == 0:
+                try:
+                    exjs.shalika_detect(table, samples=200, seed=cfg.seed)
+                except GammalabError:
+                    shalika_ok = False
+        # functional equation and route agreement: each kind of table
+        # certified as one block
+        shalika = [exjs.has_shalika_vector(table) for table in tables]
         try:
-            routes, resid, _ = _route_block(cfg, plain)
-            ratio = routes.pop("ratio")
-            worst_fe = max(worst_fe, float(resid.max()))
-            worst_route = max(float(exjs.modulus(ratio - g).max()) for g in routes.values())
-            worst_unit = float(np.abs(exjs.modulus(ratio) - 1).max())
+            for _, resid, _ in levelzero.modified_fe_scans(
+                    [t for t, s in zip(tables, shalika) if s], cfg.trials, cfg.seed):
+                worst_fe = max(worst_fe, resid)
         except GammalabError:
-            # a route that raised (a certificate or unitarity guard) fails
-            # the route checks as well, not only the functional equation
-            ok = False
-            worst_route = worst_unit = math.inf
-    yield ("functional_equation", ok and worst_fe < exjs.FE_TOL, worst_fe)
-    yield ("route_agreement", _routes_agree(worst_route, cfg.tol), worst_route)
-    yield ("gamma_unitarity", worst_unit < VERIFY_UNITARITY_TOL, worst_unit)
-    # Shalika criterion
-    if n % 2 == 0:
-        ok = True
-        for table in tables:
+            fe_ok = False
+        plain = [t for t, s in zip(tables, shalika) if not s]
+        if plain:
+            routed = True
             try:
-                exjs.shalika_detect(table, samples=200, seed=cfg.seed)
+                routes, resid, _ = _route_block(cfg, plain)
+                ratio = routes.pop("ratio")
+                worst_fe = max(worst_fe, float(resid.max()))
+                worst_route = max(worst_route, *(float(exjs.modulus(ratio - g).max())
+                                                 for g in routes.values()))
+                worst_unit = max(worst_unit, float(np.abs(exjs.modulus(ratio) - 1).max()))
             except GammalabError:
-                ok = False
-        yield ("shalika_equivalence", ok, 0.0)
+                # a route that raised (a certificate or unitarity guard) fails
+                # the route checks as well, not only the functional equation
+                fe_ok = False
+                worst_route = worst_unit = math.inf
+    yield ("bessel_biequivariance", worst_bieq < BIEQUIVARIANCE_TOL, worst_bieq)
+    if n == 3:
+        yield ("bessel_gl3_closed_form", worst_gl3 < GL3_CLOSED_FORM_TOL, worst_gl3)
+    yield ("functional_equation", fe_ok and worst_fe < exjs.FE_TOL, worst_fe)
+    if routed:  # with a Shalika vector in every table, no route ran
+        yield ("route_agreement", _routes_agree(worst_route, cfg.tol), worst_route)
+        yield ("gamma_unitarity", worst_unit < VERIFY_UNITARITY_TOL, worst_unit)
+    if n % 2 == 0:
+        yield ("shalika_equivalence", shalika_ok, 0.0)
     # appendix bound (small groups only)
     if mg.gl_order(q, n) <= 25000:
         ok = True
@@ -443,13 +457,14 @@ def cmd_export(cfg: RunConfig) -> int:
         raise PreconditionViolated("export needs --out DIRECTORY")
     os.makedirs(cfg.out, exist_ok=True)
     ctx = build_field(cfg.p, cfg.e, cfg.n)
-    tables = bessel_tables(ctx, cfg.n, _theta_exponents(cfg, ctx),
-                           AddChar(ctx, cfg.psi_inverse))
-    for table in tables:
-        path = os.path.join(cfg.out, f"bessel_q{ctx.q}_n{cfg.n}_k{table.rep.exponent}.csv")
-        export_bessel_csv(table, path)
-        print(f"wrote {path}", file=sys.stderr)
-    rows = _gamma_rows(cfg, tables)
+    rows = []
+    for tables in _blocks(cfg, ctx):
+        for table in tables:
+            name = f"bessel_q{ctx.q}_n{cfg.n}_k{table.rep.exponent}.csv"
+            path = os.path.join(cfg.out, name)
+            export_bessel_csv(table, path)
+            print(f"wrote {path}", file=sys.stderr)
+        rows += _gamma_rows(cfg, tables)
     sweep = {"schema": SCHEMA, "command": "export", "q": ctx.q, "n": cfg.n,
              "psi_inverse": cfg.psi_inverse, "seed": cfg.seed, "rows": rows}
     sweep_path = os.path.join(cfg.out, f"gamma_sweep_q{ctx.q}_n{cfg.n}.{cfg.fmt}")

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bessel import (PASS_VALUES, THETA_BLOCK, BesselTable, support_keys,
+from .bessel import (PASS_VALUES, BesselTable, support_keys,
                      support_signature, support_signatures)
 from .charkit import (AddChar, CFun, _pairing_matrix, _roots_of_unity, fourier,
                       gauss_sum, kloosterman, restriction_is_trivial)
@@ -535,32 +535,28 @@ def functional_equation_scans(tables, trials: int = 100, seed: int = DEFAULT_SEE
     """gamma of every table of a block at one (q, n, psi) from its canonical
     pair, plus a constancy verification of dual_js = gamma * js over every
     (translate, delta_x) pair of the shared pool (`_fe_pool`: exhaustive on
-    small cells, else `trials` translates), THETA_BLOCK tables at a time.
+    small cells, else `trials` translates).  The whole block is one
+    `_pool_profiles` call, so its memory grows with the block.
 
     Returns (gamma, max_residual, pairs_checked): arrays over the tables and
     the pairs checked per table."""
     ctx, n = tables[0].ctx, tables[0].n
     pool = _fe_pool(ctx, n, seed, trials)
     at = _canonical_point(ctx, n)
-    gammas, worst = [], []
-    for lo in range(0, len(tables), THETA_BLOCK):
-        block = tables[lo:lo + THETA_BLOCK]
-        a0, b0 = canonical_profiles(block)
-        off = np.flatnonzero(np.abs(a0[:, at] - 1.0) > FE_TOL)
-        if off.size:
-            raise OracleFailed("canonical_js", f"JS(W0, phi0) = {a0[off[0], at]}"
-                                               f" at theta = {block[off[0]].rep.exponent}")
-        gamma = b0[:, at]
-        a, b = _pool_profiles(block, pool)
-        a *= gamma[:, None, None]  # in place: the block's arrays are the largest
-        resid = np.abs(np.subtract(b, a, out=b)).max(axis=(1, 2))
-        bad = np.flatnonzero(resid > FE_TOL)
-        if bad.size:
-            raise NonConstantRatio(f"functional equation residual {resid[bad[0]]}"
-                                   f" at theta = {block[bad[0]].rep.exponent}")
-        gammas.append(gamma)
-        worst.append(resid)
-    return np.concatenate(gammas), np.concatenate(worst), pool.pairs
+    a0, b0 = canonical_profiles(tables)
+    off = np.flatnonzero(np.abs(a0[:, at] - 1.0) > FE_TOL)
+    if off.size:
+        raise OracleFailed("canonical_js", f"JS(W0, phi0) = {a0[off[0], at]}"
+                                           f" at theta = {tables[off[0]].rep.exponent}")
+    gamma = b0[:, at]
+    a, b = _pool_profiles(tables, pool)
+    a *= gamma[:, None, None]  # in place: the block's arrays are the largest
+    resid = np.abs(np.subtract(b, a, out=b)).max(axis=(1, 2))
+    bad = np.flatnonzero(resid > FE_TOL)
+    if bad.size:
+        raise NonConstantRatio(f"functional equation residual {resid[bad[0]]}"
+                               f" at theta = {tables[bad[0]].rep.exponent}")
+    return gamma, resid, pool.pairs
 
 
 # -- the three gamma routes ----------------------------------------------------
@@ -725,16 +721,12 @@ def _closed_terms(ctx: FieldCtx, inverse: bool) -> tuple:
 
 def _character_sums(terms, modulus: int, exponents) -> np.ndarray:
     """sum_x w[x] * zeta^(k * j[x]) over the terms (j, w), zeta a primitive
-    modulus-th root of unity, for each exponent k: a (THETA_BLOCK x terms)
-    gather from the roots of unity and an einsum at a time, as in
+    modulus-th root of unity, for each exponent k of an array: one
+    (exponents x terms) gather from the roots of unity and an einsum, as in
     `_delta_profiles`, so that no product reaches BLAS."""
     dlogs, weights = terms
     zeta = _roots_of_unity(modulus)
-    out = np.empty(len(exponents), dtype=complex)
-    for lo in range(0, len(exponents), THETA_BLOCK):
-        k = exponents[lo:lo + THETA_BLOCK, None]
-        out[lo:lo + THETA_BLOCK] = np.einsum("tx,x->t", zeta[k * dlogs % modulus], weights)
-    return out
+    return np.einsum("tx,x->t", zeta[exponents[:, None] * dlogs % modulus], weights)
 
 
 def gamma_closed_forms(tables) -> np.ndarray:

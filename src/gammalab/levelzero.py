@@ -415,8 +415,9 @@ def modified_fe_scans(tables, trials: int = 100, seed: int = exjs.DEFAULT_SEED):
     coefficients (`_coefficient_block`), so the rows of every pair of a
     block are a few broadcast products.  A pair's residual is
     max|row0 - row1| / max(|row0|, |row1|), and 0 (0 = 0) when no
-    coefficient exceeds ZERO_COEFF.  Each THETA_BLOCK of tables reads one
-    `exjs.canonical_profiles` and one pool `exjs._pool_profiles` call.
+    coefficient exceeds ZERO_COEFF.  The whole block reads one
+    `exjs.canonical_profiles` and one pool `exjs._pool_profiles` call, so
+    its memory grows with the block.
 
     Returns one (gamma~, max residual, pairs checked) per table."""
     if not tables:
@@ -428,40 +429,36 @@ def modified_fe_scans(tables, trials: int = 100, seed: int = exjs.DEFAULT_SEED):
         raise PreconditionViolated("a modified-FE block is all Shalika or all"
                                    " without a Shalika vector")
     pool = exjs._fe_pool(tables[0].ctx, n, seed, trials)
-    out = []
-    for lo in range(0, len(tables), exjs.THETA_BLOCK):
-        block = tables[lo:lo + exjs.THETA_BLOCK]
-        lzs = [LevelZeroCtx(table, 1.0, canonical)
-               for table, *canonical in zip(block, *exjs.canonical_profiles(block))]
-        gammas = [_canonical_ratio(lz) for lz in lzs]
-        blocks = [_coefficient_block(lz, g) for lz, g in zip(lzs, gammas)]
-        # the coefficients of (b, p, a, r), each (T, width, 1, 1); a table's
-        # shorter rows are padded with zeros, which change no residual
-        coef = np.zeros((4, len(block), max(c.shape[1] for c in blocks), 1, 1),
-                        dtype=complex)
-        for t, c in enumerate(blocks):
-            coef[:, t, :c.shape[1], 0, 0] = c
-        c0, c1, c2, c3 = coef
-        a, b = exjs._pool_profiles(block, pool)
-        a, b = a[:, None], b[:, None]
-        j1 = a.sum(axis=-1, keepdims=True)
-        # row0 and row1 as (T, width, translates, q^m), the pair axes last
-        # and contiguous: p is constant over the points of a translate, and
-        # r lives on the point x = 0 only
-        row0 = c0 * b
-        row0 += c1 * (lzs[0].q ** (-lzs[0].m / 2.0) * j1)
-        row1 = c2 * a
-        row1[..., :1] += c3 * j1
-        scale = np.maximum(np.abs(row0).max(axis=1), np.abs(row1).max(axis=1))
-        gap = np.abs(np.subtract(row0, row1, out=row0)).max(axis=1)
-        resid = np.divide(gap, scale, out=np.zeros_like(gap), where=scale > ZERO_COEFF)
-        worst = resid.max(axis=(1, 2))
-        bad = np.flatnonzero(worst > exjs.FE_TOL)
-        if bad.size:
-            raise NonConstantRatio(f"modified functional equation residual {worst[bad[0]]}"
-                                   f" at theta = {block[bad[0]].rep.exponent}")
-        out.extend(zip(gammas, worst.tolist(), [pool.pairs] * len(block)))
-    return out
+    lzs = [LevelZeroCtx(table, 1.0, canonical)
+           for table, *canonical in zip(tables, *exjs.canonical_profiles(tables))]
+    gammas = [_canonical_ratio(lz) for lz in lzs]
+    blocks = [_coefficient_block(lz, g) for lz, g in zip(lzs, gammas)]
+    # the coefficients of (b, p, a, r), each (T, width, 1, 1); a table's
+    # shorter rows are padded with zeros, which change no residual
+    coef = np.zeros((4, len(tables), max(c.shape[1] for c in blocks), 1, 1),
+                    dtype=complex)
+    for t, c in enumerate(blocks):
+        coef[:, t, :c.shape[1], 0, 0] = c
+    c0, c1, c2, c3 = coef
+    a, b = exjs._pool_profiles(tables, pool)
+    a, b = a[:, None], b[:, None]
+    j1 = a.sum(axis=-1, keepdims=True)
+    # row0 and row1 as (T, width, translates, q^m), the pair axes last and
+    # contiguous: p is constant over the points of a translate, and r lives
+    # on the point x = 0 only
+    row0 = c0 * b
+    row0 += c1 * (lzs[0].q ** (-lzs[0].m / 2.0) * j1)
+    row1 = c2 * a
+    row1[..., :1] += c3 * j1
+    scale = np.maximum(np.abs(row0).max(axis=1), np.abs(row1).max(axis=1))
+    gap = np.abs(np.subtract(row0, row1, out=row0)).max(axis=1)
+    resid = np.divide(gap, scale, out=np.zeros_like(gap), where=scale > ZERO_COEFF)
+    worst = resid.max(axis=(1, 2))
+    bad = np.flatnonzero(worst > exjs.FE_TOL)
+    if bad.size:
+        raise NonConstantRatio(f"modified functional equation residual {worst[bad[0]]}"
+                               f" at theta = {tables[bad[0]].rep.exponent}")
+    return list(zip(gammas, worst.tolist(), [pool.pairs] * len(tables)))
 
 
 def modified_fe_scan(table: BesselTable, trials: int = 100,

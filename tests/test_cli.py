@@ -458,3 +458,72 @@ def test_json_text_edge_values():
     assert len(_element_lines(text)) == len(payload["rows"])
     assert cli._json_text({}) == "{}\n"
     assert json.loads(cli._json_text({"rows": []})) == {"rows": []}
+
+
+@pytest.mark.parametrize("n", ["1", "0"])
+@pytest.mark.parametrize("command", ["gamma", "verify", "export"])
+def test_n_below_two_refused(command, n, tmp_path, capsys, monkeypatch):
+    # refused while parsing: exit 2, nothing on stdout and no file written
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--q", "5", "--n", n]
+    if command == "export":
+        argv += ["--out", str(tmp_path / "exp")]
+    code, out = run_main(argv, capsys)
+    assert code == cli.EXIT_PRECONDITION and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, routed", [
+    (["--q", "2", "--n", "2"], False),
+    (["--q", "3", "--n", "2", "--theta", "2"], False),
+    (["--q", "3", "--n", "2"], True),
+])
+def test_verify_reports_route_checks_only_when_a_route_ran(argv, routed, capsys):
+    # every table selected at (2, 2), and theta = 2 at (3, 2), has a Shalika
+    # vector: no route is computed, so no route check may pass
+    code, out = run_main(["verify"] + argv, capsys)
+    assert code == cli.EXIT_OK
+    names = [line.split()[1] for line in json.loads(out)["checks"]]
+    assert "functional_equation" in names
+    assert ("route_agreement" in names) == routed
+    assert ("gamma_unitarity" in names) == routed
+
+
+def _cell_outputs(q, n, out_dir, capsys):
+    """stdout and exit code of gamma (both psi) and verify, and of an export
+    to out_dir with its files, at (q, n)."""
+    cell = ["--q", str(q), "--n", str(n)]
+    outs = {" ".join(argv): run_main(argv + cell, capsys)
+            for argv in (["gamma"], ["gamma", "--psi-inverse"], ["verify"])}
+    outs["export"] = run_main(["export"] + cell + ["--out", str(out_dir)], capsys)
+    for path in sorted(out_dir.iterdir()):
+        outs[path.name] = path.read_text()
+    return outs
+
+
+def _block_sizes(monkeypatch) -> list:
+    """The number of exponents of each `bessel_tables` call the CLI makes
+    from now on."""
+    sizes = []
+    tables = cli.bessel_tables
+    monkeypatch.setattr(cli, "bessel_tables", lambda ctx, n, ks, psi:
+                        sizes.append(len(ks)) or tables(ctx, n, ks, psi))
+    return sizes
+
+
+@pytest.mark.parametrize("q, n", [(5, 2), (4, 3)])
+def test_output_does_not_depend_on_the_block_size(q, n, tmp_path, capsys, monkeypatch):
+    # at (5, 2) blocks of 3 mix Shalika and plain rows
+    default = _cell_outputs(q, n, tmp_path / "default", capsys)
+    sizes = _block_sizes(monkeypatch)
+    monkeypatch.setattr(cli, "THETA_BLOCK", 3)
+    assert _cell_outputs(q, n, tmp_path / "three", capsys) == default
+    assert max(sizes) == 3 and len(sizes) > 4
+
+
+def test_gamma_walks_a_cell_in_blocks_of_theta_block(capsys, monkeypatch):
+    # (8, 3) has 168 regular orbits
+    sizes = _block_sizes(monkeypatch)
+    code, out = run_main(["gamma", "--q", "8", "--n", "3"], capsys)
+    assert code == cli.EXIT_OK and len(json.loads(out)["rows"]) == 168
+    assert sizes == [64, 64, 40]
