@@ -27,7 +27,7 @@ from gammalab import (
     shalika_witness,
 )
 from gammalab.exjs import broken_equation_witness, canonical_pair
-from gammalab.levelzero import modified_fe_scan
+from gammalab.levelzero import modified_fe_scans
 
 f = build_field(3, 1, 2)
 
@@ -58,7 +58,7 @@ for c in (1.0, 1j, cmath.exp(2j * cmath.pi / 5)):
     assert abs(shalika_functional_value(ctx, shalika_witness(table)) - 1) < 1e-9
 
 # The modified functional equation covers every pair with one rational gamma.
-gamma_t, resid, pairs = modified_fe_scan(table)
+gamma_t, resid, pairs = modified_fe_scans([table])[0]
 print(f"\nmodified functional equation: gamma~ = {gamma_t.simplified()}")
 print(f"max coefficientwise residual over {pairs} exhaustive pairs: {resid:.2e}")
 

@@ -29,7 +29,7 @@ from . import exjs, levelzero
 from .bessel import (bessel_closed_form_gl3, bessel_tables, export_bessel_csv,
                      require_profile_size)
 from .charkit import AddChar, MultChar, regular_orbit, regular_orbit_reps
-from .cuspchar import CuspidalRep, verify_irreducible
+from .cuspchar import verify_irreducible
 from .errors import (GammalabError, NonConstantRatio, OracleFailed,
                      PreconditionViolated)
 from .ffield import build_field
@@ -107,7 +107,8 @@ def _parser() -> argparse.ArgumentParser:
     for name in ("gamma", "verify", "export"):
         sp = sub.add_parser(name)
         sp.add_argument("--p", type=int, default=None, help="characteristic")
-        sp.add_argument("--e", type=int, default=1, help="base extension degree; q = p^e")
+        sp.add_argument("--e", type=int, default=None,
+                        help="base extension degree; q = p^e (default 1)")
         sp.add_argument("--q", type=int, default=None, help="base-field size (prime power)")
         sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--theta", default="all-regular",
@@ -128,9 +129,11 @@ def parse_config(argv) -> RunConfig:
     ap = _parser()
     ns = ap.parse_args(argv)
     if ns.q is not None:
+        if ns.p is not None or ns.e is not None:
+            ap.error("--q excludes --p and --e")
         p, e = _factor_prime_power(ns.q)
     elif ns.p is not None:
-        p, e = ns.p, ns.e
+        p, e = ns.p, 1 if ns.e is None else ns.e
     else:
         ap.error("one of --q or --p is required")
     if ns.n < 2:
@@ -194,25 +197,17 @@ def _gamma_rows(cfg: RunConfig, tables) -> list:
     return rows
 
 
-def _route_block(cfg: RunConfig, tables):
-    """Every gamma route of a nonempty block of tables without a Shalika
-    vector, as arrays over the block: ({route: gammas}, the ratio
-    certificate's residuals, the pairs it checked per table)."""
+def _route_rows(cfg: RunConfig, tables) -> list:
+    """The route fields of the rows of tables without a Shalika vector, from
+    every route computed as arrays over the block: each route's gamma,
+    |gamma| of the ratio route, the distance between every two routes and
+    its maximum, and the ratio certificate's residual and pairs checked."""
+    if not tables:
+        return []
     ratio, resid, checked = exjs.gamma_ratios(tables, cfg.trials, cfg.seed)
     routes = {"ratio": ratio, "torus": exjs.gamma_tori(tables)}
     if cfg.n in (2, 3, 4):
         routes["closed_form"] = exjs.gamma_closed_forms(tables)
-    return routes, resid, checked
-
-
-def _route_rows(cfg: RunConfig, tables) -> list:
-    """The route fields of the rows of tables without a Shalika vector,
-    from the block arrays of `_route_block`: each route's gamma, |gamma| of
-    the ratio route, the distance between every two routes and its maximum,
-    and the certificate's residual and pairs checked."""
-    if not tables:
-        return []
-    routes, resid, checked = _route_block(cfg, tables)
     names = sorted(routes)
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
     deltas = np.array([exjs.modulus(routes[a] - routes[b]) for a, b in pairs])
@@ -306,9 +301,20 @@ def _flatten_gamma_row(row: dict) -> dict:
 
 
 def _routes_agree(delta: float, tol: float) -> bool:
-    """The one verdict of `gamma` and `verify` on a route distance: within
-    --tol when delta <= tol (NaN disagrees)."""
+    """The one verdict of `gamma`, `export` and `verify` on a route
+    distance: within --tol when delta <= tol (NaN disagrees)."""
     return delta <= tol
+
+
+def _route_exit(cfg: RunConfig, rows) -> int:
+    """The exit code of `gamma` and `export`: EXIT_ROUTE_DISAGREEMENT, named
+    on stderr, when any row's routes disagree beyond --tol."""
+    bad = [row["theta"] for row in rows
+           if not row["shalika"] and not _routes_agree(row["max_route_delta"], cfg.tol)]
+    if bad:
+        print(f"route disagreement beyond {cfg.tol} for theta={bad}", file=sys.stderr)
+        return EXIT_ROUTE_DISAGREEMENT
+    return EXIT_OK
 
 
 def cmd_gamma(cfg: RunConfig) -> int:
@@ -316,16 +322,10 @@ def cmd_gamma(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     rows = [row for tables in _blocks(cfg, ctx) for row in _gamma_rows(cfg, tables)]
     print(f"rows={len(rows)} elapsed={time.perf_counter() - t0:.3f}s", file=sys.stderr)
-    bad = [row for row in rows
-           if not row["shalika"] and not _routes_agree(row["max_route_delta"], cfg.tol)]
     payload = {"schema": SCHEMA, "command": "gamma", "q": ctx.q, "n": cfg.n,
                "psi_inverse": cfg.psi_inverse, "seed": cfg.seed, "rows": rows}
     _emit(cfg, payload, cfg.out)
-    if bad:
-        print(f"route disagreement beyond {cfg.tol} for theta="
-              f"{[r['theta'] for r in bad]}", file=sys.stderr)
-        return EXIT_ROUTE_DISAGREEMENT
-    return EXIT_OK
+    return _route_exit(cfg, rows)
 
 
 def _verify_checks(cfg: RunConfig, ctx):
@@ -343,26 +343,22 @@ def _verify_checks(cfg: RunConfig, ctx):
         worst = max(worst, abs(sum(th(x) for x in ctx.subfield_units(n))))
     yield ("multiplicative_orthogonality", worst < MULTIPLICATIVE_ORTHOGONALITY_TOL,
            worst)
-    reps = [CuspidalRep(ctx, k) for k in ks]
-    # character oracle
-    worst = 0.0
-    ok = True
-    for rep in reps:
-        try:
-            report = verify_irreducible(rep)
-            worst = max(worst, abs(report["inner_product"] - 1))
-        except GammalabError:
-            ok = False
-    yield ("character_oracle", ok, worst)
     # the table checks, one block at a time, each keeping its worst residual
     # over the blocks; the bi-equivariance draws share one rng in table order
     rng = random.Random(cfg.seed)
     draws = (10000 if cfg.exhaustive else 500) // len(ks) + 1
-    worst_bieq = worst_gl3 = worst_fe = worst_route = worst_unit = 0.0
-    fe_ok = shalika_ok = True
+    small = mg.gl_order(q, n) <= 25000  # the appendix bound is for small groups
+    worst_char = worst_bieq = worst_gl3 = worst_fe = worst_route = worst_unit = 0.0
+    char_ok = shalika_ok = homdim_ok = True
     routed = False
     for tables in _blocks(cfg, ctx):
         for table in tables:
+            # character oracle
+            try:
+                report = verify_irreducible(table.rep)
+                worst_char = max(worst_char, abs(report["inner_product"] - 1))
+            except GammalabError:
+                char_ok = False
             # Bessel support and bi-equivariance
             for _ in range(draws):
                 g = mg.random_invertible(ctx, n, rng)
@@ -382,48 +378,44 @@ def _verify_checks(cfg: RunConfig, ctx):
                     exjs.shalika_detect(table, samples=200, seed=cfg.seed)
                 except GammalabError:
                     shalika_ok = False
-        # functional equation and route agreement: each kind of table
-        # certified as one block
-        shalika = [exjs.has_shalika_vector(table) for table in tables]
+            if small:
+                try:
+                    exjs.homdim_check(table.rep)
+                except GammalabError:
+                    homdim_ok = False
+        # functional equation and route agreement, read from the rows that
+        # `gamma` prints for this block
+        plain = not all(exjs.has_shalika_vector(table) for table in tables)
+        routed = routed or plain
         try:
-            for _, resid, _ in levelzero.modified_fe_scans(
-                    [t for t, s in zip(tables, shalika) if s], cfg.trials, cfg.seed):
-                worst_fe = max(worst_fe, resid)
+            rows = _gamma_rows(cfg, tables)
         except GammalabError:
-            fe_ok = False
-        plain = [t for t, s in zip(tables, shalika) if not s]
-        if plain:
-            routed = True
-            try:
-                routes, resid, _ = _route_block(cfg, plain)
-                ratio = routes.pop("ratio")
-                worst_fe = max(worst_fe, float(resid.max()))
-                worst_route = max(worst_route, *(float(exjs.modulus(ratio - g).max())
-                                                 for g in routes.values()))
-                worst_unit = max(worst_unit, float(np.abs(exjs.modulus(ratio) - 1).max()))
-            except GammalabError:
-                # a route that raised (a certificate or unitarity guard) fails
-                # the route checks as well, not only the functional equation
-                fe_ok = False
+            # a block whose certificate or route raised has no rows: every
+            # check it feeds fails
+            worst_fe = math.inf
+            if plain:
                 worst_route = worst_unit = math.inf
+            continue
+        for row in rows:
+            worst_fe = max(worst_fe, row["modified_fe_residual" if row["shalika"]
+                                         else "fe_residual"])
+            if not row["shalika"]:
+                worst_route = max([worst_route] + [
+                    delta for pair, delta in row["route_deltas"].items()
+                    if "ratio" in pair.split("-")])
+                worst_unit = max(worst_unit, abs(row["abs_gamma"] - 1))
+    yield ("character_oracle", char_ok, worst_char)
     yield ("bessel_biequivariance", worst_bieq < BIEQUIVARIANCE_TOL, worst_bieq)
     if n == 3:
         yield ("bessel_gl3_closed_form", worst_gl3 < GL3_CLOSED_FORM_TOL, worst_gl3)
-    yield ("functional_equation", fe_ok and worst_fe < exjs.FE_TOL, worst_fe)
+    yield ("functional_equation", worst_fe < exjs.FE_TOL, worst_fe)
     if routed:  # with a Shalika vector in every table, no route ran
         yield ("route_agreement", _routes_agree(worst_route, cfg.tol), worst_route)
         yield ("gamma_unitarity", worst_unit < VERIFY_UNITARITY_TOL, worst_unit)
     if n % 2 == 0:
         yield ("shalika_equivalence", shalika_ok, 0.0)
-    # appendix bound (small groups only)
-    if mg.gl_order(q, n) <= 25000:
-        ok = True
-        for rep in reps:
-            try:
-                exjs.homdim_check(rep)
-            except GammalabError:
-                ok = False
-        yield ("homdim_bound", ok, 0.0)
+    if small:
+        yield ("homdim_bound", homdim_ok, 0.0)
     # RatQS identities
     x = RatQS.x_power(1)
     one = RatQS.one()
@@ -470,7 +462,7 @@ def cmd_export(cfg: RunConfig) -> int:
     sweep_path = os.path.join(cfg.out, f"gamma_sweep_q{ctx.q}_n{cfg.n}.{cfg.fmt}")
     _emit(cfg, sweep, sweep_path)
     print(f"wrote {sweep_path}", file=sys.stderr)
-    return EXIT_OK
+    return _route_exit(cfg, rows)
 
 
 def main(argv=None) -> int:

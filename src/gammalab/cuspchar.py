@@ -176,8 +176,7 @@ class CuspidalRep:
         return self._class_cache[data]
 
     def character(self, g: mg.Mat) -> complex:
-        ct = mg.class_type(self.ctx, g)
-        return self.char_of_class((ct.d, ct.k, ct.alpha) if ct.primary else None)
+        return self.char_of_class(_class_data(self.ctx, g))
 
     def __repr__(self):
         return f"CuspidalRep(q={self.q}, n={self.n}, k={self.exponent})"
@@ -191,6 +190,27 @@ def inner_product_with_self(rep: CuspidalRep) -> float:
         v = rep.char_of_class((d, k, alpha))
         total += size * (v.real * v.real + v.imag * v.imag)
     return total / mg.gl_order(rep.q, rep.n)
+
+
+def _class_data(ctx: FieldCtx, g: mg.Mat):
+    """The `CuspidalRep.char_of_class` argument of g: (d, k, alpha) or None."""
+    ct = mg.class_type(ctx, g)
+    return (ct.d, ct.k, ct.alpha) if ct.primary else None
+
+
+@lru_cache(maxsize=64)
+def _sampled_classes(ctx: FieldCtx, n: int, samples: int, seed: int) -> tuple:
+    """The class data of the `samples` triples (g, g^-1, h g h^-1) that
+    `verify_irreducible` draws from one rng seeded with `seed`, typed once
+    per cell: every representation reads the same triples."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(samples):
+        g = mg.random_invertible(ctx, n, rng)
+        h = mg.random_invertible(ctx, n, rng)
+        conj = mg.mat_chain(ctx, h, g, mg.mat_inv(ctx, h))
+        out.append(tuple(_class_data(ctx, x) for x in (g, mg.mat_inv(ctx, g), conj)))
+    return tuple(out)
 
 
 def verify_irreducible(rep: CuspidalRep, samples: int = 40, seed: int = 1729,
@@ -210,17 +230,12 @@ def verify_irreducible(rep: CuspidalRep, samples: int = 40, seed: int = 1729,
     report["degree"] = degree
     if abs(degree - rep.dimension()) > tol or abs(degree.imag) > tol:
         raise OracleFailed("degree", f"chi(1) = {degree} != {rep.dimension()}")
-    rng = random.Random(seed)
     worst_inv = 0.0
     worst_conj = 0.0
-    for _ in range(samples):
-        g = mg.random_invertible(rep.ctx, rep.n, rng)
-        h = mg.random_invertible(rep.ctx, rep.n, rng)
-        worst_inv = max(worst_inv,
-                        abs(rep.character(mg.mat_inv(rep.ctx, g))
-                            - rep.character(g).conjugate()))
-        conj = mg.mat_chain(rep.ctx, h, g, mg.mat_inv(rep.ctx, h))
-        worst_conj = max(worst_conj, abs(rep.character(conj) - rep.character(g)))
+    for g, g_inv, conj in _sampled_classes(rep.ctx, rep.n, samples, seed):
+        chi = rep.char_of_class(g)
+        worst_inv = max(worst_inv, abs(rep.char_of_class(g_inv) - chi.conjugate()))
+        worst_conj = max(worst_conj, abs(rep.char_of_class(conj) - chi))
     report["max_inverse_residual"] = worst_inv
     report["max_conjugation_residual"] = worst_conj
     if worst_inv > tol:

@@ -461,19 +461,11 @@ def modified_fe_scans(tables, trials: int = 100, seed: int = exjs.DEFAULT_SEED):
     return list(zip(gammas, worst.tolist(), [pool.pairs] * len(tables)))
 
 
-def modified_fe_scan(table: BesselTable, trials: int = 100,
-                     seed: int = exjs.DEFAULT_SEED):
-    """(gamma~, max residual, pairs checked) of one table: `modified_fe_scans`
-    on a block of one."""
-    return modified_fe_scans([table], trials, seed)[0]
-
-
 def modified_fe_check(table: BesselTable, trials: int = 100,
                       seed: int = exjs.DEFAULT_SEED):
-    """(gamma~, max residual) of `modified_fe_scan`, for callers that need
-    no pair count."""
-    gamma_t, worst, _ = modified_fe_scan(table, trials, seed)
-    return gamma_t, worst
+    """(gamma~, max residual) of one table: `modified_fe_scans` on a block
+    of one, for callers that need no pair count."""
+    return modified_fe_scans([table], trials, seed)[0][:2]
 
 
 def shalika_functional_value(ctx: LevelZeroCtx, w) -> complex:

@@ -527,3 +527,91 @@ def test_gamma_walks_a_cell_in_blocks_of_theta_block(capsys, monkeypatch):
     code, out = run_main(["gamma", "--q", "8", "--n", "3"], capsys)
     assert code == cli.EXIT_OK and len(json.loads(out)["rows"]) == 168
     assert sizes == [64, 64, 40]
+
+
+def test_export_exits_3_on_route_disagreement(tmp_path, capsys):
+    # export writes every file, then gives gamma's verdict on the routes
+    argv = ["export", "--q", "3", "--n", "2"]
+    code = cli.main(argv + ["--tol", "1e-30", "--out", str(tmp_path / "strict")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_ROUTE_DISAGREEMENT
+    assert "route disagreement beyond 1e-30 for theta=" in err
+    sweep = json.loads((tmp_path / "strict" / "gamma_sweep_q3_n2.json").read_text())
+    assert len(sweep["rows"]) == 3
+    assert len(list((tmp_path / "strict").glob("bessel_*.csv"))) == 3
+    code, _ = run_main(argv + ["--out", str(tmp_path / "default")], capsys)
+    assert code == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["gamma", "verify", "export"])
+@pytest.mark.parametrize("field", [["--p", "3"], ["--e", "2"], ["--p", "2", "--e", "3"]])
+def test_q_refused_next_to_p_or_e(command, field, tmp_path, capsys, monkeypatch):
+    # --q and --p/--e are alternatives: refused while parsing, before any
+    # field is built, with nothing on stdout and no file written
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    monkeypatch.setattr(cli, "build_field", lambda *a: calls.append(a))
+    argv = [command, "--q", "8", "--n", "2"] + field
+    if command == "export":
+        argv += ["--out", str(tmp_path / "exp")]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_PRECONDITION and captured.out == ""
+    assert "--q excludes --p and --e" in captured.err
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
+def test_e_defaults_to_one_next_to_p(capsys):
+    assert run_main(["gamma", "--p", "3", "--n", "2"], capsys) == \
+        run_main(["gamma", "--p", "3", "--e", "1", "--n", "2"], capsys) == \
+        run_main(["gamma", "--q", "3", "--n", "2"], capsys)
+
+
+@pytest.mark.parametrize("q, n", [(5, 2), (4, 3), (3, 4)])
+def test_verify_reads_its_certificates_from_the_gamma_rows(q, n, capsys):
+    # (5, 2) mixes Shalika and plain rows; every residual is the maximum
+    # over the rows gamma prints for the same seed
+    cell = ["--q", str(q), "--n", str(n), "--seed", "11"]
+    code, out = run_main(["gamma"] + cell, capsys)
+    assert code == cli.EXIT_OK
+    rows = json.loads(out)["rows"]
+    plain = [r for r in rows if not r["shalika"]]
+    fe = max(r["modified_fe_residual"] if r["shalika"] else r["fe_residual"]
+             for r in rows)
+    route = max(delta for r in plain for pair, delta in r["route_deltas"].items()
+                if "ratio" in pair.split("-"))
+    unit = max(abs(r["abs_gamma"] - 1) for r in plain)
+    code, out = run_main(["verify"] + cell, capsys)
+    assert code == cli.EXIT_OK
+    checks = json.loads(out)["checks"]
+    for name, resid in (("functional_equation", fe), ("route_agreement", route),
+                        ("gamma_unitarity", unit)):
+        assert f"PASS {name} residual={resid:.3e}" in checks
+
+
+def test_verify_fails_every_check_of_a_block_without_rows(monkeypatch, capsys):
+    # a modified certificate that raises leaves its block without rows: the
+    # plain tables of the block do not pass the route checks on their own
+    def refuse(*args):
+        raise cli.NonConstantRatio("refused")
+    monkeypatch.setattr(levelzero, "modified_fe_scans", refuse)
+    code, out = run_main(["verify", "--q", "3", "--n", "2"], capsys)
+    assert code == cli.EXIT_VERIFY_FAILED
+    checks = {line.split()[1]: line for line in json.loads(out)["checks"]}
+    for name in ("functional_equation", "route_agreement", "gamma_unitarity"):
+        assert checks[name] == f"FAIL {name} residual=inf"
+    assert checks["character_oracle"].startswith("PASS")
+
+
+def test_character_oracle_types_its_samples_once_per_cell(capsys, monkeypatch):
+    # the 40 sampled triples (g, g^-1, h g h^-1) are typed once for the
+    # cell; each of the 20 representations types only its identity
+    from gammalab import cuspchar
+    calls = []
+    class_type = mg.class_type
+    monkeypatch.setattr(mg, "class_type",
+                        lambda ctx, g: calls.append(1) or class_type(ctx, g))
+    cuspchar._sampled_classes.cache_clear()
+    code, _ = run_main(["verify", "--q", "4", "--n", "3"], capsys)
+    assert code == cli.EXIT_OK
+    assert 0 < len(calls) <= 3 * 40 + 20

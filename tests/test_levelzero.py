@@ -23,7 +23,6 @@ from gammalab.levelzero import (
     local_L_eps,
     local_gamma,
     modified_fe_check,
-    modified_fe_scan,
     modified_fe_scans,
     shalika_functional_value,
 )
@@ -206,7 +205,7 @@ def test_modified_fe_shalika_matches_local_gamma_at_c1():
 
 def _per_pair_residual(table, trials=100, seed=exjs.DEFAULT_SEED):
     """The modified-FE residual pair by pair in RatQS arithmetic: the
-    reference for the batched rows of modified_fe_scan."""
+    reference for the batched rows of modified_fe_scans."""
     lz = LevelZeroCtx(table, 1.0)
     gamma_t = levelzero._canonical_ratio(lz)
     phat_0 = lz.q ** (-lz.m / 2.0)
@@ -229,7 +228,7 @@ def test_modified_fe_batched_rows_match_per_pair_reference(p, n):
     f = build_field(p, 1, n)
     for k in regular_orbit_reps(f, n):
         table = make_table(p, 1, n, k)
-        gamma_t, worst, checked = modified_fe_scan(table)
+        gamma_t, worst, checked = modified_fe_scans([table])[0]
         translates = exjs._fe_translates(f, n, exjs.DEFAULT_SEED, 100)
         assert checked == len(translates) * p ** (n // 2)
         assert modified_fe_check(table) == (gamma_t, worst)
@@ -275,7 +274,7 @@ def test_modified_fe_block_matches_per_pair_reference(p, n, inverse):
     for table, (gamma_t, worst, checked) in zip(tables, block):
         assert_ratqs_close(gamma_t, levelzero._canonical_ratio(LevelZeroCtx(table, 1.0)))
         assert abs(worst - _per_pair_residual(table)) <= 1e-13
-        one_gamma, one_worst, one_checked = modified_fe_scan(table)
+        one_gamma, one_worst, one_checked = modified_fe_scans([table])[0]
         assert_ratqs_close(gamma_t, one_gamma)
         assert abs(worst - one_worst) <= 1e-13 and checked == one_checked > 0
 
