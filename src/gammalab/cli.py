@@ -177,13 +177,21 @@ def _cnum(z: complex):
 
 
 def _gamma_rows(cfg: RunConfig, tables) -> list:
-    """The rows of `tables`, in their order: the tables without a Shalika
-    vector have every route computed as one block (`_route_rows`), and those
-    with one are certified by one `levelzero.modified_fe_scans` call."""
+    """The rows of `tables`, in their order, from one pass over the block's
+    pool (`exjs.block_profiles`, read on the tables without a Shalika vector
+    and then those with one, so that each kind's profiles are a slice of
+    the block's): the former have every route computed as one block
+    (`_route_rows`), the latter are certified by one
+    `levelzero.modified_fe_scans` call, and each kind reads its own rows of
+    the profiles, the canonical pair's included."""
     shalika = [exjs.has_shalika_vector(table) for table in tables]
-    plain = iter(_route_rows(cfg, [t for t, s in zip(tables, shalika) if not s]))
-    modified = iter(levelzero.modified_fe_scans(
-        [t for t, s in zip(tables, shalika) if s], cfg.trials, cfg.seed))
+    plain = [t for t, s in zip(tables, shalika) if not s]
+    with_vector = [t for t, s in zip(tables, shalika) if s]
+    profiles = exjs.block_profiles(plain + with_vector, cfg.trials, cfg.seed)
+    routed = iter(_route_rows(cfg, plain, profiles.rows(slice(len(plain)))))
+    vector_profiles = profiles.rows(slice(len(plain), None))
+    modified = zip(levelzero.modified_fe_scans(with_vector, vector_profiles),
+                   vector_profiles.js0, vector_profiles.dual0)
     rows = []
     for table, s in zip(tables, shalika):
         rep = table.rep
@@ -192,19 +200,20 @@ def _gamma_rows(cfg: RunConfig, tables) -> list:
                "regular": True,
                "central_char_exponent": rep.central_char.exponent,
                "shalika": s}
-        row.update(_shalika_fields(cfg, table, next(modified)) if s else next(plain))
+        row.update(_shalika_fields(cfg, table, *next(modified)) if s else next(routed))
         rows.append(row)
     return rows
 
 
-def _route_rows(cfg: RunConfig, tables) -> list:
+def _route_rows(cfg: RunConfig, tables, profiles) -> list:
     """The route fields of the rows of tables without a Shalika vector, from
     every route computed as arrays over the block: each route's gamma,
     |gamma| of the ratio route, the distance between every two routes and
-    its maximum, and the ratio certificate's residual and pairs checked."""
+    its maximum, and the ratio certificate's residual and pairs checked,
+    read from the tables' `profiles`."""
     if not tables:
         return []
-    ratio, resid, checked = exjs.gamma_ratios(tables, cfg.trials, cfg.seed)
+    ratio, resid, checked = exjs.gamma_ratios(tables, profiles)
     routes = {"ratio": ratio, "torus": exjs.gamma_tori(tables)}
     if cfg.n in (2, 3, 4):
         routes["closed_form"] = exjs.gamma_closed_forms(tables)
@@ -225,10 +234,11 @@ def _route_rows(cfg: RunConfig, tables) -> list:
                 deltas.max(axis=0).tolist(), resid.tolist())]
 
 
-def _shalika_fields(cfg: RunConfig, table, cert) -> dict:
+def _shalika_fields(cfg: RunConfig, table, cert, js0, dual0) -> dict:
     """The level-zero fields of a Shalika row; `cert` is the table's
-    (gamma~, residual, pairs checked) from `levelzero.modified_fe_scans`."""
-    lz = LevelZeroCtx(table, cfg.c)
+    (gamma~, residual, pairs checked) from `levelzero.modified_fe_scans`,
+    and js0, dual0 its canonical profiles from the block's."""
+    lz = LevelZeroCtx(table, cfg.c, (js0, dual0))
     L, eps = levelzero.local_L_eps(lz)
     gtilde, resid, checked = cert
     # gamma~ is the canonical-pair ratio at c = 1: at that c local_gamma

@@ -16,6 +16,7 @@ import random
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -235,8 +236,10 @@ class FePool:
     of the (translate, point) sums it feeds in js (`js_cell`) and dual_js
     (`dual_cell`); translates * size, one past the last cell, where the
     term feeds no sum.  `pairs` is the count of (translate, point) pairs the
-    rows stand for: translates * size, or more when translates with
-    identical rows were compiled once (`_cached_pool`)."""
+    rows stand for: translates * size, or, in the certificates' pool
+    (`_cached_pool`), the pairs of every test translate, whose distinct row
+    sets are compiled once behind the canonical translate, which it does
+    not count."""
     translates: int
     size: int
     key: np.ndarray
@@ -264,14 +267,15 @@ def _compile_pool(ctx: FieldCtx, n: int, translates) -> FePool:
 
 
 def _fe_pool(ctx: FieldCtx, n: int, seed: int, trials: int) -> FePool:
-    """The compiled rows (`FePool`) of the translates of `_fe_translates`,
-    one translate per distinct row set (`_cached_pool`), with `pairs`
-    counting every translate.  Representation independent: shared by every
-    representation at (q, n), by both functional-equation certificates and
-    by the Shalika zero search.  An exhaustive cell ignores seed and trials,
-    so it has one cache entry; a sampled one reads a prefix of the stream of
-    its seed, at least one translate long, so no certificate passes on zero
-    pairs."""
+    """The compiled rows (`FePool`) of the canonical translate sigma^-1 and
+    then of the translates of `_fe_translates`, one translate per distinct
+    row set (`_cached_pool`), with `pairs` counting every test translate.
+    Representation independent: shared by every representation at (q, n),
+    by the canonical pair and both functional-equation certificates
+    (`block_profiles`), and by the Shalika zero search.  An exhaustive cell
+    ignores seed and trials, so it has one cache entry; a sampled one reads
+    a prefix of the stream of its seed, at least one translate long, so no
+    certificate passes on zero pairs."""
     if _exhaustive(ctx.q, n):
         seed = trials = None
     elif trials < 1:
@@ -283,18 +287,20 @@ def _fe_pool(ctx: FieldCtx, n: int, seed: int, trials: int) -> FePool:
 
 @lru_cache(maxsize=64)
 def _cached_pool(ctx: FieldCtx, n: int, seed, trials) -> FePool:
-    """`_compile_pool` of the first translate of each distinct row set, in
-    first-seen order.  Translates with the same support keys, and the same
-    psi-arguments wherever the key is on the support, have the same js and
-    dual_js profiles bit for bit: `_pool_profiles` adds each translate's
-    rows in their own order into its own cells.  So every residual, max and
-    gamma over the kept translates equals that over all of them (at q = 5,
-    n = 2 the 480 translates of GL_2 have 101 row sets)."""
+    """`_compile_pool` of sigma^-1, the canonical translate, and then of the
+    first test translate of each distinct row set, in first-seen order.
+    Translates with the same support keys, and the same psi-arguments
+    wherever the key is on the support, have the same js and dual_js
+    profiles bit for bit: `_pool_profiles` adds each translate's rows in
+    their own order into its own cells.  So every residual, max and gamma
+    over the kept translates equals that over all of them (at q = 5, n = 2
+    the 480 translates of GL_2 have 101 row sets), and the canonical
+    translate's profiles equal those of `_canonical_pool`."""
     translates = _fe_translates(ctx, n, seed, trials)
     kept = {}
     for h, (key, arg) in zip(translates, _translate_rows(ctx, n, translates)):
         kept.setdefault(key.tobytes() + np.where(key >= 0, arg, 0).tobytes(), h)
-    pool = _compile_pool(ctx, n, list(kept.values()))
+    pool = _compile_pool(ctx, n, [_sigma_inv(ctx, n), *kept.values()])
     return replace(pool, pairs=len(translates) * pool.size)
 
 
@@ -501,13 +507,18 @@ def _canonical_point(ctx: FieldCtx, n: int) -> int:
     return CFun(ctx, m).index_of((0,) * m if n % 2 else (0,) * (m - 1) + (1,))
 
 
+def _sigma_inv(ctx: FieldCtx, n: int) -> mg.Mat:
+    """sigma^-1, the translate of the canonical W0."""
+    return mg.mat_inv(ctx, mg.sigma_perm(n))
+
+
 def canonical_pair(table: BesselTable):
     """The (W, phi) with JS(W, phi) = 1: the sigma^{-1}-translate of the
     Bessel function at full normalizing scale, against a delta function."""
     ctx = table.ctx
     n, m, odd = _split(table)
-    sig_inv = mg.mat_inv(ctx, mg.sigma_perm(n))
-    w = WhittakerFun.translate(table, sig_inv, scale=float(_norm_const(ctx, n)))
+    w = WhittakerFun.translate(table, _sigma_inv(ctx, n),
+                               scale=float(_norm_const(ctx, n)))
     phi = CFun(ctx, m)
     phi.values[_canonical_point(ctx, n)] = 1.0
     return w, phi
@@ -515,48 +526,83 @@ def canonical_pair(table: BesselTable):
 
 @lru_cache(maxsize=64)
 def _canonical_pool(ctx: FieldCtx, n: int) -> FePool:
-    """The compiled rows of the canonical translate sigma^-1, shared by every
-    representation at (q, n)."""
-    return _compile_pool(ctx, n, [mg.mat_inv(ctx, mg.sigma_perm(n))])
+    """The compiled rows of the canonical translate sigma^-1 alone, shared by
+    every representation at (q, n)."""
+    return _compile_pool(ctx, n, [_sigma_inv(ctx, n)])
 
 
 def canonical_profiles(tables):
     """(js, dual): the (T x q^m) arrays js(W0, delta_x) and dual_js(W0,
     delta_x) of the canonical W0 of each table of a block, from one
     `_pool_profiles` call on the cached canonical pool.  JS(W0, phi0) and
-    dual_js(W0, phi0) are their entries at `_canonical_point`."""
+    dual_js(W0, phi0) are their entries at `_canonical_point`.  The
+    certificates read the same arrays, bit for bit, from translate 0 of
+    their pool (`block_profiles`); this is the path of a table read
+    alone."""
     ctx, n = tables[0].ctx, tables[0].n
     a, b = _pool_profiles(tables, _canonical_pool(ctx, n))
     scale = float(_norm_const(ctx, n))
     return scale * a[:, 0], scale * b[:, 0]
 
 
-def functional_equation_scans(tables, trials: int = 100, seed: int = DEFAULT_SEED):
+class BlockProfiles(NamedTuple):
+    """The profiles of a block of T tables from one pass over its pool: the
+    canonical W0's js(W0, delta_x) and dual_js(W0, delta_x) as (T x q^m)
+    arrays (`js0`, `dual0`, those of `canonical_profiles`), the test
+    translates' as (T x translates x q^m) arrays (`js`, `dual`), and the
+    (translate, point) pairs each table's test rows stand for."""
+    js0: np.ndarray
+    dual0: np.ndarray
+    js: np.ndarray
+    dual: np.ndarray
+    pairs: int
+
+    def rows(self, part: slice) -> "BlockProfiles":
+        """The profiles of the tables `part` of the block, as views."""
+        return BlockProfiles(self.js0[part], self.dual0[part], self.js[part],
+                             self.dual[part], self.pairs)
+
+
+def block_profiles(tables, trials: int = 100,
+                   seed: int = DEFAULT_SEED) -> BlockProfiles:
+    """The `BlockProfiles` of a block of tables at one (q, n, psi), with or
+    without a Shalika vector, from one `_pool_profiles` call on the shared
+    pool (`_fe_pool`: exhaustive on small cells, else `trials` translates):
+    the canonical pair from translate 0, scaled by `_norm_const`, and the
+    certificates' pairs from the rest.  Its memory grows with the block."""
+    ctx, n, _ = _block_cell(tables)
+    pool = _fe_pool(ctx, n, seed, trials)
+    a, b = _pool_profiles(tables, pool)
+    scale = float(_norm_const(ctx, n))
+    return BlockProfiles(scale * a[:, 0], scale * b[:, 0], a[:, 1:], b[:, 1:],
+                         pool.pairs)
+
+
+def functional_equation_scans(tables, profiles: BlockProfiles = None):
     """gamma of every table of a block at one (q, n, psi) from its canonical
     pair, plus a constancy verification of dual_js = gamma * js over every
-    (translate, delta_x) pair of the shared pool (`_fe_pool`: exhaustive on
-    small cells, else `trials` translates).  The whole block is one
-    `_pool_profiles` call, so its memory grows with the block.
+    (translate, delta_x) pair of the shared pool.  Both read the block's
+    `profiles` (`block_profiles`, at the default trials and seed when None),
+    whose test arrays are overwritten.
 
     Returns (gamma, max_residual, pairs_checked): arrays over the tables and
     the pairs checked per table."""
-    ctx, n = tables[0].ctx, tables[0].n
-    pool = _fe_pool(ctx, n, seed, trials)
-    at = _canonical_point(ctx, n)
-    a0, b0 = canonical_profiles(tables)
+    if profiles is None:
+        profiles = block_profiles(tables)
+    at = _canonical_point(tables[0].ctx, tables[0].n)
+    a0, b0, a, b, pairs = profiles
     off = np.flatnonzero(np.abs(a0[:, at] - 1.0) > FE_TOL)
     if off.size:
         raise OracleFailed("canonical_js", f"JS(W0, phi0) = {a0[off[0], at]}"
                                            f" at theta = {tables[off[0]].rep.exponent}")
     gamma = b0[:, at]
-    a, b = _pool_profiles(tables, pool)
     a *= gamma[:, None, None]  # in place: the block's arrays are the largest
     resid = np.abs(np.subtract(b, a, out=b)).max(axis=(1, 2))
     bad = np.flatnonzero(resid > FE_TOL)
     if bad.size:
         raise NonConstantRatio(f"functional equation residual {resid[bad[0]]}"
                                f" at theta = {tables[bad[0]].rep.exponent}")
-    return gamma, resid, pool.pairs
+    return gamma, resid, pairs
 
 
 # -- the three gamma routes ----------------------------------------------------
@@ -575,10 +621,11 @@ def _require_no_shalika(table: BesselTable):
             " modified functional equation")
 
 
-def gamma_ratios(tables, trials: int = 100, seed: int = DEFAULT_SEED):
+def gamma_ratios(tables, profiles: BlockProfiles = None):
     """Route 1 for a block of tables at one (q, n, psi): the
     functional-equation ratio on each canonical pair, with one constancy
-    certificate over further pairs (`functional_equation_scans`).
+    certificate over further pairs (`functional_equation_scans`, which
+    reads `profiles`).
 
     Returns (gamma, max_residual, pairs_checked): arrays over the tables and
     the pairs checked per table."""
@@ -586,7 +633,7 @@ def gamma_ratios(tables, trials: int = 100, seed: int = DEFAULT_SEED):
         return np.empty(0, dtype=complex), np.empty(0), 0
     for table in tables:
         _require_no_shalika(table)
-    gammas, worst, checked = functional_equation_scans(tables, trials, seed)
+    gammas, worst, checked = functional_equation_scans(tables, profiles)
     _unitarity_guard(gammas, "ratio", tables)
     return gammas, worst, checked
 
@@ -594,7 +641,8 @@ def gamma_ratios(tables, trials: int = 100, seed: int = DEFAULT_SEED):
 def gamma_ratio(table: BesselTable, trials: int = 100,
                 seed: int = DEFAULT_SEED) -> GammaResult:
     """Route 1 for one table: `gamma_ratios` on a block of one."""
-    (gamma,), (resid,), checked = gamma_ratios([table], trials, seed)
+    (gamma,), (resid,), checked = gamma_ratios(
+        [table], block_profiles([table], trials, seed))
     return GammaResult(complex(gamma), "ratio",
                        {"max_residual": float(resid), "pairs_checked": checked})
 
@@ -815,7 +863,7 @@ def shalika_witness(table: BesselTable) -> WhittakerFun:
     n, m, odd = _split(table)
     if odd:
         raise PreconditionViolated("Shalika vectors live at even n")
-    sig_inv = mg.mat_inv(ctx, mg.sigma_perm(n))
+    sig_inv = _sigma_inv(ctx, n)
     psi = table.psi
     terms = []
     for g in mg.mirabolic_coset_reps(ctx, m):
@@ -829,8 +877,9 @@ def shalika_witness(table: BesselTable) -> WhittakerFun:
 def shalika_detect(table: BesselTable, samples: int = 1000,
                    seed: int = DEFAULT_SEED):
     """Divisibility criterion (q^m - 1) | k, cross-checked against the
-    JS(., 1)-nonvanishing search over the translates of `_fe_pool` (with
-    `samples` sampled translates), where JS(W, 1) = sum_x JS(W, delta_x).
+    JS(., 1)-nonvanishing search over the translates of `_fe_pool` (the
+    canonical one and `samples` sampled translates), where JS(W, 1) =
+    sum_x JS(W, delta_x).
     Returns (flag, report)."""
     ctx = table.ctx
     n, m, odd = _split(table)

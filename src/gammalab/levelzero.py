@@ -11,7 +11,7 @@ function with complex coefficients, compared by cross-multiplication.
 from __future__ import annotations
 
 import cmath
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -275,7 +275,9 @@ class LevelZeroCtx:
     c = omega(uniformizer) parameterizing the compatible central characters
     of its level-zero lift, and the one correction formula (`lift`) that
     lifts its finite Jacquet-Shalika sums.  `canonical`, if given, is the
-    table's row pair of `exjs.canonical_profiles`, read from its block."""
+    table's canonical pair (js0, dual0) from its block's
+    `exjs.block_profiles`; without it the table reads its own
+    (`exjs.canonical_profiles`) when first asked."""
 
     def __init__(self, table: BesselTable, c: complex = 1.0, canonical=None):
         if abs(abs(c) - 1.0) > UNIT_CIRCLE_TOL:
@@ -375,39 +377,94 @@ def local_gamma(ctx: LevelZeroCtx, ratio: RatQS = None) -> RatQS:
     return gamma
 
 
-def _laurent_rows(terms) -> np.ndarray:
-    """The Laurent polynomials X^shift * prod(factors), one per term (shift,
-    *factors), as the rows of one zero array aligned on their lowest shift."""
-    polys = [reduce(np.convolve, factors) for _, *factors in terms]
-    low = min(term[0] for term in terms)
-    offsets = [term[0] - low for term in terms]
-    rows = np.zeros((len(terms), max(o + len(p) for o, p in zip(offsets, polys))),
-                    dtype=complex)
-    for row, o, p in zip(rows, offsets, polys):
-        row[o:o + len(p)] = p
-    return rows
+def _canonical_ratios(tables, js0, dual0) -> list:
+    """`_canonical_ratio` at c = 1 of every table of an even-n block, from
+    its canonical profiles js0, dual0 (T x q^m, `exjs.block_profiles`) as
+    block arrays.  At even n the canonical point x0 is never 0, so the js
+    side has no correction, and with a0 = js0[x0], b0 = dual0[x0],
+    p = q^(-m/2) sum_x js0 and dual_corr = Nd / Dd (X-shift 0: X^(-m)
+    times dual_L = X^m / (X^m - c^(-1) q^(-m))),
+
+        gamma~ = (b0 Dd + p Nd) / (a0 Dd),
+
+    one RatQS per table.  A p of at most ZERO_COEFF is 0, as RatQS trims
+    it, and leaves the constant b0 / a0.  Adding 0.0 turns the -0.0 of a
+    product into the 0.0 that RatQS arithmetic writes."""
+    first = tables[0]
+    q, m = first.ctx.q, first.n // 2
+    d = _level_zero_terms(q, m, 1 + 0j).dual_corr
+    at = exjs._canonical_point(first.ctx, first.n)
+    a0, b0 = js0[:, at, None], dual0[:, at, None]
+    p = q ** (-m / 2.0) * js0.sum(axis=1, keepdims=True)
+    num = b0 * d.den + 0.0
+    num[:, :len(d.num)] += p * d.num
+    den = a0 * d.den + 0.0
+    return [RatQS(num[t], den[t]) if abs(p[t, 0]) > ZERO_COEFF
+            else RatQS(b0[t], a0[t]) for t in range(len(tables))]
 
 
-def _coefficient_block(lz: LevelZeroCtx, g: RatQS) -> np.ndarray:
-    """The (4, width) coefficient rows of `modified_fe_scans` for one table:
-    dual_corr = X^sd Nd/Dd, js_corr = X^sj Nj/Dj and gamma~ = X^sg Ng/Dg
-    give row0 = (b Dd + p X^sd Nd) Dg Dj and row1 = X^sg Ng (a Dj + r X^sj
-    Nj) Dd, whose coefficients of b, p, a and r these are."""
-    d, j = lz.dual_corr, lz.js_corr
-    return _laurent_rows([(0, d.den, g.den, j.den),
-                          (d.x_shift, d.num, g.den, j.den),
-                          (g.x_shift, g.num, j.den, d.den),
-                          (g.x_shift + j.x_shift, g.num, j.num, d.den)])
+def _kernels(polys, offsets) -> np.ndarray:
+    """The polynomials X^offset * poly, one per row, as the (rows, 1, width)
+    zero array that `_convolve_rows` broadcasts over a block's tables."""
+    out = np.zeros((len(polys), 1, max(o + len(p) for p, o in zip(polys, offsets))),
+                   dtype=complex)
+    for row, p, o in zip(out, polys, offsets):
+        row[0, o:o + len(p)] = p
+    return out
 
 
-def modified_fe_scans(tables, trials: int = 100, seed: int = exjs.DEFAULT_SEED):
+def _convolve_rows(rows: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """np.convolve of each row of an (R, T, L) array with the kernel of its R
+    (`_kernels`), one kernel tap at a time; the zero taps of a padded
+    kernel add only zeros."""
+    width = rows.shape[-1]
+    out = np.zeros(rows.shape[:-1] + (width + kernels.shape[-1] - 1,), dtype=complex)
+    for j in range(kernels.shape[-1]):
+        out[..., j:j + width] += rows * kernels[..., j:j + 1]
+    return out
+
+
+def _coefficient_block(terms: _Terms, gammas) -> np.ndarray:
+    """The (4, T, width) coefficient rows of `modified_fe_scans` for a block
+    of gamma~: dual_corr = X^sd Nd/Dd, js_corr = X^sj Nj/Dj (`terms`) and
+    gamma~ = X^sg Ng/Dg give row0 = (b Dd + p X^sd Nd) Dg Dj and
+    row1 = X^sg Ng (a Dj + r X^sj Nj) Dd, whose coefficients of b, p, a and
+    r these are: Dg Dd Dj, X^sd Dg Nd Dj, X^sg Ng Dj Dd and X^(sg+sj) Ng Nj
+    Dd, multiplied left to right for every table at once and aligned on
+    the lowest shift.  Each table's Ng and Dg are padded with zeros to the
+    block's longest, Ng aligned on the block's lowest sg; the zeros change
+    no residual."""
+    d, j = terms.dual_corr, terms.js_corr
+    low = min(g.x_shift for g in gammas)
+    dens = max(len(g.den) for g in gammas)
+    nums = max(g.x_shift - low + len(g.num) for g in gammas)
+    # Dg and Ng of every table, as the rows of one zero array
+    dg_ng = np.zeros((2, len(gammas), max(dens, nums)), dtype=complex)
+    for t, g in enumerate(gammas):
+        dg_ng[0, t, :len(g.den)] = g.den
+        dg_ng[1, t, g.x_shift - low:g.x_shift - low + len(g.num)] = g.num
+    shifts = (0, d.x_shift, low, low + j.x_shift)
+    offsets = [s - min(shifts) for s in shifts]
+    first, second = (d.den, d.num, j.den, j.num), (j.den, j.den, d.den, d.den)
+    # the last column that a row's product reaches: beyond it the padded
+    # kernels add zero columns only
+    width = max(o + k + len(a) + len(b) - 2 for o, k, a, b in
+                zip(offsets, (dens, dens, nums, nums), first, second))
+    rows = _convolve_rows(_convolve_rows(dg_ng[[0, 0, 1, 1]], _kernels(first, (0,) * 4)),
+                          _kernels(second, offsets))
+    return rows[..., :width]
+
+
+def modified_fe_scans(tables, profiles: exjs.BlockProfiles = None):
     """The modified functional equation at the trivial-twist normalization
     c = 1 for a block of tables at one (q, n, psi), all with a Shalika
     vector or all without one: per table, one rational function gamma~, the
-    lifted canonical-pair ratio, covers every (W, phi) pair.  The pairs are
-    (translate, delta_x) over the shared pool `exjs._fe_pool`, whose
-    profiles give a = js(W, delta_x) and b = dual_js(W, delta_x); then
-    j1 = js(W, 1) = sum_x a, delta_x(0) = [x = 0] and delta_x^(0) = q^(-m/2).
+    lifted canonical-pair ratio (`_canonical_ratios`), covers every (W, phi)
+    pair.  The pairs are (translate, delta_x) over the shared pool, whose
+    profiles, with the canonical pair's, are the block's `profiles`
+    (`exjs.block_profiles`, at the default trials and seed when None):
+    a = js(W, delta_x) and b = dual_js(W, delta_x); then j1 = js(W, 1) =
+    sum_x a, delta_x(0) = [x = 0] and delta_x^(0) = q^(-m/2).
 
     The lifted sides lhs = b + p dual_corr (p = q^(-m/2) j1) and
     gamma~ (a + r js_corr) (r = [x = 0] j1), cross-multiplied over their
@@ -415,9 +472,7 @@ def modified_fe_scans(tables, trials: int = 100, seed: int = exjs.DEFAULT_SEED):
     coefficients (`_coefficient_block`), so the rows of every pair of a
     block are a few broadcast products.  A pair's residual is
     max|row0 - row1| / max(|row0|, |row1|), and 0 (0 = 0) when no
-    coefficient exceeds ZERO_COEFF.  The whole block reads one
-    `exjs.canonical_profiles` and one pool `exjs._pool_profiles` call, so
-    its memory grows with the block.
+    coefficient exceeds ZERO_COEFF.  Its memory grows with the block.
 
     Returns one (gamma~, max residual, pairs checked) per table."""
     if not tables:
@@ -428,26 +483,21 @@ def modified_fe_scans(tables, trials: int = 100, seed: int = exjs.DEFAULT_SEED):
     if len({exjs.has_shalika_vector(table) for table in tables}) > 1:
         raise PreconditionViolated("a modified-FE block is all Shalika or all"
                                    " without a Shalika vector")
-    pool = exjs._fe_pool(tables[0].ctx, n, seed, trials)
-    lzs = [LevelZeroCtx(table, 1.0, canonical)
-           for table, *canonical in zip(tables, *exjs.canonical_profiles(tables))]
-    gammas = [_canonical_ratio(lz) for lz in lzs]
-    blocks = [_coefficient_block(lz, g) for lz, g in zip(lzs, gammas)]
-    # the coefficients of (b, p, a, r), each (T, width, 1, 1); a table's
-    # shorter rows are padded with zeros, which change no residual
-    coef = np.zeros((4, len(tables), max(c.shape[1] for c in blocks), 1, 1),
-                    dtype=complex)
-    for t, c in enumerate(blocks):
-        coef[:, t, :c.shape[1], 0, 0] = c
-    c0, c1, c2, c3 = coef
-    a, b = exjs._pool_profiles(tables, pool)
+    if profiles is None:
+        profiles = exjs.block_profiles(tables)
+    js0, dual0, a, b, pairs = profiles
+    q, m = tables[0].ctx.q, n // 2
+    gammas = _canonical_ratios(tables, js0, dual0)
+    # the coefficients of (b, p, a, r), each (T, width, 1, 1)
+    c0, c1, c2, c3 = _coefficient_block(_level_zero_terms(q, m, 1 + 0j),
+                                        gammas)[..., None, None]
     a, b = a[:, None], b[:, None]
     j1 = a.sum(axis=-1, keepdims=True)
     # row0 and row1 as (T, width, translates, q^m), the pair axes last and
     # contiguous: p is constant over the points of a translate, and r lives
     # on the point x = 0 only
     row0 = c0 * b
-    row0 += c1 * (lzs[0].q ** (-lzs[0].m / 2.0) * j1)
+    row0 += c1 * (q ** (-m / 2.0) * j1)
     row1 = c2 * a
     row1[..., :1] += c3 * j1
     scale = np.maximum(np.abs(row0).max(axis=1), np.abs(row1).max(axis=1))
@@ -458,14 +508,14 @@ def modified_fe_scans(tables, trials: int = 100, seed: int = exjs.DEFAULT_SEED):
     if bad.size:
         raise NonConstantRatio(f"modified functional equation residual {worst[bad[0]]}"
                                f" at theta = {tables[bad[0]].rep.exponent}")
-    return list(zip(gammas, worst.tolist(), [pool.pairs] * len(tables)))
+    return list(zip(gammas, worst.tolist(), [pairs] * len(tables)))
 
 
 def modified_fe_check(table: BesselTable, trials: int = 100,
                       seed: int = exjs.DEFAULT_SEED):
     """(gamma~, max residual) of one table: `modified_fe_scans` on a block
     of one, for callers that need no pair count."""
-    return modified_fe_scans([table], trials, seed)[0][:2]
+    return modified_fe_scans([table], exjs.block_profiles([table], trials, seed))[0][:2]
 
 
 def shalika_functional_value(ctx: LevelZeroCtx, w) -> complex:

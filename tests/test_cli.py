@@ -216,8 +216,9 @@ def test_gamma_q5n2_rows_share_one_pool(capsys):
 
 def test_warm_q5n2_pass_certifies_each_block_once(capsys, monkeypatch):
     # a warm pass certifies its 8 tables without and 2 with a Shalika vector
-    # as two blocks: one canonical and one pool profile call each, and no
-    # level-zero rational function is built again for the same (q, m, c)
+    # from one pool profile call over its one block, which gives the
+    # canonical pair too, and builds no level-zero rational function again
+    # for the same (q, m, c)
     from gammalab import exjs
     argv = ["gamma", "--q", "5", "--n", "2"]
     levelzero._level_zero_terms.cache_clear()
@@ -226,13 +227,9 @@ def test_warm_q5n2_pass_certifies_each_block_once(capsys, monkeypatch):
     canonical, pooled, built = [], [], []
     profiles, canonical_profiles = exjs._pool_profiles, exjs.canonical_profiles
     l_factor = levelzero.l_factor
-
-    def count_pool(tables, pool):
-        if pool is not exjs._canonical_pool(tables[0].ctx, tables[0].n):
-            pooled.append(len(tables))
-        return profiles(tables, pool)
-
-    monkeypatch.setattr(exjs, "_pool_profiles", count_pool)
+    monkeypatch.setattr(exjs, "_pool_profiles",
+                        lambda tables, pool: pooled.append(len(tables))
+                        or profiles(tables, pool))
     monkeypatch.setattr(exjs, "canonical_profiles",
                         lambda tables: canonical.append(len(tables))
                         or canonical_profiles(tables))
@@ -243,8 +240,32 @@ def test_warm_q5n2_pass_certifies_each_block_once(capsys, monkeypatch):
     rows = json.loads(out)["rows"]
     blocks = sorted([sum(r["shalika"] for r in rows), sum(not r["shalika"] for r in rows)])
     assert blocks == [2, 8]
-    assert sorted(pooled) == blocks and sorted(canonical) == blocks
+    assert pooled == [10] and canonical == []
     assert built == [] and levelzero._level_zero_terms.cache_info().misses == 1
+
+
+def test_shalika_rows_read_the_block_canonical_pair_at_every_c(capsys, monkeypatch):
+    # a Shalika row at c != 1 reads its canonical pair from the block's
+    # profiles: a pass makes as many pool profile calls at c = i and c = -1
+    # as at c = 1, and prints what the two-call oracle (the canonical pool
+    # and every test translate read apart) prints, byte for byte
+    from gammalab import exjs
+    from poolref import separate_profiles
+    argv = ["gamma", "--q", "5", "--n", "2"]
+    units = (["--c-re", "1"], ["--c-re", "0", "--c-im", "1"], ["--c-re", "-1"])
+    pooled, outs = [], []
+    profiles = exjs._pool_profiles
+    monkeypatch.setattr(exjs, "_pool_profiles",
+                        lambda tables, pool: pooled.append(len(tables))
+                        or profiles(tables, pool))
+    for unit in units:
+        pooled.clear()
+        code, out = run_main(argv + unit, capsys)
+        assert code == 0 and pooled == [10]
+        outs.append(out)
+    monkeypatch.setattr(exjs, "block_profiles", separate_profiles)
+    for unit, out in zip(units, outs):
+        assert run_main(argv + unit, capsys) == (0, out)
 
 
 def test_zero_trials_refused_before_any_build(capsys, monkeypatch):
@@ -352,20 +373,25 @@ def test_failed_self_check_exits_1(bound, argv, error, capsys, monkeypatch):
 
 def test_gamma_row_reads_one_canonical_ratio_at_c1(capsys, monkeypatch):
     # at c = 1 local_gamma cross-checks against the certificate's gamma~,
-    # so each Shalika row computes the canonical-pair ratio once
-    calls = []
-    canonical = levelzero._canonical_ratio
+    # so the canonical-pair ratio of each Shalika row is computed once, in
+    # the certificate's block form
+    blocks, pointwise = [], []
+    block, canonical = levelzero._canonical_ratios, levelzero._canonical_ratio
+    monkeypatch.setattr(levelzero, "_canonical_ratios",
+                        lambda tables, *args: blocks.append(len(tables))
+                        or block(tables, *args))
     monkeypatch.setattr(levelzero, "_canonical_ratio",
-                        lambda lz: calls.append(lz) or canonical(lz))
+                        lambda lz: pointwise.append(lz) or canonical(lz))
     code, out = run_main(["gamma", "--q", "5", "--n", "2"], capsys)
     assert code == 0
     shalika = sum(row["shalika"] for row in json.loads(out)["rows"])
-    assert shalika == 2 and len(calls) == shalika
-    # at another c the certificate's c = 1 ratio is no cross-check
-    calls.clear()
+    assert shalika == 2 and blocks == [shalika] and pointwise == []
+    # at another c the certificate's c = 1 ratio is no cross-check: each
+    # row computes its ratio at c a second time
+    blocks.clear()
     code, out = run_main(["gamma", "--q", "5", "--n", "2", "--c-re", "0",
                           "--c-im", "1"], capsys)
-    assert code == 0 and len(calls) == 2 * shalika
+    assert code == 0 and blocks == [shalika] and len(pointwise) == shalika
 
 
 def test_shared_parser_still_refuses_after_a_valid_call(capsys):

@@ -17,6 +17,7 @@ from gammalab.errors import (DimensionMismatch, NonConstantRatio,
 from gammalab.ffield import build_field
 from gammalab import exjs, levelzero
 from gammalab import matgrp as mg
+from poolref import separate_profiles
 
 
 def make_table(p, e, n, k, inverse=False):
@@ -195,14 +196,9 @@ def test_batched_certificate_matches_js_profiles(p, e, n):
             assert abs(ratio.diagnostics["max_residual"] - resid) < 1e-13
 
 
-@pytest.mark.parametrize("inverse", [False, True])
-@pytest.mark.parametrize("p,e,n", BATCH_CELLS + [(3, 1, 2), (2, 2, 2)])
-def test_distinct_pool_stands_for_every_translate(p, e, n, inverse):
-    # the shared pool compiles one translate per distinct row set; the
-    # full compile of every translate is the reference
-    f = build_field(p, e, n)
-    size = f.q ** (n // 2)
-    translates = exjs._fe_translates(f, n, exjs.DEFAULT_SEED, 100)
+def distinct_members(f, n, translates):
+    """(kept, member): the index of the first translate of each distinct row
+    set, and for each translate the position of its row set in kept."""
     rows = [(key, np.where(key >= 0, arg, -1))
             for key, arg in exjs._translate_rows(f, n, translates)]
     kept, member = [], []
@@ -213,19 +209,56 @@ def test_distinct_pool_stands_for_every_translate(p, e, n, inverse):
         if not same:
             kept.append(len(member))
         member.append(kept.index(same[0]) if same else len(kept) - 1)
+    return kept, member
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("p,e,n", BATCH_CELLS)
+def test_block_profiles_match_two_call_oracle(p, e, n, inverse):
+    # one pass over the pool gives the canonical pair and the test pairs of
+    # a block of tables with and without a Shalika vector, bit for bit as
+    # the canonical pool and a compile of every test translate read apart
+    f = build_field(p, e, n)
+    tables = bessel_tables(f, n, regular_exponents(f, n), AddChar(f, inverse))
+    got, want = exjs.block_profiles(tables), separate_profiles(tables)
+    _, member = distinct_members(f, n, exjs._fe_translates(f, n, exjs.DEFAULT_SEED, 100))
+    assert np.array_equal(got.js0, want.js0) and np.array_equal(got.dual0, want.dual0)
+    assert np.array_equal(got.js[:, member], want.js)
+    assert np.array_equal(got.dual[:, member], want.dual)
+    assert got.pairs == want.pairs
+    # a table's rows do not depend on the block it is read in
+    part = slice(1, None, 2)
+    alone = exjs.block_profiles(tables[part])
+    for x, y in zip(got.rows(part), alone):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("p,e,n", BATCH_CELLS + [(3, 1, 2), (2, 2, 2)])
+def test_distinct_pool_stands_for_every_translate(p, e, n, inverse):
+    # the shared pool compiles the canonical translate sigma^-1 and then one
+    # test translate per distinct row set; the full compile of every
+    # translate is the reference
+    f = build_field(p, e, n)
+    size = f.q ** (n // 2)
+    translates = exjs._fe_translates(f, n, exjs.DEFAULT_SEED, 100)
+    kept, member = distinct_members(f, n, translates)
     pool = exjs._fe_pool(f, n, exjs.DEFAULT_SEED, 100)
-    ref = exjs._compile_pool(f, n, [translates[j] for j in kept])
-    assert (pool.translates, pool.size, pool.pairs) == (len(kept), size,
+    sig_inv = mg.mat_inv(f, mg.sigma_perm(n))
+    ref = exjs._compile_pool(f, n, [sig_inv] + [translates[j] for j in kept])
+    assert (pool.translates, pool.size, pool.pairs) == (len(kept) + 1, size,
                                                         len(translates) * size)
     for name in ("key", "arg", "js_cell", "dual_cell"):
         assert np.array_equal(getattr(pool, name), getattr(ref, name))
     full = exjs._compile_pool(f, n, translates)
-    assert set(full.key.tolist()) == set(pool.key.tolist())
+    canonical = exjs._canonical_pool(f, n)
+    assert set(full.key.tolist()) | set(canonical.key.tolist()) == set(pool.key.tolist())
     psi = AddChar(f, inverse)
     tables = bessel_tables(f, n, regular_exponents(f, n), psi)
     want, got = exjs._pool_profiles(tables, full), exjs._pool_profiles(tables, pool)
-    for a, b in zip(want, got):
-        assert np.array_equal(a, b[:, member])
+    for a, b, c in zip(want, got, exjs._pool_profiles(tables, canonical)):
+        assert np.array_equal(a, b[:, 1:][:, member])
+        assert np.array_equal(c, b[:, :1])
     # every certificate counts the pairs of every translate
     count = mg.gl_order(f.q, n) if exjs._exhaustive(f.q, n) else 100
     plain = [t for t in tables if not exjs.has_shalika_vector(t)]

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import json
 import random
 from collections import OrderedDict
@@ -241,11 +242,50 @@ def test_modified_fe_detects_a_perturbed_gamma(p, n, k, monkeypatch):
     # a gamma~ off by a relative 1e-6 fails the 1e-8 bound, with and
     # without a Shalika vector (q5n2 theta = 4 has one, q3n4 theta = 1 not)
     table = make_table(p, 1, n, k)
-    canonical = levelzero._canonical_ratio
-    monkeypatch.setattr(levelzero, "_canonical_ratio",
-                        lambda lz: canonical(lz) * RatQS.const(1 + 1e-6))
+    block = levelzero._canonical_ratios
+    monkeypatch.setattr(levelzero, "_canonical_ratios",
+                        lambda *args: [g * RatQS.const(1 + 1e-6) for g in block(*args)])
     with pytest.raises(NonConstantRatio):
         modified_fe_check(table)
+
+
+@pytest.mark.parametrize("p,e,n", [(3, 1, 2), (5, 1, 2), (7, 1, 2), (2, 2, 2),
+                                   (2, 1, 4), (3, 1, 4)])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_block_gamma_tilde_matches_pointwise_ratio(p, e, n, inverse):
+    # the block arrays give each table's canonical-pair ratio bit for bit,
+    # zeros' signs included: every Shalika table's, and the constant of
+    # every table without a Shalika vector
+    f = build_field(p, e, n)
+    tables = bessel_tables(f, n, regular_orbit_reps(f, n), AddChar(f, inverse))
+    block = levelzero._canonical_ratios(tables, *exjs.canonical_profiles(tables))
+    for table, gamma_t in zip(tables, block):
+        ref = levelzero._canonical_ratio(LevelZeroCtx(table, 1.0))
+        assert gamma_t.x_shift == ref.x_shift
+        assert gamma_t.num.tobytes() == ref.num.tobytes()
+        assert gamma_t.den.tobytes() == ref.den.tobytes()
+        assert gamma_t.is_constant() != exjs.has_shalika_vector(table)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2), (2, 4), (3, 4)])
+def test_coefficient_block_matches_per_table_products(p, n):
+    # the batched coefficient rows against each table's np.convolve
+    # products, aligned on the block's lowest shift
+    tables = shalika_tables(p, n)
+    terms = levelzero._level_zero_terms(p, n // 2, 1 + 0j)
+    gammas = levelzero._canonical_ratios(tables, *exjs.canonical_profiles(tables))
+    block = levelzero._coefficient_block(terms, gammas)
+    d, j = terms.dual_corr, terms.js_corr
+    low = min(0, d.x_shift, *(g.x_shift + s for g in gammas for s in (0, j.x_shift)))
+    for t, g in enumerate(gammas):
+        ref = np.zeros_like(block[:, t])
+        for row, (shift, *factors) in zip(ref, [(0, d.den, g.den, j.den),
+                                                (d.x_shift, d.num, g.den, j.den),
+                                                (g.x_shift, g.num, j.den, d.den),
+                                                (g.x_shift + j.x_shift, g.num, j.num, d.den)]):
+            poly = functools.reduce(np.convolve, factors)
+            row[shift - low:shift - low + len(poly)] = poly
+        assert np.abs(block[:, t] - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def shalika_tables(p, n, inverse=False):
