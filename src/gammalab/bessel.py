@@ -31,10 +31,9 @@ from . import matgrp as mg
 #: take; (q, n) = (2, 6) needs 1,048,576 and (4, 4) 786,432, while
 #: (5, 4) needs 7,812,500, (3, 5) 9,565,938 and (2, 7) 134,217,728
 MAX_CLASS_TYPINGS = 2 ** 21
-#: the most (row, representation) values a batched product gathers at once:
-#: `bessel_tables` and `exjs._pool_profiles` take the rows of a block of T
-#: representations in passes of PASS_VALUES // T, so their working memory
-#: does not grow with the rows
+#: the most (row, representation) values `gather_sums` gathers at once: it
+#: takes the rows of a block of T representations in passes of
+#: PASS_VALUES // T, so its working memory does not grow with the rows
 PASS_VALUES = 2 ** 13
 
 
@@ -302,29 +301,38 @@ class BesselTable:
         return 0j if sig is None else self.psi(sig[1]) * self.entries[sig[0]]
 
 
+def gather_sums(index, rows, weights, block, size: int) -> np.ndarray:
+    """The (T x size) sums out[t, i] of block[rows[r], t] * weights[r] over
+    the rows r with index[r] = i: the package's one sparse product of a
+    block of T representations with a representation-independent map (the
+    class sums of `_tables`, the pool rows of `exjs._pool_profiles`).  An
+    unbuffered `np.add.at` adds every sum's terms in row order, in passes
+    of PASS_VALUES values whose size does not change the result."""
+    count = block.shape[1]
+    out = np.zeros((count, size), dtype=complex)
+    offset = np.arange(count) * size
+    step = max(1, PASS_VALUES // count)
+    for lo in range(0, len(index), step):
+        part = slice(lo, lo + step)
+        terms = block[rows[part]]
+        terms *= weights[part, None]
+        np.add.at(out.reshape(-1), (index[part, None] + offset).ravel(), terms.ravel())
+    return out
+
+
 def _tables(reps, psi: AddChar) -> list:
     """The Bessel tables of a block of representations at one (q, n), via
     the averaging formula: B[theta, key] = |N_n|^-1 * sum_c M[key, c]
-    X[c, theta], the cached sparse class sums M (`_class_sums`) against the
-    character matrix X (`cuspchar.character_matrix`) of the whole block,
-    gathered and summed per key over PASS_VALUES values at a time.  Its
-    memory grows with the block: the caller chooses how many
-    representations to compute together.  The normalization B(I) = 1 is
-    asserted for every table."""
+    X[c, theta], one `gather_sums` of the cached sparse class sums M
+    (`_class_sums`) against the character matrix X
+    (`cuspchar.character_matrix`) of the whole block.  Its memory grows
+    with the block: the caller chooses how many representations to compute
+    together.  The normalization B(I) = 1 is asserted for every table."""
     ctx, n = reps[0].ctx, reps[0].n
     key, cls, value = _class_sums(ctx, n, psi.inverse)
     classes = _support_profile(ctx, n).classes
-    nkeys = len(support_keys(ctx, n))
     chi = character_matrix(ctx, n, classes, [rep.exponent for rep in reps])
-    theta = np.arange(len(reps))
-    sums = np.zeros(nkeys * len(reps), dtype=complex)
-    step = max(1, PASS_VALUES // len(reps))
-    for r in range(0, len(key), step):
-        part = slice(r, r + step)
-        terms = chi[cls[part]]
-        terms *= value[part, None]
-        np.add.at(sums, (key[part, None] * len(reps) + theta).ravel(), terms.ravel())
-    values = np.ascontiguousarray(sums.reshape(nkeys, len(reps)).T)
+    values = gather_sums(key, cls, value, chi, len(support_keys(ctx, n)))
     values /= ctx.q ** (n * (n - 1) // 2)
     values.flags.writeable = False
     ident = values[:, support_keys(ctx, n).index(((n,), (1,)))]

@@ -27,6 +27,17 @@ def _roots_of_unity(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(m) / m)
 
 
+def character_sums(dlogs, weights, modulus: int, exponents) -> np.ndarray:
+    """S[..., t] = sum_x weights[..., x] * zeta^(k_t * dlogs[..., x]), zeta a
+    primitive modulus-th root of unity, for each exponent k_t of a block:
+    the package's one root-of-unity contraction (`cuspchar.character_matrix`,
+    `exjs.gamma_closed_forms`).  One (... x terms x T) gather and one
+    `einsum`, which adds each sum's terms in order and stays off BLAS."""
+    k = np.asarray(exponents, dtype=np.int64) % modulus
+    zeta = _roots_of_unity(modulus)[dlogs[..., None] * k % modulus]
+    return np.einsum("...x,...xt->...t", weights, zeta)
+
+
 class AddChar:
     """psi(x) = exp(2*pi*i * lift(Tr_{F_q/F_p}(x)) / p) on the base field F_q."""
 

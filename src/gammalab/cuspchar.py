@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .charkit import MultChar, _roots_of_unity, regular_orbit
+from .charkit import MultChar, character_sums, regular_orbit
 from .errors import OracleFailed
 from .ffield import FieldCtx
 from . import matgrp as mg
@@ -126,14 +126,11 @@ def character_matrix(ctx: FieldCtx, n: int, classes: tuple, exponents) -> np.nda
 
         X[c, j] = coef_c * sum_{i<d} zeta[k_j * D[c, i] mod (q^n - 1)],
 
-    one gather from the roots of unity over the class dlogs D of
-    `_class_conjugates`, cached per class tuple.  `CuspidalRep.char_of_class`
-    is the pointwise reference."""
+    one `character_sums` over the class dlogs D of `_class_conjugates`,
+    cached per class tuple, weighted by [i < d].
+    `CuspidalRep.char_of_class` is the pointwise reference."""
     coef, dlogs, live = _class_conjugates(ctx, n, classes)
-    modulus = ctx.q ** n - 1
-    k = np.asarray(exponents, dtype=np.int64) % modulus
-    zeta = _roots_of_unity(modulus)[dlogs[:, :, None] * k % modulus]
-    return coef[:, None] * np.einsum("ci,cij->cj", live, zeta)
+    return coef[:, None] * character_sums(dlogs, live, ctx.q ** n - 1, exponents)
 
 
 class CuspidalRep:

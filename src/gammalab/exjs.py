@@ -20,9 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bessel import (PASS_VALUES, BesselTable, support_keys,
-                     support_signature, support_signatures)
-from .charkit import (AddChar, CFun, _pairing_matrix, _roots_of_unity, fourier,
+from .bessel import (BesselTable, gather_sums, support_keys, support_signature,
+                     support_signatures)
+from .charkit import (AddChar, CFun, _pairing_matrix, character_sums, fourier,
                       gauss_sum, kloosterman, restriction_is_trivial)
 from .cuspchar import CuspidalRep
 from .errors import (
@@ -230,40 +230,40 @@ def _translate_rows(ctx: FieldCtx, n: int, translates) -> list:
 
 @dataclass(frozen=True)
 class FePool:
-    """The pool rows of `translates` translates, compiled to index arrays:
-    the row's support key (`key`, into `support_keys`) and psi-argument
-    (`arg`, into the base-field elements), and the flat cell t * size + i
-    of the (translate, point) sums it feeds in js (`js_cell`) and dual_js
-    (`dual_cell`); translates * size, one past the last cell, where the
-    term feeds no sum.  `pairs` is the count of (translate, point) pairs the
-    rows stand for: translates * size, or, in the certificates' pool
-    (`_cached_pool`), the pairs of every test translate, whose distinct row
-    sets are compiled once behind the canonical translate, which it does
-    not count."""
+    """The pool rows of `translates` translates, compiled to one stacked row
+    set for `bessel.gather_sums`: the support key (`key`, into
+    `support_keys`), psi-argument (`arg`, into the base-field elements) and
+    flat cell (`cell`) of each row, the js sum of (t, i) at t * size + i and
+    the dual_js sum at (translates + t) * size + i.  The js rows come first
+    and the dual_js rows after, each in (translate, frame term) order; a
+    term off the Bessel support, or not feeding a sum, has no row there.
+    `pairs` is the count of (translate, point) pairs the rows stand for:
+    translates * size, or, in the certificates' pool (`_cached_pool`), the
+    pairs of every test translate, whose distinct row sets are compiled once
+    behind the canonical translate, which it does not count."""
     translates: int
     size: int
     key: np.ndarray
     arg: np.ndarray
-    js_cell: np.ndarray
-    dual_cell: np.ndarray
+    cell: np.ndarray
     pairs: int
 
 
 def _compile_pool(ctx: FieldCtx, n: int, translates) -> FePool:
+    """The `FePool` of `translates`, from their cached rows (`_translate_rows`):
+    every row that feeds no sum is dropped here, once per pool."""
     rows = _translate_rows(ctx, n, translates)
     _, _, i_js, i_dual = _frame_arrays(ctx, n)
     key = np.stack([k for k, _ in rows])
-    t, term = np.nonzero(key >= 0)
+    arg = np.stack([a for _, a in rows]).astype(np.intp)
     size = ctx.q ** (n // 2)
-    none = len(rows) * size
-
-    def cells(index):
-        i = index[term]
-        return np.where(i < 0, none, t * size + i)
-
-    arg = np.stack([a for _, a in rows])[t, term].astype(np.intp)
-    return FePool(len(rows), size, key[t, term], arg, cells(i_js), cells(i_dual),
-                  pairs=none)
+    parts = []
+    for half, index in enumerate((i_js, i_dual)):
+        t, term = np.nonzero((key >= 0) & (index >= 0))
+        cell = (half * len(rows) + t) * size + index[term]
+        parts.append((key[t, term], arg[t, term], cell))
+    return FePool(len(rows), size, *map(np.concatenate, zip(*parts)),
+                  pairs=len(rows) * size)
 
 
 def _fe_pool(ctx: FieldCtx, n: int, seed: int, trials: int) -> FePool:
@@ -304,53 +304,39 @@ def _cached_pool(ctx: FieldCtx, n: int, seed, trials) -> FePool:
     return replace(pool, pairs=len(translates) * pool.size)
 
 
-def _delta_profiles(table: BesselTable, s_js, s_dual):
+def _delta_profiles(table: BesselTable, s_js: np.ndarray, s_dual: np.ndarray):
     """(js(W, delta_x), dual_js(W, delta_x)) over all points x (the last
-    axis), from the frame sums S accumulated per point: js is S_js / norm,
-    and dual_js is sum_z S_dual[z] * fourier(delta_x)(z) / norm."""
+    axis), written over the complex arrays of frame sums S accumulated per
+    point, one leading row per table: js is S_js / norm, and dual_js is
+    sum_z S_dual[z] * fourier(delta_x)(z) / norm."""
     ctx = table.ctx
     n, m, _ = _split(table)
     norm = _norm_const(ctx, n)
     K = _pairing_matrix(ctx, m, table.psi.inverse)
-    s_dual = np.asarray(s_dual)
-    # one einsum over a contiguous (rows x q^m) view, 2-4x faster than
-    # over the strided view it replaced.  `@` would be 3-9x faster still,
-    # but OpenBLAS runs it on two threads, which raised the peak RSS of a
-    # cold q5n2 cell by 0.75 MB (0.4 MB on one thread)
-    dual = np.einsum("pz,xz->px", s_dual.reshape(-1, K.shape[1]), K)
-    dual = dual.reshape(s_dual.shape)
-    dual *= ctx.q ** (-m / 2.0) / norm
-    js = np.asarray(s_js, dtype=complex)
-    js /= norm  # in place on an array: the block's sums are the largest arrays
-    return js, dual
+    # one einsum per table, written over its contiguous sums: a block holds
+    # no second array of its size.  `@` would be 3-9x faster, but OpenBLAS
+    # runs it on two threads, which raised the peak RSS of a cold q5n2 cell
+    # by 0.75 MB (0.4 MB on one thread)
+    for part in s_dual:
+        part[...] = np.einsum("...z,xz->...x", part, K)
+    s_dual *= ctx.q ** (-m / 2.0) / norm
+    s_js *= 1.0 / norm
+    return s_js, s_dual
 
 
 def _pool_profiles(tables, pool: FePool):
     """(js, dual): the (T x translates x q^m) arrays of js(W, delta_x) and
     dual_js(W, delta_x) of a block of T tables at one (q, n, psi), over the
-    pooled translates W = B(. h) and all points x.  A gather of
-    psi[arg] * V[key, theta] over the pool rows, accumulated per sum by an
-    unbuffered `np.add.at` over the flat index theta * (translates + 1) *
-    q^m + cell, in passes of PASS_VALUES values.  Each table's sums are
-    contiguous, with one spare translate behind them that takes the rows
-    feeding no sum (the pool's cell one past the last) and is dropped."""
-    _block_cell(tables)
-    first = tables[0]
-    count = len(tables)
-    values = np.stack([t.values for t in tables], axis=1)
-    shape = (count, pool.translates + 1, pool.size)
-    offset = np.arange(count) * (shape[1] * shape[2])
-    sums = [np.zeros(shape, dtype=complex) for _ in range(2)]
-    step = max(1, PASS_VALUES // count)
-    for lo in range(0, len(pool.key), step):
-        part = slice(lo, lo + step)
-        vals = values[pool.key[part]]
-        vals *= first.psi.values[pool.arg[part], None]
-        for out, cells in zip(sums, (pool.js_cell, pool.dual_cell)):
-            np.add.at(out.reshape(-1), (cells[part, None] + offset).ravel(),
-                      vals.ravel())
-    js, dual = _delta_profiles(first, *sums)
-    return js[:, :-1], dual[:, :-1]
+    pooled translates W = B(. h) and all points x: one `gather_sums` of
+    V[key, theta] * psi[arg] over the pool's stacked rows into each table's
+    js cells and then its dual_js cells, and the pairing product of
+    `_delta_profiles`."""
+    psi = _block_cell(tables)[2]
+    sums = gather_sums(pool.cell, pool.key, psi.values[pool.arg],
+                       np.stack([t.values for t in tables], axis=1),
+                       2 * pool.translates * pool.size)
+    sums = sums.reshape(len(tables), 2, pool.translates, pool.size)
+    return _delta_profiles(tables[0], sums[:, 0], sums[:, 1])
 
 
 def _block_cell(tables):
@@ -421,7 +407,8 @@ def js_profiles(table: BesselTable, w):
             s_js[i_js] += val
         if i_dual is not None:
             s_dual[i_dual] += val
-    return _delta_profiles(table, s_js, s_dual)
+    js, dual = _delta_profiles(table, np.array([s_js]), np.array([s_dual]))
+    return js[0], dual[0]
 
 
 # -- Shalika subgroup actions -------------------------------------------------
@@ -747,7 +734,7 @@ def _closed_terms(ctx: FieldCtx, inverse: bool) -> tuple:
         n = 4: w = K_psi(1, b + c) + K_psi(1, b - c), b = Tr(1/xi^2) and
                c = Tr(xi^2) / N(xi),
 
-    so that sum_xi w * theta(xi^2) is one gather and one dot product."""
+    so that sum_xi w * theta(xi^2) is one `character_sums`."""
     n = ctx.n
     psi = AddChar(ctx, inverse)
     dlogs, weights = [], []
@@ -767,37 +754,28 @@ def _closed_terms(ctx: FieldCtx, inverse: bool) -> tuple:
     return _read_only(np.array(dlogs), np.array(weights, dtype=complex))
 
 
-def _character_sums(terms, modulus: int, exponents) -> np.ndarray:
-    """sum_x w[x] * zeta^(k * j[x]) over the terms (j, w), zeta a primitive
-    modulus-th root of unity, for each exponent k of an array: one
-    (exponents x terms) gather from the roots of unity and an einsum, as in
-    `_delta_profiles`, so that no product reaches BLAS."""
-    dlogs, weights = terms
-    zeta = _roots_of_unity(modulus)
-    return np.einsum("tx,x->t", zeta[exponents[:, None] * dlogs % modulus], weights)
-
-
 def gamma_closed_forms(tables) -> np.ndarray:
     """Route 3 for a block of tables at one (q, n, psi): the printed
     character-sum forms for n = 2, 3, 4.  The Gauss sums of the central
     characters (n = 2, 4) and the sums over F_{q^n}^x (n = 3, 4) are each
-    one gather over cached terms (`_gauss_terms`, `_closed_terms`)."""
+    one `charkit.character_sums` of cached terms (`_gauss_terms`,
+    `_closed_terms`)."""
     ctx, n, psi = _block_cell(tables)
     q = ctx.q
     k = np.array([t.rep.exponent for t in tables], dtype=np.int64)
     if n == 2:
         _require_nontrivial(tables, 1, "n = 2 closed form needs a non-trivial"
                                        " central character")
-        gammas = q ** -0.5 * _character_sums(_gauss_terms(ctx, psi.inverse), q - 1, k)
+        gammas = q ** -0.5 * character_sums(*_gauss_terms(ctx, psi.inverse), q - 1, k)
     elif n == 3:
-        gammas = q ** -1.5 * _character_sums(_closed_terms(ctx, psi.inverse),
-                                             q ** 3 - 1, k)
+        gammas = q ** -1.5 * character_sums(*_closed_terms(ctx, psi.inverse),
+                                            q ** 3 - 1, k)
     elif n == 4:
         _require_nontrivial(tables, 2, "n = 4 closed form needs theta"
                                        " non-trivial on the quadratic subfield")
         t0 = np.where(k % (q - 1) == 0, q * q - 1, 0)
-        g_sums = _character_sums(_gauss_terms(ctx, psi.inverse), q - 1, k)
-        sums = _character_sums(_closed_terms(ctx, psi.inverse), q ** 4 - 1, k)
+        g_sums = character_sums(*_gauss_terms(ctx, psi.inverse), q - 1, k)
+        sums = character_sums(*_closed_terms(ctx, psi.inverse), q ** 4 - 1, k)
         gammas = t0 / q ** 2 - 0.5 * q ** -3 * g_sums * sums
     else:
         raise UnsupportedN(f"no closed form for n = {n}")

@@ -15,7 +15,7 @@ from gammalab.errors import (DimensionMismatch, NonConstantRatio,
                              PreconditionViolated, ShalikaVectorPresent,
                              UnsupportedN)
 from gammalab.ffield import build_field
-from gammalab import exjs, levelzero
+from gammalab import bessel, exjs, levelzero
 from gammalab import matgrp as mg
 from poolref import separate_profiles
 
@@ -120,22 +120,24 @@ def test_pool_profiles_match_js_profiles_and_pointwise(p, n, trials):
 
 
 def pointwise_pool(ctx, n, translates):
-    """The rows (key, arg, js cell, dual cell) of a pool, one
-    `support_signature` of g h per sum-frame term g and translate h; test
-    oracle of the batched `_compile_pool`."""
+    """The stacked rows (key, arg, cell) of a pool, one `support_signature`
+    of g h per sum-frame term g and translate h: the rows feeding js, then
+    those feeding dual_js; test oracle of the batched `_compile_pool`."""
     keys = {k: i for i, k in enumerate(support_keys(ctx, n))}
     elems = ctx.subfield_elements(1)
     size = ctx.q ** (n // 2)
-    none = len(translates) * size
-    rows = []
+    dual_base = len(translates) * size
+    js_rows, dual_rows = [], []
     for t, h in enumerate(translates):
         for g, ntr, i_js, i_dual in exjs._sum_frame(ctx, n):
             sig = support_signature(ctx, mg.mat_mul(ctx, g, h))
             if sig is not None:
-                rows.append((keys[sig[0]], elems.index(ctx.add(sig[1], ntr)),
-                             none if i_js is None else t * size + i_js,
-                             none if i_dual is None else t * size + i_dual))
-    return rows
+                key, arg = keys[sig[0]], elems.index(ctx.add(sig[1], ntr))
+                if i_js is not None:
+                    js_rows.append((key, arg, t * size + i_js))
+                if i_dual is not None:
+                    dual_rows.append((key, arg, dual_base + t * size + i_dual))
+    return js_rows + dual_rows
 
 
 @pytest.mark.parametrize("p,e,n", [(5, 1, 2), (2, 2, 3), (3, 1, 4), (2, 1, 4),
@@ -145,8 +147,7 @@ def test_pool_matches_pointwise_signatures(p, e, n):
     translates = exjs._fe_translates(f, n, exjs.DEFAULT_SEED, 100)
     pool = exjs._compile_pool(f, n, translates)
     assert (pool.translates, pool.size) == (len(translates), f.q ** (n // 2))
-    got = list(zip(*(x.tolist() for x in (pool.key, pool.arg, pool.js_cell,
-                                          pool.dual_cell))))
+    got = list(zip(*(x.tolist() for x in (pool.key, pool.arg, pool.cell))))
     assert got == pointwise_pool(f, n, translates)
 
 
@@ -212,6 +213,29 @@ def distinct_members(f, n, translates):
     return kept, member
 
 
+@pytest.mark.parametrize("passes", [1, 7])
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("p,e,n", [(5, 1, 2), (2, 2, 3)])
+def test_block_results_do_not_depend_on_pass_values(p, e, n, inverse, passes,
+                                                    monkeypatch):
+    # `gather_sums` adds every sum's terms in row order, so the Bessel
+    # tables and the pool profiles of a block come out the same whatever
+    # the pass size (with 3 tables: 1, 2 and 2,730 rows per pass)
+    f = build_field(p, e, n)
+    ks = regular_exponents(f, n)[:3]
+
+    def read():
+        tables = bessel_tables(f, n, ks, AddChar(f, inverse))
+        return np.stack([t.values for t in tables]), exjs.block_profiles(tables)
+
+    want_values, want = read()
+    monkeypatch.setattr(bessel, "PASS_VALUES", passes)
+    got_values, got = read()
+    assert np.array_equal(got_values, want_values)
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)
+
+
 @pytest.mark.parametrize("inverse", [False, True])
 @pytest.mark.parametrize("p,e,n", BATCH_CELLS)
 def test_block_profiles_match_two_call_oracle(p, e, n, inverse):
@@ -248,7 +272,7 @@ def test_distinct_pool_stands_for_every_translate(p, e, n, inverse):
     ref = exjs._compile_pool(f, n, [sig_inv] + [translates[j] for j in kept])
     assert (pool.translates, pool.size, pool.pairs) == (len(kept) + 1, size,
                                                         len(translates) * size)
-    for name in ("key", "arg", "js_cell", "dual_cell"):
+    for name in ("key", "arg", "cell"):
         assert np.array_equal(getattr(pool, name), getattr(ref, name))
     full = exjs._compile_pool(f, n, translates)
     canonical = exjs._canonical_pool(f, n)
