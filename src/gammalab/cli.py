@@ -18,6 +18,7 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -121,7 +122,9 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, default=ROUTE_TOL)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default=None)
-        sp.add_argument("--exhaustive", action="store_true")
+        if name == "verify":
+            sp.add_argument("--exhaustive", action="store_true",
+                            help="10,000 bi-equivariance draws instead of 500")
     return ap
 
 
@@ -150,8 +153,13 @@ def parse_config(argv) -> RunConfig:
     c = complex(ns.c_re, ns.c_im)
     if not abs(abs(c) - 1.0) <= levelzero.UNIT_CIRCLE_TOL:  # NaN fails too
         ap.error(f"c = {c} must lie on the unit circle")
-    return RunConfig(ns.command, p, e, ns.n, ns.theta, ns.psi_inverse, c,
-                     ns.seed, ns.trials, ns.tol, ns.format, ns.out, ns.exhaustive)
+    if ns.out and ns.command != "export":  # export's --out is a directory
+        if os.path.isdir(ns.out):
+            ap.error(f"--out {ns.out!r} is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(ns.out))):
+            ap.error(f"the directory of --out {ns.out!r} does not exist")
+    return RunConfig(ns.command, p, e, ns.n, ns.theta, ns.psi_inverse, c, ns.seed,
+                     ns.trials, ns.tol, ns.format, ns.out, getattr(ns, "exhaustive", False))
 
 
 def _theta_exponents(cfg: RunConfig, ctx):
@@ -183,15 +191,22 @@ def _gamma_rows(cfg: RunConfig, tables) -> list:
     the block's): the former have every route computed as one block
     (`_route_rows`), the latter are certified by one
     `levelzero.modified_fe_scans` call, and each kind reads its own rows of
-    the profiles, the canonical pair's included."""
+    the profiles, the canonical pair's included.  The Shalika rows'
+    canonical-pair ratio at c is the certificate's gamma~ at c = 1, and one
+    `levelzero._canonical_ratios` call over them at any other c."""
     shalika = [exjs.has_shalika_vector(table) for table in tables]
     plain = [t for t, s in zip(tables, shalika) if not s]
     with_vector = [t for t, s in zip(tables, shalika) if s]
     profiles = exjs.block_profiles(plain + with_vector, cfg.trials, cfg.seed)
     routed = iter(_route_rows(cfg, plain, profiles.rows(slice(len(plain)))))
     vector_profiles = profiles.rows(slice(len(plain), None))
-    modified = zip(levelzero.modified_fe_scans(with_vector, vector_profiles),
-                   vector_profiles.js0, vector_profiles.dual0)
+    certs = levelzero.modified_fe_scans(with_vector, vector_profiles)
+    if with_vector and cfg.c != 1:
+        ratios = levelzero._canonical_ratios(with_vector, vector_profiles.js0,
+                                             vector_profiles.dual0, cfg.c)
+    else:
+        ratios = [gtilde for gtilde, _, _ in certs]
+    modified = zip(certs, ratios)
     rows = []
     for table, s in zip(tables, shalika):
         rep = table.rep
@@ -234,16 +249,15 @@ def _route_rows(cfg: RunConfig, tables, profiles) -> list:
                 deltas.max(axis=0).tolist(), resid.tolist())]
 
 
-def _shalika_fields(cfg: RunConfig, table, cert, js0, dual0) -> dict:
+def _shalika_fields(cfg: RunConfig, table, cert, ratio) -> dict:
     """The level-zero fields of a Shalika row; `cert` is the table's
     (gamma~, residual, pairs checked) from `levelzero.modified_fe_scans`,
-    and js0, dual0 its canonical profiles from the block's."""
-    lz = LevelZeroCtx(table, cfg.c, (js0, dual0))
+    and `ratio` its canonical-pair ratio at c, which `local_gamma`
+    cross-checks."""
+    lz = LevelZeroCtx(table, cfg.c)
     L, eps = levelzero.local_L_eps(lz)
     gtilde, resid, checked = cert
-    # gamma~ is the canonical-pair ratio at c = 1: at that c local_gamma
-    # cross-checks against it instead of computing it again
-    gam = levelzero.local_gamma(lz, gtilde if cfg.c == 1 else None)
+    gam = levelzero.local_gamma(lz, ratio)
     return {"c": _cnum(cfg.c), "L": L.to_json_dict(), "eps": eps.to_json_dict(),
             "gamma": gam.to_json_dict(), "modified_gamma": gtilde.to_json_dict(),
             "modified_fe_residual": resid, "pairs_checked": checked}
@@ -454,7 +468,6 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_export(cfg: RunConfig) -> int:
-    import os
     if not cfg.out:
         raise PreconditionViolated("export needs --out DIRECTORY")
     os.makedirs(cfg.out, exist_ok=True)

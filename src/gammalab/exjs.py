@@ -295,7 +295,7 @@ def _cached_pool(ctx: FieldCtx, n: int, seed, trials) -> FePool:
     their own order into its own cells.  So every residual, max and gamma
     over the kept translates equals that over all of them (at q = 5, n = 2
     the 480 translates of GL_2 have 101 row sets), and the canonical
-    translate's profiles equal those of `_canonical_pool`."""
+    translate's profiles equal those of sigma^-1 compiled alone."""
     translates = _fe_translates(ctx, n, seed, trials)
     kept = {}
     for h, (key, arg) in zip(translates, _translate_rows(ctx, n, translates)):
@@ -511,33 +511,13 @@ def canonical_pair(table: BesselTable):
     return w, phi
 
 
-@lru_cache(maxsize=64)
-def _canonical_pool(ctx: FieldCtx, n: int) -> FePool:
-    """The compiled rows of the canonical translate sigma^-1 alone, shared by
-    every representation at (q, n)."""
-    return _compile_pool(ctx, n, [_sigma_inv(ctx, n)])
-
-
-def canonical_profiles(tables):
-    """(js, dual): the (T x q^m) arrays js(W0, delta_x) and dual_js(W0,
-    delta_x) of the canonical W0 of each table of a block, from one
-    `_pool_profiles` call on the cached canonical pool.  JS(W0, phi0) and
-    dual_js(W0, phi0) are their entries at `_canonical_point`.  The
-    certificates read the same arrays, bit for bit, from translate 0 of
-    their pool (`block_profiles`); this is the path of a table read
-    alone."""
-    ctx, n = tables[0].ctx, tables[0].n
-    a, b = _pool_profiles(tables, _canonical_pool(ctx, n))
-    scale = float(_norm_const(ctx, n))
-    return scale * a[:, 0], scale * b[:, 0]
-
-
 class BlockProfiles(NamedTuple):
     """The profiles of a block of T tables from one pass over its pool: the
     canonical W0's js(W0, delta_x) and dual_js(W0, delta_x) as (T x q^m)
-    arrays (`js0`, `dual0`, those of `canonical_profiles`), the test
-    translates' as (T x translates x q^m) arrays (`js`, `dual`), and the
-    (translate, point) pairs each table's test rows stand for."""
+    arrays (`js0`, `dual0`, the package's one reading of the canonical
+    pair), the test translates' as (T x translates x q^m) arrays (`js`,
+    `dual`), and the (translate, point) pairs each table's test rows stand
+    for."""
     js0: np.ndarray
     dual0: np.ndarray
     js: np.ndarray

@@ -11,6 +11,7 @@ function with complex coefficients, compared by cross-multiplication.
 from __future__ import annotations
 
 import cmath
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -232,6 +233,8 @@ def l_factor(c: complex, m: int) -> RatQS:
     (ramified twist)."""
     if m < 1:
         raise PreconditionViolated("m must be >= 1")
+    if not abs(c) < math.inf:  # NaN fails too
+        raise PreconditionViolated(f"c = {c} must be finite")
     if c == 0:
         return RatQS.one()
     den = np.zeros(m + 1, dtype=complex)
@@ -274,14 +277,12 @@ class LevelZeroCtx:
     """A cuspidal representation of the residue field together with the unit
     c = omega(uniformizer) parameterizing the compatible central characters
     of its level-zero lift, and the one correction formula (`lift`) that
-    lifts its finite Jacquet-Shalika sums.  `canonical`, if given, is the
-    table's canonical pair (js0, dual0) from its block's
-    `exjs.block_profiles`; without it the table reads its own
-    (`exjs.canonical_profiles`) when first asked."""
+    lifts its finite Jacquet-Shalika sums.  A c off the unit circle by more
+    than UNIT_CIRCLE_TOL, NaN or infinite, is refused."""
 
-    def __init__(self, table: BesselTable, c: complex = 1.0, canonical=None):
-        if abs(abs(c) - 1.0) > UNIT_CIRCLE_TOL:
-            raise PreconditionViolated("c must lie on the unit circle")
+    def __init__(self, table: BesselTable, c: complex = 1.0):
+        if not abs(abs(c) - 1.0) <= UNIT_CIRCLE_TOL:  # NaN fails too
+            raise PreconditionViolated(f"c = {c} must lie on the unit circle")
         self.table = table
         self.rep = table.rep
         self.c = complex(c)
@@ -290,15 +291,6 @@ class LevelZeroCtx:
         self.q = table.ctx.q
         self.terms = _level_zero_terms(self.q, self.m, self.c)
         self.js_corr, self.dual_L, self.dual_corr = self.terms[:3]
-        self._canonical = canonical
-
-    @property
-    def canonical(self):
-        """(js(W0, delta_x), dual_js(W0, delta_x)) of the canonical W0."""
-        if self._canonical is None:
-            (a,), (b,) = exjs.canonical_profiles([self.table])
-            self._canonical = a, b
-        return self._canonical
 
     def has_shalika_vector(self) -> bool:
         return exjs.has_shalika_vector(self.table)
@@ -338,52 +330,43 @@ def lifted_dual_js(ctx: LevelZeroCtx, w, phi: CFun) -> RatQS:
     return _lifted(ctx, w, phi, _js_one(ctx, w), dual=True)
 
 
-def _canonical_ratio(ctx: LevelZeroCtx) -> RatQS:
-    """lifted dual_js / lifted js on the canonical pair (W0, phi0 = delta at
-    x0), all three sums read off the canonical profile (`ctx.canonical`):
-    js(W0, phi0) = a[x0], dual_js(W0, phi0) = b[x0] and js(W0, 1) =
-    sum_x a[x] (0 for odd n), with phi0(0) = [x0 = 0] and phi0^(0) =
-    q^(-m/2)."""
-    a, b = ctx.canonical
-    at = exjs._canonical_point(ctx.table.ctx, ctx.n)
-    j1 = 0j if ctx.n % 2 else complex(a.sum())
-    return (ctx.lift(b[at], ctx.q ** (-ctx.m / 2.0), j1, dual=True)
-            / ctx.lift(a[at], float(at == 0), j1))
-
-
 def local_L_eps(ctx: LevelZeroCtx):
     """(L, epsilon) of the level-zero lift: trivial L and a constant epsilon
     without a Shalika vector; otherwise L = 1/(1 - c X^m) and epsilon the
     Laurent monomial q^{-m/2} c^{-1} X^{-m}."""
     if not ctx.has_shalika_vector():
-        gamma0 = exjs.gamma_torus(ctx.table).value
-        return RatQS.one(), RatQS.const(gamma0)
+        return RatQS.one(), RatQS.const(complex(exjs.gamma_tori([ctx.table])[0]))
     return ctx.terms.L, ctx.terms.eps
 
 
 def local_gamma(ctx: LevelZeroCtx, ratio: RatQS = None) -> RatQS:
-    """gamma = epsilon * L(m(1-s), dual) / L(ms); cross-checked against the
-    ratio of lifted sums on the canonical pair (`_canonical_ratio(ctx)`,
-    computed here unless the caller passes it)."""
+    """gamma = epsilon * L(m(1-s), dual) / L(ms); cross-checked against
+    `ratio`, the ratio of lifted sums on the canonical pair at ctx.c.  A
+    caller that passes none has it computed here by `_canonical_ratios` on
+    the table's `exjs.block_profiles`, a block of one."""
     if ctx.has_shalika_vector():
         gamma = ctx.terms.gamma
     else:
         gamma = local_L_eps(ctx)[1]
     if ratio is None:
-        ratio = _canonical_ratio(ctx)
+        (ratio,) = _canonical_ratios([ctx.table],
+                                     *exjs.block_profiles([ctx.table])[:2], ctx.c)
     if not gamma.equals(ratio, GAMMA_TOL):
         raise OracleFailed("local_gamma",
                            f"theorem value {gamma} vs lifted ratio {ratio}")
     return gamma
 
 
-def _canonical_ratios(tables, js0, dual0) -> list:
-    """`_canonical_ratio` at c = 1 of every table of an even-n block, from
-    its canonical profiles js0, dual0 (T x q^m, `exjs.block_profiles`) as
-    block arrays.  At even n the canonical point x0 is never 0, so the js
-    side has no correction, and with a0 = js0[x0], b0 = dual0[x0],
-    p = q^(-m/2) sum_x js0 and dual_corr = Nd / Dd (X-shift 0: X^(-m)
-    times dual_L = X^m / (X^m - c^(-1) q^(-m))),
+def _canonical_ratios(tables, js0, dual0, c: complex) -> list:
+    """The lifted dual_js / lifted js on the canonical pair (W0, phi0 =
+    delta at x0) at the unit c of every table of a block, from its
+    canonical profiles js0, dual0 (T x q^m, `exjs.block_profiles`) as block
+    arrays: the package's one canonical-ratio code.  With a0 = js0[x0] and
+    b0 = dual0[x0], odd n has no correction and the ratio is b0 / a0.  At
+    even n the canonical point x0 is never 0, so the js side has no
+    correction, and with p = phi0^(0) js(W0, 1) = q^(-m/2) sum_x js0 and
+    dual_corr = Nd / Dd at (q, m, c) (X-shift 0: X^(-m) times dual_L =
+    X^m / (X^m - c^(-1) q^(-m))),
 
         gamma~ = (b0 Dd + p Nd) / (a0 Dd),
 
@@ -391,10 +374,12 @@ def _canonical_ratios(tables, js0, dual0) -> list:
     it, and leaves the constant b0 / a0.  Adding 0.0 turns the -0.0 of a
     product into the 0.0 that RatQS arithmetic writes."""
     first = tables[0]
-    q, m = first.ctx.q, first.n // 2
-    d = _level_zero_terms(q, m, 1 + 0j).dual_corr
-    at = exjs._canonical_point(first.ctx, first.n)
+    q, n, m = first.ctx.q, first.n, first.n // 2
+    at = exjs._canonical_point(first.ctx, n)
     a0, b0 = js0[:, at, None], dual0[:, at, None]
+    if n % 2:
+        return [RatQS(b, a) for a, b in zip(a0, b0)]
+    d = _level_zero_terms(q, m, complex(c)).dual_corr
     p = q ** (-m / 2.0) * js0.sum(axis=1, keepdims=True)
     num = b0 * d.den + 0.0
     num[:, :len(d.num)] += p * d.num
@@ -487,7 +472,7 @@ def modified_fe_scans(tables, profiles: exjs.BlockProfiles = None):
         profiles = exjs.block_profiles(tables)
     js0, dual0, a, b, pairs = profiles
     q, m = tables[0].ctx.q, n // 2
-    gammas = _canonical_ratios(tables, js0, dual0)
+    gammas = _canonical_ratios(tables, js0, dual0, 1 + 0j)
     # the coefficients of (b, p, a, r), each (T, width, 1, 1)
     c0, c1, c2, c3 = _coefficient_block(_level_zero_terms(q, m, 1 + 0j),
                                         gammas)[..., None, None]

@@ -217,22 +217,20 @@ def test_gamma_q5n2_rows_share_one_pool(capsys):
 def test_warm_q5n2_pass_certifies_each_block_once(capsys, monkeypatch):
     # a warm pass certifies its 8 tables without and 2 with a Shalika vector
     # from one pool profile call over its one block, which gives the
-    # canonical pair too, and builds no level-zero rational function again
-    # for the same (q, m, c)
+    # canonical pair too (a second reading of the pair would be a second
+    # call), and builds no level-zero rational function again for the same
+    # (q, m, c)
     from gammalab import exjs
     argv = ["gamma", "--q", "5", "--n", "2"]
     levelzero._level_zero_terms.cache_clear()
     assert run_main(argv, capsys)[0] == 0
     assert levelzero._level_zero_terms.cache_info().misses == 1
-    canonical, pooled, built = [], [], []
-    profiles, canonical_profiles = exjs._pool_profiles, exjs.canonical_profiles
+    pooled, built = [], []
+    profiles = exjs._pool_profiles
     l_factor = levelzero.l_factor
     monkeypatch.setattr(exjs, "_pool_profiles",
                         lambda tables, pool: pooled.append(len(tables))
                         or profiles(tables, pool))
-    monkeypatch.setattr(exjs, "canonical_profiles",
-                        lambda tables: canonical.append(len(tables))
-                        or canonical_profiles(tables))
     monkeypatch.setattr(levelzero, "l_factor",
                         lambda c, m: built.append((c, m)) or l_factor(c, m))
     code, out = run_main(argv, capsys)
@@ -240,7 +238,7 @@ def test_warm_q5n2_pass_certifies_each_block_once(capsys, monkeypatch):
     rows = json.loads(out)["rows"]
     blocks = sorted([sum(r["shalika"] for r in rows), sum(not r["shalika"] for r in rows)])
     assert blocks == [2, 8]
-    assert pooled == [10] and canonical == []
+    assert pooled == [10]
     assert built == [] and levelzero._level_zero_terms.cache_info().misses == 1
 
 
@@ -350,6 +348,39 @@ def test_over_limit_cells_refused_before_any_build(tmp_path, capsys, monkeypatch
     assert calls == []
 
 
+def test_bad_out_file_refused_before_any_build(tmp_path, capsys, monkeypatch):
+    # gamma's and verify's --out is a file: an existing directory, or a path
+    # whose directory does not exist, is refused before the cell is built,
+    # not with an io error after it is computed
+    calls = []
+    monkeypatch.setattr(cli, "build_field", lambda *a: calls.append(a))
+    for command in ("gamma", "verify"):
+        for out in (tmp_path, tmp_path / "missing" / "rows.json"):
+            code = cli.main([command, "--q", "3", "--n", "2", "--out", str(out)])
+            captured = capsys.readouterr()
+            assert code == cli.EXIT_PRECONDITION and captured.out == ""
+            assert "--out" in captured.err
+    assert calls == [] and list(tmp_path.iterdir()) == []
+    # export's --out stays a directory, created when missing
+    monkeypatch.undo()
+    code, _ = run_main(["export", "--q", "3", "--n", "2", "--theta", "1",
+                        "--out", str(tmp_path / "new")], capsys)
+    assert code == 0 and (tmp_path / "new" / "gamma_sweep_q3_n2.json").is_file()
+
+
+@pytest.mark.parametrize("command", ["gamma", "export"])
+def test_exhaustive_is_a_verify_flag(command, tmp_path, capsys, monkeypatch):
+    # only verify reads --exhaustive (10,000 bi-equivariance draws instead
+    # of 500): gamma and export refuse it before any build
+    calls = []
+    monkeypatch.setattr(cli, "build_field", lambda *a: calls.append(a))
+    code, out = run_main([command, "--q", "3", "--n", "2", "--exhaustive",
+                          "--out", str(tmp_path / "out")], capsys)
+    assert code == cli.EXIT_PRECONDITION and out == "" and calls == []
+    assert cli.parse_config(["verify", "--q", "3", "--n", "2", "--exhaustive"]).exhaustive
+    assert not cli.parse_config([command, "--q", "3", "--n", "2"]).exhaustive
+
+
 @pytest.mark.parametrize("bound,argv,error", [
     # OracleFailed: the canonical pair's JS(W0, phi0) = 1 check of the plain
     # certificate
@@ -374,24 +405,28 @@ def test_failed_self_check_exits_1(bound, argv, error, capsys, monkeypatch):
 def test_gamma_row_reads_one_canonical_ratio_at_c1(capsys, monkeypatch):
     # at c = 1 local_gamma cross-checks against the certificate's gamma~,
     # so the canonical-pair ratio of each Shalika row is computed once, in
-    # the certificate's block form
+    # the certificate's block form; every local_gamma call is handed its
+    # ratio, so none computes one pointwise
     blocks, pointwise = [], []
-    block, canonical = levelzero._canonical_ratios, levelzero._canonical_ratio
+    block, gamma = levelzero._canonical_ratios, levelzero.local_gamma
     monkeypatch.setattr(levelzero, "_canonical_ratios",
                         lambda tables, *args: blocks.append(len(tables))
                         or block(tables, *args))
-    monkeypatch.setattr(levelzero, "_canonical_ratio",
-                        lambda lz: pointwise.append(lz) or canonical(lz))
+    monkeypatch.setattr(levelzero, "local_gamma",
+                        lambda lz, ratio=None: pointwise.append(ratio is None)
+                        or gamma(lz, ratio))
     code, out = run_main(["gamma", "--q", "5", "--n", "2"], capsys)
     assert code == 0
     shalika = sum(row["shalika"] for row in json.loads(out)["rows"])
-    assert shalika == 2 and blocks == [shalika] and pointwise == []
-    # at another c the certificate's c = 1 ratio is no cross-check: each
-    # row computes its ratio at c a second time
+    assert shalika == 2 and blocks == [shalika] and pointwise == [False] * shalika
+    # at another c the certificate's c = 1 ratio is no cross-check: the
+    # block's rows compute their ratio at c in one more block call
     blocks.clear()
+    pointwise.clear()
     code, out = run_main(["gamma", "--q", "5", "--n", "2", "--c-re", "0",
                           "--c-im", "1"], capsys)
-    assert code == 0 and blocks == [shalika] and len(pointwise) == shalika
+    assert code == 0 and blocks == [shalika, shalika]
+    assert pointwise == [False] * shalika
 
 
 def test_shared_parser_still_refuses_after_a_valid_call(capsys):

@@ -17,7 +17,7 @@ from gammalab.errors import (DimensionMismatch, NonConstantRatio,
 from gammalab.ffield import build_field
 from gammalab import bessel, exjs, levelzero
 from gammalab import matgrp as mg
-from poolref import separate_profiles
+from poolref import canonical_pool, separate_profiles
 
 
 def make_table(p, e, n, k, inverse=False):
@@ -275,7 +275,7 @@ def test_distinct_pool_stands_for_every_translate(p, e, n, inverse):
     for name in ("key", "arg", "cell"):
         assert np.array_equal(getattr(pool, name), getattr(ref, name))
     full = exjs._compile_pool(f, n, translates)
-    canonical = exjs._canonical_pool(f, n)
+    canonical = canonical_pool(f, n)
     assert set(full.key.tolist()) | set(canonical.key.tolist()) == set(pool.key.tolist())
     psi = AddChar(f, inverse)
     tables = bessel_tables(f, n, regular_exponents(f, n), psi)
@@ -304,7 +304,7 @@ def test_batched_certificate_refuses_one_perturbed_table(p, e, n):
     at = len(tables) // 2
     values = tables[at].values.copy()
     off = np.ones(len(values), dtype=bool)
-    off[exjs._canonical_pool(f, n).key] = False
+    off[canonical_pool(f, n).key] = False
     values[off] += 1e-6
     block = list(tables)
     block[at] = BesselTable(tables[at].rep, tables[at].psi, values)

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from gammalab.bessel import BesselTable, bessel_build, bessel_tables
-from gammalab.charkit import AddChar, CFun, regular_orbit_reps
+from gammalab.charkit import AddChar, CFun, regular_exponents, regular_orbit_reps
 from gammalab.cuspchar import CuspidalRep
 from gammalab.errors import NonConstantRatio, PreconditionViolated
 from gammalab.ffield import build_field
 from gammalab import exjs, levelzero
 from gammalab import matgrp as mg
+from poolref import canonical_pool, canonical_profiles
 from gammalab.levelzero import (
     LevelZeroCtx,
     RatQS,
@@ -204,11 +205,25 @@ def test_modified_fe_shalika_matches_local_gamma_at_c1():
     assert gamma_t.equals(gam, 1e-8)
 
 
+def pointwise_canonical_ratio(lz):
+    """lifted dual_js / lifted js on the canonical pair (W0, phi0 = delta at
+    x0) of one table at lz.c in RatQS arithmetic, its three sums read off
+    the canonical profile of the canonical pool alone: js(W0, phi0) =
+    a[x0], dual_js(W0, phi0) = b[x0] and js(W0, 1) = sum_x a[x] (0 for odd
+    n), with phi0(0) = [x0 = 0] and phi0^(0) = q^(-m/2).  The reference
+    for the block arrays of `levelzero._canonical_ratios`."""
+    (a,), (b,) = canonical_profiles([lz.table])
+    at = exjs._canonical_point(lz.table.ctx, lz.n)
+    j1 = 0j if lz.n % 2 else complex(a.sum())
+    return (lz.lift(b[at], lz.q ** (-lz.m / 2.0), j1, dual=True)
+            / lz.lift(a[at], float(at == 0), j1))
+
+
 def _per_pair_residual(table, trials=100, seed=exjs.DEFAULT_SEED):
     """The modified-FE residual pair by pair in RatQS arithmetic: the
     reference for the batched rows of modified_fe_scans."""
     lz = LevelZeroCtx(table, 1.0)
-    gamma_t = levelzero._canonical_ratio(lz)
+    gamma_t = pointwise_canonical_ratio(lz)
     phat_0 = lz.q ** (-lz.m / 2.0)
     (js_arr,), (dual_arr,) = exjs._pool_profiles(
         [table], exjs._fe_pool(table.ctx, table.n, seed, trials))
@@ -250,21 +265,28 @@ def test_modified_fe_detects_a_perturbed_gamma(p, n, k, monkeypatch):
 
 
 @pytest.mark.parametrize("p,e,n", [(3, 1, 2), (5, 1, 2), (7, 1, 2), (2, 2, 2),
-                                   (2, 1, 4), (3, 1, 4)])
+                                   (3, 2, 2), (2, 1, 4), (3, 1, 4), (2, 1, 3),
+                                   (2, 1, 5)])
 @pytest.mark.parametrize("inverse", [False, True])
 def test_block_gamma_tilde_matches_pointwise_ratio(p, e, n, inverse):
-    # the block arrays give each table's canonical-pair ratio bit for bit,
-    # zeros' signs included: every Shalika table's, and the constant of
-    # every table without a Shalika vector
+    # the block arrays give each table's canonical-pair ratio at c = 1 bit
+    # for bit, zeros' signs included: every Shalika table's, the constant of
+    # every table without a Shalika vector, and the constant b0 / a0 of odd
+    # n; at the other units c they are within 1e-15 of the RatQS arithmetic
     f = build_field(p, e, n)
-    tables = bessel_tables(f, n, regular_orbit_reps(f, n), AddChar(f, inverse))
-    block = levelzero._canonical_ratios(tables, *exjs.canonical_profiles(tables))
-    for table, gamma_t in zip(tables, block):
-        ref = levelzero._canonical_ratio(LevelZeroCtx(table, 1.0))
-        assert gamma_t.x_shift == ref.x_shift
-        assert gamma_t.num.tobytes() == ref.num.tobytes()
-        assert gamma_t.den.tobytes() == ref.den.tobytes()
-        assert gamma_t.is_constant() != exjs.has_shalika_vector(table)
+    tables = bessel_tables(f, n, regular_exponents(f, n), AddChar(f, inverse))
+    profiles = exjs.block_profiles(tables)
+    for c in (1.0, 1j, -1.0, cmath.exp(0.7j)):
+        block = levelzero._canonical_ratios(tables, profiles.js0, profiles.dual0, c)
+        assert len(block) == len(tables)
+        for table, gamma_t in zip(tables, block):
+            ref = pointwise_canonical_ratio(LevelZeroCtx(table, c))
+            assert gamma_t.is_constant() != exjs.has_shalika_vector(table)
+            assert gamma_t.residual(ref) <= 1e-15
+            if c == 1:
+                assert gamma_t.x_shift == ref.x_shift
+                assert gamma_t.num.tobytes() == ref.num.tobytes()
+                assert gamma_t.den.tobytes() == ref.den.tobytes()
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2), (2, 4), (3, 4)])
@@ -273,7 +295,7 @@ def test_coefficient_block_matches_per_table_products(p, n):
     # products, aligned on the block's lowest shift
     tables = shalika_tables(p, n)
     terms = levelzero._level_zero_terms(p, n // 2, 1 + 0j)
-    gammas = levelzero._canonical_ratios(tables, *exjs.canonical_profiles(tables))
+    gammas = levelzero._canonical_ratios(tables, *canonical_profiles(tables), 1.0)
     block = levelzero._coefficient_block(terms, gammas)
     d, j = terms.dual_corr, terms.js_corr
     low = min(0, d.x_shift, *(g.x_shift + s for g in gammas for s in (0, j.x_shift)))
@@ -312,7 +334,7 @@ def test_modified_fe_block_matches_per_pair_reference(p, n, inverse):
     block = modified_fe_scans(tables)
     assert len(block) == len(tables)
     for table, (gamma_t, worst, checked) in zip(tables, block):
-        assert_ratqs_close(gamma_t, levelzero._canonical_ratio(LevelZeroCtx(table, 1.0)))
+        assert_ratqs_close(gamma_t, pointwise_canonical_ratio(LevelZeroCtx(table, 1.0)))
         assert abs(worst - _per_pair_residual(table)) <= 1e-13
         one_gamma, one_worst, one_checked = modified_fe_scans([table])[0]
         assert_ratqs_close(gamma_t, one_gamma)
@@ -331,7 +353,7 @@ def test_modified_fe_block_refuses_one_perturbed_table(p, n):
     at = len(tables) // 2
     values = tables[at].values.copy()
     off = np.ones(len(values), dtype=bool)
-    off[exjs._canonical_pool(f, n).key] = False
+    off[canonical_pool(f, n).key] = False
     rng = np.random.default_rng(7)
     values[off] += 1e-6 * np.exp(2j * np.pi * rng.random(off.sum()))
     block = list(tables)
@@ -449,3 +471,17 @@ def test_levelzero_preconditions():
     t_odd = make_table(2, 1, 3, 1)
     with pytest.raises(PreconditionViolated):
         modified_fe_check(t_odd)
+
+
+@pytest.mark.parametrize("c", [complex("nan"), complex(float("nan"), 1.0),
+                               complex("inf"), complex(0.0, float("-inf"))])
+def test_non_finite_c_refused(c):
+    # NaN compares false with every bound, and _trim drops a NaN coefficient:
+    # without the explicit refusal the context was accepted and l_factor
+    # read 1
+    table = make_table(3, 1, 2, 2)
+    with pytest.raises(PreconditionViolated):
+        LevelZeroCtx(table, c)
+    with pytest.raises(PreconditionViolated):
+        l_factor(c, 1)
+    assert l_factor(0.0, 1).equals(RatQS.one())
