@@ -244,20 +244,12 @@ def _ordinals(ctx: FieldCtx):
 
 @lru_cache(maxsize=64)
 def _pairing_matrix(ctx: FieldCtx, m: int, inverse: bool) -> np.ndarray:
-    """K[x, y] = psi(<x, y>) over all pairs of points of F_q^m."""
-    psi = AddChar(ctx, inverse)
-    probe = CFun(ctx, m)
-    pts = probe.points()
-    size = len(pts)
-    K = np.empty((size, size), dtype=complex)
-    for i, x in enumerate(pts):
-        for j in range(i, size):
-            y = pts[j]
-            s = 0
-            for xc, yc in zip(x, y):
-                s = ctx.add(s, ctx.mul(xc, yc))
-            K[i, j] = K[j, i] = psi(s)
-    return K
+    """K[x, y] = psi(<x, y>) over all pairs of points of F_q^m, in one
+    `BaseCodes` gather: the codes of point i are the base-q digits of i,
+    in the order of `CFun.point_at`."""
+    F, q = ctx.base, ctx.q
+    P = (np.arange(q ** m)[:, None] // q ** np.arange(m) % q).astype(F.dtype)
+    return AddChar(ctx, inverse).values[F.sum(F.mul(P[:, None], P[None]))]
 
 
 def fourier(phi: CFun, psi: AddChar) -> CFun:

@@ -33,7 +33,7 @@ from .charkit import AddChar, MultChar, regular_orbit, regular_orbit_reps
 from .cuspchar import verify_irreducible
 from .errors import (GammalabError, NonConstantRatio, OracleFailed,
                      PreconditionViolated)
-from .ffield import build_field
+from .ffield import _prime_factors, build_field
 from .levelzero import LevelZeroCtx, RatQS, l_factor
 from . import matgrp as mg
 
@@ -82,20 +82,6 @@ class RunConfig:
     exhaustive: bool
 
 
-def _factor_prime_power(q: int):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            v = q
-            while v % p == 0:
-                v //= p
-                e += 1
-            if v == 1:
-                return p, e
-            raise PreconditionViolated(f"q = {q} is not a prime power")
-    raise PreconditionViolated(f"q = {q} is not a prime power")
-
-
 @lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
@@ -107,6 +93,8 @@ def _parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("gamma", "verify", "export"):
         sp = sub.add_parser(name)
+        # refusals after parsing print this subcommand's usage (`parse_config`)
+        sp.set_defaults(subparser=sp)
         sp.add_argument("--p", type=int, default=None, help="characteristic")
         sp.add_argument("--e", type=int, default=None,
                         help="base extension degree; q = p^e (default 1)")
@@ -128,13 +116,26 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _prime_power(q: int):
+    """(p, e) with q = p^e, trial-dividing only up to sqrt(q)
+    (`ffield._prime_factors`)."""
+    factors = _prime_factors(q)  # [] for q < 2
+    if len(factors) != 1:
+        raise PreconditionViolated(f"q = {q} is not a prime power")
+    p, e = factors[0], 0
+    while q > 1:
+        q //= p
+        e += 1
+    return p, e
+
+
 def parse_config(argv) -> RunConfig:
-    ap = _parser()
-    ns = ap.parse_args(argv)
+    ns = _parser().parse_args(argv)
+    ap = ns.subparser
     if ns.q is not None:
         if ns.p is not None or ns.e is not None:
             ap.error("--q excludes --p and --e")
-        p, e = _factor_prime_power(ns.q)
+        p, e = _prime_power(ns.q)
     elif ns.p is not None:
         p, e = ns.p, 1 if ns.e is None else ns.e
     else:

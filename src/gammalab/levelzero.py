@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -388,56 +388,29 @@ def _canonical_ratios(tables, js0, dual0, c: complex) -> list:
             else RatQS(b0[t], a0[t]) for t in range(len(tables))]
 
 
-def _kernels(polys, offsets) -> np.ndarray:
-    """The polynomials X^offset * poly, one per row, as the (rows, 1, width)
-    zero array that `_convolve_rows` broadcasts over a block's tables."""
-    out = np.zeros((len(polys), 1, max(o + len(p) for p, o in zip(polys, offsets))),
-                   dtype=complex)
-    for row, p, o in zip(out, polys, offsets):
-        row[0, o:o + len(p)] = p
-    return out
-
-
-def _convolve_rows(rows: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """np.convolve of each row of an (R, T, L) array with the kernel of its R
-    (`_kernels`), one kernel tap at a time; the zero taps of a padded
-    kernel add only zeros."""
-    width = rows.shape[-1]
-    out = np.zeros(rows.shape[:-1] + (width + kernels.shape[-1] - 1,), dtype=complex)
-    for j in range(kernels.shape[-1]):
-        out[..., j:j + width] += rows * kernels[..., j:j + 1]
-    return out
-
-
 def _coefficient_block(terms: _Terms, gammas) -> np.ndarray:
     """The (4, T, width) coefficient rows of `modified_fe_scans` for a block
     of gamma~: dual_corr = X^sd Nd/Dd, js_corr = X^sj Nj/Dj (`terms`) and
     gamma~ = X^sg Ng/Dg give row0 = (b Dd + p X^sd Nd) Dg Dj and
     row1 = X^sg Ng (a Dj + r X^sj Nj) Dd, whose coefficients of b, p, a and
-    r these are: Dg Dd Dj, X^sd Dg Nd Dj, X^sg Ng Dj Dd and X^(sg+sj) Ng Nj
-    Dd, multiplied left to right for every table at once and aligned on
-    the lowest shift.  Each table's Ng and Dg are padded with zeros to the
-    block's longest, Ng aligned on the block's lowest sg; the zeros change
-    no residual."""
+    r these are: Dd Dg Dj, X^sd Nd Dg Dj, X^sg Ng Dj Dd and X^(sg+sj) Ng Nj
+    Dd, each the `np.convolve` product of its factors left to right, at its
+    shift above the lowest of the block.  The zero padding changes no
+    residual."""
     d, j = terms.dual_corr, terms.js_corr
-    low = min(g.x_shift for g in gammas)
-    dens = max(len(g.den) for g in gammas)
-    nums = max(g.x_shift - low + len(g.num) for g in gammas)
-    # Dg and Ng of every table, as the rows of one zero array
-    dg_ng = np.zeros((2, len(gammas), max(dens, nums)), dtype=complex)
-    for t, g in enumerate(gammas):
-        dg_ng[0, t, :len(g.den)] = g.den
-        dg_ng[1, t, g.x_shift - low:g.x_shift - low + len(g.num)] = g.num
-    shifts = (0, d.x_shift, low, low + j.x_shift)
-    offsets = [s - min(shifts) for s in shifts]
-    first, second = (d.den, d.num, j.den, j.num), (j.den, j.den, d.den, d.den)
-    # the last column that a row's product reaches: beyond it the padded
-    # kernels add zero columns only
-    width = max(o + k + len(a) + len(b) - 2 for o, k, a, b in
-                zip(offsets, (dens, dens, nums, nums), first, second))
-    rows = _convolve_rows(_convolve_rows(dg_ng[[0, 0, 1, 1]], _kernels(first, (0,) * 4)),
-                          _kernels(second, offsets))
-    return rows[..., :width]
+    # the (shift, product) of each table's four rows
+    polys = [[(s, reduce(np.convolve, f)) for s, f in (
+                 (0, (d.den, g.den, j.den)), (d.x_shift, (d.num, g.den, j.den)),
+                 (g.x_shift, (g.num, j.den, d.den)),
+                 (g.x_shift + j.x_shift, (g.num, j.num, d.den)))]
+             for g in gammas]
+    low = min(s for table in polys for s, _ in table)
+    width = max(s - low + len(poly) for table in polys for s, poly in table)
+    rows = np.zeros((4, len(gammas), width), dtype=complex)
+    for t, table in enumerate(polys):
+        for row, (s, poly) in zip(rows[:, t], table):
+            row[s - low:s - low + len(poly)] = poly
+    return rows
 
 
 def modified_fe_scans(tables, profiles: exjs.BlockProfiles = None):

@@ -430,14 +430,6 @@ def unipotent_coset_reps(ctx: FieldCtx, m: int) -> tuple:
     return tuple(sorted(reps))
 
 
-def coset_reps(ctx: FieldCtx, m: int, kind: str) -> tuple:
-    if kind == "N\\G":
-        return unipotent_coset_reps(ctx, m)
-    if kind == "B\\M":
-        return lower_nilpotent_reps(ctx, m)
-    raise ValueError(f"unknown coset system {kind!r}")
-
-
 @lru_cache(maxsize=64)
 def mirabolic_coset_reps(ctx: FieldCtx, m: int) -> tuple:
     """Canonical representatives for N\\P_m, P_m the mirabolic subgroup."""

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from gammalab import charkit
 from gammalab.charkit import (
     AddChar,
     CFun,
@@ -143,6 +144,31 @@ def test_fourier_inversion():
             pt = phi.point_at(idx)
             neg = tuple(f.neg(x) for x in pt)
             assert abs(twice(pt) - phi(neg)) < 1e-10
+
+
+def pointwise_pairing_matrix(f, m, inverse):
+    """K[x, y] = psi(<x, y>) point pair by point pair, in field arithmetic."""
+    psi = AddChar(f, inverse)
+    pts = CFun(f, m).points()
+    K = np.empty((len(pts), len(pts)), dtype=complex)
+    for i, x in enumerate(pts):
+        for j in range(i, len(pts)):
+            s = 0
+            for xc, yc in zip(x, pts[j]):
+                s = f.add(s, f.mul(xc, yc))
+            K[i, j] = K[j, i] = psi(s)
+    return K
+
+
+@pytest.mark.parametrize("p,e,m", [(3, 1, 1), (5, 1, 1), (2, 2, 2), (3, 1, 2),
+                                   (2, 1, 3), (7, 1, 2), (2, 3, 2), (2, 6, 1)])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_pairing_matrix_matches_pointwise_pairs(p, e, m, inverse):
+    # the one-gather pairing matrix equals the pair-by-pair loop bit for bit
+    f = build_field(p, e, 2)
+    K = charkit._pairing_matrix(f, m, inverse)
+    ref = pointwise_pairing_matrix(f, m, inverse)
+    assert K.shape == ref.shape and K.tobytes() == ref.tobytes()
 
 
 def _square_sum_sides(f, n, J):

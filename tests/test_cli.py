@@ -164,11 +164,49 @@ def test_psi_inverse_flag(capsys):
 
 
 def test_exit_code_on_non_prime_power_q(capsys):
-    code = cli.main(["gamma", "--q", "6", "--n", "2"])
+    for q in ("6", "0", "1", "12", "-4"):
+        code = cli.main(["gamma", "--q", q, "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_PRECONDITION
+        assert captured.err == f"error: q = {q} is not a prime power\n"
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("q", [1000000007, 16777259])
+def test_large_prime_q_refused_quickly(q, capsys, monkeypatch):
+    # a prime q is factored by trial division up to sqrt(q), not q, and its
+    # cell is refused by size before any field is built
+    def no_field(*args):
+        raise AssertionError("build_field called")
+    monkeypatch.setattr(cli, "build_field", no_field)
+    t0 = time.perf_counter()
+    code = cli.main(["gamma", "--q", str(q), "--n", "2"])
+    assert time.perf_counter() - t0 < 2.0
     captured = capsys.readouterr()
-    assert code == cli.EXIT_PRECONDITION
-    assert captured.err.startswith("error:") and "Traceback" not in captured.err
-    assert captured.out == ""
+    assert code == cli.EXIT_PRECONDITION and captured.out == ""
+    assert captured.err.startswith("error:") and "class typings" in captured.err
+
+
+_REFUSED = [["--q", "3", "--n", "1"], ["--q", "3", "--n", "2", "--trials", "0"],
+            ["--q", "3", "--n", "2", "--tol", "nan"], ["--q", "3", "--n", "2", "--theta", "x"],
+            ["--q", "3", "--n", "2", "--c-re", "2"], ["--q", "3", "--p", "3", "--n", "2"],
+            ["--n", "2"], ["--q", "3", "--n", "2", "--out", "MISSING_DIR/rows.json"]]
+
+
+# export's --out is a directory, created when missing: it has no bad --out
+@pytest.mark.parametrize("command,args", [
+    (command, args) for command in ("gamma", "verify", "export") for args in _REFUSED
+    if command != "export" or "--out" not in args])
+def test_refusals_print_the_subcommand_usage(command, args, tmp_path, capsys):
+    # each refusal after parsing names the usage of the subcommand given,
+    # not the top-level "usage: gammalab [-h] {gamma,verify,export} ..."
+    argv = [command] + [str(tmp_path / a) if a.startswith("MISSING_DIR") else a
+                        for a in args]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_PRECONDITION and captured.out == ""
+    assert captured.err.startswith(f"usage: gammalab {command} ")
+    assert f"gammalab {command}: error:" in captured.err
 
 
 def test_exit_code_on_zero_sampled_trials(capsys):

@@ -107,10 +107,10 @@ def test_bruhat_uniqueness_exhaustive():
 def test_coset_reps_counts():
     f3 = build_field(3, 1, 2)
     f2 = build_field(2, 1, 2)
-    assert len(mg.coset_reps(f3, 1, "N\\G")) == 2
-    assert len(mg.coset_reps(f2, 2, "N\\G")) == 3  # 6 / 2
-    assert len(mg.coset_reps(f3, 2, "N\\G")) == 16  # 48 / 3
-    assert len(mg.coset_reps(f2, 3, "B\\M")) == 8   # q^3
+    assert len(mg.unipotent_coset_reps(f3, 1)) == 2
+    assert len(mg.unipotent_coset_reps(f2, 2)) == 3  # 6 / 2
+    assert len(mg.unipotent_coset_reps(f3, 2)) == 16  # 48 / 3
+    assert len(mg.lower_nilpotent_reps(f2, 3)) == 8   # q^3
     # canonical map is constant on cosets and injective across them
     uni = mg.all_unipotent(f3, 2)
     seen = {}
