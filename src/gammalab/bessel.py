@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .charkit import TOL, AddChar
+from .charkit import TOL, AddChar, _read_only, character_sums
 from .cuspchar import CuspidalRep, character_matrix
 from .errors import OracleFailed, PreconditionViolated, Singular
 from .ffield import FieldCtx
@@ -360,61 +360,86 @@ def bessel_build(rep: CuspidalRep, psi: AddChar) -> BesselTable:
 # -- printed closed forms -----------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _norm_fibres(ctx: FieldCtx, n: int) -> dict:
-    """The units xi of F_{q^n} grouped by their norm N(xi) to F_q, each
-    group in `subfield_units` order, as tuples (xi, Tr xi, Tr xi^-1, N2):
-    traces to F_q, and N2 the norm of xi from F_{q^2} to F_q when xi lies in
-    F_{q^2} but not in F_q, else None.  Representation independent, so the
-    pointwise closed forms read the xi of one norm from here and add their
-    terms in the order of the full loop over F_{q^n}^x."""
+def _closed_form_terms(ctx: FieldCtx, n: int, inverse: bool) -> tuple:
+    """(dlogs, weights) of the printed forms at n = 3, 4 under the additive
+    character psi with this `inverse` flag: one row per unit pair (a, b),
+    in `itertools.product` order, lists the xi of its norm fibre in
+    `subfield_units(n)` order, each with its level-n dlog and a weight,
+
+        n = 3: N(xi) = a b^2, w = psi(-Tr xi / b);
+        n = 4: N(xi) = (ab)^2, w = -inner / q^4, inner the sum over beta in
+               F_q^x of psi(-beta + (a1 + a3 ab) / (beta a b^2)), with
+               a3 = -Tr xi and a1 = -(ab)^2 Tr xi^-1, less q when xi lies
+               in F_{q^2} but not in F_q and ab = -N_{F_{q^2}/F_q}(xi).
+
+    The norm maps onto F_q^x, so the fibres, and the rows, are of one
+    length.  Each weight is formed as in the per-element sum."""
+    q = ctx.q
+    psi = AddChar(ctx, inverse)
+    units = ctx.subfield_units(1)
     fibres = {}
     for xi in ctx.subfield_units(n):
-        n2 = (ctx.norm(xi, 2, 1)
-              if ctx.in_subfield(xi, 2) and not ctx.in_subfield(xi, 1) else None)
-        fibres.setdefault(ctx.norm(xi, n, 1), []).append(
-            (xi, ctx.trace(xi, n, 1), ctx.trace(ctx.inv(xi), n, 1), n2))
-    return {norm: tuple(group) for norm, group in fibres.items()}
+        fibres.setdefault(ctx.norm(xi, n, 1), []).append(xi)
+    dlogs, weights = [], []
+    for a, b in itertools.product(units, repeat=2):
+        ab = ctx.mul(a, b)
+        fibre = fibres[ctx.mul(a, ctx.mul(b, b)) if n == 3 else ctx.mul(ab, ab)]
+        dlogs.append([ctx.subfield_dlog(xi, n) for xi in fibre])
+        if n == 3:
+            inv_b = ctx.inv(b)
+            weights.append([psi(ctx.neg(ctx.mul(inv_b, ctx.trace(xi, n, 1))))
+                            for xi in fibre])
+            continue
+        det, ab2 = ctx.mul(ab, ab), ctx.mul(ab, b)
+        row = []
+        for xi in fibre:
+            numer = ctx.add(ctx.neg(ctx.mul(ctx.trace(ctx.inv(xi), n, 1), det)),
+                            ctx.mul(ctx.neg(ctx.trace(xi, n, 1)), ab))
+            inner = 0j
+            if (ctx.in_subfield(xi, 2) and not ctx.in_subfield(xi, 1)
+                    and ab == ctx.neg(ctx.norm(xi, 2, 1))):
+                inner += -q
+            for beta in units:
+                inner += psi(ctx.add(ctx.neg(beta),
+                                     ctx.mul(numer, ctx.inv(ctx.mul(beta, ab2)))))
+            row.append(-inner / q ** 4)
+        weights.append(row)
+    return _read_only(np.array(dlogs), np.array(weights, dtype=complex))
+
+
+def bessel_closed_forms(ctx: FieldCtx, n: int, exponents, psi: AddChar) -> np.ndarray:
+    """The printed character-sum forms of the Bessel functions of a block of
+    regular theta = gen^k at n = 3 or 4, as a ((q - 1)^2 x T) array, one
+    row per unit pair (a, b) in `itertools.product` order: at n = 3
+    B(antidiag(a I_1, b I_2)) = q^-2 sum_{N(xi) = a b^2} psi(-Tr xi / b)
+    theta(xi), at n = 4 B(diag(a I_2, b I_2) w6), w6 the block flip, by the
+    Deriziotis-Gotsis sum over F_{q^4}^x.  One `character_sums` of the
+    cached terms `_closed_form_terms`; independent of `bessel_tables`."""
+    if n != ctx.n or n not in (3, 4):
+        raise PreconditionViolated(f"no printed form for n = {n} in a field for n = {ctx.n}")
+    sums = character_sums(*_closed_form_terms(ctx, n, psi.inverse), ctx.q ** n - 1,
+                          exponents)
+    return sums / ctx.q ** 2 if n == 3 else sums
+
+
+def _closed_form_entry(rep: CuspidalRep, n: int, psi: AddChar, a: int, b: int) -> complex:
+    """Row (a, b) of `bessel_closed_forms` on the block of `rep` alone."""
+    if rep.n != n:
+        raise PreconditionViolated(f"closed form is for n = {n}")
+    units = rep.ctx.subfield_units(1)
+    row = units.index(a) * len(units) + units.index(b)
+    return complex(bessel_closed_forms(rep.ctx, n, [rep.exponent], psi)[row, 0])
 
 
 def bessel_closed_form_gl3(rep: CuspidalRep, psi: AddChar, lam1: int, lam2: int) -> complex:
     """B(antidiag(lam1 I_1, lam2 I_2)) as a character sum over F_{q^3}."""
-    if rep.n != 3:
-        raise PreconditionViolated("closed form is for n = 3")
-    ctx = rep.ctx
-    target = ctx.mul(lam1, ctx.mul(lam2, lam2))
-    inv_l2 = ctx.inv(lam2)
-    total = 0j
-    for xi, trace, _, _ in _norm_fibres(ctx, 3).get(target, ()):
-        arg = ctx.neg(ctx.mul(inv_l2, trace))
-        total += psi(arg) * rep.theta(xi)
-    return total / ctx.q ** 2
+    return _closed_form_entry(rep, 3, psi, lam1, lam2)
 
 
 def bessel_closed_form_gl4(rep: CuspidalRep, psi: AddChar, mu: int, nu: int) -> complex:
     """B(t w6) for t = diag(mu I_2, nu I_2), w6 the block flip: the
     Deriziotis-Gotsis sum over F_{q^4}."""
-    if rep.n != 4:
-        raise PreconditionViolated("closed form is for n = 4")
-    ctx = rep.ctx
-    q = ctx.q
-    det_t = ctx.mul(ctx.mul(mu, mu), ctx.mul(nu, nu))
-    mu_nu = ctx.mul(mu, nu)
-    mu_nu2 = ctx.mul(mu_nu, nu)
-    units_base = ctx.subfield_units(1)
-    total = 0j
-    for xi, trace, trace_inv, n2 in _norm_fibres(ctx, 4).get(det_t, ()):
-        a3 = ctx.neg(trace)
-        a1 = ctx.neg(ctx.mul(trace_inv, det_t))
-        numer = ctx.add(a1, ctx.mul(a3, mu_nu))
-        inner = 0j
-        if n2 is not None and mu_nu == ctx.neg(n2):
-            inner += -q
-        for beta in units_base:
-            arg = ctx.add(ctx.neg(beta),
-                          ctx.mul(numer, ctx.inv(ctx.mul(beta, mu_nu2))))
-            inner += psi(arg)
-        total += (-inner / q ** 4) * rep.theta(xi)
-    return total
+    return _closed_form_entry(rep, 4, psi, mu, nu)
 
 
 def export_bessel_csv(table: BesselTable, path) -> None:

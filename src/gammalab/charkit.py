@@ -30,9 +30,11 @@ def _roots_of_unity(m: int) -> np.ndarray:
 def character_sums(dlogs, weights, modulus: int, exponents) -> np.ndarray:
     """S[..., t] = sum_x weights[..., x] * zeta^(k_t * dlogs[..., x]), zeta a
     primitive modulus-th root of unity, for each exponent k_t of a block:
-    the package's one root-of-unity contraction (`cuspchar.character_matrix`,
-    `exjs.gamma_closed_forms`).  One (... x terms x T) gather and one
-    `einsum`, which adds each sum's terms in order and stays off BLAS."""
+    the package's one root-of-unity contraction.  Its callers are
+    `cuspchar.character_matrix`, `gauss_sum`, `bessel.bessel_closed_forms`,
+    `exjs.gamma_closed_forms` and the multiplicative orthogonality check of
+    `cli` verify.  One (... x terms x T) gather and one `einsum`, which
+    adds each sum's terms in order and stays off BLAS."""
     k = np.asarray(exponents, dtype=np.int64) % modulus
     zeta = _roots_of_unity(modulus)[dlogs[..., None] * k % modulus]
     return np.einsum("...x,...xt->...t", weights, zeta)
@@ -124,13 +126,6 @@ def restriction_is_trivial(theta: MultChar, d: int) -> bool:
     return theta.exponent % (theta.ctx.q ** d - 1) == 0
 
 
-def regular_exponents(ctx: FieldCtx, n: int) -> list:
-    """All exponents k mod q^n - 1 of regular characters, ascending."""
-    m = ctx.q ** n - 1
-    return [k for k in range(m)
-            if len({(k * pow(ctx.q, i, m)) % m for i in range(n)}) == n]
-
-
 @lru_cache(maxsize=64)
 def _regular_orbits(ctx: FieldCtx, n: int) -> tuple:
     """(reps, orbit): the least exponent of each Galois orbit of regular
@@ -149,6 +144,12 @@ def _regular_orbits(ctx: FieldCtx, n: int) -> tuple:
     return reps, MappingProxyType(dict(zip(exponents, orbits)))
 
 
+def regular_exponents(ctx: FieldCtx, n: int) -> list:
+    """All exponents k mod q^n - 1 of regular characters, ascending: the
+    keys of the cell's orbit map (`_regular_orbits`)."""
+    return list(_regular_orbits(ctx, n)[1])
+
+
 def regular_orbit_reps(ctx: FieldCtx, n: int) -> list:
     """Least exponent of each Galois orbit of regular characters."""
     return list(_regular_orbits(ctx, n)[0])
@@ -163,12 +164,30 @@ def regular_orbit(ctx: FieldCtx, n: int, k: int) -> tuple:
     return orbit
 
 
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=64)
+def _gauss_terms(ctx: FieldCtx, inverse: bool) -> tuple:
+    """The representation-independent terms (j, w) of the Gauss sums
+    G_psi(chi) = sum_a chi(a^-1) psi(a), one per a in F_q^x: j the
+    base-level dlog of a^-1 and w = psi(a)."""
+    psi = AddChar(ctx, inverse)
+    units = ctx.subfield_units(1)
+    return _read_only(np.array([ctx.subfield_dlog(ctx.inv(a), 1) for a in units]),
+                      np.array([psi(a) for a in units], dtype=complex))
+
+
 def gauss_sum(chi: MultChar, psi: AddChar) -> complex:
-    """G_psi(chi) = sum over a in F_q^x of chi(a^{-1}) psi(a)."""
+    """G_psi(chi) = sum over a in F_q^x of chi(a^{-1}) psi(a): one
+    `character_sums` of the cached terms `_gauss_terms`."""
     if chi.level_deg != 1:
         raise DimensionMismatch("gauss_sum takes a base-field character")
-    ctx = chi.ctx
-    return complex(sum(chi(ctx.inv(a)) * psi(a) for a in ctx.subfield_units(1)))
+    terms = _gauss_terms(chi.ctx, psi.inverse)
+    return complex(character_sums(*terms, chi.modulus, [chi.exponent])[0])
 
 
 def kloosterman(a: int, b: int, psi: AddChar) -> complex:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -27,9 +26,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import exjs, levelzero
-from .bessel import (bessel_closed_form_gl3, bessel_tables, export_bessel_csv,
-                     require_profile_size)
-from .charkit import AddChar, MultChar, regular_orbit, regular_orbit_reps
+from .bessel import (bessel_closed_forms, bessel_tables, export_bessel_csv,
+                     require_profile_size, support_keys)
+from .charkit import AddChar, character_sums, regular_orbit, regular_orbit_reps
 from .cuspchar import verify_irreducible
 from .errors import (GammalabError, NonConstantRatio, OracleFailed,
                      PreconditionViolated)
@@ -132,13 +131,9 @@ def _prime_power(q: int):
 def parse_config(argv) -> RunConfig:
     ns = _parser().parse_args(argv)
     ap = ns.subparser
-    if ns.q is not None:
-        if ns.p is not None or ns.e is not None:
-            ap.error("--q excludes --p and --e")
-        p, e = _prime_power(ns.q)
-    elif ns.p is not None:
-        p, e = ns.p, 1 if ns.e is None else ns.e
-    else:
+    if ns.q is not None and (ns.p is not None or ns.e is not None):
+        ap.error("--q excludes --p and --e")
+    if ns.q is None and ns.p is None:
         ap.error("one of --q or --p is required")
     if ns.n < 2:
         ap.error(f"--n must be >= 2, got {ns.n}")
@@ -159,6 +154,12 @@ def parse_config(argv) -> RunConfig:
             ap.error(f"--out {ns.out!r} is a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(ns.out))):
             ap.error(f"the directory of --out {ns.out!r} does not exist")
+    # the size of the cell needs q and n alone, so it is refused before q
+    # is factored: trial division up to sqrt(q) would not end for a large
+    # prime q
+    e = 1 if ns.e is None else ns.e
+    require_profile_size(ns.p ** e if ns.q is None else ns.q, ns.n)
+    p, e = (ns.p, e) if ns.q is None else _prime_power(ns.q)
     return RunConfig(ns.command, p, e, ns.n, ns.theta, ns.psi_inverse, c, ns.seed,
                      ns.trials, ns.tol, ns.format, ns.out, getattr(ns, "exhaustive", False))
 
@@ -362,10 +363,10 @@ def _verify_checks(cfg: RunConfig, ctx):
     # character orthogonality
     resid = abs(sum(psi(x) for x in ctx.subfield_elements(1)))
     yield ("additive_orthogonality", resid < ADDITIVE_ORTHOGONALITY_TOL, resid)
-    worst = 0.0
-    for k in range(1, min(q ** n - 1, 40)):
-        th = MultChar(ctx, n, k)
-        worst = max(worst, abs(sum(th(x) for x in ctx.subfield_units(n))))
+    dlogs = np.array([ctx.subfield_dlog(x, n) for x in ctx.subfield_units(n)])
+    sums = character_sums(dlogs, np.ones(len(dlogs)), q ** n - 1,
+                          range(1, min(q ** n - 1, 40)))
+    worst = float(exjs.modulus(sums).max())
     yield ("multiplicative_orthogonality", worst < MULTIPLICATIVE_ORTHOGONALITY_TOL,
            worst)
     # the table checks, one block at a time, each keeping its worst residual
@@ -393,10 +394,6 @@ def _verify_checks(cfg: RunConfig, ctx):
                 rhs = (psi(mg.superdiag_sum(ctx, u1)) * psi(mg.superdiag_sum(ctx, u2))
                        * table.eval(g))
                 worst_bieq = max(worst_bieq, abs(lhs - rhs))
-            if n == 3:
-                for l1, l2 in itertools.product(ctx.subfield_units(1), repeat=2):
-                    printed = bessel_closed_form_gl3(table.rep, psi, l1, l2)
-                    worst_gl3 = max(worst_gl3, abs(printed - table.value((1, 2), (l1, l2))))
             # Shalika criterion
             if n % 2 == 0:
                 try:
@@ -408,6 +405,12 @@ def _verify_checks(cfg: RunConfig, ctx):
                     exjs.homdim_check(table.rep)
                 except GammalabError:
                     homdim_ok = False
+        if n == 3:  # the (1, 2) keys are one run of `support_keys`
+            printed = bessel_closed_forms(ctx, n, [t.rep.exponent for t in tables], psi)
+            start = next(i for i, (comp, _) in enumerate(support_keys(ctx, n))
+                         if comp == (1, 2))
+            run = np.stack([t.values[start:start + len(printed)] for t in tables], axis=1)
+            worst_gl3 = max(worst_gl3, float(exjs.modulus(printed - run).max()))
         # functional equation and route agreement, read from the rows that
         # `gamma` prints for this block
         plain = not all(exjs.has_shalika_vector(table) for table in tables)
@@ -492,7 +495,6 @@ def cmd_export(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     try:
         cfg = parse_config(argv)
-        require_profile_size(cfg.p ** cfg.e, cfg.n)
         if cfg.command == "gamma":
             return cmd_gamma(cfg)
         if cfg.command == "verify":

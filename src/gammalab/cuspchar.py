@@ -27,7 +27,7 @@ from .errors import OracleFailed
 from .ffield import FieldCtx
 from . import matgrp as mg
 
-#: the default bound on every residual of `verify_irreducible`: |<chi, chi> - 1|,
+#: the bound on every residual of `verify_irreducible`: |<chi, chi> - 1|,
 #: |chi(1) - dim|, |chi(g^-1) - conj chi(g)| and |chi(h g h^-1) - chi(g)|
 CHARACTER_TOL = 1e-6
 
@@ -210,8 +210,7 @@ def _sampled_classes(ctx: FieldCtx, n: int, samples: int, seed: int) -> tuple:
     return tuple(out)
 
 
-def verify_irreducible(rep: CuspidalRep, samples: int = 40, seed: int = 1729,
-                       tol: float = CHARACTER_TOL) -> dict:
+def verify_irreducible(rep: CuspidalRep, samples: int = 40, seed: int = 1729) -> dict:
     """Certify the character formula for this representation.
 
     Checks: (a) <chi, chi> = 1; (b) chi(1) equals the cuspidal dimension;
@@ -221,11 +220,11 @@ def verify_irreducible(rep: CuspidalRep, samples: int = 40, seed: int = 1729,
     report = {}
     ip = inner_product_with_self(rep)
     report["inner_product"] = ip
-    if abs(ip - 1.0) > tol:
+    if abs(ip - 1.0) > CHARACTER_TOL:
         raise OracleFailed("inner_product", f"<chi,chi> = {ip}")
     degree = rep.character(mg.identity(rep.n))
     report["degree"] = degree
-    if abs(degree - rep.dimension()) > tol or abs(degree.imag) > tol:
+    if max(abs(degree - rep.dimension()), abs(degree.imag)) > CHARACTER_TOL:
         raise OracleFailed("degree", f"chi(1) = {degree} != {rep.dimension()}")
     worst_inv = 0.0
     worst_conj = 0.0
@@ -235,9 +234,9 @@ def verify_irreducible(rep: CuspidalRep, samples: int = 40, seed: int = 1729,
         worst_conj = max(worst_conj, abs(rep.char_of_class(conj) - chi))
     report["max_inverse_residual"] = worst_inv
     report["max_conjugation_residual"] = worst_conj
-    if worst_inv > tol:
+    if worst_inv > CHARACTER_TOL:
         raise OracleFailed("inverse_conjugate", f"residual {worst_inv}")
-    if worst_conj > tol:
+    if worst_conj > CHARACTER_TOL:
         raise OracleFailed("class_function", f"residual {worst_conj}")
     report["ok"] = True
     return report

@@ -22,8 +22,9 @@ import numpy as np
 
 from .bessel import (BesselTable, gather_sums, support_keys, support_signature,
                      support_signatures)
-from .charkit import (AddChar, CFun, _pairing_matrix, character_sums, fourier,
-                      gauss_sum, kloosterman, restriction_is_trivial)
+from .charkit import (AddChar, CFun, _gauss_terms, _pairing_matrix, _read_only,
+                      character_sums, fourier, gauss_sum, kloosterman,
+                      restriction_is_trivial)
 from .cuspchar import CuspidalRep
 from .errors import (
     DimensionMismatch,
@@ -614,12 +615,6 @@ def gamma_ratio(table: BesselTable, trials: int = 100,
                        {"max_residual": float(resid), "pairs_checked": checked})
 
 
-def _read_only(*arrays) -> tuple:
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 @lru_cache(maxsize=64)
 def _torus_terms(ctx: FieldCtx, n: int, inverse: bool) -> tuple:
     """(key, phase, extra, weight, front): the representation-independent
@@ -694,17 +689,6 @@ def gamma_torus(table: BesselTable) -> GammaResult:
 
 
 @lru_cache(maxsize=64)
-def _gauss_terms(ctx: FieldCtx, inverse: bool) -> tuple:
-    """The representation-independent terms (j, w) of the Gauss sums
-    G_psi(chi) = sum_a chi(a^-1) psi(a) of `gamma_closed_forms`, one per
-    a in F_q^x: j the base-level dlog of a^-1 and w = psi(a)."""
-    psi = AddChar(ctx, inverse)
-    units = ctx.subfield_units(1)
-    return _read_only(np.array([ctx.subfield_dlog(ctx.inv(a), 1) for a in units]),
-                      np.array([psi(a) for a in units], dtype=complex))
-
-
-@lru_cache(maxsize=64)
 def _closed_terms(ctx: FieldCtx, inverse: bool) -> tuple:
     """The representation-independent terms (j, w) of `gamma_closed_forms`
     at n = 3, 4, one per xi in F_{q^n}^x: j the dlog of xi^2 at level n, and
@@ -738,7 +722,7 @@ def gamma_closed_forms(tables) -> np.ndarray:
     """Route 3 for a block of tables at one (q, n, psi): the printed
     character-sum forms for n = 2, 3, 4.  The Gauss sums of the central
     characters (n = 2, 4) and the sums over F_{q^n}^x (n = 3, 4) are each
-    one `charkit.character_sums` of cached terms (`_gauss_terms`,
+    one `charkit.character_sums` of cached terms (`charkit._gauss_terms`,
     `_closed_terms`)."""
     ctx, n, psi = _block_cell(tables)
     q = ctx.q
@@ -877,39 +861,33 @@ def broken_equation_witness(table: BesselTable):
 
 # -- appendix multiplicity bounds -------------------------------------------------
 
-def homdim_check(rep: CuspidalRep, tol: float = HOMDIM_TOL) -> int:
+def homdim_check(rep: CuspidalRep) -> int:
     """dim Hom_H(pi, 1) = |H|^{-1} sum_{h in H} chi(h) for the appendix
-    subgroup H of matching parity; must come out 0 or 1."""
+    subgroup H of matching parity, within HOMDIM_TOL of 0 or 1:
+    diag(g1, g2) with g2 mirabolic at even n, and [[g1, 0, u], [0, g2, 0],
+    [0, 0, 1]] with u a column at odd n."""
     ctx = rep.ctx
     n = rep.n
     m = n // 2
-    total = 0j
-    count = 0
+    gl = mg.all_gl(ctx, m)
+    zero = mg.zero(m)
     if n % 2 == 0:
-        gl = mg.all_gl(ctx, m)
         e_last = tuple(1 if j == m - 1 else 0 for j in range(m))
         mira = [g for g in gl if g[m - 1] == e_last] if m > 1 else [mg.identity(1)]
-        for g1 in gl:
-            for g2 in mira:
-                h = mg.from_blocks([[g1, mg.zero(m)], [mg.zero(m), g2]])
-                total += rep.character(h)
-                count += 1
+        group = (mg.from_blocks([[g1, zero], [zero, g2]]) for g1 in gl for g2 in mira)
     else:
-        elems = ctx.subfield_elements(1)
-        gl = mg.all_gl(ctx, m)
-        for g1 in gl:
-            for g2 in gl:
-                for u in itertools.product(elems, repeat=m):
-                    rows = [list(r) for r in mg.identity(n)]
-                    for i in range(m):
-                        for j in range(m):
-                            rows[i][j] = g1[i][j]
-                            rows[m + i][m + j] = g2[i][j]
-                        rows[i][2 * m] = u[i]
-                    total += rep.character(tuple(tuple(r) for r in rows))
-                    count += 1
+        tail = [mg.zero(1, m), mg.zero(1, m), mg.identity(1)]
+        group = (mg.from_blocks([[g1, zero, tuple((x,) for x in u)],
+                                 [zero, g2, mg.zero(m, 1)], tail])
+                 for g1 in gl for g2 in gl
+                 for u in itertools.product(ctx.subfield_elements(1), repeat=m))
+    total = 0j
+    count = 0
+    for h in group:
+        total += rep.character(h)
+        count += 1
     value = total / count
     nearest = round(value.real)
-    if abs(value - nearest) > tol or nearest not in (0, 1):
+    if abs(value - nearest) > HOMDIM_TOL or nearest not in (0, 1):
         raise DimensionBoundViolated(f"dim Hom = {value}")
     return int(nearest)

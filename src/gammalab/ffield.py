@@ -23,18 +23,9 @@ from .errors import DivideByZero, NotInSubfield, NotPrime, TooLarge, ZeroHasNoLo
 ORDER_CAP = 2 ** 24
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _prime_factors(m: int) -> list:
+    """The distinct prime factors of m, ascending ([] for m < 2), by trial
+    division up to sqrt(m): the module's one primality test."""
     out = []
     d = 2
     while d * d <= m:
@@ -126,7 +117,7 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, e: int, n: int):
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise NotPrime(f"p={p} is not prime")
         if e < 1 or n < 1:
             raise TooLarge("degrees must be >= 1")

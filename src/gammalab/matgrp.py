@@ -94,30 +94,20 @@ def superdiag_sum(ctx: FieldCtx, u: Mat) -> int:
     return s
 
 
-def mat_inv(ctx: FieldCtx, a: Mat) -> Mat:
-    n = len(a)
-    work = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
+def _reduce_rows(ctx: FieldCtx, rows):
+    """The reduced row echelon form of a list of rows over F_q, column by
+    column with the first nonzero row at or below the next pivot row as
+    pivot: (the reduced rows, as lists, and the pivot columns in order),
+    row i of the result the pivot row of the i-th pivot column.  The one
+    pointwise row reduction, behind `rank`, `mat_inv` and
+    `canonical_unipotent_coset`."""
+    rows = [list(r) for r in rows]
     add, mul, inv, neg = ctx.add, ctx.mul, ctx.inv, ctx.neg
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            raise Singular("matrix is not invertible")
-        work[col], work[piv] = work[piv], work[col]
-        ipiv = inv(work[col][col])
-        work[col] = [mul(ipiv, x) for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = neg(work[r][col])
-                work[r] = [add(x, mul(f, y)) for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
-
-
-def rank(ctx: FieldCtx, a: Mat) -> int:
-    rows = [list(r) for r in a]
-    add, mul, inv, neg = ctx.add, ctx.mul, ctx.inv, ctx.neg
-    r = 0
-    ncols = len(a[0]) if a else 0
-    for col in range(ncols):
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
+            break
         piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
@@ -128,10 +118,23 @@ def rank(ctx: FieldCtx, a: Mat) -> int:
             if i != r and rows[i][col]:
                 f = neg(rows[i][col])
                 rows[i] = [add(x, mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+        pivots.append(col)
+    return rows, pivots
+
+
+def mat_inv(ctx: FieldCtx, a: Mat) -> Mat:
+    """a^-1, the right half of the reduced [a | I]: a is invertible when
+    the pivots are the first n columns."""
+    n = len(a)
+    rows, pivots = _reduce_rows(
+        ctx, [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)])
+    if pivots[:n] != list(range(n)):
+        raise Singular("matrix is not invertible")
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def rank(ctx: FieldCtx, a: Mat) -> int:
+    return len(_reduce_rows(ctx, a)[1])
 
 
 def is_invertible(ctx: FieldCtx, a: Mat) -> bool:
@@ -352,32 +355,16 @@ def bruhat(ctx: FieldCtx, g: Mat) -> BruhatDecomp:
 
 def canonical_unipotent_coset(ctx: FieldCtx, g: Mat) -> Mat:
     """The canonical representative of N g (N = upper unipotent): each row is
-    reduced modulo the row space of the rows below it."""
-    n = len(g)
+    reduced modulo the row space of the rows below it, against their
+    reduced row echelon basis."""
     rows = [list(r) for r in g]
-    add, mul, inv, neg = ctx.add, ctx.mul, ctx.inv, ctx.neg
-    for i in range(n - 2, -1, -1):
-        # row-echelon basis of the rows below i
-        basis = [list(r) for r in rows[i + 1:]]
-        pivots = []
-        rr = 0
-        for col in range(n):
-            piv = next((t for t in range(rr, len(basis)) if basis[t][col]), None)
-            if piv is None:
-                continue
-            basis[rr], basis[piv] = basis[piv], basis[rr]
-            ip = inv(basis[rr][col])
-            basis[rr] = [mul(ip, x) for x in basis[rr]]
-            for t in range(len(basis)):
-                if t != rr and basis[t][col]:
-                    f = neg(basis[t][col])
-                    basis[t] = [add(x, mul(f, y)) for x, y in zip(basis[t], basis[rr])]
-            pivots.append((col, rr))
-            rr += 1
-        for col, t in pivots:
+    add, mul, neg = ctx.add, ctx.mul, ctx.neg
+    for i in range(len(g) - 2, -1, -1):
+        basis, pivots = _reduce_rows(ctx, rows[i + 1:])
+        for col, b in zip(pivots, basis):
             if rows[i][col]:
                 f = neg(rows[i][col])
-                rows[i] = [add(x, mul(f, y)) for x, y in zip(rows[i], basis[t])]
+                rows[i] = [add(x, mul(f, y)) for x, y in zip(rows[i], b)]
     return tuple(tuple(r) for r in rows)
 
 
@@ -393,32 +380,32 @@ def all_gl(ctx: FieldCtx, m: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=64)
-def all_unipotent(ctx: FieldCtx, m: int) -> tuple:
-    """The group N_m of upper unipotent matrices."""
+def _triangular(ctx: FieldCtx, m: int, upper: bool) -> tuple:
+    """Every m x m matrix with free entries strictly above (`upper`, with
+    ones on the diagonal) or strictly below the diagonal (with zeros on
+    it), and zeros elsewhere: the free entries run over F_q in
+    `itertools.product` order, taken row by row."""
     elems = ctx.subfield_elements(1)
-    positions = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    positions = [(i, j) for i in range(m) for j in range(m) if (j > i if upper else j < i)]
     out = []
     for vals in itertools.product(elems, repeat=len(positions)):
-        rows = [list(r) for r in identity(m)]
+        rows = [[int(upper and i == j) for j in range(m)] for i in range(m)]
         for (i, j), v in zip(positions, vals):
             rows[i][j] = v
         out.append(tuple(tuple(r) for r in rows))
     return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def all_unipotent(ctx: FieldCtx, m: int) -> tuple:
+    """The group N_m of upper unipotent matrices."""
+    return _triangular(ctx, m, upper=True)
 
 
 @lru_cache(maxsize=64)
 def lower_nilpotent_reps(ctx: FieldCtx, m: int) -> tuple:
     """Strictly lower triangular matrices: the coset system B\\M."""
-    elems = ctx.subfield_elements(1)
-    positions = [(i, j) for i in range(m) for j in range(i)]
-    out = []
-    for vals in itertools.product(elems, repeat=len(positions)):
-        rows = [list(r) for r in zero(m)]
-        for (i, j), v in zip(positions, vals):
-            rows[i][j] = v
-        out.append(tuple(tuple(r) for r in rows))
-    return tuple(out)
+    return _triangular(ctx, m, upper=False)
 
 
 @lru_cache(maxsize=64)
@@ -566,15 +553,12 @@ def class_type(ctx: FieldCtx, g: Mat) -> ClassType:
     d0, mult, alpha, f = primary
     if mult == 1:  # f(g) = charpoly(g) = 0 (Cayley-Hamilton): k = n / d = 1
         return ClassType(True, d0, 1, alpha, 1)
-    # k from the kernel of f(g)
-    acc = identity(n)
-    fg = scalar_mul(ctx, f[0], acc)
-    for coef in f[1:]:
-        acc = mat_mul(ctx, acc, g)
-        if coef:
-            term = scalar_mul(ctx, coef, acc)
-            fg = tuple(tuple(ctx.add(x, y) for x, y in zip(r1, r2))
-                       for r1, r2 in zip(fg, term))
+    # k from the kernel of f(g), with f(g) by Horner's rule
+    fg = zero(n)
+    for coef in reversed(f):
+        fg = mat_mul(ctx, fg, g)
+        fg = tuple(tuple(ctx.add(x, coef) if i == j else x for j, x in enumerate(row))
+                   for i, row in enumerate(fg))
     kdim = n - rank(ctx, fg)
     if kdim % d0:
         raise Singular("kernel dimension incompatible with factor degree")

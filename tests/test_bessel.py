@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from gammalab.bessel import (
     MAX_CLASS_TYPINGS,
     bessel_build,
     bessel_closed_form_gl3,
+    bessel_closed_forms,
     bessel_closed_form_gl4,
     export_bessel_csv,
     require_profile_size,
@@ -178,6 +181,67 @@ def test_gl4_closed_form_q3_sampled():
                 tw6 = mg.antidiag_elem(f, (2, 2), (mu, nu))
                 printed = bessel_closed_form_gl4(rep, psi, mu, nu)
                 assert abs(table.eval(tw6) - printed) < 1e-8
+
+
+def pointwise_closed_form_gl3(rep, psi, lam1, lam2):
+    """B(antidiag(lam1 I_1, lam2 I_2)) = q^-2 sum_{N(xi) = lam1 lam2^2}
+    psi(-Tr xi / lam2) theta(xi), one xi of F_{q^3}^x at a time: test
+    oracle."""
+    ctx = rep.ctx
+    target = ctx.mul(lam1, ctx.mul(lam2, lam2))
+    inv_l2 = ctx.inv(lam2)
+    total = 0j
+    for xi in ctx.subfield_units(3):
+        if ctx.norm(xi, 3, 1) == target:
+            arg = ctx.neg(ctx.mul(inv_l2, ctx.trace(xi, 3, 1)))
+            total += psi(arg) * rep.theta(xi)
+    return total / ctx.q ** 2
+
+
+def pointwise_closed_form_gl4(rep, psi, mu, nu):
+    """B(diag(mu I_2, nu I_2) w6), the Deriziotis-Gotsis sum, one xi of
+    F_{q^4}^x and one beta of F_q^x at a time: test oracle."""
+    ctx = rep.ctx
+    q = ctx.q
+    det_t = ctx.mul(ctx.mul(mu, mu), ctx.mul(nu, nu))
+    mu_nu = ctx.mul(mu, nu)
+    mu_nu2 = ctx.mul(mu_nu, nu)
+    total = 0j
+    for xi in ctx.subfield_units(4):
+        if ctx.norm(xi, 4, 1) != det_t:
+            continue
+        a3 = ctx.neg(ctx.trace(xi, 4, 1))
+        a1 = ctx.neg(ctx.mul(ctx.trace(ctx.inv(xi), 4, 1), det_t))
+        numer = ctx.add(a1, ctx.mul(a3, mu_nu))
+        inner = 0j
+        if (ctx.in_subfield(xi, 2) and not ctx.in_subfield(xi, 1)
+                and mu_nu == ctx.neg(ctx.norm(xi, 2, 1))):
+            inner += -q
+        for beta in ctx.subfield_units(1):
+            arg = ctx.add(ctx.neg(beta), ctx.mul(numer, ctx.inv(ctx.mul(beta, mu_nu2))))
+            inner += psi(arg)
+        total += (-inner / q ** 4) * rep.theta(xi)
+    return total
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 3), (3, 1, 3), (2, 2, 3), (5, 1, 3), (7, 1, 3),
+                                   (2, 1, 4), (3, 1, 4), (2, 2, 4)])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_closed_forms_match_pointwise_sums(p, e, n, inverse):
+    # the block of printed forms equals the per-element sums bit for bit,
+    # and each public pointwise name reads its entry of a block of one
+    f = build_field(p, e, n)
+    psi = AddChar(f, inverse)
+    ks = regular_orbit_reps(f, n)[:12]
+    pairs = list(itertools.product(f.subfield_units(1), repeat=2))
+    oracle = pointwise_closed_form_gl3 if n == 3 else pointwise_closed_form_gl4
+    ref = np.array([[oracle(CuspidalRep(f, k), psi, a, b) for k in ks] for a, b in pairs])
+    block = bessel_closed_forms(f, n, ks, psi)
+    assert block.shape == ref.shape and block.tobytes() == ref.tobytes()
+    one = bessel_closed_form_gl3 if n == 3 else bessel_closed_form_gl4
+    rep = CuspidalRep(f, ks[-1])
+    assert (np.array([one(rep, psi, a, b) for a, b in pairs]).tobytes()
+            == ref[:, -1].tobytes())
 
 
 def test_csv_export(tmp_path):

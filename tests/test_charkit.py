@@ -104,6 +104,26 @@ def test_gauss_sum_modulus_sqrt_q(p, e):
         assert abs(abs(g) - q ** 0.5) < 1e-8
 
 
+def pointwise_gauss_sum(chi, psi):
+    """G_psi(chi) = sum_a chi(a^-1) psi(a), one a at a time: test oracle."""
+    ctx = chi.ctx
+    return complex(sum(chi(ctx.inv(a)) * psi(a) for a in ctx.subfield_units(1)))
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                 (11, 1), (13, 1), (2, 4), (5, 2), (17, 1), (3, 3), (2, 5)])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_gauss_sum_matches_pointwise_sum(p, e, inverse):
+    # one `character_sums` of the cached terms equals the loop bit for bit,
+    # for every character of F_q^x
+    f = build_field(p, e, 1)
+    psi = AddChar(f, inverse)
+    for k in range(f.q - 1):
+        chi = MultChar(f, 1, k)
+        assert (np.array(gauss_sum(chi, psi)).tobytes()
+                == np.array(pointwise_gauss_sum(chi, psi)).tobytes())
+
+
 def test_kloosterman_degenerate_and_symmetry():
     for (p, e) in ((3, 1), (5, 1), (2, 2)):
         f = build_field(p, e, 2)

@@ -172,10 +172,11 @@ def test_exit_code_on_non_prime_power_q(capsys):
         assert captured.out == ""
 
 
-@pytest.mark.parametrize("q", [1000000007, 16777259])
+@pytest.mark.parametrize("q", [1000000007, 16777259, 2 ** 31 - 1, 2 ** 61 - 1])
 def test_large_prime_q_refused_quickly(q, capsys, monkeypatch):
-    # a prime q is factored by trial division up to sqrt(q), not q, and its
-    # cell is refused by size before any field is built
+    # a prime q is refused by the size of its cell before it is factored
+    # (trial division up to sqrt(2^61 - 1) would not end) and before any
+    # field is built
     def no_field(*args):
         raise AssertionError("build_field called")
     monkeypatch.setattr(cli, "build_field", no_field)

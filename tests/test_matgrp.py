@@ -63,6 +63,36 @@ def test_matrix_basics():
         mg.mat_inv(f, ((1, 2), (2, 1)))  # det = 1-4 = 0 mod 3
 
 
+@pytest.mark.parametrize("p,e,m", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 1, 3)])
+def test_mat_inv_exhaustive(p, e, m):
+    # a two-sided inverse of every matrix of GL_2(F_q), q <= 5, and GL_3(F_2)
+    f = build_field(p, e, m)
+    for g in mg.all_gl(f, m):
+        h = mg.mat_inv(f, g)
+        assert mg.mat_mul(f, h, g) == mg.mat_mul(f, g, h) == mg.identity(m)
+
+
+def test_mat_inv_refuses_every_singular_matrix():
+    f = build_field(3, 1, 2)
+    elems = f.subfield_elements(1)
+    invertible = set(mg.all_gl(f, 2))
+    singular = [g for g in itertools.product(itertools.product(elems, repeat=2), repeat=2)
+                if g not in invertible]
+    assert len(singular) == 81 - 48
+    for g in singular:
+        with pytest.raises(Singular):
+            mg.mat_inv(f, g)
+        assert mg.rank(f, g) < 2
+
+
+def test_canonical_coset_constant_on_gl3_f2_cosets():
+    f = build_field(2, 1, 3)
+    uni = mg.all_unipotent(f, 3)
+    for g in mg.all_gl(f, 3):
+        c = mg.canonical_unipotent_coset(f, g)
+        assert all(mg.canonical_unipotent_coset(f, mg.mat_mul(f, u, g)) == c for u in uni)
+
+
 def test_bruhat_identity_and_antidiag():
     f = build_field(2, 1, 2)
     dec = mg.bruhat(f, mg.identity(2))
