@@ -8,8 +8,9 @@ computed through the averaging formula
     B(t) = |N_n|^{-1} * sum_{u in N_n} chi(t u) psi^{-1}(u),
 
 and arbitrary arguments reduce to table entries through the Bruhat
-decomposition.  The printed GL_3 and GL_4 closed forms are implemented as
-independent cross-checks of the same values.
+decomposition.  Every t u of the formula is typed by `matgrp.class_ids`.
+The printed GL_3 and GL_4 closed forms are implemented as independent
+cross-checks of the same values.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .charkit import TOL, AddChar, _read_only, character_sums
+from .charkit import AddChar, _read_only, character_sums
 from .cuspchar import CuspidalRep, character_matrix
-from .errors import OracleFailed, PreconditionViolated, Singular
+from .errors import OracleFailed, PreconditionViolated
 from .ffield import FieldCtx
 from . import matgrp as mg
 
@@ -31,6 +32,9 @@ from . import matgrp as mg
 #: take; (q, n) = (2, 6) needs 1,048,576 and (4, 4) 786,432, while
 #: (5, 4) needs 7,812,500, (3, 5) 9,565,938 and (2, 7) 134,217,728
 MAX_CLASS_TYPINGS = 2 ** 21
+#: the bound on |B(I) - 1|, the normalization every Bessel table is checked
+#: against in `_tables`
+NORMALIZATION_TOL = 1e-8
 #: the most (row, representation) values `gather_sums` gathers at once: it
 #: takes the rows of a block of T representations in passes of
 #: PASS_VALUES // T, so its working memory does not grow with the rows
@@ -93,18 +97,14 @@ def _support_profile(ctx: FieldCtx, n: int) -> SupportProfile:
     """The support profile at (q, n), shared by every representation.
     Refused up front when it would type more than MAX_CLASS_TYPINGS classes.
 
-    Built in array passes of `mg.BATCH_CHUNK` matrices t*u: their
-    characteristic polynomials (`mg.batch_charpoly`), the primary class of
-    each distinct one, read from the cell's table `mg.primary_charpolys`,
-    and, only where f^mult has mult > 1, the kernel rank of f(t*u)
-    (`mg.batch_rank`).  Each pass counts its distinct cells with
-    `np.unique`, and the passes are merged at the end, so the rows held
-    never outnumber the typings.  `mg.class_type` is the pointwise
-    reference."""
+    Built in array passes of `mg.BATCH_CHUNK` matrices t*u, each typed by
+    the class-typing kernel `mg.class_ids` against one class map for the
+    cell.  Each pass counts its distinct cells with `np.unique`, and the
+    passes are merged at the end, so the rows held never outnumber the
+    typings.  `mg.class_type` is the pointwise reference."""
     require_profile_size(ctx.q, n)
     keys = support_keys(ctx, n)
-    F = ctx.base
-    q = ctx.q
+    F, q = ctx.base, ctx.q
     unip, sums = _unipotents(ctx, n)
     # t is monomial: row i of t*u is row spot[i] of u scaled by lam[i]
     spot = np.empty((len(keys), n), dtype=np.intp)
@@ -113,40 +113,23 @@ def _support_profile(ctx: FieldCtx, n: int) -> SupportProfile:
         t = mg.antidiag_elem(ctx, *key)
         spot[row] = [next(j for j, x in enumerate(r) if x) for r in t]
         lam[row] = F.codes([r[j] for r, j in zip(t, spot[row])])
-    classes = {None: 0}  # class data -> class id
-    kinds = {}  # charpoly code -> `_poly_kind`
-    digits = q ** np.arange(n)
+    classes, cells, counts = {}, [], []  # classes: class data -> id, None = 0
+    size = len(keys) * len(unip)
     # a cell's flat code (key * radix + class id) * q + s: class ids stay
     # below radix, as each typing adds at most one class
-    radix = len(keys) * len(unip) + 1
-    cells, counts = [], []
-    size = len(keys) * len(unip)
+    radix = size + 1
     for lo in range(0, size, mg.BATCH_CHUNK):
         flat = np.arange(lo, min(lo + mg.BATCH_CHUNK, size))
         k, u = np.divmod(flat, len(unip))
         tu = F.mul(lam[k][:, :, None], unip[u[:, None], spot[k]])
-        polys = mg.batch_charpoly(ctx, tu)
-        codes, first, inverse = np.unique(polys[:, :n] @ digits, return_index=True,
-                                          return_inverse=True)
-        for code, at in zip(codes.tolist(), first.tolist()):
-            if code not in kinds:
-                kinds[code] = _poly_kind(ctx, F.elems[polys[at]].tolist(), classes)
-        chunk_kinds = [kinds[code] for code in codes.tolist()]
-        cls = np.array([cid for cid, _ in chunk_kinds])[inverse]
-        rank = np.array([need is not None for _, need in chunk_kinds])[inverse]
-        if rank.any():
-            cls[rank] = _kernel_classes(ctx, tu[rank], chunk_kinds, inverse[rank],
-                                        classes)
+        cls = mg.class_ids(ctx, tu, classes)
         cell, count = np.unique((k * radix + cls) * q + sums[u], return_counts=True)
         cells.append(cell)
         counts.append(count)
     cell, inverse = np.unique(np.concatenate(cells), return_inverse=True)
     count = np.bincount(inverse, np.concatenate(counts)).astype(np.int64)
     key, rest = np.divmod(cell, radix * q)
-    out = SupportProfile(tuple(classes), key, *np.divmod(rest, q), count)
-    for a in out[1:]:
-        a.flags.writeable = False
-    return out
+    return SupportProfile(tuple(classes), *_read_only(key, *np.divmod(rest, q), count))
 
 
 @lru_cache(maxsize=64)
@@ -166,51 +149,7 @@ def _class_sums(ctx: FieldCtx, n: int, inverse: bool) -> tuple:
     value = np.empty(len(pair), dtype=complex)
     value.real = np.bincount(which, weight.real, len(pair))
     value.imag = np.bincount(which, weight.imag, len(pair))
-    out = (*np.divmod(pair, len(prof.classes)), value)
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
-def _poly_kind(ctx: FieldCtx, poly: list, classes: dict):
-    """(class id, None) of the matrices with charpoly `poly`, or, when it is
-    f^mult with mult > 1 and the class needs the kernel rank of f(g),
-    (0, (d, alpha, codes of f))."""
-    primary = mg.primary_charpolys(ctx, len(poly) - 1).get(tuple(poly))
-    if primary is None:
-        return 0, None
-    d, mult, alpha, f = primary
-    if mult == 1:  # f(g) = 0 (Cayley-Hamilton), so k = 1
-        return classes.setdefault((d, 1, alpha), len(classes)), None
-    return 0, (d, alpha, ctx.base.codes(f))
-
-
-def _kernel_classes(ctx: FieldCtx, g, kinds: list, which, classes: dict):
-    """Class ids of a stack g of matrices, the i-th of charpoly f^mult with
-    mult > 1 and (d, alpha, f) = kinds[which[i]][1]: k = dim ker f(g) / d,
-    with f(g) by Horner's rule and f padded to degree n / 2."""
-    F = ctx.base
-    n = g.shape[1]
-    coef = np.zeros((len(kinds), n // 2 + 1), dtype=F.dtype)
-    for i, (_, need) in enumerate(kinds):
-        if need is not None:
-            coef[i, :need[2].size] = need[2]
-    coef = coef[which]
-    diag = np.arange(n)
-    fg = np.zeros_like(g)
-    for i in range(n // 2, -1, -1):
-        fg = mg.batch_mat_mul(ctx, fg, g)
-        fg[:, diag, diag] = F.add(fg[:, diag, diag], coef[:, i, None])
-    combos, inverse = np.unique(which * (n + 1) + n - mg.batch_rank(ctx, fg),
-                                return_inverse=True)
-    ids = []
-    for combo in combos.tolist():
-        i, kdim = divmod(combo, n + 1)
-        d, alpha, _ = kinds[i][1]
-        if kdim % d:
-            raise Singular("kernel dimension incompatible with factor degree")
-        ids.append(classes.setdefault((d, kdim // d, alpha), len(classes)))
-    return np.array(ids)[inverse]
+    return _read_only(*np.divmod(pair, len(prof.classes)), value)
 
 
 def support_signature(ctx: FieldCtx, g: mg.Mat):
@@ -336,7 +275,7 @@ def _tables(reps, psi: AddChar) -> list:
     values /= ctx.q ** (n * (n - 1) // 2)
     values.flags.writeable = False
     ident = values[:, support_keys(ctx, n).index(((n,), (1,)))]
-    bad = np.flatnonzero(np.abs(ident - 1.0) > TOL)
+    bad = np.flatnonzero(np.abs(ident - 1.0) > NORMALIZATION_TOL)
     if bad.size:
         raise OracleFailed("bessel_normalization",
                            f"B(I) = {ident[bad[0]]} at theta = {reps[bad[0]].exponent}")

@@ -17,11 +17,6 @@ import numpy as np
 from .errors import DimensionMismatch, NotInSubfield, NotRegular, ZeroHasNoLog
 from .ffield import FieldCtx
 
-#: the bound on |B(I) - 1|, the normalization every Bessel table is checked
-#: against in `bessel._tables`
-TOL = 1e-8
-
-
 @lru_cache(maxsize=64)
 def _roots_of_unity(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(m) / m)

@@ -26,8 +26,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import exjs, levelzero
-from .bessel import (bessel_closed_forms, bessel_tables, export_bessel_csv,
-                     require_profile_size, support_keys)
+from .bessel import (MAX_CLASS_TYPINGS, bessel_closed_forms, bessel_tables,
+                     export_bessel_csv, require_profile_size, support_keys,
+                     support_signatures)
 from .charkit import AddChar, character_sums, regular_orbit, regular_orbit_reps
 from .cuspchar import verify_irreducible
 from .errors import (GammalabError, NonConstantRatio, OracleFailed,
@@ -158,6 +159,9 @@ def parse_config(argv) -> RunConfig:
     # is factored: trial division up to sqrt(q) would not end for a large
     # prime q
     e = 1 if ns.e is None else ns.e
+    # typings >= q - 1, so a p^e over twice the limit is refused before it is formed
+    if ns.q is None and e * math.log2(abs(ns.p) or 1) > math.log2(2 * MAX_CLASS_TYPINGS):
+        ap.error(f"q = {ns.p}^{e} needs more than {MAX_CLASS_TYPINGS} class typings")
     require_profile_size(ns.p ** e if ns.q is None else ns.q, ns.n)
     p, e = (ns.p, e) if ns.q is None else _prime_power(ns.q)
     return RunConfig(ns.command, p, e, ns.n, ns.theta, ns.psi_inverse, c, ns.seed,
@@ -354,6 +358,24 @@ def cmd_gamma(cfg: RunConfig) -> int:
     return _route_exit(cfg, rows)
 
 
+def _biequivariance(ctx, tables, psi: AddChar, draws: int, rng) -> float:
+    """max |B(u1 g u2) - psi(u1) psi(u2) B(g)| over `draws` draws (g, u1, u2)
+    per table of a block, from rng in table order, with B of all g and of
+    all u1 g u2 read off one stack each, as `BesselTable.eval` reads one."""
+    F, n = ctx.base, tables[0].n
+    g, u1, u2 = (F.codes(np.array(mats)) for mats in zip(*[
+        (mg.random_invertible(ctx, n, rng), mg.random_unipotent(ctx, n, rng),
+         mg.random_unipotent(ctx, n, rng)) for _ in range(draws * len(tables))]))
+    row = np.repeat(np.arange(len(tables)), draws)
+    values = np.stack([table.values for table in tables])
+    b = []  # B(u1 g u2), B(g)
+    for mats in (mg.batch_mat_mul(ctx, mg.batch_mat_mul(ctx, u1, g), u2), g):
+        key, s = support_signatures(ctx, mats)
+        b.append(np.where(key >= 0, psi.values[s] * values[row, key], 0))
+    psi_u = [psi.values[F.sum(np.diagonal(u, 1, 1, 2))] for u in (u1, u2)]
+    return float(np.abs(b[0] - psi_u[0] * psi_u[1] * b[1]).max())
+
+
 def _verify_checks(cfg: RunConfig, ctx):
     """Yield (name, passed, residual) tuples for the invariant suites."""
     import random
@@ -385,15 +407,6 @@ def _verify_checks(cfg: RunConfig, ctx):
                 worst_char = max(worst_char, abs(report["inner_product"] - 1))
             except GammalabError:
                 char_ok = False
-            # Bessel support and bi-equivariance
-            for _ in range(draws):
-                g = mg.random_invertible(ctx, n, rng)
-                u1 = mg.random_unipotent(ctx, n, rng)
-                u2 = mg.random_unipotent(ctx, n, rng)
-                lhs = table.eval(mg.mat_chain(ctx, u1, g, u2))
-                rhs = (psi(mg.superdiag_sum(ctx, u1)) * psi(mg.superdiag_sum(ctx, u2))
-                       * table.eval(g))
-                worst_bieq = max(worst_bieq, abs(lhs - rhs))
             # Shalika criterion
             if n % 2 == 0:
                 try:
@@ -405,6 +418,7 @@ def _verify_checks(cfg: RunConfig, ctx):
                     exjs.homdim_check(table.rep)
                 except GammalabError:
                     homdim_ok = False
+        worst_bieq = max(worst_bieq, _biequivariance(ctx, tables, psi, draws, rng))
         if n == 3:  # the (1, 2) keys are one run of `support_keys`
             printed = bessel_closed_forms(ctx, n, [t.rep.exponent for t in tables], psi)
             start = next(i for i, (comp, _) in enumerate(support_keys(ctx, n))

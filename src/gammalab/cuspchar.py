@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .charkit import MultChar, character_sums, regular_orbit
+from .charkit import MultChar, _read_only, character_sums, regular_orbit
 from .errors import OracleFailed
 from .ffield import FieldCtx
 from . import matgrp as mg
@@ -173,7 +173,9 @@ class CuspidalRep:
         return self._class_cache[data]
 
     def character(self, g: mg.Mat) -> complex:
-        return self.char_of_class(_class_data(self.ctx, g))
+        """chi(g), typing g by the pointwise `mg.class_type`."""
+        ct = mg.class_type(self.ctx, g)
+        return self.char_of_class((ct.d, ct.k, ct.alpha) if ct.primary else None)
 
     def __repr__(self):
         return f"CuspidalRep(q={self.q}, n={self.n}, k={self.exponent})"
@@ -189,25 +191,20 @@ def inner_product_with_self(rep: CuspidalRep) -> float:
     return total / mg.gl_order(rep.q, rep.n)
 
 
-def _class_data(ctx: FieldCtx, g: mg.Mat):
-    """The `CuspidalRep.char_of_class` argument of g: (d, k, alpha) or None."""
-    ct = mg.class_type(ctx, g)
-    return (ct.d, ct.k, ct.alpha) if ct.primary else None
-
-
 @lru_cache(maxsize=64)
 def _sampled_classes(ctx: FieldCtx, n: int, samples: int, seed: int) -> tuple:
-    """The class data of the `samples` triples (g, g^-1, h g h^-1) that
-    `verify_irreducible` draws from one rng seeded with `seed`, typed once
-    per cell: every representation reads the same triples."""
+    """(class data of each id, ids) of the identity and the `samples` triples
+    (g, g^-1, h g h^-1) that `verify_irreducible` draws from one rng seeded
+    with `seed`: one `mg.class_ids` stack per cell, for every representation."""
     rng = random.Random(seed)
-    out = []
+    mats = [mg.identity(n)]
     for _ in range(samples):
         g = mg.random_invertible(ctx, n, rng)
         h = mg.random_invertible(ctx, n, rng)
-        conj = mg.mat_chain(ctx, h, g, mg.mat_inv(ctx, h))
-        out.append(tuple(_class_data(ctx, x) for x in (g, mg.mat_inv(ctx, g), conj)))
-    return tuple(out)
+        mats += [g, mg.mat_inv(ctx, g), mg.mat_chain(ctx, h, g, mg.mat_inv(ctx, h))]
+    classes = {}
+    ids = mg.class_ids(ctx, ctx.base.codes(np.array(mats)), classes)
+    return (tuple(classes), *_read_only(ids))
 
 
 def verify_irreducible(rep: CuspidalRep, samples: int = 40, seed: int = 1729) -> dict:
@@ -222,16 +219,15 @@ def verify_irreducible(rep: CuspidalRep, samples: int = 40, seed: int = 1729) ->
     report["inner_product"] = ip
     if abs(ip - 1.0) > CHARACTER_TOL:
         raise OracleFailed("inner_product", f"<chi,chi> = {ip}")
-    degree = rep.character(mg.identity(rep.n))
+    classes, ids = _sampled_classes(rep.ctx, rep.n, samples, seed)
+    chi = np.array([rep.char_of_class(data) for data in classes])[ids]
+    degree = complex(chi[0])
     report["degree"] = degree
     if max(abs(degree - rep.dimension()), abs(degree.imag)) > CHARACTER_TOL:
         raise OracleFailed("degree", f"chi(1) = {degree} != {rep.dimension()}")
-    worst_inv = 0.0
-    worst_conj = 0.0
-    for g, g_inv, conj in _sampled_classes(rep.ctx, rep.n, samples, seed):
-        chi = rep.char_of_class(g)
-        worst_inv = max(worst_inv, abs(rep.char_of_class(g_inv) - chi.conjugate()))
-        worst_conj = max(worst_conj, abs(rep.char_of_class(conj) - chi))
+    g, g_inv, conj = chi[1::3], chi[2::3], chi[3::3]
+    worst_inv = float(np.abs(g_inv - g.conj()).max(initial=0.0))
+    worst_conj = float(np.abs(conj - g).max(initial=0.0))
     report["max_inverse_residual"] = worst_inv
     report["max_conjugation_residual"] = worst_conj
     if worst_inv > CHARACTER_TOL:

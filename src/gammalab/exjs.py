@@ -25,7 +25,7 @@ from .bessel import (BesselTable, gather_sums, support_keys, support_signature,
 from .charkit import (AddChar, CFun, _gauss_terms, _pairing_matrix, _read_only,
                       character_sums, fourier, gauss_sum, kloosterman,
                       restriction_is_trivial)
-from .cuspchar import CuspidalRep
+from .cuspchar import CuspidalRep, character_matrix
 from .errors import (
     DimensionMismatch,
     DimensionBoundViolated,
@@ -861,32 +861,36 @@ def broken_equation_witness(table: BesselTable):
 
 # -- appendix multiplicity bounds -------------------------------------------------
 
-def homdim_check(rep: CuspidalRep) -> int:
-    """dim Hom_H(pi, 1) = |H|^{-1} sum_{h in H} chi(h) for the appendix
-    subgroup H of matching parity, within HOMDIM_TOL of 0 or 1:
-    diag(g1, g2) with g2 mirabolic at even n, and [[g1, 0, u], [0, g2, 0],
-    [0, 0, 1]] with u a column at odd n."""
-    ctx = rep.ctx
-    n = rep.n
+@lru_cache(maxsize=64)
+def _subgroup_classes(ctx: FieldCtx, n: int) -> tuple:
+    """(classes, counts): counts[c] elements of the appendix subgroup H of
+    `homdim_check` lie in classes[c], H typed as one `mg.class_ids` stack."""
     m = n // 2
     gl = mg.all_gl(ctx, m)
     zero = mg.zero(m)
     if n % 2 == 0:
         e_last = tuple(1 if j == m - 1 else 0 for j in range(m))
-        mira = [g for g in gl if g[m - 1] == e_last] if m > 1 else [mg.identity(1)]
-        group = (mg.from_blocks([[g1, zero], [zero, g2]]) for g1 in gl for g2 in mira)
+        group = [mg.from_blocks([[g1, zero], [zero, g2]]) for g1 in gl for g2 in gl
+                 if g2[m - 1] == e_last]
     else:
         tail = [mg.zero(1, m), mg.zero(1, m), mg.identity(1)]
-        group = (mg.from_blocks([[g1, zero, tuple((x,) for x in u)],
+        group = [mg.from_blocks([[g1, zero, tuple((x,) for x in u)],
                                  [zero, g2, mg.zero(m, 1)], tail])
                  for g1 in gl for g2 in gl
-                 for u in itertools.product(ctx.subfield_elements(1), repeat=m))
-    total = 0j
-    count = 0
-    for h in group:
-        total += rep.character(h)
-        count += 1
-    value = total / count
+                 for u in itertools.product(ctx.subfield_elements(1), repeat=m)]
+    classes = {}
+    ids = mg.class_ids(ctx, ctx.base.codes(np.array(group)), classes)
+    return (tuple(classes), *_read_only(np.bincount(ids, minlength=len(classes))))
+
+
+def homdim_check(rep: CuspidalRep) -> int:
+    """dim Hom_H(pi, 1) = |H|^{-1} sum_{h in H} chi(h) for the appendix
+    subgroup H of matching parity, within HOMDIM_TOL of 0 or 1:
+    diag(g1, g2) with g2 mirabolic at even n, and [[g1, 0, u], [0, g2, 0],
+    [0, 0, 1]] with u a column at odd n, read from H's class histogram."""
+    classes, counts = _subgroup_classes(rep.ctx, rep.n)
+    chi = character_matrix(rep.ctx, rep.n, classes, [rep.exponent])[:, 0]
+    value = (counts * chi).sum() / counts.sum()
     nearest = round(value.real)
     if abs(value - nearest) > HOMDIM_TOL or nearest not in (0, 1):
         raise DimensionBoundViolated(f"dim Hom = {value}")

@@ -311,12 +311,9 @@ class FieldCtx:
             self._subfield_cache[d] = tuple(elems)
         return self._subfield_cache[d]
 
-    def subfield_gen(self, d: int) -> int:
-        """Canonical generator of F_{q^d}^x: gen^((order-1)/(q^d-1))."""
-        return self.gen_power((self.order - 1) // (self.q ** d - 1))
-
     def subfield_dlog(self, a: int, d: int) -> int:
-        """Exponent j with subfield_gen(d)^j = a, for a in F_{q^d}^x."""
+        """Exponent j with g_d^j = a, for a in F_{q^d}^x, where g_d =
+        gen^((order-1)/(q^d-1)) is the canonical generator of F_{q^d}^x."""
         if a == 0:
             raise ZeroHasNoLog("dlog(0) undefined")
         step = (self.order - 1) // (self.q ** d - 1)

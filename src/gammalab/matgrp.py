@@ -9,15 +9,15 @@ typing (primary or not) used by the character formula.
 The primary classes (d, alpha) have one home, `primary_charpolys`: a table
 per (ctx, n), built from the Frobenius orbits of F_{q^d} for d | n, that
 maps each primary characteristic polynomial f^(n/d) to (d, n/d, alpha, f).
-`class_type`, the support profile and `cuspchar.primary_class_inventory`
-all read it; no polynomial is factored.
+`class_type`, `class_ids` and `cuspchar.primary_class_inventory` all read
+it; no polynomial is factored.
 
 The representation-independent tables (support profiles, functional-equation
 pools) are built by batched kernels on stacks of matrices given as numpy
 arrays of base-field codes (`FieldCtx.base`): `batch_mat_mul`,
-`batch_bruhat` with `batch_rank`, and `batch_charpoly`.  The pointwise
-functions stay the path of single matrices and the reference the kernels
-are tested against.
+`batch_bruhat` with `batch_rank`, `batch_charpoly`, and `class_ids`, the
+one class-typing kernel of every stack.  The pointwise functions stay the
+path of single matrices and the reference the kernels are tested against.
 """
 
 from __future__ import annotations
@@ -141,20 +141,17 @@ def is_invertible(ctx: FieldCtx, a: Mat) -> bool:
     return rank(ctx, a) == len(a)
 
 
-def mat_vec(ctx: FieldCtx, a: Mat, v) -> tuple:
+def vec_mat(ctx: FieldCtx, v, a: Mat) -> tuple:
+    """The row vector v a."""
     add, mul = ctx.add, ctx.mul
     out = []
-    for row in a:
+    for col in transpose(a):
         s = 0
-        for x, y in zip(row, v):
+        for x, y in zip(col, v):
             if x and y:
                 s = add(s, mul(x, y))
         out.append(s)
     return tuple(out)
-
-
-def vec_mat(ctx: FieldCtx, v, a: Mat) -> tuple:
-    return mat_vec(ctx, transpose(a), v)
 
 
 # -- block assembly -----------------------------------------------------------
@@ -665,3 +662,61 @@ def batch_charpoly(ctx: FieldCtx, a):
             new[:, j:] = F.add(new[:, j:], F.mul(col[:, :size + 1 - j], poly[:, j, None]))
         poly = new
     return poly[:, ::-1]
+
+
+@lru_cache(maxsize=64)
+def _primary_codes(ctx: FieldCtx) -> MappingProxyType:
+    """`primary_charpolys(ctx, ctx.n)` keyed by the integer code sum_{i<n}
+    c_i q^i of a charpoly's ascending base-field codes c_i, with f as codes
+    padded to degree n: the per-cell view `class_ids` reads once per
+    distinct charpoly."""
+    F, n = ctx.base, ctx.n
+    table = primary_charpolys(ctx, n)
+    codes = F.codes([poly[:-1] for poly in table]) @ ctx.q ** np.arange(n)
+    padded = F.codes([f + (0,) * (n + 1 - len(f)) for *_, f in table.values()])
+    padded.flags.writeable = False
+    return MappingProxyType({code: (d, mult, alpha, f) for code, (d, mult, alpha, _), f
+                             in zip(codes.tolist(), table.values(), padded)})
+
+
+def class_ids(ctx: FieldCtx, g, classes: dict) -> np.ndarray:
+    """The class ids of a stack (B, n, n) of invertible base-field codes:
+    `class_type` of every matrix at once, the package's one class-typing
+    kernel, which raises as `class_type` does.  `classes` maps class data
+    (d, k, alpha), and None for every non-primary class, to ids; a class it
+    lacks gets the next id, None first, then the mult = 1 classes (k = 1,
+    as f(g) = 0) in order of charpoly code, then the others in order of
+    (charpoly code, dim ker f(g)), with f(g) by Horner's rule from degree
+    n / 2 down and its rank from `batch_rank`."""
+    F, n = ctx.base, g.shape[1]
+    if n != ctx.n:
+        raise DimensionMismatch(f"class_ids of {n} x {n} matrices over a field"
+                                f" built for n = {ctx.n}")
+    nonprimary = classes.setdefault(None, len(classes))
+    polys = batch_charpoly(ctx, g)
+    if not polys[:, 0].all():  # the constant term is +-det g
+        raise Singular("class_ids of a singular matrix")
+    codes, inverse = np.unique(polys[:, :n] @ ctx.q ** np.arange(n), return_inverse=True)
+    view, absent = _primary_codes(ctx), (None, 0, None, np.zeros(n + 1, dtype=F.dtype))
+    kinds = [view.get(code, absent) for code in codes.tolist()]
+    ids = np.array([nonprimary if d is None else -1 if mult > 1
+                    else classes.setdefault((d, 1, alpha), len(classes))
+                    for d, mult, alpha, _ in kinds], dtype=np.intp)[inverse]
+    need = ids < 0
+    if need.any():
+        g, which = g[need], inverse[need]
+        coef = np.array([f for *_, f in kinds])[which]  # deg f <= n / 2 when mult > 1
+        diag, fg = np.arange(n), np.zeros_like(g)
+        for i in range(n // 2, -1, -1):
+            fg = batch_mat_mul(ctx, fg, g)
+            fg[:, diag, diag] = F.add(fg[:, diag, diag], coef[:, i, None])
+        combos, at = np.unique(which * (n + 1) + n - batch_rank(ctx, fg),
+                               return_inverse=True)
+        found = []
+        for i, kdim in (divmod(combo, n + 1) for combo in combos.tolist()):
+            d, _, alpha, _ = kinds[i]
+            if kdim % d:
+                raise Singular("kernel dimension incompatible with factor degree")
+            found.append(classes.setdefault((d, kdim // d, alpha), len(classes)))
+        ids[need] = np.array(found)[at]
+    return ids

@@ -188,6 +188,29 @@ def test_large_prime_q_refused_quickly(q, capsys, monkeypatch):
     assert captured.err.startswith("error:") and "class typings" in captured.err
 
 
+@pytest.mark.parametrize("e", [23, 1000000, 10 ** 30])
+def test_huge_e_refused_before_q_is_formed(e, capsys, monkeypatch):
+    # q = 2^e over twice MAX_CLASS_TYPINGS has more than q - 1 typings; it is
+    # refused under the usage line without forming q (a 301,030-digit
+    # 2^1000000 could not be printed in the size refusal's message)
+    monkeypatch.setattr(cli, "require_profile_size", lambda *a: pytest.fail("q formed"))
+    t0 = time.perf_counter()
+    code = cli.main(["gamma", "--p", "2", "--e", str(e), "--n", "2"])
+    assert time.perf_counter() - t0 < 2.0
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_PRECONDITION and captured.out == ""
+    assert captured.err.startswith("usage: gammalab gamma ")
+    assert f"q = 2^{e} needs more than" in captured.err
+
+
+def test_e_at_twice_the_limit_reaches_the_size_refusal(capsys):
+    # 2^22 = 2 * MAX_CLASS_TYPINGS: q is formed and refused by its count
+    code = cli.main(["gamma", "--p", "2", "--e", "22", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_PRECONDITION
+    assert captured.err.startswith("error:") and "class typings" in captured.err
+
+
 _REFUSED = [["--q", "3", "--n", "1"], ["--q", "3", "--n", "2", "--trials", "0"],
             ["--q", "3", "--n", "2", "--tol", "nan"], ["--q", "3", "--n", "2", "--theta", "x"],
             ["--q", "3", "--n", "2", "--c-re", "2"], ["--q", "3", "--p", "3", "--n", "2"],
@@ -704,14 +727,65 @@ def test_verify_fails_every_check_of_a_block_without_rows(monkeypatch, capsys):
 
 
 def test_character_oracle_types_its_samples_once_per_cell(capsys, monkeypatch):
-    # the 40 sampled triples (g, g^-1, h g h^-1) are typed once for the
-    # cell; each of the 20 representations types only its identity
-    from gammalab import cuspchar
-    calls = []
-    class_type = mg.class_type
-    monkeypatch.setattr(mg, "class_type",
-                        lambda ctx, g: calls.append(1) or class_type(ctx, g))
+    # the 40 sampled triples (g, g^-1, h g h^-1) and the identity are typed
+    # once for the cell, as one stack of the class-typing kernel; the
+    # support profile is built first, so every matrix counted is a sample
+    from gammalab import bessel, cuspchar
+    from gammalab.ffield import build_field
+    bessel._support_profile(build_field(2, 2, 3), 3)
+    stacks = []
+    class_ids = mg.class_ids
+    monkeypatch.setattr(mg, "class_ids",
+                        lambda ctx, g, classes: stacks.append(len(g))
+                        or class_ids(ctx, g, classes))
     cuspchar._sampled_classes.cache_clear()
     code, _ = run_main(["verify", "--q", "4", "--n", "3"], capsys)
     assert code == cli.EXIT_OK
-    assert 0 < len(calls) <= 3 * 40 + 20
+    assert stacks == [3 * 40 + 1]
+
+
+@pytest.mark.parametrize("q,n", [("4", "3"), ("2", "4"), ("5", "2")])
+def test_no_command_types_a_class_pointwise(q, n, tmp_path, capsys, monkeypatch):
+    # every class typing of `gamma`, `verify` and `export` goes through the
+    # batched kernel `mg.class_ids`; `mg.class_type` is the reference only
+    from gammalab import bessel, cuspchar, exjs
+    for cache in (bessel._support_profile, cuspchar._sampled_classes,
+                  exjs._subgroup_classes):
+        cache.cache_clear()
+    calls = []
+    monkeypatch.setattr(mg, "class_type", lambda *args: calls.append(args))
+    for command in ("gamma", "verify", "export"):
+        out = ["--out", str(tmp_path / command)] if command == "export" else []
+        code, _ = run_main([command, "--q", q, "--n", n] + out, capsys)
+        assert code == cli.EXIT_OK
+    assert calls == []
+
+
+@pytest.mark.parametrize("p,e,n", [(3, 1, 2), (5, 1, 2), (2, 1, 3), (2, 2, 3), (2, 1, 4)])
+def test_biequivariance_block_matches_pointwise_eval(p, e, n):
+    # the block's draws read off two stacks give the residual of the
+    # pointwise `BesselTable.eval` loop, draw by draw from the same rng, and
+    # leave the rng in the same state
+    import random
+    from gammalab.bessel import bessel_tables
+    from gammalab.charkit import AddChar, regular_orbit_reps
+    from gammalab.ffield import build_field
+    f = build_field(p, e, n)
+    for inverse in (False, True):
+        psi = AddChar(f, inverse)
+        tables = bessel_tables(f, n, regular_orbit_reps(f, n)[:6], psi)
+        rng = random.Random(11)
+        got = cli._biequivariance(f, tables, psi, 30, rng)
+        ref_rng = random.Random(11)
+        worst = 0.0
+        for table in tables:
+            for _ in range(30):
+                g = mg.random_invertible(f, n, ref_rng)
+                u1 = mg.random_unipotent(f, n, ref_rng)
+                u2 = mg.random_unipotent(f, n, ref_rng)
+                lhs = table.eval(mg.mat_chain(f, u1, g, u2))
+                rhs = (psi(mg.superdiag_sum(f, u1)) * psi(mg.superdiag_sum(f, u2))
+                       * table.eval(g))
+                worst = max(worst, abs(lhs - rhs))
+        assert abs(got - worst) < 1e-13
+        assert rng.random() == ref_rng.random()

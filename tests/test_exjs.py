@@ -580,6 +580,52 @@ def test_s0_s1_decomposition_gl4():
         assert abs(gamma - exjs.gamma_torus(table).value) < 1e-8
 
 
+def pointwise_homdim(rep):
+    """|H|^-1 sum_{h in H} chi(h) over the appendix subgroup H, one
+    `rep.character` (pointwise `mg.class_type`) per h, and the class data of
+    every h: test oracle of `homdim_check` and its cached class histogram."""
+    ctx, n = rep.ctx, rep.n
+    m = n // 2
+    gl = mg.all_gl(ctx, m)
+    zero = mg.zero(m)
+    if n % 2 == 0:
+        e_last = tuple(1 if j == m - 1 else 0 for j in range(m))
+        mira = [g for g in gl if g[m - 1] == e_last] if m > 1 else [mg.identity(1)]
+        group = [mg.from_blocks([[g1, zero], [zero, g2]]) for g1 in gl for g2 in mira]
+    else:
+        tail = [mg.zero(1, m), mg.zero(1, m), mg.identity(1)]
+        group = [mg.from_blocks([[g1, zero, tuple((x,) for x in u)],
+                                 [zero, g2, mg.zero(m, 1)], tail])
+                 for g1 in gl for g2 in gl
+                 for u in itertools.product(ctx.subfield_elements(1), repeat=m)]
+    total = 0j
+    for h in group:
+        total += rep.character(h)
+    types = [mg.class_type(ctx, h) for h in group]
+    return total / len(group), [(ct.d, ct.k, ct.alpha) if ct.primary else None
+                                for ct in types]
+
+
+#: every cell where `verify` runs the appendix check (|GL_n| <= 25,000)
+HOMDIM_CELLS = [(2, 1, 3), (3, 1, 3), (2, 1, 4)] + [
+    (p, e, 2) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1))]
+
+
+@pytest.mark.parametrize("p,e,n", HOMDIM_CELLS)
+def test_homdim_check_matches_pointwise_loop(p, e, n):
+    # the class histogram of H equals the pointwise typing of every h, and
+    # each representation's dimension the rounded pointwise average
+    f = build_field(p, e, n)
+    classes, counts = exjs._subgroup_classes(f, n)
+    for k in regular_exponents(f, n):
+        rep = CuspidalRep(f, k)
+        value, data = pointwise_homdim(rep)
+        assert dict(zip(classes, counts.tolist())) == {
+            c: data.count(c) for c in classes} and set(data) <= set(classes)
+        assert abs(value - round(value.real)) < exjs.HOMDIM_TOL
+        assert exjs.homdim_check(rep) == round(value.real)
+
+
 def test_homdim_bounds():
     for (p, e, n) in ((2, 1, 2), (3, 1, 2), (5, 1, 2), (2, 1, 3)):
         f = build_field(p, e, n)

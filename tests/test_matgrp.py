@@ -332,6 +332,20 @@ def reference_class_type(ctx, g):
     return mg.ClassType(True, d, n // d, alpha, kdim // d)
 
 
+def kernel_class_data(ctx, mats, classes=None):
+    """The class data (d, k, alpha), or None, of each matrix of a list typed
+    as one stack by the batched kernel `mg.class_ids`, against a fresh class
+    map unless one is given."""
+    classes = {} if classes is None else classes
+    ids = mg.class_ids(ctx, ctx.base.codes(np.array(mats)), classes)
+    names = list(classes)
+    return [names[i] for i in ids.tolist()]
+
+
+def class_data(ct):
+    return (ct.d, ct.k, ct.alpha) if ct.primary else None
+
+
 @pytest.mark.parametrize("p,e,n", [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2),
                                    (3, 1, 3), (2, 2, 2), (5, 1, 2), (2, 2, 3)])
 def test_primary_charpolys_match_reference_on_every_polynomial(p, e, n):
@@ -378,6 +392,32 @@ def test_class_type_refuses_another_size():
     f = build_field(3, 1, 3)
     with pytest.raises(DimensionMismatch):
         mg.class_type(f, mg.identity(2))
+    with pytest.raises(DimensionMismatch):
+        mg.class_ids(f, f.base.codes([mg.identity(2)]), {})
+
+
+def test_class_ids_extend_the_callers_map_in_first_seen_order():
+    # the support profile's t*u at (3, 3), typed in one stack and in two
+    # parts against one map: the same data, ids 0, 1, ... with None first,
+    # and the second part keeps the ids the first one gave; a map that
+    # already holds classes keeps their ids
+    f = build_field(3, 1, 3)
+    mats = [mg.mat_mul(f, mg.antidiag_elem(f, *key), u) for key in support_keys(f, 3)
+            for u in mg.all_unipotent(f, 3)]
+    whole = {}
+    data = kernel_class_data(f, mats, whole)
+    parts = {}
+    split = len(mats) // 3
+    first = kernel_class_data(f, mats[:split], parts)
+    before = dict(parts)
+    assert first + kernel_class_data(f, mats[split:], parts) == data
+    assert parts.items() >= before.items() and set(parts) == set(whole)
+    for classes in (whole, parts):
+        assert list(classes)[0] is None
+        assert list(classes.values()) == list(range(len(classes)))
+    seeded = {(1, 3, 1): 0}
+    assert kernel_class_data(f, mats, seeded) == data
+    assert seeded[(1, 3, 1)] == 0 and seeded[None] == 1
 
 
 def profile_histogram(ctx, n):
@@ -406,16 +446,20 @@ def test_support_profile_types_match_reference_exhaustive(p, n):
     f = build_field(p, 1, n)
     reference = {}
     kinds = set()
+    mats, expect = [], []
     for key in support_keys(f, n):
         t = mg.antidiag_elem(f, *key)
         rows = []
         for u in mg.all_unipotent(f, n):
             ct = reference_class_type(f, mg.mat_mul(f, t, u))
             assert mg.class_type(f, mg.mat_mul(f, t, u)) == ct
-            rows.append(((ct.d, ct.k, ct.alpha) if ct.primary else None,
-                         mg.superdiag_sum(f, u)))
+            rows.append((class_data(ct), mg.superdiag_sum(f, u)))
             kinds.add((ct.primary, ct.c, ct.k))
+            mats.append(mg.mat_mul(f, t, u))
+            expect.append(class_data(ct))
         reference[key] = rows
+    # the batched kernel, on every t*u of the cell as one stack
+    assert kernel_class_data(f, mats) == expect
     assert profile_histogram(f, n) == rows_histogram(reference)
     # non-primary classes, and mult > 1 with both a full and a partial kernel
     assert (False, None, None) in kinds
@@ -499,8 +543,12 @@ def test_class_type_matches_reference_random(p, e, n, data):
     if not mg.is_invertible(f, g):
         with pytest.raises(Singular):
             mg.class_type(f, g)
+        with pytest.raises(Singular):  # the kernel refuses the whole stack
+            kernel_class_data(f, [mg.identity(n), g])
         return
-    assert mg.class_type(f, g) == reference_class_type(f, g)
+    ct = reference_class_type(f, g)
+    assert mg.class_type(f, g) == ct
+    assert kernel_class_data(f, [g]) == [class_data(ct)]
 
 
 def _binom2(x):
