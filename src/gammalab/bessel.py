@@ -9,8 +9,9 @@ computed through the averaging formula
 
 and arbitrary arguments reduce to table entries through the Bruhat
 decomposition.  Every t u of the formula is typed by `matgrp.class_ids`.
-The printed GL_3 and GL_4 closed forms are implemented as independent
-cross-checks of the same values.
+Two character-sum forms are independent cross-checks of the same values:
+one for the (1, n - 1) run at every n (at n = 3 the printed GL_3 form) and
+the Deriziotis-Gotsis GL_4 form on composition (2, 2).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .charkit import AddChar, _read_only, character_sums
+from .charkit import AddChar, _read_only, _roots_of_unity, character_sums
 from .cuspchar import CuspidalRep, character_matrix
 from .errors import OracleFailed, PreconditionViolated
 from .ffield import FieldCtx
@@ -296,24 +297,73 @@ def bessel_build(rep: CuspidalRep, psi: AddChar) -> BesselTable:
     return _tables([rep], psi)[0]
 
 
-# -- printed closed forms -----------------------------------------------------
+# -- closed forms -------------------------------------------------------------
 
 @lru_cache(maxsize=64)
 def _closed_form_terms(ctx: FieldCtx, n: int, inverse: bool) -> tuple:
-    """(dlogs, weights) of the printed forms at n = 3, 4 under the additive
-    character psi with this `inverse` flag: one row per unit pair (a, b),
-    in `itertools.product` order, lists the xi of its norm fibre in
-    `subfield_units(n)` order, each with its level-n dlog and a weight,
+    """(dlogs, weights, quotient, central) of `bessel_closed_forms` under the
+    additive character psi with this `inverse` flag.  Its b = 1 rows: row
+    c, for c in `subfield_units(1)` order, lists the xi of the norm fibre
+    N(xi) = (-1)^(n-1) c in `subfield_units(n)` order, each with its level-n
+    dlog and the weight psi(-Tr xi); the norm maps onto F_q^x, so the
+    fibres, and the rows, are of one length.  Then, for each unit pair
+    (a, b) in `itertools.product` order, the row of a / b, and for each
+    unit b its level-n dlog."""
+    psi = AddChar(ctx, inverse)
+    units = ctx.subfield_units(1)
+    sign = ctx.pow(ctx.neg(1), n - 1)
+    fibres = {}
+    for xi in ctx.subfield_units(n):
+        fibres.setdefault(ctx.norm(xi, n, 1), []).append(xi)
+    rows = [fibres[ctx.mul(sign, c)] for c in units]
+    index = {u: i for i, u in enumerate(units)}
+    return _read_only(np.array([[ctx.subfield_dlog(xi, n) for xi in row] for row in rows]),
+                      np.array([[psi(ctx.neg(ctx.trace(xi, n, 1))) for xi in row]
+                                for row in rows]),
+                      np.array([index[ctx.mul(a, ctx.inv(b))]
+                                for a, b in itertools.product(units, repeat=2)]),
+                      np.array([ctx.subfield_dlog(b, n) for b in units]))
 
-        n = 3: N(xi) = a b^2, w = psi(-Tr xi / b);
-        n = 4: N(xi) = (ab)^2, w = -inner / q^4, inner the sum over beta in
-               F_q^x of psi(-beta + (a1 + a3 ab) / (beta a b^2)), with
-               a3 = -Tr xi and a1 = -(ab)^2 Tr xi^-1, less q when xi lies
-               in F_{q^2} but not in F_q and ab = -N_{F_{q^2}/F_q}(xi).
 
-    The norm maps onto F_q^x, so the fibres, and the rows, are of one
-    length.  Each weight is formed as in the per-element sum."""
-    q = ctx.q
+def bessel_closed_forms(ctx: FieldCtx, n: int, exponents, psi: AddChar) -> np.ndarray:
+    """The Bessel functions of a block of regular theta = gen^k on the
+    (1, n - 1) run of `support_keys`, for every n >= 2, as a
+    ((q - 1)^2 x T) array, one row per unit pair (a, b) in
+    `itertools.product` order:
+
+        B(antidiag(a I_1, b I_{n-1})) = (-1)^(n-1) q^-(n-1)
+            sum_{N(xi) = (-1)^(n-1) a b^(n-1)} psi(-Tr xi / b) theta(xi),
+
+    an exotic Kloosterman sum over a norm fibre of F_{q^n}^x (at n = 3 the
+    printed GL_3 form).  xi -> b xi maps the fibre of (a / b, 1) onto that
+    of (a, b), so row (a, b) is omega(b) row(a / b, 1), omega the central
+    character: one `character_sums` of the q - 1 cached b = 1 rows
+    (`_closed_form_terms`), whose memory does not grow with the (q - 1)^2
+    rows.  Independent of `bessel_tables`."""
+    if n != ctx.n or n < 2:
+        raise PreconditionViolated(f"no closed form for n = {n} in a field for n = {ctx.n}")
+    q, m = ctx.q, ctx.q ** n - 1
+    dlogs, weights, quotient, central = _closed_form_terms(ctx, n, psi.inverse)
+    sums = character_sums(dlogs, weights, m, exponents)
+    sums /= (-1) ** (n - 1) * q ** (n - 1)
+    k = np.asarray(exponents, dtype=np.int64) % m
+    rows = sums[quotient].reshape(q - 1, q - 1, len(k))
+    rows *= _roots_of_unity(m)[central[:, None] * k % m]  # omega(b)
+    return rows.reshape(-1, len(k))
+
+
+@lru_cache(maxsize=64)
+def _gl4_w6_terms(ctx: FieldCtx, inverse: bool) -> tuple:
+    """(dlogs, weights) of the Deriziotis-Gotsis form at n = 4 under the
+    additive character psi with this `inverse` flag: one row per unit pair
+    (a, b), in `itertools.product` order, lists the xi of the norm fibre
+    N(xi) = (ab)^2 in `subfield_units(4)` order, each with its level-4 dlog
+    and the weight -inner / q^4, inner the sum over beta in F_q^x of
+    psi(-beta + (a1 + a3 ab) / (beta a b^2)), with a3 = -Tr xi and
+    a1 = -(ab)^2 Tr xi^-1, less q when xi lies in F_{q^2} but not in F_q
+    and ab = -N_{F_{q^2}/F_q}(xi).  Each weight is formed as in the
+    per-element sum."""
+    q, n = ctx.q, 4
     psi = AddChar(ctx, inverse)
     units = ctx.subfield_units(1)
     fibres = {}
@@ -322,14 +372,9 @@ def _closed_form_terms(ctx: FieldCtx, n: int, inverse: bool) -> tuple:
     dlogs, weights = [], []
     for a, b in itertools.product(units, repeat=2):
         ab = ctx.mul(a, b)
-        fibre = fibres[ctx.mul(a, ctx.mul(b, b)) if n == 3 else ctx.mul(ab, ab)]
-        dlogs.append([ctx.subfield_dlog(xi, n) for xi in fibre])
-        if n == 3:
-            inv_b = ctx.inv(b)
-            weights.append([psi(ctx.neg(ctx.mul(inv_b, ctx.trace(xi, n, 1))))
-                            for xi in fibre])
-            continue
         det, ab2 = ctx.mul(ab, ab), ctx.mul(ab, b)
+        fibre = fibres[det]
+        dlogs.append([ctx.subfield_dlog(xi, n) for xi in fibre])
         row = []
         for xi in fibre:
             numer = ctx.add(ctx.neg(ctx.mul(ctx.trace(ctx.inv(xi), n, 1), det)),
@@ -346,39 +391,28 @@ def _closed_form_terms(ctx: FieldCtx, n: int, inverse: bool) -> tuple:
     return _read_only(np.array(dlogs), np.array(weights, dtype=complex))
 
 
-def bessel_closed_forms(ctx: FieldCtx, n: int, exponents, psi: AddChar) -> np.ndarray:
-    """The printed character-sum forms of the Bessel functions of a block of
-    regular theta = gen^k at n = 3 or 4, as a ((q - 1)^2 x T) array, one
-    row per unit pair (a, b) in `itertools.product` order: at n = 3
-    B(antidiag(a I_1, b I_2)) = q^-2 sum_{N(xi) = a b^2} psi(-Tr xi / b)
-    theta(xi), at n = 4 B(diag(a I_2, b I_2) w6), w6 the block flip, by the
-    Deriziotis-Gotsis sum over F_{q^4}^x.  One `character_sums` of the
-    cached terms `_closed_form_terms`; independent of `bessel_tables`."""
-    if n != ctx.n or n not in (3, 4):
-        raise PreconditionViolated(f"no printed form for n = {n} in a field for n = {ctx.n}")
-    sums = character_sums(*_closed_form_terms(ctx, n, psi.inverse), ctx.q ** n - 1,
-                          exponents)
-    return sums / ctx.q ** 2 if n == 3 else sums
-
-
-def _closed_form_entry(rep: CuspidalRep, n: int, psi: AddChar, a: int, b: int) -> complex:
-    """Row (a, b) of `bessel_closed_forms` on the block of `rep` alone."""
-    if rep.n != n:
-        raise PreconditionViolated(f"closed form is for n = {n}")
-    units = rep.ctx.subfield_units(1)
-    row = units.index(a) * len(units) + units.index(b)
-    return complex(bessel_closed_forms(rep.ctx, n, [rep.exponent], psi)[row, 0])
+def _pair_row(ctx: FieldCtx, a: int, b: int) -> int:
+    """The row of the unit pair (a, b) in `itertools.product` order."""
+    units = ctx.subfield_units(1)
+    return units.index(a) * len(units) + units.index(b)
 
 
 def bessel_closed_form_gl3(rep: CuspidalRep, psi: AddChar, lam1: int, lam2: int) -> complex:
-    """B(antidiag(lam1 I_1, lam2 I_2)) as a character sum over F_{q^3}."""
-    return _closed_form_entry(rep, 3, psi, lam1, lam2)
+    """B(antidiag(lam1 I_1, lam2 I_2)): the n = 3 row of `bessel_closed_forms`."""
+    return complex(bessel_closed_forms(rep.ctx, 3, [rep.exponent], psi)[
+        _pair_row(rep.ctx, lam1, lam2), 0])
 
 
 def bessel_closed_form_gl4(rep: CuspidalRep, psi: AddChar, mu: int, nu: int) -> complex:
     """B(t w6) for t = diag(mu I_2, nu I_2), w6 the block flip: the
-    Deriziotis-Gotsis sum over F_{q^4}."""
-    return _closed_form_entry(rep, 4, psi, mu, nu)
+    Deriziotis-Gotsis sum over F_{q^4}, a check on the composition (2, 2)
+    keys."""
+    if rep.n != 4:
+        raise PreconditionViolated("closed form is for n = 4")
+    dlogs, weights = _gl4_w6_terms(rep.ctx, psi.inverse)
+    row = _pair_row(rep.ctx, mu, nu)
+    return complex(character_sums(dlogs[row], weights[row], rep.q ** 4 - 1,
+                                  [rep.exponent])[0])
 
 
 def export_bessel_csv(table: BesselTable, path) -> None:

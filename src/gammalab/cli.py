@@ -34,7 +34,7 @@ from .cuspchar import verify_irreducible
 from .errors import (GammalabError, NonConstantRatio, OracleFailed,
                      PreconditionViolated)
 from .ffield import _prime_factors, build_field
-from .levelzero import LevelZeroCtx, RatQS, l_factor
+from .levelzero import LevelZeroCtx, RatQS
 from . import matgrp as mg
 
 SCHEMA = "gammalab/1"
@@ -53,9 +53,9 @@ ADDITIVE_ORTHOGONALITY_TOL = 1e-9
 MULTIPLICATIVE_ORTHOGONALITY_TOL = 1e-8
 #: `verify`'s bound on |B(u1 g u2) - psi(u1) psi(u2) B(g)| over sampled u1, g, u2
 BIEQUIVARIANCE_TOL = 1e-8
-#: `verify`'s bound on the distance of each Bessel value from the printed
-#: GL_3 closed form
-GL3_CLOSED_FORM_TOL = 1e-8
+#: `verify`'s bound on the distance of each Bessel value of the (1, n - 1)
+#: run from its closed form (`bessel.bessel_closed_forms`)
+CLOSED_FORM_TOL = 1e-8
 #: `verify`'s bound on ||gamma| - 1| for the ratio route's gamma
 VERIFY_UNITARITY_TOL = 1e-8
 #: `verify`'s bound on the RatQS residual of f * f^-1 against 1
@@ -376,6 +376,16 @@ def _biequivariance(ctx, tables, psi: AddChar, draws: int, rng) -> float:
     return float(np.abs(b[0] - psi_u[0] * psi_u[1] * b[1]).max())
 
 
+def _closed_form_distance(ctx, tables, psi: AddChar) -> float:
+    """max |B(t) - closed form| over the (1, n - 1) keys of every table of a
+    block, one contiguous run of `support_keys`."""
+    n = tables[0].n
+    printed = bessel_closed_forms(ctx, n, [t.rep.exponent for t in tables], psi)
+    start = support_keys(ctx, n).index(((1, n - 1), (1, 1)))
+    run = np.stack([t.values[start:start + len(printed)] for t in tables], axis=1)
+    return float(exjs.modulus(printed - run).max())
+
+
 def _verify_checks(cfg: RunConfig, ctx):
     """Yield (name, passed, residual) tuples for the invariant suites."""
     import random
@@ -396,7 +406,7 @@ def _verify_checks(cfg: RunConfig, ctx):
     rng = random.Random(cfg.seed)
     draws = (10000 if cfg.exhaustive else 500) // len(ks) + 1
     small = mg.gl_order(q, n) <= 25000  # the appendix bound is for small groups
-    worst_char = worst_bieq = worst_gl3 = worst_fe = worst_route = worst_unit = 0.0
+    worst_char = worst_bieq = worst_form = worst_fe = worst_route = worst_unit = 0.0
     char_ok = shalika_ok = homdim_ok = True
     routed = False
     for tables in _blocks(cfg, ctx):
@@ -419,12 +429,7 @@ def _verify_checks(cfg: RunConfig, ctx):
                 except GammalabError:
                     homdim_ok = False
         worst_bieq = max(worst_bieq, _biequivariance(ctx, tables, psi, draws, rng))
-        if n == 3:  # the (1, 2) keys are one run of `support_keys`
-            printed = bessel_closed_forms(ctx, n, [t.rep.exponent for t in tables], psi)
-            start = next(i for i, (comp, _) in enumerate(support_keys(ctx, n))
-                         if comp == (1, 2))
-            run = np.stack([t.values[start:start + len(printed)] for t in tables], axis=1)
-            worst_gl3 = max(worst_gl3, float(exjs.modulus(printed - run).max()))
+        worst_form = max(worst_form, _closed_form_distance(ctx, tables, psi))
         # functional equation and route agreement, read from the rows that
         # `gamma` prints for this block
         plain = not all(exjs.has_shalika_vector(table) for table in tables)
@@ -448,8 +453,7 @@ def _verify_checks(cfg: RunConfig, ctx):
                 worst_unit = max(worst_unit, abs(row["abs_gamma"] - 1))
     yield ("character_oracle", char_ok, worst_char)
     yield ("bessel_biequivariance", worst_bieq < BIEQUIVARIANCE_TOL, worst_bieq)
-    if n == 3:
-        yield ("bessel_gl3_closed_form", worst_gl3 < GL3_CLOSED_FORM_TOL, worst_gl3)
+    yield ("bessel_closed_form", worst_form < CLOSED_FORM_TOL, worst_form)
     yield ("functional_equation", worst_fe < exjs.FE_TOL, worst_fe)
     if routed:  # with a Shalika vector in every table, no route ran
         yield ("route_agreement", _routes_agree(worst_route, cfg.tol), worst_route)
@@ -463,9 +467,10 @@ def _verify_checks(cfg: RunConfig, ctx):
     one = RatQS.one()
     f = (one - x) / (one + RatQS.const(0.5j) * x)
     resid = (f * f.inverse()).residual(one)
-    lf = l_factor(cfg.c, max(n // 2, 1))
-    yield ("ratqs_identities",
-           resid < RATQS_IDENTITY_TOL and lf.equals(lf.simplified()), resid)
+    g = (one - x * x) / (one - x)  # simplifies to 1 + X
+    h = g.simplified()
+    yield ("ratqs_identities", resid < RATQS_IDENTITY_TOL and h.equals(one + x)
+           and len(h.num) + len(h.den) < len(g.num) + len(g.den), resid)
 
 
 def cmd_verify(cfg: RunConfig) -> int:

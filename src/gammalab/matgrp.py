@@ -606,18 +606,23 @@ def batch_bruhat(ctx: FieldCtx, g):
 def batch_rank(ctx: FieldCtx, a):
     """The ranks of a stack (B, n, n) of base-field codes: the pivots of the
     elimination of `batch_bruhat`, which leaves a column without a pivot as
-    it is, so it reduces singular matrices too."""
-    return _eliminate(ctx, a)[3]
+    it is, so it reduces singular matrices too.  The accumulators are not
+    formed."""
+    return _eliminate(ctx, a, accumulate=False)[3]
 
 
-def _eliminate(ctx: FieldCtx, g):
+def _eliminate(ctx: FieldCtx, g, accumulate: bool = True):
     """`bruhat_reduce`'s column-by-column elimination on a stack, with a
-    column that has no nonzero entry skipped and the pivots counted."""
+    column that has no nonzero entry skipped and the pivots counted; with
+    `accumulate` false, lacc and racc are None and the row and column
+    operations are applied to the stack alone."""
     F = ctx.base
     work = np.array(g, dtype=F.dtype)
     count, n, _ = work.shape
-    lacc = np.broadcast_to(np.eye(n, dtype=F.dtype), work.shape).copy()
-    racc = lacc.copy()
+    lacc = racc = None
+    if accumulate:
+        lacc = np.broadcast_to(np.eye(n, dtype=F.dtype), work.shape).copy()
+        racc = lacc.copy()
     pivots = np.zeros(count, dtype=np.intp)
     at = np.arange(count)
     cols = np.arange(n)
@@ -630,12 +635,14 @@ def _eliminate(ctx: FieldCtx, g):
         f = F.neg(F.mul(work[:, :, j], ip[:, None]))
         f[cols >= piv[:, None]] = 0
         work = F.add(work, F.mul(f[:, :, None], work[at, piv][:, None, :]))
-        lacc = F.add(lacc, F.mul(f[:, :, None], lacc[at, piv][:, None, :]))
+        if accumulate:
+            lacc = F.add(lacc, F.mul(f[:, :, None], lacc[at, piv][:, None, :]))
         # clear the pivot row to the right with earlier-column additions
         f = F.neg(F.mul(work[at, piv], ip[:, None]))
         f[:, :j + 1] = 0
         work = F.add(work, F.mul(work[:, :, j, None], f[:, None, :]))
-        racc = F.add(racc, F.mul(racc[:, :, j, None], f[:, None, :]))
+        if accumulate:
+            racc = F.add(racc, F.mul(racc[:, :, j, None], f[:, None, :]))
     return work, lacc, racc, pivots
 
 

@@ -11,6 +11,7 @@ from gammalab.bessel import (
     bessel_closed_form_gl3,
     bessel_closed_forms,
     bessel_closed_form_gl4,
+    bessel_tables,
     export_bessel_csv,
     require_profile_size,
     support_keys,
@@ -183,19 +184,21 @@ def test_gl4_closed_form_q3_sampled():
                 assert abs(table.eval(tw6) - printed) < 1e-8
 
 
-def pointwise_closed_form_gl3(rep, psi, lam1, lam2):
-    """B(antidiag(lam1 I_1, lam2 I_2)) = q^-2 sum_{N(xi) = lam1 lam2^2}
-    psi(-Tr xi / lam2) theta(xi), one xi of F_{q^3}^x at a time: test
-    oracle."""
-    ctx = rep.ctx
-    target = ctx.mul(lam1, ctx.mul(lam2, lam2))
-    inv_l2 = ctx.inv(lam2)
+def pointwise_closed_form(rep, psi, a, b):
+    """B(antidiag(a I_1, b I_{n-1})) = (-1)^(n-1) q^-(n-1)
+    sum_{N(xi) = (-1)^(n-1) a b^(n-1)} psi(-Tr xi / b) theta(xi), one xi of
+    F_{q^n}^x at a time: test oracle at every n (at n = 3 the printed GL_3
+    form)."""
+    ctx, n = rep.ctx, rep.n
+    sign = (-1) ** (n - 1)
+    target = ctx.mul(ctx.pow(ctx.neg(1), n - 1), ctx.mul(a, ctx.pow(b, n - 1)))
+    inv_b = ctx.inv(b)
     total = 0j
-    for xi in ctx.subfield_units(3):
-        if ctx.norm(xi, 3, 1) == target:
-            arg = ctx.neg(ctx.mul(inv_l2, ctx.trace(xi, 3, 1)))
+    for xi in ctx.subfield_units(n):
+        if ctx.norm(xi, n, 1) == target:
+            arg = ctx.neg(ctx.mul(inv_b, ctx.trace(xi, n, 1)))
             total += psi(arg) * rep.theta(xi)
-    return total / ctx.q ** 2
+    return total / (sign * ctx.q ** (n - 1))
 
 
 def pointwise_closed_form_gl4(rep, psi, mu, nu):
@@ -224,24 +227,59 @@ def pointwise_closed_form_gl4(rep, psi, mu, nu):
     return total
 
 
-@pytest.mark.parametrize("p,e,n", [(2, 1, 3), (3, 1, 3), (2, 2, 3), (5, 1, 3), (7, 1, 3),
-                                   (2, 1, 4), (3, 1, 4), (2, 2, 4)])
+@pytest.mark.parametrize("p,e,n", [(2, 1, 2), (3, 1, 2), (5, 1, 2), (3, 2, 2),
+                                   (2, 1, 3), (3, 1, 3), (2, 2, 3), (5, 1, 3), (7, 1, 3),
+                                   (2, 1, 4), (3, 1, 4), (2, 2, 4), (2, 1, 5), (2, 1, 6)])
 @pytest.mark.parametrize("inverse", [False, True])
 def test_closed_forms_match_pointwise_sums(p, e, n, inverse):
-    # the block of printed forms equals the per-element sums bit for bit,
-    # and each public pointwise name reads its entry of a block of one
+    # the block of (1, n - 1) forms: its b = 1 rows equal the per-element
+    # sums exactly (up to the sign of a zero) and every other row,
+    # omega(b) row(a / b, 1), is within 1e-13; the GL_3 name reads its
+    # entry of a block of one, and the GL_4 w6 form equals its per-element
+    # sums bit for bit
     f = build_field(p, e, n)
     psi = AddChar(f, inverse)
     ks = regular_orbit_reps(f, n)[:12]
     pairs = list(itertools.product(f.subfield_units(1), repeat=2))
-    oracle = pointwise_closed_form_gl3 if n == 3 else pointwise_closed_form_gl4
-    ref = np.array([[oracle(CuspidalRep(f, k), psi, a, b) for k in ks] for a, b in pairs])
+    ref = np.array([[pointwise_closed_form(CuspidalRep(f, k), psi, a, b) for k in ks]
+                    for a, b in pairs])
     block = bessel_closed_forms(f, n, ks, psi)
-    assert block.shape == ref.shape and block.tobytes() == ref.tobytes()
-    one = bessel_closed_form_gl3 if n == 3 else bessel_closed_form_gl4
+    assert block.shape == ref.shape and np.abs(block - ref).max() < 1e-13
+    ones = [i for i, (_, b) in enumerate(pairs) if b == 1]
+    assert (block[ones] == ref[ones]).all()
     rep = CuspidalRep(f, ks[-1])
-    assert (np.array([one(rep, psi, a, b) for a, b in pairs]).tobytes()
-            == ref[:, -1].tobytes())
+    if n == 3:
+        one = [bessel_closed_form_gl3(rep, psi, a, b) for a, b in pairs]
+        assert np.array(one).tobytes() == block[:, -1].tobytes()
+    if n == 4:
+        one = [bessel_closed_form_gl4(rep, psi, a, b) for a, b in pairs]
+        w6 = [pointwise_closed_form_gl4(rep, psi, a, b) for a, b in pairs]
+        assert np.array(one).tobytes() == np.array(w6).tobytes()
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 2), (3, 1, 2), (5, 1, 2), (3, 2, 2), (2, 1, 3),
+                                   (3, 1, 3), (2, 1, 4), (3, 1, 4), (2, 1, 5)])
+def test_closed_forms_match_the_tables(p, e, n):
+    # every regular theta under both psi: the (1, n - 1) run of the tables
+    f = build_field(p, e, n)
+    ks = regular_exponents(f, n)
+    start = next(i for i, (comp, _) in enumerate(support_keys(f, n)) if comp == (1, n - 1))
+    for inverse in (False, True):
+        psi = AddChar(f, inverse)
+        for lo in range(0, len(ks), 64):
+            block = ks[lo:lo + 64]
+            printed = bessel_closed_forms(f, n, block, psi)
+            run = np.stack([t.values[start:start + len(printed)]
+                            for t in bessel_tables(f, n, block, psi)], axis=1)
+            assert np.abs(printed - run).max() < 1e-13
+
+
+def test_closed_forms_refuse_another_n():
+    f = build_field(3, 1, 2)
+    with pytest.raises(PreconditionViolated):
+        bessel_closed_forms(f, 3, [1], AddChar(f))
+    with pytest.raises(PreconditionViolated):
+        bessel_closed_form_gl4(CuspidalRep(f, 1), AddChar(f), 1, 1)
 
 
 def test_csv_export(tmp_path):

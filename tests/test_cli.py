@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from gammalab import cli, levelzero
+from gammalab.bessel import BesselTable
 from gammalab import matgrp as mg
 
 
@@ -105,7 +106,56 @@ def test_verify_checks_only_the_named_theta(capsys, monkeypatch):
     code, out = run_main(["verify", "--q", "5", "--n", "2", "--theta", "3"], capsys)
     assert code == cli.EXIT_OK and built == [[3]]
     data = json.loads(out)
-    assert data["failed"] == 0 and len(data["checks"]) == 10
+    assert data["failed"] == 0 and len(data["checks"]) == 11
+
+
+def _verify_shifted(argv, shift, capsys, monkeypatch):
+    """verify's checks, by name, with every table moved by `shift(values,
+    start, count)`: start and count those of the (1, n - 1) run."""
+    tables = cli.bessel_tables
+
+    def shifted(ctx, n, ks, psi):
+        start = next(i for i, (comp, _) in enumerate(cli.support_keys(ctx, n))
+                     if comp == (1, n - 1))
+        out = []
+        for t in tables(ctx, n, ks, psi):
+            values = t.values.copy()
+            shift(values, start, (ctx.q - 1) ** 2)
+            out.append(BesselTable(t.rep, t.psi, values))
+        return out
+    monkeypatch.setattr(cli, "bessel_tables", shifted)
+    code, out = run_main(["verify"] + argv, capsys)
+    return code, {line.split()[1]: line for line in json.loads(out)["checks"]}
+
+
+@pytest.mark.parametrize("q, n, theta", [(5, 2, 1), (3, 2, 1), (2, 4, 1), (2, 5, 1)])
+def test_verify_refuses_one_moved_key_of_the_run(q, n, theta, capsys, monkeypatch):
+    def move(values, start, count):
+        values[start + count // 2] += 1e-6
+    cell = ["--q", str(q), "--n", str(n), "--theta", str(theta)]
+    code, checks = _verify_shifted(cell, move, capsys, monkeypatch)
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert checks["bessel_closed_form"].startswith("FAIL")
+
+
+def test_verify_refuses_the_shift_the_modified_certificate_passes(capsys, monkeypatch):
+    # a Shalika table at (5, 2) moved by 1e-6 on the 16 keys of composition
+    # (1, 1), which the canonical pair does not read
+    def move(values, start, count):
+        values[start:start + count] += 1e-6
+    code, checks = _verify_shifted(["--q", "5", "--n", "2", "--theta", "4"], move,
+                                   capsys, monkeypatch)
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert checks["bessel_closed_form"].startswith("FAIL")
+
+
+def test_verify_fails_a_simplification_that_cancels_nothing(capsys, monkeypatch):
+    monkeypatch.setattr(levelzero.RatQS, "simplified", lambda self: self)
+    code, out = run_main(["verify", "--q", "2", "--n", "2"], capsys)
+    checks = {line.split()[1]: line for line in json.loads(out)["checks"]}
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert checks["ratqs_identities"].startswith("FAIL")
+    assert sum(line.startswith("FAIL") for line in checks.values()) == 1
 
 
 def test_verify_fails_the_route_checks_when_a_route_raises(monkeypatch, capsys):
