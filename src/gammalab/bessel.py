@@ -299,22 +299,27 @@ def bessel_build(rep: CuspidalRep, psi: AddChar) -> BesselTable:
 
 # -- closed forms -------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _closed_form_terms(ctx: FieldCtx, n: int, inverse: bool) -> tuple:
-    """(dlogs, weights, quotient, central) of `bessel_closed_forms` under the
-    additive character psi with this `inverse` flag.  Its b = 1 rows: row
-    c, for c in `subfield_units(1)` order, lists the xi of the norm fibre
-    N(xi) = (-1)^(n-1) c in `subfield_units(n)` order, each with its level-n
-    dlog and the weight psi(-Tr xi); the norm maps onto F_q^x, so the
-    fibres, and the rows, are of one length.  Then, for each unit pair
-    (a, b) in `itertools.product` order, the row of a / b, and for each
-    unit b its level-n dlog."""
-    psi = AddChar(ctx, inverse)
-    units = ctx.subfield_units(1)
-    sign = ctx.pow(ctx.neg(1), n - 1)
+def _norm_fibres(ctx: FieldCtx, n: int) -> dict:
+    """c -> the xi of F_{q^n}^x with N(xi) = c, in `subfield_units(n)`
+    order, for every c in F_q^x."""
     fibres = {}
     for xi in ctx.subfield_units(n):
         fibres.setdefault(ctx.norm(xi, n, 1), []).append(xi)
+    return fibres
+
+
+@lru_cache(maxsize=64)
+def _closed_form_terms(ctx: FieldCtx, n: int, inverse: bool) -> tuple:
+    """(dlogs, weights, quotient, central) of `bessel_closed_forms` under the
+    additive character psi with this `inverse` flag: row c of the b = 1
+    rows, c in `subfield_units(1)` order, is the fibre N(xi) = (-1)^(n-1) c
+    (`_norm_fibres`, all of one length) with level-n dlogs and weights
+    psi(-Tr xi); quotient holds the row of a / b for each unit pair (a, b)
+    in `itertools.product` order, central the level-n dlog of each unit."""
+    psi = AddChar(ctx, inverse)
+    units = ctx.subfield_units(1)
+    sign = ctx.pow(ctx.neg(1), n - 1)
+    fibres = _norm_fibres(ctx, n)
     rows = [fibres[ctx.mul(sign, c)] for c in units]
     index = {u: i for i, u in enumerate(units)}
     return _read_only(np.array([[ctx.subfield_dlog(xi, n) for xi in row] for row in rows]),
@@ -355,20 +360,16 @@ def bessel_closed_forms(ctx: FieldCtx, n: int, exponents, psi: AddChar) -> np.nd
 @lru_cache(maxsize=64)
 def _gl4_w6_terms(ctx: FieldCtx, inverse: bool) -> tuple:
     """(dlogs, weights) of the Deriziotis-Gotsis form at n = 4 under the
-    additive character psi with this `inverse` flag: one row per unit pair
-    (a, b), in `itertools.product` order, lists the xi of the norm fibre
-    N(xi) = (ab)^2 in `subfield_units(4)` order, each with its level-4 dlog
-    and the weight -inner / q^4, inner the sum over beta in F_q^x of
-    psi(-beta + (a1 + a3 ab) / (beta a b^2)), with a3 = -Tr xi and
+    additive character psi with this `inverse` flag: row (a, b), in
+    `itertools.product` order, is the fibre N(xi) = (ab)^2 (`_norm_fibres`)
+    with level-4 dlogs and weights -inner / q^4, inner the sum over beta in
+    F_q^x of psi(-beta + (a1 + a3 ab) / (beta a b^2)), a3 = -Tr xi and
     a1 = -(ab)^2 Tr xi^-1, less q when xi lies in F_{q^2} but not in F_q
-    and ab = -N_{F_{q^2}/F_q}(xi).  Each weight is formed as in the
-    per-element sum."""
+    and ab = -N_{F_{q^2}/F_q}(xi)."""
     q, n = ctx.q, 4
     psi = AddChar(ctx, inverse)
     units = ctx.subfield_units(1)
-    fibres = {}
-    for xi in ctx.subfield_units(n):
-        fibres.setdefault(ctx.norm(xi, n, 1), []).append(xi)
+    fibres = _norm_fibres(ctx, n)
     dlogs, weights = [], []
     for a, b in itertools.product(units, repeat=2):
         ab = ctx.mul(a, b)

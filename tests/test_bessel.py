@@ -185,10 +185,9 @@ def test_gl4_closed_form_q3_sampled():
 
 
 def pointwise_closed_form(rep, psi, a, b):
-    """B(antidiag(a I_1, b I_{n-1})) = (-1)^(n-1) q^-(n-1)
-    sum_{N(xi) = (-1)^(n-1) a b^(n-1)} psi(-Tr xi / b) theta(xi), one xi of
-    F_{q^n}^x at a time: test oracle at every n (at n = 3 the printed GL_3
-    form)."""
+    """B(antidiag(a I_1, b I_{n-1})) as the norm-fibre sum of
+    `bessel_closed_forms`, one xi of F_{q^n}^x at a time: test oracle at
+    every n."""
     ctx, n = rep.ctx, rep.n
     sign = (-1) ** (n - 1)
     target = ctx.mul(ctx.pow(ctx.neg(1), n - 1), ctx.mul(a, ctx.pow(b, n - 1)))
@@ -235,8 +234,8 @@ def test_closed_forms_match_pointwise_sums(p, e, n, inverse):
     # the block of (1, n - 1) forms: its b = 1 rows equal the per-element
     # sums exactly (up to the sign of a zero) and every other row,
     # omega(b) row(a / b, 1), is within 1e-13; the GL_3 name reads its
-    # entry of a block of one, and the GL_4 w6 form equals its per-element
-    # sums bit for bit
+    # entry of a block of one, and at n = 4 the GL_4 w6 form of every theta
+    # equals its per-element sums bit for bit
     f = build_field(p, e, n)
     psi = AddChar(f, inverse)
     ks = regular_orbit_reps(f, n)[:12]
@@ -247,14 +246,17 @@ def test_closed_forms_match_pointwise_sums(p, e, n, inverse):
     assert block.shape == ref.shape and np.abs(block - ref).max() < 1e-13
     ones = [i for i, (_, b) in enumerate(pairs) if b == 1]
     assert (block[ones] == ref[ones]).all()
-    rep = CuspidalRep(f, ks[-1])
     if n == 3:
+        rep = CuspidalRep(f, ks[-1])
         one = [bessel_closed_form_gl3(rep, psi, a, b) for a, b in pairs]
         assert np.array(one).tobytes() == block[:, -1].tobytes()
     if n == 4:
-        one = [bessel_closed_form_gl4(rep, psi, a, b) for a, b in pairs]
-        w6 = [pointwise_closed_form_gl4(rep, psi, a, b) for a, b in pairs]
-        assert np.array(one).tobytes() == np.array(w6).tobytes()
+        reps = [CuspidalRep(f, k) for k in ks]
+        w6 = np.array([[bessel_closed_form_gl4(rep, psi, a, b) for rep in reps]
+                       for a, b in pairs])
+        ref_w6 = np.array([[pointwise_closed_form_gl4(rep, psi, a, b) for rep in reps]
+                           for a, b in pairs])
+        assert w6.shape == ref_w6.shape and w6.tobytes() == ref_w6.tobytes()
 
 
 @pytest.mark.parametrize("p,e,n", [(2, 1, 2), (3, 1, 2), (5, 1, 2), (3, 2, 2), (2, 1, 3),
@@ -263,7 +265,7 @@ def test_closed_forms_match_the_tables(p, e, n):
     # every regular theta under both psi: the (1, n - 1) run of the tables
     f = build_field(p, e, n)
     ks = regular_exponents(f, n)
-    start = next(i for i, (comp, _) in enumerate(support_keys(f, n)) if comp == (1, n - 1))
+    start = support_keys(f, n).index(((1, n - 1), (1, 1)))
     for inverse in (False, True):
         psi = AddChar(f, inverse)
         for lo in range(0, len(ks), 64):
