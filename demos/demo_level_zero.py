@@ -33,7 +33,7 @@ f = build_field(3, 1, 2)
 
 # k = 2 has trivial restriction to F_3^x: a Shalika vector exists.
 table = bessel_build(CuspidalRep(f, 2), AddChar(f))
-flag, report = shalika_detect(table)
+(flag, report), = shalika_detect([table])
 print(f"theta = gen^2 over F_9: Shalika vector present = {flag}, "
       f"witness js(W, 1) = {report['witness_js']:.6f}")
 

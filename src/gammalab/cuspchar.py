@@ -9,10 +9,13 @@ primary conjugacy classes (charpoly = f^c with f irreducible):
 with d = deg f, alpha a root of f and k the number of f-blocks; chi vanishes
 off primary classes.  The classes (d, alpha), alpha the least-dlog member of
 a degree-d Frobenius orbit, are read from `matgrp.primary_charpolys`, the
-one place they are derived.  The formula is never trusted blindly:
-verify_irreducible checks the norm <chi, chi> = 1, the degree, and
-unitarity on every representation before gamma factors are computed from
-it.
+one place they are derived.  Every Bessel table and appendix sum reads the
+character from one kernel, `character_matrix`; `CuspidalRep.char_of_class`
+is its pointwise reference in the tests.  `verify_irreducible` certifies
+that kernel for a block of representations: the norm <chi, chi> = 1 over
+the primary classes, the degree, chi(g^-1) = conj chi(g) and class
+invariance on seeded samples.  `gammalab verify` runs it on every selected
+representation; `gamma` and `export` do not run it, and trust the formula.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .charkit import MultChar, _read_only, character_sums, regular_orbit
-from .errors import OracleFailed
+from .errors import OracleFailed, PreconditionViolated
 from .ffield import FieldCtx
 from . import matgrp as mg
 
@@ -181,14 +184,15 @@ class CuspidalRep:
         return f"CuspidalRep(q={self.q}, n={self.n}, k={self.exponent})"
 
 
-def inner_product_with_self(rep: CuspidalRep) -> float:
-    """<chi, chi> over GL_n(F_q), summed over primary classes with their
-    class sizes (the character vanishes elsewhere)."""
-    total = 0.0
-    for d, alpha, k, size, _lam in primary_class_inventory(rep.ctx, rep.n):
-        v = rep.char_of_class((d, k, alpha))
-        total += size * (v.real * v.real + v.imag * v.imag)
-    return total / mg.gl_order(rep.q, rep.n)
+@lru_cache(maxsize=64)
+def _inventory_classes(ctx: FieldCtx, n: int) -> tuple:
+    """(classes, weights) of `primary_class_inventory`, built once per cell:
+    the class data (d, k, alpha) of each entry, the argument of
+    `character_matrix`, and its share |class| / |GL_n| of the group."""
+    order = mg.gl_order(ctx.q, n)
+    inventory = primary_class_inventory(ctx, n)
+    return (tuple((d, k, alpha) for d, alpha, k, _, _ in inventory),
+            *_read_only(np.array([size / order for *_, size, _ in inventory])))
 
 
 @lru_cache(maxsize=64)
@@ -207,32 +211,49 @@ def _sampled_classes(ctx: FieldCtx, n: int, samples: int, seed: int) -> tuple:
     return (tuple(classes), *_read_only(ids))
 
 
-def verify_irreducible(rep: CuspidalRep, samples: int = 40, seed: int = 1729) -> dict:
-    """Certify the character formula for this representation.
+def _block_field(reps) -> tuple:
+    """(ctx, n) of a block of representations, which must share them."""
+    if not reps:
+        raise PreconditionViolated("a block needs at least one representation")
+    ctx = reps[0].ctx
+    if any(rep.ctx is not ctx for rep in reps):
+        raise PreconditionViolated("a block of representations shares one (q, n)")
+    return ctx, ctx.n
 
-    Checks: (a) <chi, chi> = 1; (b) chi(1) equals the cuspidal dimension;
-    (c) chi(g^{-1}) = conj(chi(g)); (d) chi is a class function.  Raises
-    OracleFailed naming the first failing check.
+
+def verify_irreducible(reps, samples: int = 40, seed: int = 1729) -> list:
+    """Certify `character_matrix` for a block of representations at one
+    (q, n), from one call over the primary classes (`_inventory_classes`)
+    and one over the classes of `samples` seeded draws (`_sampled_classes`).
+
+    Checks, for each: (a) <chi, chi> = 1; (b) chi(1) equals the cuspidal
+    dimension; (c) chi(g^-1) = conj(chi(g)); (d) chi(h g h^-1) = chi(g).
+    Returns one report per representation; raises OracleFailed naming the
+    first representation with a residual over CHARACTER_TOL, and its first
+    failing check.
     """
-    report = {}
-    ip = inner_product_with_self(rep)
-    report["inner_product"] = ip
-    if abs(ip - 1.0) > CHARACTER_TOL:
-        raise OracleFailed("inner_product", f"<chi,chi> = {ip}")
-    classes, ids = _sampled_classes(rep.ctx, rep.n, samples, seed)
-    chi = np.array([rep.char_of_class(data) for data in classes])[ids]
-    degree = complex(chi[0])
-    report["degree"] = degree
-    if max(abs(degree - rep.dimension()), abs(degree.imag)) > CHARACTER_TOL:
-        raise OracleFailed("degree", f"chi(1) = {degree} != {rep.dimension()}")
-    g, g_inv, conj = chi[1::3], chi[2::3], chi[3::3]
-    worst_inv = float(np.abs(g_inv - g.conj()).max(initial=0.0))
-    worst_conj = float(np.abs(conj - g).max(initial=0.0))
-    report["max_inverse_residual"] = worst_inv
-    report["max_conjugation_residual"] = worst_conj
-    if worst_inv > CHARACTER_TOL:
-        raise OracleFailed("inverse_conjugate", f"residual {worst_inv}")
-    if worst_conj > CHARACTER_TOL:
-        raise OracleFailed("class_function", f"residual {worst_conj}")
-    report["ok"] = True
-    return report
+    ctx, n = _block_field(reps)
+    ks = [rep.exponent for rep in reps]
+    classes, weights = _inventory_classes(ctx, n)
+    chi = character_matrix(ctx, n, classes, ks).T
+    # one contiguous row of |chi|^2 per representation, summed pairwise, so
+    # that no norm depends on the rest of the block
+    norm = (np.ascontiguousarray(chi.real ** 2 + chi.imag ** 2) * weights).sum(axis=1)
+    classes, ids = _sampled_classes(ctx, n, samples, seed)
+    chi = character_matrix(ctx, n, classes, ks)[ids]
+    degree, g, g_inv, conj = chi[0], chi[1::3], chi[2::3], chi[3::3]
+    resid = {"inner_product": np.abs(norm - 1.0),
+             "degree": np.maximum(np.abs(degree - reps[0].dimension()),
+                                  np.abs(degree.imag)),
+             "inverse_conjugate": np.abs(g_inv - g.conj()).max(axis=0, initial=0.0),
+             "class_function": np.abs(conj - g).max(axis=0, initial=0.0)}
+    failed = ~(np.stack(list(resid.values())) <= CHARACTER_TOL)  # NaN fails too
+    if failed.any():
+        j = np.flatnonzero(failed.any(axis=0))[0]
+        check = list(resid)[np.flatnonzero(failed[:, j])[0]]
+        raise OracleFailed(check, f"residual {resid[check][j]} at theta = {ks[j]}")
+    return [{"inner_product": ip, "degree": d, "max_inverse_residual": inv,
+             "max_conjugation_residual": cls, "ok": True}
+            for ip, d, inv, cls in zip(norm.tolist(), degree.tolist(),
+                                       resid["inverse_conjugate"].tolist(),
+                                       resid["class_function"].tolist())]

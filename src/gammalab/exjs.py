@@ -25,7 +25,7 @@ from .bessel import (BesselTable, gather_sums, support_keys, support_signature,
 from .charkit import (AddChar, CFun, _gauss_terms, _pairing_matrix, _read_only,
                       character_sums, fourier, gauss_sum, kloosterman,
                       restriction_is_trivial)
-from .cuspchar import CuspidalRep, character_matrix
+from .cuspchar import _block_field, character_matrix
 from .errors import (
     DimensionMismatch,
     DimensionBoundViolated,
@@ -249,6 +249,12 @@ class FePool:
     cell: np.ndarray
     pairs: int
 
+    @property
+    def js_rows(self) -> slice:
+        """The js rows, which come first: those whose cell lies below
+        translates * size."""
+        return slice(0, int(np.count_nonzero(self.cell < self.translates * self.size)))
+
 
 def _compile_pool(ctx: FieldCtx, n: int, translates) -> FePool:
     """The `FePool` of `translates`, from their cached rows (`_translate_rows`):
@@ -343,13 +349,11 @@ def _pool_profiles(tables, pool: FePool):
 def _block_cell(tables):
     """(ctx, n, psi) of a block of tables, which must share them: a block's
     gathers read the first table's psi-values and cached terms."""
-    if not tables:
-        raise PreconditionViolated("a block needs at least one table")
-    first = tables[0]
-    if any(t.ctx is not first.ctx or t.n != first.n
-           or t.psi.inverse != first.psi.inverse for t in tables):
+    ctx, n = _block_field([t.rep for t in tables])
+    psi = tables[0].psi
+    if any(t.psi.inverse != psi.inverse for t in tables):
         raise PreconditionViolated("a block of tables shares one (q, n, psi)")
-    return first.ctx, first.n, first.psi
+    return ctx, n, psi
 
 
 def _split(table: BesselTable):
@@ -799,54 +803,99 @@ def s0_s1_decomposition(table: BesselTable):
 
 # -- Shalika vectors -------------------------------------------------------------
 
-def shalika_witness(table: BesselTable) -> WhittakerFun:
-    """The candidate Shalika Whittaker function built from mirabolic cosets."""
-    ctx = table.ctx
-    n, m, odd = _split(table)
-    if odd:
-        raise PreconditionViolated("Shalika vectors live at even n")
+@lru_cache(maxsize=64)
+def _witness_terms(ctx: FieldCtx, n: int, inverse: bool) -> tuple:
+    """The terms (scale, h) of `shalika_witness` under the additive
+    character with this `inverse` flag: h = u(X) diag(g, g) sigma^-1 over
+    the mirabolic cosets g and lower nilpotent X, scaled by psi(-tr X)."""
+    m = n // 2
     sig_inv = _sigma_inv(ctx, n)
-    psi = table.psi
+    psi = AddChar(ctx, inverse)
     terms = []
     for g in mg.mirabolic_coset_reps(ctx, m):
         dg = mg.shalika_diag(g)
         for x in mg.lower_nilpotent_reps(ctx, m):
             h = mg.mat_chain(ctx, mg.shalika_u(m, x), dg, sig_inv)
             terms.append((psi(ctx.neg(mg.mat_trace(ctx, x))), h))
-    return WhittakerFun(table, terms)
+    return tuple(terms)
 
 
-def shalika_detect(table: BesselTable, samples: int = 1000,
-                   seed: int = DEFAULT_SEED):
-    """Divisibility criterion (q^m - 1) | k, cross-checked against the
-    JS(., 1)-nonvanishing search over the translates of `_fe_pool` (the
-    canonical one and `samples` sampled translates), where JS(W, 1) =
-    sum_x JS(W, delta_x).
-    Returns (flag, report)."""
-    ctx = table.ctx
-    n, m, odd = _split(table)
+def shalika_witness(table: BesselTable) -> WhittakerFun:
+    """The candidate Shalika Whittaker function built from mirabolic cosets."""
+    n, _, odd = _split(table)
     if odd:
         raise PreconditionViolated("Shalika vectors live at even n")
-    flag = restriction_is_trivial(table.rep.theta, m)
-    one = CFun.constant(ctx, m, 1.0)
-    report = {"criterion": flag}
-    if flag:
-        w = shalika_witness(table)
-        val = js(table, w, one)
-        at_sigma = w(mg.sigma_perm(n))
-        report["witness_js"] = val
-        report["witness_at_sigma"] = at_sigma
-        if abs(val - at_sigma) > FE_TOL or abs(val) < FE_TOL:
-            raise OracleFailed("shalika_witness", f"JS(W,1) = {val}, "
-                                                  f"W(sigma) = {at_sigma}")
-    else:
-        (a,), _ = _pool_profiles([table], _fe_pool(ctx, n, seed, samples))
-        worst = float(np.abs(a.sum(axis=1)).max())
-        report["max_js_one"] = worst
-        if worst > FE_TOL:
+    return WhittakerFun(table, _witness_terms(table.ctx, n, table.psi.inverse))
+
+
+@lru_cache(maxsize=64)
+def _witness_rows(ctx: FieldCtx, n: int, inverse: bool) -> tuple:
+    """(cell, key, weight): the rows of one `gather_sums` whose cell 0 is
+    JS(W, 1) and cell 1 is W(sigma) for the witness W = sum_i scale_i
+    B(. h_i) of every table at (q, n) under the additive character with this
+    `inverse` flag (`_witness_terms`).  Cell 0 holds the js rows of the
+    terms' compiled pool, weighted by scale_i psi(arg) / norm, as
+    JS(W, 1) = sum_x js(W, delta_x); cell 1 holds the support signature of
+    every sigma h_i on the support, from one `support_signatures` stack,
+    weighted by scale_i psi(s)."""
+    F = ctx.base
+    scales, translates = zip(*_witness_terms(ctx, n, inverse))
+    scales = np.array(scales, dtype=complex)
+    psi = AddChar(ctx, inverse).values
+    pool = _compile_pool(ctx, n, translates)
+    js = pool.js_rows
+    js_weight = scales[pool.cell[js] // pool.size] * psi[pool.arg[js]] / _norm_const(ctx, n)
+    key, s = support_signatures(ctx, mg.batch_mat_mul(
+        ctx, F.codes(np.array(mg.sigma_perm(n))), F.codes(np.array(translates))))
+    on = key >= 0
+    return _read_only(np.repeat([0, 1], [len(js_weight), np.count_nonzero(on)]),
+                      np.concatenate([pool.key[js], key[on]]),
+                      np.concatenate([js_weight, scales[on] * psi[s[on]]]))
+
+
+def shalika_detect(tables, samples: int = 1000, seed: int = DEFAULT_SEED) -> list:
+    """The divisibility criterion (q^m - 1) | k of each table of a block at
+    one (q, n, psi), n = 2m, cross-checked: a table meeting it must have a
+    witness (`shalika_witness`) with JS(W, 1) = W(sigma) != 0, and any other
+    JS(W, 1) = sum_x JS(W, delta_x) = 0 on every translate of `_fe_pool`
+    (the canonical one and `samples` sampled translates).  Each side is one
+    `gather_sums` over its tables: the witness's cached rows
+    (`_witness_rows`), and the pool's js rows summed per translate, which
+    needs no pairing product.
+    Returns one (flag, report) per table; raises OracleFailed naming the
+    first table whose cross-check fails."""
+    ctx, n, psi = _block_cell(tables)
+    if n % 2:
+        raise PreconditionViolated("Shalika vectors live at even n")
+    flags = [restriction_is_trivial(t.rep.theta, n // 2) for t in tables]
+    reports = [{"criterion": flag} for flag in flags]
+    values = np.stack([t.values for t in tables], axis=1)
+    witness = [i for i, flag in enumerate(flags) if flag]
+    if witness:
+        sums = gather_sums(*_witness_rows(ctx, n, psi.inverse), values[:, witness], 2)
+        for i, (val, at_sigma) in zip(witness, sums.tolist()):
+            reports[i].update(witness_js=val, witness_at_sigma=at_sigma)
+    free = [i for i, flag in enumerate(flags) if not flag]
+    if free:
+        pool = _fe_pool(ctx, n, seed, samples)
+        js = pool.js_rows
+        sums = gather_sums(pool.cell[js] // pool.size, pool.key[js],
+                           psi.values[pool.arg[js]], values[:, free], pool.translates)
+        worst = np.abs(sums).max(axis=1) / _norm_const(ctx, n)
+        for i, value in zip(free, worst.tolist()):
+            reports[i]["max_js_one"] = value
+    for table, report in zip(tables, reports):
+        theta = table.rep.exponent
+        if report["criterion"]:
+            val, at_sigma = report["witness_js"], report["witness_at_sigma"]
+            if not (abs(val - at_sigma) <= FE_TOL and abs(val) >= FE_TOL):
+                raise OracleFailed("shalika_witness", f"JS(W,1) = {val}, W(sigma) ="
+                                                      f" {at_sigma} at theta = {theta}")
+        elif not report["max_js_one"] <= FE_TOL:
             raise OracleFailed("shalika_zero_search",
-                               f"JS(W,1) = {worst} without the criterion")
-    return flag, report
+                               f"JS(W,1) = {report['max_js_one']} without the"
+                               f" criterion at theta = {theta}")
+    return list(zip(flags, reports))
 
 
 def broken_equation_witness(table: BesselTable):
@@ -883,15 +932,22 @@ def _subgroup_classes(ctx: FieldCtx, n: int) -> tuple:
     return (tuple(classes), *_read_only(np.bincount(ids, minlength=len(classes))))
 
 
-def homdim_check(rep: CuspidalRep) -> int:
-    """dim Hom_H(pi, 1) = |H|^{-1} sum_{h in H} chi(h) for the appendix
-    subgroup H of matching parity, within HOMDIM_TOL of 0 or 1:
-    diag(g1, g2) with g2 mirabolic at even n, and [[g1, 0, u], [0, g2, 0],
-    [0, 0, 1]] with u a column at odd n, read from H's class histogram."""
-    classes, counts = _subgroup_classes(rep.ctx, rep.n)
-    chi = character_matrix(rep.ctx, rep.n, classes, [rep.exponent])[:, 0]
-    value = (counts * chi).sum() / counts.sum()
-    nearest = round(value.real)
-    if abs(value - nearest) > HOMDIM_TOL or nearest not in (0, 1):
-        raise DimensionBoundViolated(f"dim Hom = {value}")
-    return int(nearest)
+def homdim_check(reps) -> list:
+    """dim Hom_H(pi, 1) = |H|^{-1} sum_{h in H} chi(h) of each representation
+    of a block at one (q, n), for the appendix subgroup H of matching
+    parity: diag(g1, g2) with g2 mirabolic at even n, and
+    [[g1, 0, u], [0, g2, 0], [0, 0, 1]] with u a column at odd n, read from
+    H's class histogram and one `character_matrix` of the block.  Returns
+    the dimensions; raises DimensionBoundViolated naming the first
+    representation whose sum is not within HOMDIM_TOL of 0 or 1."""
+    ctx, n = _block_field(reps)
+    classes, counts = _subgroup_classes(ctx, n)
+    chi = character_matrix(ctx, n, classes, [rep.exponent for rep in reps])
+    values = np.einsum("c,ct->t", counts, chi) / counts.sum()
+    nearest = np.round(values.real)
+    bad = np.flatnonzero(~(np.abs(values - nearest) <= HOMDIM_TOL)
+                         | ((nearest != 0) & (nearest != 1)))
+    if bad.size:
+        raise DimensionBoundViolated(f"dim Hom = {values[bad[0]]}"
+                                     f" at theta = {reps[bad[0]].exponent}")
+    return nearest.astype(int).tolist()

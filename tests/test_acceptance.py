@@ -136,7 +136,7 @@ def test_criterion_04_shalika_equivalences():
         f = build_field(p, e, 2)
         for k in regular_exponents(f, 2):
             table = table_for(p, e, 2, k)
-            flag, report = exjs.shalika_detect(table)
+            (flag, report), = exjs.shalika_detect([table])
             assert flag == restriction_is_trivial(table.rep.theta, 1)
             if flag:
                 a, b = exjs.broken_equation_witness(table)
@@ -147,7 +147,7 @@ def test_criterion_04_shalika_equivalences():
         f = build_field(p, e, 4)
         for k in regular_exponents(f, 4):
             table = table_for(p, e, 4, k)
-            flag, report = exjs.shalika_detect(table, samples=1000)
+            (flag, report), = exjs.shalika_detect([table], samples=1000)
             if flag:
                 assert abs(report["witness_js"] - 1) < 1e-8
                 a, b = exjs.broken_equation_witness(table)
@@ -234,7 +234,7 @@ def test_criterion_06_character_oracle():
         if mg.gl_order(f.q, n) > 10 ** 7:
             continue
         for k in regular_exponents(f, n):
-            report = verify_irreducible(CuspidalRep(f, k), samples=12)
+            (report,) = verify_irreducible([CuspidalRep(f, k)], samples=12)
             worst = max(worst, abs(report["inner_product"] - 1))
             assert abs(report["inner_product"] - 1) < 1e-6
             assert report["degree"].real == pytest.approx(
@@ -257,7 +257,7 @@ def test_criterion_07_level_zero_theorems():
         for k in regular_exponents(f, n):
             table = table_for(p, e, n, k)
             shal = restriction_is_trivial(table.rep.theta, m)
-            flag, _ = exjs.shalika_detect(table, samples=40)
+            (flag, _), = exjs.shalika_detect([table], samples=40)
             assert flag == shal
             pairs = [exjs.canonical_pair(table)]
             for _ in range(2):
@@ -327,7 +327,7 @@ def test_criterion_09_appendix_bounds():
                       (2, 1, 4)):
         f = build_field(p, e, n)
         for k in regular_exponents(f, n):
-            val = exjs.homdim_check(CuspidalRep(f, k))
+            (val,) = exjs.homdim_check([CuspidalRep(f, k)])
             assert val in (0, 1)
             values.add(val)
             count += 1

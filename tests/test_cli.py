@@ -5,6 +5,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gammalab import cli, levelzero
@@ -839,3 +840,38 @@ def test_biequivariance_block_matches_pointwise_eval(p, e, n):
                 worst = max(worst, abs(lhs - rhs))
         assert abs(got - worst) < 1e-13
         assert rng.random() == ref_rng.random()
+
+
+def test_verify_fails_the_oracle_on_a_bent_character_kernel(capsys, monkeypatch):
+    # one live coefficient of the character kernel scaled by 1 + 1e-3: every
+    # table is built from the bent kernel, so the oracle, which certifies
+    # that kernel, must fail, and each failing block check prints inf
+    # rather than the residual of the blocks that passed
+    from gammalab import cuspchar
+    conjugates = cuspchar._class_conjugates
+
+    def bent(ctx, n, classes):
+        coef, dlogs, live = conjugates(ctx, n, classes)
+        coef = coef.copy()
+        coef[np.flatnonzero(coef)[0]] *= 1 + 1e-3
+        return coef, dlogs, live
+    monkeypatch.setattr(cuspchar, "_class_conjugates", bent)
+    code, out = run_main(["verify", "--q", "5", "--n", "2"], capsys)
+    assert code == cli.EXIT_VERIFY_FAILED
+    checks = {line.split()[1]: line for line in json.loads(out)["checks"]}
+    for name in ("character_oracle", "shalika_equivalence", "homdim_bound"):
+        assert checks[name] == f"FAIL {name} residual=inf"
+
+
+@pytest.mark.parametrize("seed", [7, 1729])
+def test_verify_samples_the_character_oracle_at_its_seed(seed, capsys, monkeypatch):
+    from gammalab import cuspchar
+    read = []
+    sampled = cuspchar._sampled_classes
+    monkeypatch.setattr(cuspchar, "_sampled_classes", lambda ctx, n, samples, seed:
+                        read.append((ctx.q, n, samples, seed))
+                        or sampled(ctx, n, samples, seed))
+    argv = ["verify", "--q", "4", "--n", "3", "--seed", str(seed)]
+    code, _ = run_main(argv, capsys)
+    assert code == cli.EXIT_OK
+    assert read and set(read) == {(4, 3, 40, seed)}

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from gammalab.charkit import regular_exponents, regular_orbit_reps
@@ -9,12 +10,11 @@ from gammalab.cuspchar import (
     CuspidalRep,
     centralizer_order,
     character_matrix,
-    inner_product_with_self,
     partitions,
     primary_class_inventory,
     verify_irreducible,
 )
-from gammalab.errors import NotRegular
+from gammalab.errors import NotRegular, OracleFailed
 from gammalab.ffield import build_field
 from gammalab import matgrp as mg
 from polyref import poly_eval
@@ -106,6 +106,17 @@ def test_gl2_classical_table():
             assert abs(rep.character(g) - expect) < 1e-9
 
 
+def pointwise_inner_product(rep):
+    """<chi, chi> over GL_n(F_q), summed one primary class at a time with
+    `char_of_class` and the class sizes (the character vanishes elsewhere):
+    the pointwise reference of `verify_irreducible`'s norm."""
+    total = 0.0
+    for d, alpha, k, size, _lam in primary_class_inventory(rep.ctx, rep.n):
+        v = rep.char_of_class((d, k, alpha))
+        total += size * (v.real * v.real + v.imag * v.imag)
+    return total / mg.gl_order(rep.q, rep.n)
+
+
 @pytest.mark.parametrize("p,e,n", [(2, 1, 2), (3, 1, 2), (2, 1, 3)])
 def test_inner_product_exhaustive_vs_class_sum(p, e, n):
     f = build_field(p, e, n)
@@ -113,9 +124,10 @@ def test_inner_product_exhaustive_vs_class_sum(p, e, n):
         rep = CuspidalRep(f, k)
         brute = sum(abs(rep.character(g)) ** 2 for g in mg.all_gl(f, n))
         brute /= mg.gl_order(f.q, n)
-        fast = inner_product_with_self(rep)
-        assert abs(brute - fast) < 1e-8
-        assert abs(fast - 1.0) < 1e-8
+        (report,) = verify_irreducible([rep])
+        for fast in (pointwise_inner_product(rep), report["inner_product"]):
+            assert abs(brute - fast) < 1e-8
+            assert abs(fast - 1.0) < 1e-8
 
 
 @pytest.mark.parametrize("p,e,n", [(2, 1, 2), (3, 1, 2), (5, 1, 2), (2, 1, 3),
@@ -123,7 +135,7 @@ def test_inner_product_exhaustive_vs_class_sum(p, e, n):
 def test_verify_irreducible(p, e, n):
     f = build_field(p, e, n)
     for k in regular_orbit_reps(f, n):
-        report = verify_irreducible(CuspidalRep(f, k))
+        (report,) = verify_irreducible([CuspidalRep(f, k)])
         assert report["ok"]
 
 
@@ -187,3 +199,38 @@ def test_character_matrix_matches_char_of_class(p, e, n):
         rep = CuspidalRep(f, k)
         ref = [rep.char_of_class(data) for data in classes]
         assert max(abs(x - y) for x, y in zip(chi[:, j], ref)) < 1e-13
+
+
+#: the acceptance cells of the batched tables and of the acceptance suite
+ORACLE_CELLS = sorted(set(BATCH_CELLS) | {(2, 1, 2), (3, 1, 2)})
+
+
+@pytest.mark.parametrize("p,e,n", ORACLE_CELLS)
+def test_oracle_norm_matches_the_pointwise_class_sum(p, e, n):
+    # the norm the oracle reads from `character_matrix`, for a block of
+    # every regular theta, against `char_of_class` one class at a time
+    f = build_field(p, e, n)
+    reps = [CuspidalRep(f, k) for k in regular_exponents(f, n)]
+    for rep, report in zip(reps, verify_irreducible(reps)):
+        assert abs(report["inner_product"] - pointwise_inner_product(rep)) < 1e-12
+        assert report["degree"] == pytest.approx(rep.dimension(), abs=1e-9)
+
+
+@pytest.mark.parametrize("p,e,n", [(3, 1, 2), (2, 1, 3)])
+def test_oracle_refuses_a_bent_character_kernel(p, e, n, monkeypatch):
+    # one live coefficient of the kernel scaled by 1 + 1e-3: the oracle must
+    # see it, and name the first theta it fails at
+    from gammalab import cuspchar
+    conjugates = cuspchar._class_conjugates
+
+    def bent(ctx, n, classes):
+        coef, dlogs, live = conjugates(ctx, n, classes)
+        coef = coef.copy()
+        coef[np.flatnonzero(coef)[0]] *= 1 + 1e-3
+        return coef, dlogs, live
+    f = build_field(p, e, n)
+    reps = [CuspidalRep(f, k) for k in regular_orbit_reps(f, n)]
+    monkeypatch.setattr(cuspchar, "_class_conjugates", bent)
+    with pytest.raises(OracleFailed) as err:
+        verify_irreducible(reps)
+    assert f"theta = {reps[0].exponent})" in str(err.value)

@@ -548,7 +548,7 @@ def test_torus_gl3_first_display():
 def test_shalika_detect_and_broken_equation():
     # q=3, n=2: k=2 has trivial restriction to F_3^x, k=1 does not
     t_shal = make_table(3, 1, 2, 2)
-    flag, report = exjs.shalika_detect(t_shal)
+    (flag, report), = exjs.shalika_detect([t_shal])
     assert flag and abs(report["witness_js"] - 1) < 1e-9
     a, b = exjs.broken_equation_witness(t_shal)
     assert abs(a - 1) < 1e-9 and abs(b) < 1e-9
@@ -558,7 +558,7 @@ def test_shalika_detect_and_broken_equation():
         exjs.gamma_torus(t_shal)
 
     t_free = make_table(3, 1, 2, 1)
-    flag, report = exjs.shalika_detect(t_free)
+    (flag, report), = exjs.shalika_detect([t_free])
     assert not flag and report["max_js_one"] < 1e-9
 
 
@@ -623,14 +623,14 @@ def test_homdim_check_matches_pointwise_loop(p, e, n):
         assert dict(zip(classes, counts.tolist())) == {
             c: data.count(c) for c in classes} and set(data) <= set(classes)
         assert abs(value - round(value.real)) < exjs.HOMDIM_TOL
-        assert exjs.homdim_check(rep) == round(value.real)
+        assert exjs.homdim_check([rep]) == [round(value.real)]
 
 
 def test_homdim_bounds():
     for (p, e, n) in ((2, 1, 2), (3, 1, 2), (5, 1, 2), (2, 1, 3)):
         f = build_field(p, e, n)
         for k in regular_orbit_reps(f, n):
-            val = exjs.homdim_check(CuspidalRep(f, k))
+            (val,) = exjs.homdim_check([CuspidalRep(f, k)])
             assert val in (0, 1)
 
 
@@ -742,3 +742,51 @@ def test_block_routes_refuse_a_shalika_table_and_mixed_blocks():
             route(mixed)
         with pytest.raises(PreconditionViolated):
             route([])
+
+
+#: cells of the block checks: mixed Shalika and plain blocks at even n
+BLOCK_CHECK_CELLS = [(3, 1, 2), (5, 1, 2), (2, 2, 3), (3, 1, 4), (2, 1, 4), (2, 3, 3)]
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("p,e,n", BLOCK_CHECK_CELLS)
+def test_block_checks_equal_their_one_element_blocks(p, e, n, inverse):
+    # the Shalika search reads its gathers bit for bit, the character checks
+    # `character_sums` within 1e-15, on a whole theta-block and on blocks of one
+    from gammalab.cuspchar import verify_irreducible
+    f = build_field(p, e, n)
+    ks = regular_orbit_reps(f, n)
+    reps = [CuspidalRep(f, k) for k in ks]
+    if not inverse:
+        whole = verify_irreducible(reps)
+        for rep, report in zip(reps, whole):
+            (single,) = verify_irreducible([rep])
+            assert single.keys() == report.keys()
+            for key, value in report.items():
+                assert abs(single[key] - value) <= 1e-15, key
+        assert exjs.homdim_check(reps) == [exjs.homdim_check([rep])[0] for rep in reps]
+    if n % 2 == 0:
+        tables = bessel_tables(f, n, ks, AddChar(f, inverse))
+        whole = exjs.shalika_detect(tables, samples=200)
+        assert {flag for flag, _ in whole} == {False, True}
+        assert whole == [exjs.shalika_detect([t], samples=200)[0] for t in tables]
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("p,e,n", [(3, 1, 2), (5, 1, 2), (3, 1, 4), (2, 1, 4)])
+def test_shalika_detect_matches_the_pointwise_witness_and_pool(p, e, n, inverse):
+    # the witness's JS(W, 1) and W(sigma) from its compiled rows against
+    # `js` and the pointwise `WhittakerFun` call, and the zero search's
+    # per-translate sums against the pool's full js profiles
+    f = build_field(p, e, n)
+    tables = bessel_tables(f, n, regular_orbit_reps(f, n), AddChar(f, inverse))
+    one = CFun.constant(f, n // 2, 1.0)
+    pool = exjs._fe_pool(f, n, exjs.DEFAULT_SEED, 50)
+    for table, (flag, report) in zip(tables, exjs.shalika_detect(tables, samples=50)):
+        if flag:
+            w = exjs.shalika_witness(table)
+            assert abs(report["witness_js"] - exjs.js(table, w, one)) < 1e-12
+            assert abs(report["witness_at_sigma"] - w(mg.sigma_perm(n))) < 1e-12
+        else:
+            (a,), _ = exjs._pool_profiles([table], pool)
+            assert abs(report["max_js_one"] - np.abs(a.sum(axis=1)).max()) < 1e-13

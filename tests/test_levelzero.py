@@ -173,7 +173,7 @@ def test_pole_iff_shalika():
             table = make_table(p, 1, n, k)
             ctx = LevelZeroCtx(table, 1.0)
             L, _ = local_L_eps(ctx)
-            flag, _ = exjs.shalika_detect(table, samples=50)
+            (flag, _), = exjs.shalika_detect([table], samples=50)
             assert (not L.equals(RatQS.one())) == flag
 
 
@@ -393,9 +393,9 @@ def test_level_zero_terms_built_once_per_q_m_c(monkeypatch):
 def test_second_representation_reads_shared_rows(p, n, first, second,
                                                  monkeypatch):
     # (Shalika exponent, non-Shalika exponent): once one of each kind has
-    # run, the translate rows and pools are cached for every representation
-    # at (q, n), so a second of each kind decomposes nothing but the
-    # witness's pointwise W(sigma) in shalika_detect
+    # run, the translate rows, pools and the witness's compiled rows (its
+    # W(sigma) included) are cached for every representation at (q, n), so
+    # a second of each kind decomposes nothing
     def run(shalika, plain):
         lz = LevelZeroCtx(shalika, 1.0)
         local_gamma(lz)
@@ -413,16 +413,17 @@ def test_second_representation_reads_shared_rows(p, n, first, second,
     # rows through the batched kernel: the counter is live
     monkeypatch.setattr(exjs, "_ROWS", OrderedDict())
     exjs._cached_pool.cache_clear()
+    exjs._witness_rows.cache_clear()
     run(shalika, plain)
-    exjs.shalika_detect(shalika)
+    exjs.shalika_detect([shalika])
     assert sum(batched) > 0
     calls.clear()
     batched.clear()
     run(shalika2, plain2)
     assert calls == [] and batched == []
-    flag, _ = exjs.shalika_detect(shalika2)
+    (flag, _), = exjs.shalika_detect([shalika2])
     assert flag and batched == []
-    assert len(calls) == len(exjs.shalika_witness(shalika2).terms)
+    assert calls == []
 
 
 def test_shalika_functional_linearity_and_values():
