@@ -25,7 +25,7 @@ import numpy as np
 
 from .charkit import AddChar, _read_only, _roots_of_unity, character_sums
 from .cuspchar import CuspidalRep, character_matrix
-from .errors import OracleFailed, PreconditionViolated
+from .errors import OracleFailed, PreconditionViolated, require_within
 from .ffield import FieldCtx
 from . import matgrp as mg
 
@@ -276,10 +276,9 @@ def _tables(reps, psi: AddChar) -> list:
     values /= ctx.q ** (n * (n - 1) // 2)
     values.flags.writeable = False
     ident = values[:, support_keys(ctx, n).index(((n,), (1,)))]
-    bad = np.flatnonzero(np.abs(ident - 1.0) > NORMALIZATION_TOL)
-    if bad.size:
-        raise OracleFailed("bessel_normalization",
-                           f"B(I) = {ident[bad[0]]} at theta = {reps[bad[0]].exponent}")
+    require_within(np.abs(ident - 1.0), NORMALIZATION_TOL, [rep.exponent for rep in reps],
+                   lambda i, where: OracleFailed("bessel_normalization",
+                                                 f"B(I) = {ident[i]} {where}"))
     return [BesselTable(rep, psi, row) for rep, row in zip(reps, values)]
 
 

@@ -6,8 +6,8 @@ vector blocks the plain functional equation), `verify` runs the invariant
 suites, and `export` writes Bessel tables and gamma sweeps to disk.  Output
 bytes depend only on the configuration and seed; timings go to stderr.
 
-Exit codes: 0 success, 1 verification failure, 2 precondition violation,
-3 route disagreement beyond tolerance.
+Exit codes: 0 success, 1 verification failure (a NaN residual included),
+2 precondition violation, 3 route disagreement beyond --tol.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .bessel import (MAX_CLASS_TYPINGS, bessel_closed_forms, bessel_tables,
 from .charkit import AddChar, character_sums, regular_orbit, regular_orbit_reps
 from .cuspchar import CHARACTER_TOL, verify_irreducible
 from .errors import (GammalabError, NonConstantRatio, OracleFailed,
-                     PreconditionViolated)
+                     PreconditionViolated, within)
 from .ffield import _prime_factors, build_field
 from .levelzero import LevelZeroCtx, RatQS
 from . import matgrp as mg
@@ -56,8 +56,6 @@ BIEQUIVARIANCE_TOL = 1e-8
 #: `verify`'s bound on the distance of each Bessel value of the (1, n - 1)
 #: run from its closed form (`bessel.bessel_closed_forms`)
 CLOSED_FORM_TOL = 1e-8
-#: `verify`'s bound on ||gamma| - 1| for the ratio route's gamma
-VERIFY_UNITARITY_TOL = 1e-8
 #: `verify`'s bound on the RatQS residual of f * f^-1 against 1
 RATQS_IDENTITY_TOL = 1e-10
 #: the most representations computed together (`_blocks`): it bounds the
@@ -148,7 +146,7 @@ def parse_config(argv) -> RunConfig:
     if not 0 <= ns.tol < math.inf:  # NaN fails too
         ap.error(f"--tol must be finite and >= 0, got {ns.tol}")
     c = complex(ns.c_re, ns.c_im)
-    if not abs(abs(c) - 1.0) <= levelzero.UNIT_CIRCLE_TOL:  # NaN fails too
+    if not within(abs(abs(c) - 1.0), levelzero.UNIT_CIRCLE_TOL):  # NaN fails too
         ap.error(f"c = {c} must lie on the unit circle")
     if ns.out and ns.command != "export":  # export's --out is a directory
         if os.path.isdir(ns.out):
@@ -330,17 +328,11 @@ def _flatten_gamma_row(row: dict) -> dict:
     return flat
 
 
-def _routes_agree(delta: float, tol: float) -> bool:
-    """The one verdict of `gamma`, `export` and `verify` on a route
-    distance: within --tol when delta <= tol (NaN disagrees)."""
-    return delta <= tol
-
-
 def _route_exit(cfg: RunConfig, rows) -> int:
     """The exit code of `gamma` and `export`: EXIT_ROUTE_DISAGREEMENT, named
-    on stderr, when any row's routes disagree beyond --tol."""
+    on stderr, when any row's route distance is not `within` --tol."""
     bad = [row["theta"] for row in rows
-           if not row["shalika"] and not _routes_agree(row["max_route_delta"], cfg.tol)]
+           if not row["shalika"] and not within(row["max_route_delta"], cfg.tol)]
     if bad:
         print(f"route disagreement beyond {cfg.tol} for theta={bad}", file=sys.stderr)
         return EXIT_ROUTE_DISAGREEMENT
@@ -397,99 +389,92 @@ def _block_residual(check, residual=lambda result: 0.0) -> float:
 
 
 def _verify_checks(cfg: RunConfig, ctx):
-    """Yield (name, passed, residual) tuples for the invariant suites."""
+    """Yield (name, passed, residual) for every invariant suite that ran: its
+    worst residual over the blocks (a NaN kept), passing when `within` its bound."""
     import random
     q, n = ctx.q, cfg.n
     ks = _theta_exponents(cfg, ctx)
     psi = AddChar(ctx, cfg.psi_inverse)
+    worst = {}
+
+    def fold(name, residual):
+        worst[name] = np.maximum(worst.get(name, 0.0), residual)  # a NaN is kept
+
     # character orthogonality
-    resid = abs(sum(psi(x) for x in ctx.subfield_elements(1)))
-    yield ("additive_orthogonality", resid < ADDITIVE_ORTHOGONALITY_TOL, resid)
+    fold("additive_orthogonality", abs(sum(psi(x) for x in ctx.subfield_elements(1))))
     dlogs = np.array([ctx.subfield_dlog(x, n) for x in ctx.subfield_units(n)])
     sums = character_sums(dlogs, np.ones(len(dlogs)), q ** n - 1,
                           range(1, min(q ** n - 1, 40)))
-    worst = float(exjs.modulus(sums).max())
-    yield ("multiplicative_orthogonality", worst < MULTIPLICATIVE_ORTHOGONALITY_TOL,
-           worst)
-    # the table checks, one block at a time, each keeping its worst residual
-    # over the blocks (inf once a block's check raised); the bi-equivariance
-    # draws share one rng in table order
+    fold("multiplicative_orthogonality", np.max(exjs.modulus(sums)))
+    # the table checks, one block at a time; the bi-equivariance draws share
+    # one rng in table order
     rng = random.Random(cfg.seed)
     draws = (10000 if cfg.exhaustive else 500) // len(ks) + 1
     small = mg.gl_order(q, n) <= 25000  # the appendix bound is for small groups
-    worst_char = worst_shalika = worst_homdim = 0.0
-    worst_bieq = worst_form = worst_fe = worst_route = worst_unit = 0.0
-    routed = False
     for tables in _blocks(cfg, ctx):
         reps = [table.rep for table in tables]
-        worst_char = max(worst_char, _block_residual(
+        fold("character_oracle", _block_residual(
             lambda: verify_irreducible(reps, seed=cfg.seed),
-            lambda reports: max(abs(r["inner_product"] - 1) for r in reports)))
+            lambda reports: np.max([abs(r["inner_product"] - 1) for r in reports])))
         if n % 2 == 0:
-            worst_shalika = max(worst_shalika, _block_residual(
+            fold("shalika_equivalence", _block_residual(
                 lambda: exjs.shalika_detect(tables, samples=200, seed=cfg.seed)))
         if small:
-            worst_homdim = max(worst_homdim,
-                               _block_residual(lambda: exjs.homdim_check(reps)))
-        worst_bieq = max(worst_bieq, _biequivariance(ctx, tables, psi, draws, rng))
-        worst_form = max(worst_form, _closed_form_distance(ctx, tables, psi))
+            fold("homdim_bound", _block_residual(lambda: exjs.homdim_check(reps)))
+        fold("bessel_biequivariance", _biequivariance(ctx, tables, psi, draws, rng))
+        fold("bessel_closed_form", _closed_form_distance(ctx, tables, psi))
         # functional equation and route agreement, read from the rows that
-        # `gamma` prints for this block
-        plain = not all(exjs.has_shalika_vector(table) for table in tables)
-        routed = routed or plain
+        # `gamma` prints for this block; the route checks run only on a
+        # block with a table without a Shalika vector
         try:
             rows = _gamma_rows(cfg, tables)
         except GammalabError:
             # a block whose certificate or route raised has no rows: every
             # check it feeds fails
-            worst_fe = math.inf
-            if plain:
-                worst_route = worst_unit = math.inf
+            fold("functional_equation", math.inf)
+            if not all(exjs.has_shalika_vector(table) for table in tables):
+                fold("route_agreement", math.inf)
+                fold("gamma_unitarity", math.inf)
             continue
         for row in rows:
-            worst_fe = max(worst_fe, row["modified_fe_residual" if row["shalika"]
-                                         else "fe_residual"])
-            if not row["shalika"]:
-                worst_route = max([worst_route] + [
-                    delta for pair, delta in row["route_deltas"].items()
-                    if "ratio" in pair.split("-")])
-                worst_unit = max(worst_unit, abs(row["abs_gamma"] - 1))
-    yield ("character_oracle", worst_char <= CHARACTER_TOL, worst_char)
-    yield ("bessel_biequivariance", worst_bieq < BIEQUIVARIANCE_TOL, worst_bieq)
-    yield ("bessel_closed_form", worst_form < CLOSED_FORM_TOL, worst_form)
-    yield ("functional_equation", worst_fe < exjs.FE_TOL, worst_fe)
-    if routed:  # with a Shalika vector in every table, no route ran
-        yield ("route_agreement", _routes_agree(worst_route, cfg.tol), worst_route)
-        yield ("gamma_unitarity", worst_unit < VERIFY_UNITARITY_TOL, worst_unit)
-    if n % 2 == 0:
-        yield ("shalika_equivalence", worst_shalika == 0.0, worst_shalika)
-    if small:
-        yield ("homdim_bound", worst_homdim == 0.0, worst_homdim)
-    # RatQS identities
-    x = RatQS.x_power(1)
-    one = RatQS.one()
+            if row["shalika"]:
+                fold("functional_equation", row["modified_fe_residual"])
+                continue
+            fold("functional_equation", row["fe_residual"])
+            ratio = [delta for pair, delta in row["route_deltas"].items()
+                     if "ratio" in pair.split("-")]
+            fold("route_agreement", np.max(ratio))
+            fold("gamma_unitarity", abs(row["abs_gamma"] - 1))
+    # RatQS identities: f * f^-1 = 1, and a simplification that cancels
+    x, one = RatQS.x_power(1), RatQS.one()
     f = (one - x) / (one + RatQS.const(0.5j) * x)
-    resid = (f * f.inverse()).residual(one)
     g = (one - x * x) / (one - x)  # simplifies to 1 + X
     h = g.simplified()
-    yield ("ratqs_identities", resid < RATQS_IDENTITY_TOL and h.equals(one + x)
-           and len(h.num) + len(h.den) < len(g.num) + len(g.den), resid)
+    fold("ratqs_identities", (f * f.inverse()).residual(one)
+         if h.equals(one + x) and len(h.num) + len(h.den) < len(g.num) + len(g.den)
+         else math.inf)
+    bounds = {"additive_orthogonality": ADDITIVE_ORTHOGONALITY_TOL,
+              "multiplicative_orthogonality": MULTIPLICATIVE_ORTHOGONALITY_TOL,
+              "character_oracle": CHARACTER_TOL, "bessel_biequivariance": BIEQUIVARIANCE_TOL,
+              "bessel_closed_form": CLOSED_FORM_TOL, "functional_equation": exjs.FE_TOL,
+              "route_agreement": cfg.tol, "gamma_unitarity": exjs.UNITARITY_TOL,
+              "shalika_equivalence": 0.0, "homdim_bound": 0.0,
+              "ratqs_identities": RATQS_IDENTITY_TOL}
+    for name, bound in bounds.items():  # in the order of the report
+        if name in worst:
+            yield (name, within(worst[name], bound), float(worst[name]))
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     ctx = build_field(cfg.p, cfg.e, cfg.n)
-    failed = 0
-    lines = []
-    for name, passed, resid in _verify_checks(cfg, ctx):
-        status = "PASS" if passed else "FAIL"
-        lines.append(f"{status} {name} residual={resid:.3e}")
-        if not passed:
-            failed += 1
+    checks = list(_verify_checks(cfg, ctx))
+    lines = [f"{'PASS' if passed else 'FAIL'} {name} residual={resid:.3e}"
+             for name, passed, resid in checks]
+    failed = sum(not passed for _, passed, _ in checks)
     payload = {"schema": SCHEMA, "command": "verify", "q": ctx.q, "n": cfg.n,
                "checks": lines, "failed": failed}
     _emit(cfg, payload, cfg.out)
-    for line in lines:
-        print(line, file=sys.stderr)
+    print("\n".join(lines), file=sys.stderr)
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 
 

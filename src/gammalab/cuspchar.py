@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .charkit import MultChar, _read_only, character_sums, regular_orbit
-from .errors import OracleFailed, PreconditionViolated
+from .errors import OracleFailed, PreconditionViolated, require_within
 from .ffield import FieldCtx
 from . import matgrp as mg
 
@@ -229,8 +229,8 @@ def verify_irreducible(reps, samples: int = 40, seed: int = 1729) -> list:
     Checks, for each: (a) <chi, chi> = 1; (b) chi(1) equals the cuspidal
     dimension; (c) chi(g^-1) = conj(chi(g)); (d) chi(h g h^-1) = chi(g).
     Returns one report per representation; raises OracleFailed naming the
-    first representation with a residual over CHARACTER_TOL, and its first
-    failing check.
+    first representation with a residual not within CHARACTER_TOL, and its
+    first failing check.
     """
     ctx, n = _block_field(reps)
     ks = [rep.exponent for rep in reps]
@@ -247,11 +247,9 @@ def verify_irreducible(reps, samples: int = 40, seed: int = 1729) -> list:
                                   np.abs(degree.imag)),
              "inverse_conjugate": np.abs(g_inv - g.conj()).max(axis=0, initial=0.0),
              "class_function": np.abs(conj - g).max(axis=0, initial=0.0)}
-    failed = ~(np.stack(list(resid.values())) <= CHARACTER_TOL)  # NaN fails too
-    if failed.any():
-        j = np.flatnonzero(failed.any(axis=0))[0]
-        check = list(resid)[np.flatnonzero(failed[:, j])[0]]
-        raise OracleFailed(check, f"residual {resid[check][j]} at theta = {ks[j]}")
+    checks, stacked = list(resid), np.stack(list(resid.values()))
+    require_within(stacked, CHARACTER_TOL, ks, lambda at, where: OracleFailed(
+        checks[at[0]], f"residual {stacked[at]} {where}"))
     return [{"inner_product": ip, "degree": d, "max_inverse_residual": inv,
              "max_conjugation_residual": cls, "ok": True}
             for ip, d, inv, cls in zip(norm.tolist(), degree.tolist(),

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one verdict on a bound."""
+
+import numpy as np
 
 
 class GammalabError(Exception):
@@ -73,3 +75,20 @@ class PreconditionViolated(GammalabError):
 
 class DimensionBoundViolated(GammalabError):
     pass
+
+
+def within(residual, bound):
+    """The package's one pass/fail decision on a bound: residual <= bound,
+    elementwise on arrays.  NaN and inf never pass (a finite bound)."""
+    return residual <= bound
+
+
+def require_within(residual, bound, thetas, error):
+    """The one refusal of a block: `residual` holds one value per theta of
+    `thetas` on its last axis, after an optional axis of checks.  At the
+    first theta not `within` the bound, and its first such check, raise
+    error(at, "at theta = k"), `at` the theta's position or (check, position)."""
+    passed = within(np.asarray(residual), bound)
+    if not passed.all():
+        at = tuple(np.argwhere(~passed.T)[0][::-1])  # the first theta, then check
+        raise error(at if len(at) > 1 else at[0], f"at theta = {thetas[at[-1]]}")

@@ -35,6 +35,8 @@ from .errors import (
     PreconditionViolated,
     ShalikaVectorPresent,
     UnsupportedN,
+    require_within,
+    within,
 )
 from .ffield import FieldCtx
 from . import matgrp as mg
@@ -46,8 +48,9 @@ EXHAUSTIVE_PAIR_CAP = 3000
 #: certificates, the canonical normalization JS(W0, phi0) = 1 and the
 #: Shalika witness and zero search
 FE_TOL = 1e-8
-#: the bound on ||gamma| - 1| for the gamma of every route
-UNITARITY_TOL = 1e-6
+#: the bound on ||gamma| - 1| for the gamma of every route, in each route's
+#: guard and in `verify`'s gamma_unitarity
+UNITARITY_TOL = 1e-8
 #: the distance of the averaged character sum dim Hom_H(pi, 1) from 0 or 1
 HOMDIM_TOL = 1e-6
 
@@ -563,17 +566,14 @@ def functional_equation_scans(tables, profiles: BlockProfiles = None):
         profiles = block_profiles(tables)
     at = _canonical_point(tables[0].ctx, tables[0].n)
     a0, b0, a, b, pairs = profiles
-    off = np.flatnonzero(np.abs(a0[:, at] - 1.0) > FE_TOL)
-    if off.size:
-        raise OracleFailed("canonical_js", f"JS(W0, phi0) = {a0[off[0], at]}"
-                                           f" at theta = {tables[off[0]].rep.exponent}")
+    thetas = [table.rep.exponent for table in tables]
+    require_within(np.abs(a0[:, at] - 1.0), FE_TOL, thetas, lambda i, where: OracleFailed(
+        "canonical_js", f"JS(W0, phi0) = {a0[i, at]} {where}"))
     gamma = b0[:, at]
     a *= gamma[:, None, None]  # in place: the block's arrays are the largest
     resid = np.abs(np.subtract(b, a, out=b)).max(axis=(1, 2))
-    bad = np.flatnonzero(resid > FE_TOL)
-    if bad.size:
-        raise NonConstantRatio(f"functional equation residual {resid[bad[0]]}"
-                               f" at theta = {tables[bad[0]].rep.exponent}")
+    require_within(resid, FE_TOL, thetas, lambda i, where: NonConstantRatio(
+        f"functional equation residual {resid[i]} {where}"))
     return gamma, resid, pairs
 
 
@@ -764,10 +764,10 @@ def gamma_closed(table: BesselTable) -> GammaResult:
 
 def _unitarity_guard(gammas: np.ndarray, route: str, tables):
     """Refuse the first gamma of a block of tables off the unit circle."""
-    bad = np.flatnonzero(np.abs(modulus(gammas) - 1.0) > UNITARITY_TOL)
-    if bad.size:
-        raise OracleFailed("unitarity", f"|gamma| = {abs(gammas[bad[0]])} on route"
-                                        f" {route} at theta = {tables[bad[0]].rep.exponent}")
+    require_within(np.abs(modulus(gammas) - 1.0), UNITARITY_TOL,
+                   [table.rep.exponent for table in tables],
+                   lambda i, where: OracleFailed(
+                       "unitarity", f"|gamma| = {abs(gammas[i])} on route {route} {where}"))
 
 
 def s0_s1_decomposition(table: BesselTable):
@@ -863,18 +863,25 @@ def shalika_detect(tables, samples: int = 1000, seed: int = DEFAULT_SEED) -> lis
     (`_witness_rows`), and the pool's js rows summed per translate, which
     needs no pairing product.
     Returns one (flag, report) per table; raises OracleFailed naming the
-    first table whose cross-check fails."""
+    first table whose witness check fails, else the first whose zero search
+    fails."""
     ctx, n, psi = _block_cell(tables)
     if n % 2:
         raise PreconditionViolated("Shalika vectors live at even n")
     flags = [restriction_is_trivial(t.rep.theta, n // 2) for t in tables]
     reports = [{"criterion": flag} for flag in flags]
     values = np.stack([t.values for t in tables], axis=1)
+    thetas = np.array([t.rep.exponent for t in tables])
     witness = [i for i, flag in enumerate(flags) if flag]
     if witness:
         sums = gather_sums(*_witness_rows(ctx, n, psi.inverse), values[:, witness], 2)
-        for i, (val, at_sigma) in zip(witness, sums.tolist()):
-            reports[i].update(witness_js=val, witness_at_sigma=at_sigma)
+        val, at_sigma = sums.T
+        # a witness whose JS(W, 1) is zero is off by inf
+        off = np.where(within(np.abs(val), FE_TOL), np.inf, np.abs(val - at_sigma))
+        require_within(off, FE_TOL, thetas[witness], lambda j, where: OracleFailed(
+            "shalika_witness", f"JS(W,1) = {val[j]}, W(sigma) = {at_sigma[j]} {where}"))
+        for i, (js_one, w_sigma) in zip(witness, sums.tolist()):
+            reports[i].update(witness_js=js_one, witness_at_sigma=w_sigma)
     free = [i for i, flag in enumerate(flags) if not flag]
     if free:
         pool = _fe_pool(ctx, n, seed, samples)
@@ -882,19 +889,10 @@ def shalika_detect(tables, samples: int = 1000, seed: int = DEFAULT_SEED) -> lis
         sums = gather_sums(pool.cell[js] // pool.size, pool.key[js],
                            psi.values[pool.arg[js]], values[:, free], pool.translates)
         worst = np.abs(sums).max(axis=1) / _norm_const(ctx, n)
+        require_within(worst, FE_TOL, thetas[free], lambda j, where: OracleFailed(
+            "shalika_zero_search", f"JS(W,1) = {worst[j]} without the criterion {where}"))
         for i, value in zip(free, worst.tolist()):
             reports[i]["max_js_one"] = value
-    for table, report in zip(tables, reports):
-        theta = table.rep.exponent
-        if report["criterion"]:
-            val, at_sigma = report["witness_js"], report["witness_at_sigma"]
-            if not (abs(val - at_sigma) <= FE_TOL and abs(val) >= FE_TOL):
-                raise OracleFailed("shalika_witness", f"JS(W,1) = {val}, W(sigma) ="
-                                                      f" {at_sigma} at theta = {theta}")
-        elif not report["max_js_one"] <= FE_TOL:
-            raise OracleFailed("shalika_zero_search",
-                               f"JS(W,1) = {report['max_js_one']} without the"
-                               f" criterion at theta = {theta}")
     return list(zip(flags, reports))
 
 
@@ -945,9 +943,8 @@ def homdim_check(reps) -> list:
     chi = character_matrix(ctx, n, classes, [rep.exponent for rep in reps])
     values = np.einsum("c,ct->t", counts, chi) / counts.sum()
     nearest = np.round(values.real)
-    bad = np.flatnonzero(~(np.abs(values - nearest) <= HOMDIM_TOL)
-                         | ((nearest != 0) & (nearest != 1)))
-    if bad.size:
-        raise DimensionBoundViolated(f"dim Hom = {values[bad[0]]}"
-                                     f" at theta = {reps[bad[0]].exponent}")
+    # a sum nearest to neither 0 nor 1 is off by inf
+    off = np.where((nearest == 0) | (nearest == 1), np.abs(values - nearest), np.inf)
+    require_within(off, HOMDIM_TOL, [rep.exponent for rep in reps],
+                   lambda i, where: DimensionBoundViolated(f"dim Hom = {values[i]} {where}"))
     return nearest.astype(int).tolist()

@@ -19,7 +19,8 @@ import numpy as np
 
 from .bessel import BesselTable
 from .charkit import CFun, fourier
-from .errors import NonConstantRatio, OracleFailed, PreconditionViolated
+from .errors import (NonConstantRatio, OracleFailed, PreconditionViolated,
+                     require_within, within)
 from . import exjs
 
 #: the default bound of `RatQS.equals` (and so of ==) on `RatQS.residual`,
@@ -32,18 +33,18 @@ UNIT_CIRCLE_TOL = 1e-9
 GAMMA_TOL = 1e-7
 #: a twisted Shalika period of at most this size counts as vanishing
 PERIOD_ZERO_TOL = 1e-9
-#: `RatQS.simplified` cancels a denominator root r when |num(r)| is below
+#: `RatQS.simplified` cancels a denominator root r when |num(r)| is within
 #: this times max(1, largest numerator coefficient)
 ROOT_TOL = 1e-8
-#: coefficients of at most this size count as zero: `_trim` drops them from
-#: the ends of every RatQS polynomial, the printed form skips them, and a
-#: modified-functional-equation pair whose rows have no larger one is 0 = 0
+#: coefficients `within` this size count as zero, a NaN never: `_trim` drops
+#: them from the ends of every RatQS polynomial, the printed form skips them,
+#: and a modified-functional-equation pair whose rows are all zero is 0 = 0
 ZERO_COEFF = 1e-13
 
 
 def _trim(arr):
     a = np.asarray(arr, dtype=complex).ravel()
-    nz = np.nonzero(np.abs(a) > ZERO_COEFF)[0]
+    nz = np.flatnonzero(~within(np.abs(a), ZERO_COEFF))  # NaN is nonzero
     if len(nz) == 0:
         return np.zeros(0, dtype=complex), 0
     lead = nz[0]
@@ -164,7 +165,7 @@ class RatQS:
         return float(np.abs(rows[0] - rows[1]).max() / scale)
 
     def equals(self, other: "RatQS", tol: float = COEFF_TOL) -> bool:
-        return self.residual(other) <= tol
+        return within(self.residual(other), tol)
 
     def __eq__(self, other):
         return isinstance(other, RatQS) and self.equals(other)
@@ -194,7 +195,8 @@ class RatQS:
         while changed and len(num) > 1 and len(den) > 1:
             changed = False
             for r in np.roots(den[::-1]):
-                if abs(np.polyval(num[::-1], r)) < ROOT_TOL * max(1.0, np.abs(num).max()):
+                if within(abs(np.polyval(num[::-1], r)),
+                          ROOT_TOL * max(1.0, np.abs(num).max())):
                     num = deflate(num, r)
                     den = deflate(den, r)
                     changed = True
@@ -220,7 +222,7 @@ class RatQS:
         def fmt(arr):
             terms = []
             for i, c in enumerate(arr):
-                if abs(c) <= ZERO_COEFF:
+                if within(abs(c), ZERO_COEFF):
                     continue
                 terms.append(f"({c:.6g})*X^{i}")
             return " + ".join(terms) if terms else "0"
@@ -281,7 +283,7 @@ class LevelZeroCtx:
     than UNIT_CIRCLE_TOL, NaN or infinite, is refused."""
 
     def __init__(self, table: BesselTable, c: complex = 1.0):
-        if not abs(abs(c) - 1.0) <= UNIT_CIRCLE_TOL:  # NaN fails too
+        if not within(abs(abs(c) - 1.0), UNIT_CIRCLE_TOL):
             raise PreconditionViolated(f"c = {c} must lie on the unit circle")
         self.table = table
         self.rep = table.rep
@@ -384,7 +386,7 @@ def _canonical_ratios(tables, js0, dual0, c: complex) -> list:
     num = b0 * d.den + 0.0
     num[:, :len(d.num)] += p * d.num
     den = a0 * d.den + 0.0
-    return [RatQS(num[t], den[t]) if abs(p[t, 0]) > ZERO_COEFF
+    return [RatQS(num[t], den[t]) if not within(abs(p[t, 0]), ZERO_COEFF)
             else RatQS(b0[t], a0[t]) for t in range(len(tables))]
 
 
@@ -429,8 +431,8 @@ def modified_fe_scans(tables, profiles: exjs.BlockProfiles = None):
     denominators, are rows linear in (b, p, a, r) with pair-independent
     coefficients (`_coefficient_block`), so the rows of every pair of a
     block are a few broadcast products.  A pair's residual is
-    max|row0 - row1| / max(|row0|, |row1|), and 0 (0 = 0) when no
-    coefficient exceeds ZERO_COEFF.  Its memory grows with the block.
+    max|row0 - row1| / max(|row0|, |row1|), and 0 (0 = 0) when every
+    coefficient is `within` ZERO_COEFF.  Its memory grows with the block.
 
     Returns one (gamma~, max residual, pairs checked) per table."""
     if not tables:
@@ -460,12 +462,11 @@ def modified_fe_scans(tables, profiles: exjs.BlockProfiles = None):
     row1[..., :1] += c3 * j1
     scale = np.maximum(np.abs(row0).max(axis=1), np.abs(row1).max(axis=1))
     gap = np.abs(np.subtract(row0, row1, out=row0)).max(axis=1)
-    resid = np.divide(gap, scale, out=np.zeros_like(gap), where=scale > ZERO_COEFF)
+    resid = np.divide(gap, scale, out=np.zeros_like(gap), where=~within(scale, ZERO_COEFF))
     worst = resid.max(axis=(1, 2))
-    bad = np.flatnonzero(worst > exjs.FE_TOL)
-    if bad.size:
-        raise NonConstantRatio(f"modified functional equation residual {worst[bad[0]]}"
-                               f" at theta = {tables[bad[0]].rep.exponent}")
+    require_within(worst, exjs.FE_TOL, [table.rep.exponent for table in tables],
+                   lambda i, where: NonConstantRatio(
+                       f"modified functional equation residual {worst[i]} {where}"))
     return list(zip(gammas, worst.tolist(), [pairs] * len(tables)))
 
 
@@ -493,7 +494,7 @@ def l_factor_from_shalika_functionals(ctx: LevelZeroCtx) -> RatQS:
     if ctx.n % 2:
         return RatQS.one()
     witness = exjs.shalika_witness(ctx.table)
-    if abs(shalika_functional_value(ctx, witness)) <= PERIOD_ZERO_TOL:
+    if within(abs(shalika_functional_value(ctx, witness)), PERIOD_ZERO_TOL):
         return RatQS.one()
     base = cmath.exp(1j * cmath.phase(ctx.c) / ctx.m) * (abs(ctx.c) ** (1.0 / ctx.m))
     out = RatQS.one()

@@ -20,7 +20,7 @@ from gammalab.bessel import (
 )
 from gammalab.charkit import AddChar, regular_exponents, regular_orbit_reps
 from gammalab.cuspchar import CuspidalRep
-from gammalab.errors import PreconditionViolated, Singular
+from gammalab.errors import OracleFailed, PreconditionViolated, Singular
 from gammalab.ffield import build_field
 from gammalab import matgrp as mg
 from polyref import poly_eval
@@ -282,6 +282,24 @@ def test_closed_forms_refuse_another_n():
         bessel_closed_forms(f, 3, [1], AddChar(f))
     with pytest.raises(PreconditionViolated):
         bessel_closed_form_gl4(CuspidalRep(f, 1), AddChar(f), 1, 1)
+
+
+def test_tables_refuse_a_nan_normalization(monkeypatch):
+    # a NaN character column makes that table's B(I) NaN: the normalization
+    # check must refuse it and name its theta, not let it through as "not
+    # over the bound"
+    from gammalab import bessel
+    f = build_field(5, 1, 2)
+    ks = regular_orbit_reps(f, 2)
+    matrix = bessel.character_matrix
+
+    def poisoned(ctx, n, classes, exponents):
+        chi = matrix(ctx, n, classes, exponents).copy()
+        chi[:, 1] = np.nan
+        return chi
+    monkeypatch.setattr(bessel, "character_matrix", poisoned)
+    with pytest.raises(OracleFailed, match=rf"B\(I\) = \(?nan.* at theta = {ks[1]}\)$"):
+        bessel_tables(f, 2, ks, AddChar(f))
 
 
 def test_csv_export(tmp_path):

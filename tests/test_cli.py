@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -110,9 +111,10 @@ def test_verify_checks_only_the_named_theta(capsys, monkeypatch):
     assert data["failed"] == 0 and len(data["checks"]) == 11
 
 
-def _verify_shifted(argv, shift, capsys, monkeypatch):
-    """verify's checks, by name, with every table moved by `shift(values,
-    start, count)`: start and count those of the (1, n - 1) run."""
+def _verify_shifted(argv, shift, capsys, monkeypatch, command="verify"):
+    """The checks `command` printed, by name (None when it printed nothing),
+    with every table moved by `shift(values, start, count)`: start and count
+    those of the (1, n - 1) run."""
     tables = cli.bessel_tables
 
     def shifted(ctx, n, ks, psi):
@@ -124,8 +126,10 @@ def _verify_shifted(argv, shift, capsys, monkeypatch):
             out.append(BesselTable(t.rep, t.psi, values))
         return out
     monkeypatch.setattr(cli, "bessel_tables", shifted)
-    code, out = run_main(["verify"] + argv, capsys)
-    return code, {line.split()[1]: line for line in json.loads(out)["checks"]}
+    code, out = run_main([command] + argv, capsys)
+    if not out:
+        return code, None
+    return code, {line.split()[1]: line for line in json.loads(out).get("checks", [])}
 
 
 @pytest.mark.parametrize("q, n, theta", [(5, 2, 1), (3, 2, 1), (2, 4, 1), (2, 5, 1)])
@@ -148,6 +152,65 @@ def test_verify_refuses_the_shift_the_modified_certificate_passes(capsys, monkey
     assert code == cli.EXIT_VERIFY_FAILED
     assert checks["functional_equation"].startswith("PASS")
     assert checks["bessel_closed_form"].startswith("FAIL")
+
+
+def _nan_at_key_3(values, start, count):
+    values[3] = np.nan
+
+
+def _nan_everywhere(values, start, count):
+    values[:] = np.nan
+
+
+@pytest.mark.parametrize("q, n, theta, poison", [
+    (5, 2, 1, _nan_at_key_3),  # the plain certificate's residual is NaN
+    (5, 2, 4, _nan_everywhere),  # the Shalika row's gamma~ and residual are NaN
+    (4, 3, 1, _nan_everywhere),  # JS(W0, phi0) and every route's gamma are NaN
+])
+def test_gamma_refuses_non_finite_tables(q, n, theta, poison, capsys, monkeypatch):
+    # a NaN residual fails its certificate: exit 1 with nothing printed, not
+    # exit 0 with a NaN printed, a route disagreement (exit 3) or an uncaught
+    # exception
+    cell = ["--q", str(q), "--n", str(n), "--theta", str(theta)]
+    code, checks = _verify_shifted(cell, poison, capsys, monkeypatch, "gamma")
+    assert code == cli.EXIT_VERIFY_FAILED and checks is None
+
+
+def test_verify_fails_a_nan_functional_equation(capsys, monkeypatch):
+    # the block's certificate refuses the NaN, so the functional equation
+    # fails with residual inf rather than printing the PASS of a dropped NaN
+    code, checks = _verify_shifted(["--q", "4", "--n", "3", "--theta", "1"],
+                                   _nan_at_key_3, capsys, monkeypatch)
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert checks["functional_equation"] == "FAIL functional_equation residual=inf"
+
+
+def test_verify_keeps_a_nan_residual(capsys, monkeypatch):
+    # a NaN from one block's closed-form distance survives the fold over the
+    # blocks, whatever comes after it, and fails its line
+    distance = cli._closed_form_distance
+    calls = []
+
+    def first_nan(ctx, tables, psi):
+        calls.append(1)
+        return math.nan if len(calls) == 1 else distance(ctx, tables, psi)
+    monkeypatch.setattr(cli, "_closed_form_distance", first_nan)
+    monkeypatch.setattr(cli, "THETA_BLOCK", 2)
+    code, out = run_main(["verify", "--q", "5", "--n", "2"], capsys)
+    checks = {line.split()[1]: line for line in json.loads(out)["checks"]}
+    assert len(calls) > 1 and code == cli.EXIT_VERIFY_FAILED
+    assert checks["bessel_closed_form"] == "FAIL bessel_closed_form residual=nan"
+    assert sum(line.startswith("FAIL") for line in checks.values()) == 1
+
+
+def test_verify_passes_a_residual_equal_to_its_bound(capsys, monkeypatch):
+    # every check passes a residual at most its bound, as the certificates
+    # and --tol do
+    monkeypatch.setattr(cli, "_closed_form_distance",
+                        lambda ctx, tables, psi: cli.CLOSED_FORM_TOL)
+    code, out = run_main(["verify", "--q", "3", "--n", "2"], capsys)
+    assert code == cli.EXIT_OK
+    assert "PASS bessel_closed_form residual=1.000e-08" in json.loads(out)["checks"]
 
 
 def test_verify_fails_a_simplification_that_cancels_nothing(capsys, monkeypatch):
