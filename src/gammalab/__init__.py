@@ -3,6 +3,10 @@ GL_n over a finite field, computed by three independent routes, together
 with the level-zero local factors L, epsilon, gamma as rational functions
 in X = q^(-s)."""
 
+import os
+# the package makes no threaded BLAS call: numpy, imported below, need start no pool
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .ffield import FieldCtx, build_field
 from .charkit import (
     AddChar,

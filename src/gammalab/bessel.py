@@ -45,10 +45,17 @@ PASS_VALUES = 2 ** 13
 def require_profile_size(q: int, n: int) -> None:
     """Refuse a cell whose support profile needs more than MAX_CLASS_TYPINGS
     class typings: |N_n| = q^(n(n-1)/2) for each of the (q - 1) * q^(n-1)
-    support keys, a count that depends on (q, n) alone, so no table need be
-    built first."""
-    typings = q ** (n * (n - 1) // 2) * (q - 1) * q ** (n - 1)
-    if typings > MAX_CLASS_TYPINGS:
+    support keys, q^a (q - 1) with a = (n - 1)(n + 2)/2, from (q, n) alone.
+    Its magnitude is at least 2^low, from bit lengths; past 2^256 it is not
+    formed or printed, and is over the limit unless negative (q < 0, a even)."""
+    a = (n - 1) * (n + 2) // 2
+    low = a * (abs(q).bit_length() - 1) + abs(q - 1).bit_length() - 1
+    if low <= 256:
+        typings = q ** a * (q - 1)
+        over = typings > MAX_CLASS_TYPINGS
+    else:
+        typings, over = f"at least 2^{low}", q > 0 or a % 2 == 1
+    if over:
         raise PreconditionViolated(
             f"the Bessel support profile at q = {q}, n = {n} needs"
             f" {typings} class typings, over the limit of {MAX_CLASS_TYPINGS}")

@@ -26,9 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import exjs, levelzero
-from .bessel import (MAX_CLASS_TYPINGS, bessel_closed_forms, bessel_tables,
-                     export_bessel_csv, require_profile_size, support_keys,
-                     support_signatures)
+from .bessel import (bessel_closed_forms, bessel_tables, export_bessel_csv,
+                     require_profile_size, support_keys, support_signatures)
 from .charkit import AddChar, character_sums, regular_orbit, regular_orbit_reps
 from .cuspchar import CHARACTER_TOL, verify_irreducible
 from .errors import (GammalabError, NonConstantRatio, OracleFailed,
@@ -90,13 +89,11 @@ def _parser() -> argparse.ArgumentParser:
                     " of GL_n over finite fields.")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("gamma", "verify", "export"):
-        sp = sub.add_parser(name)
+        # no prefixes: --p or --e would read as --psi-inverse or --exhaustive
+        sp = sub.add_parser(name, allow_abbrev=False)
         # refusals after parsing print this subcommand's usage (`parse_config`)
         sp.set_defaults(subparser=sp)
-        sp.add_argument("--p", type=int, default=None, help="characteristic")
-        sp.add_argument("--e", type=int, default=None,
-                        help="base extension degree; q = p^e (default 1)")
-        sp.add_argument("--q", type=int, default=None, help="base-field size (prime power)")
+        sp.add_argument("--q", type=int, required=True, help="base-field size (prime power)")
         sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--theta", default="all-regular",
                         help="character exponent k, or 'all-regular'")
@@ -115,25 +112,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _prime_power(q: int):
-    """(p, e) with q = p^e, trial-dividing only up to sqrt(q)
-    (`ffield._prime_factors`)."""
+    """(p, e) with q = p^e, trial-dividing only up to sqrt(q) (`ffield._prime_factors`)."""
     factors = _prime_factors(q)  # [] for q < 2
     if len(factors) != 1:
         raise PreconditionViolated(f"q = {q} is not a prime power")
-    p, e = factors[0], 0
-    while q > 1:
-        q //= p
-        e += 1
-    return p, e
+    return factors[0], round(math.log(q, factors[0]))  # exact for q = p^e
 
 
 def parse_config(argv) -> RunConfig:
     ns = _parser().parse_args(argv)
     ap = ns.subparser
-    if ns.q is not None and (ns.p is not None or ns.e is not None):
-        ap.error("--q excludes --p and --e")
-    if ns.q is None and ns.p is None:
-        ap.error("one of --q or --p is required")
     if ns.n < 2:
         ap.error(f"--n must be >= 2, got {ns.n}")
     if ns.trials < 1:
@@ -153,15 +141,10 @@ def parse_config(argv) -> RunConfig:
             ap.error(f"--out {ns.out!r} is a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(ns.out))):
             ap.error(f"the directory of --out {ns.out!r} does not exist")
-    # the size of the cell needs q and n alone, so it is refused before q
-    # is factored: trial division up to sqrt(q) would not end for a large
-    # prime q
-    e = 1 if ns.e is None else ns.e
-    # typings >= q - 1, so a p^e over twice the limit is refused before it is formed
-    if ns.q is None and e * math.log2(abs(ns.p) or 1) > math.log2(2 * MAX_CLASS_TYPINGS):
-        ap.error(f"q = {ns.p}^{e} needs more than {MAX_CLASS_TYPINGS} class typings")
-    require_profile_size(ns.p ** e if ns.q is None else ns.q, ns.n)
-    p, e = (ns.p, e) if ns.q is None else _prime_power(ns.q)
+    # the cell's size needs q and n alone, so it is refused before q is
+    # factored: trial division up to sqrt(q) would not end for a large prime
+    require_profile_size(ns.q, ns.n)
+    p, e = _prime_power(ns.q)
     return RunConfig(ns.command, p, e, ns.n, ns.theta, ns.psi_inverse, c, ns.seed,
                      ns.trials, ns.tol, ns.format, ns.out, getattr(ns, "exhaustive", False))
 
@@ -502,11 +485,7 @@ def cmd_export(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     try:
         cfg = parse_config(argv)
-        if cfg.command == "gamma":
-            return cmd_gamma(cfg)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
-        return cmd_export(cfg)
+        return {"gamma": cmd_gamma, "verify": cmd_verify, "export": cmd_export}[cfg.command](cfg)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (OracleFailed, NonConstantRatio) as exc:

@@ -117,12 +117,13 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, e: int, n: int):
-        if _prime_factors(p) != [p]:
-            raise NotPrime(f"p={p} is not prime")
         if e < 1 or n < 1:
             raise TooLarge("degrees must be >= 1")
-        if p ** (e * n) > ORDER_CAP:
-            raise TooLarge(f"p^(e*n) = {p ** (e * n)} exceeds cap {ORDER_CAP}")
+        # p^(e*n) >= 2^(e*n*(bit_length(p) - 1)): no large power is formed or p trial-divided
+        if e * n * (p.bit_length() - 1) >= ORDER_CAP.bit_length() or p ** (e * n) > ORDER_CAP:
+            raise TooLarge(f"p^(e*n) = {p}^{e * n} exceeds cap {ORDER_CAP}")
+        if _prime_factors(p) != [p]:
+            raise NotPrime(f"p={p} is not prime")
         self.p = p
         self.e = e
         self.n = n

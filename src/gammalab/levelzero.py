@@ -11,7 +11,6 @@ function with complex coefficients, compared by cross-multiplication.
 from __future__ import annotations
 
 import cmath
-import math
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
@@ -44,7 +43,9 @@ ZERO_COEFF = 1e-13
 
 def _trim(arr):
     a = np.asarray(arr, dtype=complex).ravel()
-    nz = np.flatnonzero(~within(np.abs(a), ZERO_COEFF))  # NaN is nonzero
+    if not np.isfinite(a).all():
+        raise PreconditionViolated("a RatQS coefficient is not finite")
+    nz = np.flatnonzero(~within(np.abs(a), ZERO_COEFF))
     if len(nz) == 0:
         return np.zeros(0, dtype=complex), 0
     lead = nz[0]
@@ -232,11 +233,9 @@ class RatQS:
 
 def l_factor(c: complex, m: int) -> RatQS:
     """L(ms, omega) = 1 / (1 - c X^m); the empty factor 1 when c = 0
-    (ramified twist)."""
+    (ramified twist).  A non-finite c is refused as a RatQS coefficient."""
     if m < 1:
         raise PreconditionViolated("m must be >= 1")
-    if not abs(c) < math.inf:  # NaN fails too
-        raise PreconditionViolated(f"c = {c} must be finite")
     if c == 0:
         return RatQS.one()
     den = np.zeros(m + 1, dtype=complex)
@@ -374,20 +373,28 @@ def _canonical_ratios(tables, js0, dual0, c: complex) -> list:
 
     one RatQS per table.  A p of at most ZERO_COEFF is 0, as RatQS trims
     it, and leaves the constant b0 / a0.  Adding 0.0 turns the -0.0 of a
-    product into the 0.0 that RatQS arithmetic writes."""
+    product into the 0.0 that RatQS arithmetic writes.  A ratio with a
+    non-finite coefficient fails (OracleFailed) at its theta."""
     first = tables[0]
     q, n, m = first.ctx.q, first.n, first.n // 2
     at = exjs._canonical_point(first.ctx, n)
     a0, b0 = js0[:, at, None], dual0[:, at, None]
-    if n % 2:
-        return [RatQS(b, a) for a, b in zip(a0, b0)]
-    d = _level_zero_terms(q, m, complex(c)).dual_corr
-    p = q ** (-m / 2.0) * js0.sum(axis=1, keepdims=True)
-    num = b0 * d.den + 0.0
-    num[:, :len(d.num)] += p * d.num
-    den = a0 * d.den + 0.0
-    return [RatQS(num[t], den[t]) if not within(abs(p[t, 0]), ZERO_COEFF)
-            else RatQS(b0[t], a0[t]) for t in range(len(tables))]
+    coeffs = zip(b0, a0)
+    if n % 2 == 0:
+        d = _level_zero_terms(q, m, complex(c)).dual_corr
+        p = q ** (-m / 2.0) * js0.sum(axis=1, keepdims=True)
+        num = b0 * d.den + 0.0
+        num[:, :len(d.num)] += p * d.num
+        den = a0 * d.den + 0.0
+        coeffs = [(num[t], den[t]) if not within(abs(p[t, 0]), ZERO_COEFF)
+                  else (b0[t], a0[t]) for t in range(len(tables))]
+    ratios = []
+    for table, (num, den) in zip(tables, coeffs):
+        try:
+            ratios.append(RatQS(num, den))
+        except PreconditionViolated as exc:  # a non-finite coefficient
+            raise OracleFailed("canonical ratio", f"{exc} at theta = {table.rep.exponent}")
+    return ratios
 
 
 def _coefficient_block(terms: _Terms, gammas) -> np.ndarray:

@@ -48,6 +48,20 @@ def test_profile_size_counts_the_typings_of_every_support_key(p, e, n):
             require_profile_size(f.q, n)
 
 
+@pytest.mark.parametrize("q", [-7, -4, -2, -1, 0, 1, 2, 3, 4, 5, 2 ** 61 - 1, 2 ** 85,
+                               -(2 ** 85), 2 ** 86 + 1, -(2 ** 86) - 1, 3 ** 200])
+def test_profile_size_decides_on_the_exact_count(q):
+    # formed or bounded by bit lengths, the refusal is exactly
+    # typings > MAX_CLASS_TYPINGS, at either sign of the count
+    for n in range(1, 9):
+        typings = q ** (n * (n - 1) // 2) * (q - 1) * q ** (n - 1)
+        if typings <= MAX_CLASS_TYPINGS:
+            require_profile_size(q, n)
+        else:
+            with pytest.raises(PreconditionViolated, match="class typings, over the limit"):
+                require_profile_size(q, n)
+
+
 def test_identity_normalization():
     for (p, n, k) in ((2, 2, 1), (3, 2, 1), (2, 3, 1), (3, 3, 1), (2, 4, 1)):
         t = table_for(p, 1, n, k)

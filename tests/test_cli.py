@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -111,10 +113,9 @@ def test_verify_checks_only_the_named_theta(capsys, monkeypatch):
     assert data["failed"] == 0 and len(data["checks"]) == 11
 
 
-def _verify_shifted(argv, shift, capsys, monkeypatch, command="verify"):
-    """The checks `command` printed, by name (None when it printed nothing),
-    with every table moved by `shift(values, start, count)`: start and count
-    those of the (1, n - 1) run."""
+def _shift_tables(shift, monkeypatch):
+    """Move every table `cli` builds by `shift(values, start, count)`: start
+    and count those of the (1, n - 1) run."""
     tables = cli.bessel_tables
 
     def shifted(ctx, n, ks, psi):
@@ -126,6 +127,13 @@ def _verify_shifted(argv, shift, capsys, monkeypatch, command="verify"):
             out.append(BesselTable(t.rep, t.psi, values))
         return out
     monkeypatch.setattr(cli, "bessel_tables", shifted)
+
+
+def _verify_shifted(argv, shift, capsys, monkeypatch, command="verify"):
+    """The checks `command` printed, by name (None when it printed nothing),
+    with every table moved by `shift(values, start, count)`: start and count
+    those of the (1, n - 1) run."""
+    _shift_tables(shift, monkeypatch)
     code, out = run_main([command] + argv, capsys)
     if not out:
         return code, None
@@ -174,6 +182,19 @@ def test_gamma_refuses_non_finite_tables(q, n, theta, poison, capsys, monkeypatc
     cell = ["--q", str(q), "--n", str(n), "--theta", str(theta)]
     code, checks = _verify_shifted(cell, poison, capsys, monkeypatch, "gamma")
     assert code == cli.EXIT_VERIFY_FAILED and checks is None
+
+
+def test_nan_shalika_table_fails_with_one_error_line(capsys, monkeypatch):
+    # every value NaN at (5, 2), theta = 4: the canonical ratio is refused
+    # where its RatQS is built, naming theta, before numpy warns of a NaN
+    _shift_tables(_nan_everywhere, monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["gamma", "--q", "5", "--n", "2", "--theta", "4"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VERIFY_FAILED and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert captured.err.endswith("at theta = 4)\n")
 
 
 def test_verify_fails_a_nan_functional_equation(capsys, monkeypatch):
@@ -269,6 +290,21 @@ def test_byte_determinism_across_processes(tmp_path):
     assert a == b and a
 
 
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_import_keeps_openblas_to_one_thread_unless_set(preset):
+    # the package makes no threaded BLAS call, so importing it sets
+    # OPENBLAS_NUM_THREADS before numpy starts OpenBLAS; a value set is kept
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = "import os, gammalab; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == f"{preset or 1}\n"
+
+
 def test_psi_inverse_flag(capsys):
     code, out = run_main(["gamma", "--q", "3", "--n", "2", "--theta", "1",
                           "--psi-inverse"], capsys)
@@ -302,32 +338,37 @@ def test_large_prime_q_refused_quickly(q, capsys, monkeypatch):
     assert captured.err.startswith("error:") and "class typings" in captured.err
 
 
-@pytest.mark.parametrize("e", [23, 1000000, 10 ** 30])
-def test_huge_e_refused_before_q_is_formed(e, capsys, monkeypatch):
-    # q = 2^e over twice MAX_CLASS_TYPINGS has more than q - 1 typings; it is
-    # refused under the usage line without forming q (a 301,030-digit
-    # 2^1000000 could not be printed in the size refusal's message)
-    monkeypatch.setattr(cli, "require_profile_size", lambda *a: pytest.fail("q formed"))
+@pytest.mark.parametrize("command", ["gamma", "verify", "export"])
+@pytest.mark.parametrize("q, n", [(2, 170), (2, 200000), (10 ** 3000 + 1, 2), (2, 10 ** 100)])
+def test_oversized_cells_refused_at_once(command, q, n, tmp_path, capsys, monkeypatch):
+    # a cell whose typing count is too large to print, or to form, is
+    # refused by naming the limit, before q is factored or a field built
+    monkeypatch.setattr(cli, "build_field", lambda *a: pytest.fail("build_field called"))
+    argv = [command, "--q", str(q), "--n", str(n), "--out", str(tmp_path / "out")]
     t0 = time.perf_counter()
-    code = cli.main(["gamma", "--p", "2", "--e", str(e), "--n", "2"])
+    code = cli.main(argv)
     assert time.perf_counter() - t0 < 2.0
     captured = capsys.readouterr()
     assert code == cli.EXIT_PRECONDITION and captured.out == ""
-    assert captured.err.startswith("usage: gammalab gamma ")
-    assert f"q = 2^{e} needs more than" in captured.err
+    assert captured.err.startswith("error: the Bessel support profile at")
+    assert "class typings, over the limit of" in captured.err
+    assert "Traceback" not in captured.err and list(tmp_path.iterdir()) == []
 
 
-def test_e_at_twice_the_limit_reaches_the_size_refusal(capsys):
-    # 2^22 = 2 * MAX_CLASS_TYPINGS: q is formed and refused by its count
-    code = cli.main(["gamma", "--p", "2", "--e", "22", "--n", "2"])
-    captured = capsys.readouterr()
-    assert code == cli.EXIT_PRECONDITION
-    assert captured.err.startswith("error:") and "class typings" in captured.err
+def test_p_and_e_are_not_options(capsys):
+    # --q is the one spelling of the field: --p is refused, and neither
+    # option is in any subcommand's help
+    assert cli.main(["gamma", "--p", "3", "--n", "2"]) == cli.EXIT_PRECONDITION
+    assert capsys.readouterr().out == ""
+    for command in ("gamma", "verify", "export"):
+        assert cli.main([command, "--help"]) == cli.EXIT_OK
+        usage = capsys.readouterr().out
+        assert "--q Q" in usage and not re.search(r"--[pe]\b", usage)
 
 
 _REFUSED = [["--q", "3", "--n", "1"], ["--q", "3", "--n", "2", "--trials", "0"],
             ["--q", "3", "--n", "2", "--tol", "nan"], ["--q", "3", "--n", "2", "--theta", "x"],
-            ["--q", "3", "--n", "2", "--c-re", "2"], ["--q", "3", "--p", "3", "--n", "2"],
+            ["--q", "3", "--n", "2", "--c-re", "2"], ["--q", "x", "--n", "2"],
             ["--n", "2"], ["--q", "3", "--n", "2", "--out", "MISSING_DIR/rows.json"]]
 
 
@@ -783,8 +824,9 @@ def test_export_exits_3_on_route_disagreement(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["gamma", "verify", "export"])
 @pytest.mark.parametrize("field", [["--p", "3"], ["--e", "2"], ["--p", "2", "--e", "3"]])
 def test_q_refused_next_to_p_or_e(command, field, tmp_path, capsys, monkeypatch):
-    # --q and --p/--e are alternatives: refused while parsing, before any
-    # field is built, with nothing on stdout and no file written
+    # --p and --e are no options, nor prefixes of --psi-inverse and
+    # --exhaustive: refused while parsing, before any field is built, with
+    # nothing on stdout and no file written
     monkeypatch.chdir(tmp_path)
     calls = []
     monkeypatch.setattr(cli, "build_field", lambda *a: calls.append(a))
@@ -794,14 +836,8 @@ def test_q_refused_next_to_p_or_e(command, field, tmp_path, capsys, monkeypatch)
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == cli.EXIT_PRECONDITION and captured.out == ""
-    assert "--q excludes --p and --e" in captured.err
+    assert f"unrecognized arguments: {' '.join(field)}" in captured.err
     assert calls == [] and list(tmp_path.iterdir()) == []
-
-
-def test_e_defaults_to_one_next_to_p(capsys):
-    assert run_main(["gamma", "--p", "3", "--n", "2"], capsys) == \
-        run_main(["gamma", "--p", "3", "--e", "1", "--n", "2"], capsys) == \
-        run_main(["gamma", "--q", "3", "--n", "2"], capsys)
 
 
 @pytest.mark.parametrize("q, n", [(5, 2), (4, 3), (3, 4)])

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import pytest
@@ -12,6 +13,17 @@ def test_build_rejects_bad_input():
         build_field(4, 1, 2)
     with pytest.raises(TooLarge):
         build_field(2, 1, 25)
+
+
+@pytest.mark.parametrize("p, e, n", [(2, 20000, 1), (2 ** 61 - 1, 1, 2)])
+def test_order_cap_refused_without_forming_the_order(p, e, n):
+    # 2^20000 has 6,021 digits, more than an int prints by default: the cap
+    # is decided by bit length and the order named by its exponent, before
+    # p is trial-divided (up to sqrt(2^61 - 1) that would not end)
+    t0 = time.perf_counter()
+    with pytest.raises(TooLarge, match=rf"{p}\^{e * n} exceeds cap"):
+        build_field(p, e, n)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_small_field_orders():

@@ -56,6 +56,13 @@ def test_ratqs_basics():
     assert (s - g).equals(f)
 
 
+@pytest.mark.parametrize("num, den", [([np.nan], [1.0]), ([1.0, np.inf], [1.0]),
+                                      ([1.0], [1.0, complex(0, np.nan)])])
+def test_ratqs_refuses_non_finite_coefficients(num, den):
+    with pytest.raises(PreconditionViolated, match="not finite"):
+        RatQS(num, den)
+
+
 def test_ratqs_equality_matches_evaluation():
     rng = random.Random(1)
     for _ in range(20):
@@ -477,9 +484,8 @@ def test_levelzero_preconditions():
 @pytest.mark.parametrize("c", [complex("nan"), complex(float("nan"), 1.0),
                                complex("inf"), complex(0.0, float("-inf"))])
 def test_non_finite_c_refused(c):
-    # NaN compares false with every bound, and _trim drops a NaN coefficient:
-    # without the explicit refusal the context was accepted and l_factor
-    # read 1
+    # NaN compares false with every bound: the context refuses c off the
+    # unit circle, and l_factor refuses it as a non-finite RatQS coefficient
     table = make_table(3, 1, 2, 2)
     with pytest.raises(PreconditionViolated):
         LevelZeroCtx(table, c)
