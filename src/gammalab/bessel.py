@@ -25,7 +25,7 @@ import numpy as np
 
 from .charkit import AddChar, _read_only, _roots_of_unity, character_sums
 from .cuspchar import CuspidalRep, character_matrix
-from .errors import OracleFailed, PreconditionViolated, require_within
+from .errors import OracleFailed, PreconditionViolated, name_int, require_within
 from .ffield import FieldCtx
 from . import matgrp as mg
 
@@ -45,19 +45,15 @@ PASS_VALUES = 2 ** 13
 def require_profile_size(q: int, n: int) -> None:
     """Refuse a cell whose support profile needs more than MAX_CLASS_TYPINGS
     class typings: |N_n| = q^(n(n-1)/2) for each of the (q - 1) * q^(n-1)
-    support keys, q^a (q - 1) with a = (n - 1)(n + 2)/2, from (q, n) alone.
-    Its magnitude is at least 2^low, from bit lengths; past 2^256 it is not
-    formed or printed, and is over the limit unless negative (q < 0, a even)."""
+    support keys, q^a (q - 1) with a = (n - 1)(n + 2)/2, from (q, n) alone,
+    for q >= 2.  It is at least 2^low, from bit lengths; past 2^256 it is
+    not formed or printed, and is over the limit."""
     a = (n - 1) * (n + 2) // 2
-    low = a * (abs(q).bit_length() - 1) + abs(q - 1).bit_length() - 1
-    if low <= 256:
-        typings = q ** a * (q - 1)
-        over = typings > MAX_CLASS_TYPINGS
-    else:
-        typings, over = f"at least 2^{low}", q > 0 or a % 2 == 1
-    if over:
+    low = a * (q.bit_length() - 1) + (q - 1).bit_length() - 1
+    typings = q ** a * (q - 1) if low <= 256 else f"at least 2^{low}"
+    if low > 256 or typings > MAX_CLASS_TYPINGS:
         raise PreconditionViolated(
-            f"the Bessel support profile at q = {q}, n = {n} needs"
+            f"the Bessel support profile at q = {name_int(q)}, n = {n} needs"
             f" {typings} class typings, over the limit of {MAX_CLASS_TYPINGS}")
 
 

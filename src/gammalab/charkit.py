@@ -82,14 +82,12 @@ class MultChar:
         self.ctx = ctx
         self.level_deg = level_deg
         self.modulus = ctx.q ** level_deg - 1
-        self.exponent = exponent % self.modulus if self.modulus else 0
-        self._zeta = _roots_of_unity(self.modulus) if self.modulus else None
+        self.exponent = exponent % self.modulus
+        self._zeta = _roots_of_unity(self.modulus)
 
     def __call__(self, xi: int) -> complex:
         if xi == 0:
             raise ZeroHasNoLog("multiplicative character of 0")
-        if self.modulus == 0:
-            return 1.0 + 0j
         j = self.ctx.subfield_dlog(xi, self.level_deg)
         return self._zeta[(self.exponent * j) % self.modulus]
 
@@ -102,7 +100,7 @@ class MultChar:
     def galois_orbit(self) -> tuple:
         q, m = self.ctx.q, self.modulus
         return tuple(sorted({(self.exponent * pow(q, i, m)) % m
-                             for i in range(self.level_deg)})) if m else (0,)
+                             for i in range(self.level_deg)}))
 
 
 def is_regular(theta: MultChar, n: int) -> bool:

@@ -31,7 +31,7 @@ from .bessel import (bessel_closed_forms, bessel_tables, export_bessel_csv,
 from .charkit import AddChar, character_sums, regular_orbit, regular_orbit_reps
 from .cuspchar import CHARACTER_TOL, verify_irreducible
 from .errors import (GammalabError, NonConstantRatio, OracleFailed,
-                     PreconditionViolated, within)
+                     PreconditionViolated, name_int, within)
 from .ffield import _prime_factors, build_field
 from .levelzero import LevelZeroCtx, RatQS
 from . import matgrp as mg
@@ -115,7 +115,7 @@ def _prime_power(q: int):
     """(p, e) with q = p^e, trial-dividing only up to sqrt(q) (`ffield._prime_factors`)."""
     factors = _prime_factors(q)  # [] for q < 2
     if len(factors) != 1:
-        raise PreconditionViolated(f"q = {q} is not a prime power")
+        raise PreconditionViolated(f"q = {name_int(q)} is not a prime power")
     return factors[0], round(math.log(q, factors[0]))  # exact for q = p^e
 
 
@@ -142,8 +142,10 @@ def parse_config(argv) -> RunConfig:
         if not os.path.isdir(os.path.dirname(os.path.abspath(ns.out))):
             ap.error(f"the directory of --out {ns.out!r} does not exist")
     # the cell's size needs q and n alone, so it is refused before q is
-    # factored: trial division up to sqrt(q) would not end for a large prime
-    require_profile_size(ns.q, ns.n)
+    # factored: trial division up to sqrt(q) would not end for a large prime.
+    # A q < 2 has no factors and is refused by _prime_power at once.
+    if ns.q >= 2:
+        require_profile_size(ns.q, ns.n)
     p, e = _prime_power(ns.q)
     return RunConfig(ns.command, p, e, ns.n, ns.theta, ns.psi_inverse, c, ns.seed,
                      ns.trials, ns.tol, ns.format, ns.out, getattr(ns, "exhaustive", False))

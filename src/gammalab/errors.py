@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and its one verdict on a bound."""
+"""Exception types shared across the package, the one name of an integer in
+their messages, and the package's one verdict on a bound."""
 
 import numpy as np
 
@@ -75,6 +76,14 @@ class PreconditionViolated(GammalabError):
 
 class DimensionBoundViolated(GammalabError):
     pass
+
+
+def name_int(v: int) -> str:
+    """v in full below 2^256, else by its bit length, so that a message
+    naming an input stays one short line whatever the input."""
+    if v.bit_length() <= 256:
+        return str(v)
+    return f"a {'negative ' if v < 0 else ''}{v.bit_length()}-bit integer"
 
 
 def within(residual, bound):

@@ -6,10 +6,13 @@ lives inside it.  Elements are dense integer indices encoding coefficient
 vectors over F_p in a fixed polynomial basis, so embedding between levels of
 the tower is the identity on indices and there is never a coercion step.
 
-The defining modulus is chosen deterministically (smallest coefficient
-encoding among monic irreducibles whose root generates the multiplicative
-group), so all derived data -- generators, discrete logs, character values --
-are reproducible bit for bit.
+The defining modulus f is the monic polynomial of degree D = e*n with the
+smallest coefficient encoding in which x has order P - 1, P = p^D: x^(P-1) = 1
+and x^((P-1)/r) != 1 for every prime r | P - 1.  That one order test is also
+the irreducibility test: the units of F_p[x]/(f) number at most P - 1, with
+equality only when it is a field, so f is primitive.  The generator is x mod f
+and the log tables are its powers, so all derived data -- discrete logs,
+character values -- are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -74,13 +77,6 @@ def _pmod(a, f, p):
     return a
 
 
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
 def _ppow_x(exp: int, f, p):
     """x^exp mod f by square and multiply."""
     result = [1]
@@ -91,20 +87,6 @@ def _ppow_x(exp: int, f, p):
         base = _pmod(_pmul(base, base, p), f, p)
         exp >>= 1
     return result
-
-
-def _irreducible(f, p) -> bool:
-    d = len(f) - 1
-    xq = _ppow_x(p ** d, f, p)
-    if _ptrim(list(xq)) != [0, 1]:
-        return False
-    for r in _prime_factors(d):
-        g = _ppow_x(p ** (d // r), f, p)
-        g = list(g) + [0, 0]
-        g[1] = (g[1] - 1) % p
-        if len(_pgcd(f, _ptrim(g), p)) - 1 != 0:
-            return False
-    return True
 
 
 class FieldCtx:
@@ -130,67 +112,41 @@ class FieldCtx:
         self.deg = e * n
         self.order = p ** self.deg
         self.q = p ** e
-        self.modulus, self.gen = self._select_modulus()
+        self.modulus = self._select_modulus()
         self._build_tables()
 
     # -- construction ---------------------------------------------------
 
     def _select_modulus(self):
-        p, D, P = self.p, self.deg, self.order
-        if D == 1:
-            for low in range(p):
-                root = (-low) % p
-                if root and self._order_mod_p(root) == p - 1:
-                    return (low, 1), root
-            # p == 2: the unit element generates the trivial group
-            return (1, 1), 1
-        for low in range(P):
-            coeffs = []
-            v = low
-            for _ in range(D):
-                coeffs.append(v % p)
-                v //= p
-            f = coeffs + [1]
-            if not _irreducible(f, p):
-                continue
-            if self._x_is_primitive(f):
-                return tuple(f), p  # gen = class of x, index p
-        raise TooLarge("no primitive irreducible modulus found")  # pragma: no cover
-
-    def _order_mod_p(self, a: int) -> int:
-        o, v = 1, a % self.p
-        while v != 1:
-            v = (v * a) % self.p
-            o += 1
-        return o
-
-    def _x_is_primitive(self, f) -> bool:
-        m = self.order - 1
-        for r in _prime_factors(m):
-            if _ptrim(list(_ppow_x(m // r, f, self.p))) == [1]:
-                return False
-        return True
+        p, D, m = self.p, self.deg, self.order - 1
+        cofactors = [m // r for r in _prime_factors(m)]
+        for low in range(self.order):
+            f = [low // p ** i % p for i in range(D)] + [1]
+            if _ppow_x(m, f, p) == [1] and all(_ppow_x(k, f, p) != [1] for k in cofactors):
+                return tuple(f)
+        raise TooLarge("no primitive modulus found")  # pragma: no cover
 
     def _build_tables(self):
         p, P = self.p, self.order
+        f = list(self.modulus)
         # index <-> coefficient vector: digits of the index base p, ascending
+        digit = [p ** i for i in range(self.deg)]
         self._dlog = [-1] * P
-        self._exp = [1] * max(P - 1, 1)
-        g = self.gen
-        acc = 1
+        self._exp = [1] * (P - 1)
+        acc = [1]  # gen^j = x^j mod f
         for j in range(P - 1):
-            self._exp[j] = acc
-            if self._dlog[acc] == -1:
-                self._dlog[acc] = j
-            acc = self._mul_raw(acc, g)
-        if acc != 1:
-            raise TooLarge("generator does not have full order")  # pragma: no cover
+            a = sum(map(int.__mul__, acc, digit))
+            self._exp[j] = a
+            self._dlog[a] = j
+            acc = _pmod([0] + acc, f, p)
         # Zech logarithms: _zech[k] = dlog(1 + g^k), and -1 (= _dlog[0])
         # where 1 + g^k = 0.  Adding 1 moves only the constant digit.
         exp = np.array(self._exp)
         self._zech = np.array(self._dlog)[exp - exp % p + (exp + 1) % p].tolist()
         # two periods of g^j, so a sum of two logs indexes it unreduced
         self._exp *= 2
+        # g = x mod f: index p for D >= 2, a primitive root for D = 1
+        self.gen = self._exp[1]
         # -1 = g^_half: half the group order for odd p, g^0 = 1 = -1 in
         # characteristic 2
         self._half = (P - 1) // 2 if p != 2 else 0
@@ -201,37 +157,6 @@ class FieldCtx:
         """The base field F_q as codes with gather tables (`BaseCodes`), for
         the batched matrix kernels of `matgrp`; built on first use."""
         return BaseCodes(self)
-
-    # -- raw index arithmetic --------------------------------------------
-
-    def _add_raw(self, a: int, b: int) -> int:
-        p = self.p
-        out, mult = 0, 1
-        while a or b:
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        p = self.p
-        if a == 0 or b == 0:
-            return 0
-        av = []
-        while a:
-            av.append(a % p)
-            a //= p
-        bv = []
-        while b:
-            bv.append(b % p)
-            b //= p
-        prod = _pmod(_pmul(av, bv, p), list(self.modulus), p)
-        out, mult = 0, 1
-        for c in prod:
-            out += c * mult
-            mult *= p
-        return out
 
     # -- public operations ------------------------------------------------
 
@@ -264,17 +189,14 @@ class FieldCtx:
         if a == 0:
             raise DivideByZero("0 has no inverse")
         m = self.order - 1
-        return self._exp[(m - self._dlog[a]) % m] if m else 1
+        return self._exp[(m - self._dlog[a]) % m]
 
     def pow(self, a: int, k: int) -> int:
         if a == 0:
             if k < 0:
                 raise DivideByZero("0 has no inverse")
             return 0 if k else 1
-        m = self.order - 1
-        if m == 0:
-            return 1
-        return self._exp[(self._dlog[a] * k) % m]
+        return self._exp[(self._dlog[a] * k) % (self.order - 1)]
 
     def frobenius(self, a: int) -> int:
         """a -> a^q, the generator of Gal over the base field."""
@@ -286,8 +208,7 @@ class FieldCtx:
         return self._dlog[a]
 
     def gen_power(self, j: int) -> int:
-        m = self.order - 1
-        return self._exp[j % m] if m else 1
+        return self._exp[j % (self.order - 1)]
 
     # -- the subfield lattice ----------------------------------------------
 

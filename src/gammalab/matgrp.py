@@ -30,7 +30,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DimensionMismatch, Singular, ZeroScalar
-from .ffield import FieldCtx
+from .ffield import FieldCtx, _ptrim
 
 Mat = tuple  # tuple of row tuples
 
@@ -434,12 +434,6 @@ def gl_order(q: int, n: int) -> int:
 
 # -- characteristic polynomial and conjugacy typing ----------------------------
 
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def poly_mul(ctx, a, b):
     if not a or not b:
         return []
@@ -450,7 +444,7 @@ def poly_mul(ctx, a, b):
             for j, y in enumerate(b):
                 if y:
                     out[i + j] = add(out[i + j], mul(x, y))
-    return _poly_trim(out)
+    return _ptrim(out)
 
 
 def charpoly(ctx: FieldCtx, a: Mat) -> list:
@@ -491,7 +485,7 @@ def charpoly(ctx: FieldCtx, a: Mat) -> list:
                 nc = neg(coeff)
                 for t, c in enumerate(pi):
                     term[t] = add(term[t], mul(nc, c))
-        polys.append(_poly_trim(term))
+        polys.append(_ptrim(term))
     return polys[n]
 
 

@@ -4,7 +4,8 @@ lists of field-element indices, ascending, with no trailing zeros; the
 package itself derives primary classes from Frobenius orbits
 (`matgrp.primary_charpolys`) and needs none of this."""
 
-from gammalab.matgrp import _poly_trim, poly_mul
+from gammalab.ffield import _ptrim
+from gammalab.matgrp import poly_mul
 
 
 def poly_mod(ctx, a, f):
@@ -20,7 +21,7 @@ def poly_mod(ctx, a, f):
         shift = len(a) - 1 - df
         for i, fi in enumerate(f):
             a[shift + i] = add(a[shift + i], neg(mul(c, fi)))
-        a = _poly_trim(a)
+        a = _ptrim(a)
     return a
 
 

@@ -339,10 +339,13 @@ def test_large_prime_q_refused_quickly(q, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["gamma", "verify", "export"])
-@pytest.mark.parametrize("q, n", [(2, 170), (2, 200000), (10 ** 3000 + 1, 2), (2, 10 ** 100)])
+@pytest.mark.parametrize("q, n", [(2, 170), (2, 200000), (10 ** 3000 + 1, 2), (2, 10 ** 100),
+                                  (-10 ** 3000 - 1, 2)])
 def test_oversized_cells_refused_at_once(command, q, n, tmp_path, capsys, monkeypatch):
     # a cell whose typing count is too large to print, or to form, is
-    # refused by naming the limit, before q is factored or a field built
+    # refused by naming the limit, and a q < 2 as no prime power, before q
+    # is factored or a field built, on one short line that names a q of
+    # 3,000 digits by its bit length
     monkeypatch.setattr(cli, "build_field", lambda *a: pytest.fail("build_field called"))
     argv = [command, "--q", str(q), "--n", str(n), "--out", str(tmp_path / "out")]
     t0 = time.perf_counter()
@@ -350,8 +353,14 @@ def test_oversized_cells_refused_at_once(command, q, n, tmp_path, capsys, monkey
     assert time.perf_counter() - t0 < 2.0
     captured = capsys.readouterr()
     assert code == cli.EXIT_PRECONDITION and captured.out == ""
-    assert captured.err.startswith("error: the Bessel support profile at")
-    assert "class typings, over the limit of" in captured.err
+    if q < 2:
+        assert captured.err == "error: q = a negative 9966-bit integer is not a prime power\n"
+    else:
+        assert captured.err.startswith("error: the Bessel support profile at")
+        assert "class typings, over the limit of" in captured.err
+    assert captured.err.count("\n") == 1
+    if abs(q) > 10 ** 3000:  # named by its bit length, not its 3,001 digits
+        assert len(captured.err) < 200
     assert "Traceback" not in captured.err and list(tmp_path.iterdir()) == []
 
 

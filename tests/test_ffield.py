@@ -142,6 +142,22 @@ def test_modulus_deterministic():
     assert a.modulus == b.modulus and a.gen == b.gen
 
 
+@pytest.mark.parametrize("p, e, n, modulus, gen", [
+    (2, 1, 1, (1, 1), 1),
+    (3, 1, 1, (1, 1), 2),
+    (7, 1, 1, (2, 1), 5),
+    (5, 1, 2, (2, 1, 1), 5),
+    (2, 2, 3, (1, 1, 0, 0, 0, 0, 1), 2),
+    (3, 1, 4, (2, 1, 0, 0, 1), 3),
+    (2, 7, 2, (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 2),
+])
+def test_modulus_pinned(p, e, n, modulus, gen):
+    # every printed theta value is read from the dlog table of this modulus
+    # and generator, so any change to their choice would move them all
+    f = build_field(p, e, n)
+    assert (f.modulus, f.gen) == (modulus, gen)
+
+
 @pytest.mark.parametrize("p,e,n", [(2, 1, 3), (3, 1, 2), (2, 2, 3), (5, 1, 2),
                                    (3, 1, 4), (2, 2, 4), (7, 1, 2), (2, 6, 2),
                                    (2, 1, 13)])
@@ -149,19 +165,20 @@ def test_modulus_deterministic():
 @given(data=st.data())
 def test_tables_match_raw_arithmetic(p, e, n, data):
     # the log-table arithmetic and the base-field code tables against the
-    # polynomial arithmetic, up to orders 4,096 and 8,192
+    # polynomial arithmetic of `BrutePoly`, up to orders 4,096 and 8,192
     f = build_field(p, e, n)
+    ref = BrutePoly(f)
     a, b = (data.draw(st.integers(0, f.order - 1)) for _ in range(2))
-    assert f.add(a, b) == f._add_raw(a, b)
-    assert f.mul(a, b) == f._mul_raw(a, b)
+    assert f.add(a, b) == ref.add(a, b)
+    assert f.mul(a, b) == ref.mul(a, b)
     base = f.base
     i, j = (data.draw(st.integers(0, f.q - 1)) for _ in range(2))
     x, y = (f.subfield_elements(1)[c] for c in (i, j))
-    assert base.elems[base.add(i, j)] == f._add_raw(x, y)
-    assert base.elems[base.mul(i, j)] == f._mul_raw(x, y)
+    assert base.elems[base.add(i, j)] == ref.add(x, y)
+    assert base.elems[base.mul(i, j)] == ref.mul(x, y)
     assert base.elems[base.neg(i)] == f.neg(x)
     if x:
-        assert f._mul_raw(x, int(base.elems[base.inv(i)])) == 1
+        assert ref.mul(x, int(base.elems[base.inv(i)])) == 1
     else:
         assert base.inv(i) == 0
 

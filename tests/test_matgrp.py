@@ -12,7 +12,7 @@ from gammalab.bessel import (_support_profile, _unipotents, bessel_build, bessel
 from gammalab.charkit import AddChar, regular_exponents
 from gammalab.cuspchar import CuspidalRep
 from gammalab.errors import DimensionMismatch, Singular
-from gammalab.ffield import build_field
+from gammalab.ffield import _ptrim, build_field
 from gammalab import matgrp as mg
 from polyref import poly_eval, poly_gcd, poly_pow_x
 
@@ -294,7 +294,7 @@ def reference_factor(ctx, c):
     for d in range(1, n + 1):
         diff = list(poly_pow_x(ctx, ctx.q ** d, c)) + [0, 0]
         diff[1] = ctx.sub(diff[1], 1)
-        f = poly_gcd(ctx, c, mg._poly_trim(diff))
+        f = poly_gcd(ctx, c, _ptrim(diff))
         if len(f) > 1:
             break
     if len(f) - 1 != d or n % d:
