@@ -47,13 +47,14 @@ def require_profile_size(q: int, n: int) -> None:
     class typings: |N_n| = q^(n(n-1)/2) for each of the (q - 1) * q^(n-1)
     support keys, q^a (q - 1) with a = (n - 1)(n + 2)/2, from (q, n) alone,
     for q >= 2.  It is at least 2^low, from bit lengths; past 2^256 it is
-    not formed or printed, and is over the limit."""
+    not formed or printed, and is over the limit.  The message names q, n
+    and low as `name_int` does, so it stays one short line."""
     a = (n - 1) * (n + 2) // 2
     low = a * (q.bit_length() - 1) + (q - 1).bit_length() - 1
-    typings = q ** a * (q - 1) if low <= 256 else f"at least 2^{low}"
+    typings = q ** a * (q - 1) if low <= 256 else f"at least 2^{name_int(low)}"
     if low > 256 or typings > MAX_CLASS_TYPINGS:
         raise PreconditionViolated(
-            f"the Bessel support profile at q = {name_int(q)}, n = {n} needs"
+            f"the Bessel support profile at q = {name_int(q)}, n = {name_int(n)} needs"
             f" {typings} class typings, over the limit of {MAX_CLASS_TYPINGS}")
 
 
@@ -137,19 +138,19 @@ def _support_profile(ctx: FieldCtx, n: int) -> SupportProfile:
 
 
 @lru_cache(maxsize=64)
-def _class_sums(ctx: FieldCtx, n: int, inverse: bool) -> tuple:
+def _class_sums(ctx: FieldCtx, n: int, psi: AddChar) -> tuple:
     """The nonzero class sums M[key, c] = sum_s C[key, c, s] * psibar(s) over
     the primary classes c of the support profile's histogram C, with psibar
-    the inverse of the additive character whose `inverse` flag is given:
-    B(t) = |N_n|^-1 * sum_c M[key(t), c] chi(c).  Kept sparse, as arrays
-    (key, cls, value) sorted by (key, class) and read from the profile's
-    rows with one weighted bincount per real and imaginary part; the
-    non-primary class 0, where every character vanishes, is left out."""
+    the inverse of psi: B(t) = |N_n|^-1 * sum_c M[key(t), c] chi(c).  Kept
+    sparse, as arrays (key, cls, value) sorted by (key, class) and read from
+    the profile's rows with one weighted bincount per real and imaginary
+    part; the non-primary class 0, where every character vanishes, is left
+    out."""
     prof = _support_profile(ctx, n)
     live = prof.cls > 0
     pair, which = np.unique(prof.key[live] * len(prof.classes) + prof.cls[live],
                             return_inverse=True)
-    weight = prof.count[live] * AddChar(ctx, not inverse).values[prof.s[live]]
+    weight = prof.count[live] * psi.inverted().values[prof.s[live]]
     value = np.empty(len(pair), dtype=complex)
     value.real = np.bincount(which, weight.real, len(pair))
     value.imag = np.bincount(which, weight.imag, len(pair))
@@ -272,7 +273,7 @@ def _tables(reps, psi: AddChar) -> list:
     with the block: the caller chooses how many representations to compute
     together.  The normalization B(I) = 1 is asserted for every table."""
     ctx, n = reps[0].ctx, reps[0].n
-    key, cls, value = _class_sums(ctx, n, psi.inverse)
+    key, cls, value = _class_sums(ctx, n, psi)
     classes = _support_profile(ctx, n).classes
     chi = character_matrix(ctx, n, classes, [rep.exponent for rep in reps])
     values = gather_sums(key, cls, value, chi, len(support_keys(ctx, n)))
@@ -311,14 +312,13 @@ def _norm_fibres(ctx: FieldCtx, n: int) -> dict:
 
 
 @lru_cache(maxsize=64)
-def _closed_form_terms(ctx: FieldCtx, n: int, inverse: bool) -> tuple:
+def _closed_form_terms(ctx: FieldCtx, n: int, psi: AddChar) -> tuple:
     """(dlogs, weights, quotient, central) of `bessel_closed_forms` under the
-    additive character psi with this `inverse` flag: row c of the b = 1
-    rows, c in `subfield_units(1)` order, is the fibre N(xi) = (-1)^(n-1) c
+    additive character psi: row c of the b = 1 rows, c in
+    `subfield_units(1)` order, is the fibre N(xi) = (-1)^(n-1) c
     (`_norm_fibres`, all of one length) with level-n dlogs and weights
     psi(-Tr xi); quotient holds the row of a / b for each unit pair (a, b)
     in `itertools.product` order, central the level-n dlog of each unit."""
-    psi = AddChar(ctx, inverse)
     units = ctx.subfield_units(1)
     sign = ctx.pow(ctx.neg(1), n - 1)
     fibres = _norm_fibres(ctx, n)
@@ -350,7 +350,7 @@ def bessel_closed_forms(ctx: FieldCtx, n: int, exponents, psi: AddChar) -> np.nd
     if n != ctx.n or n < 2:
         raise PreconditionViolated(f"no closed form for n = {n} in a field for n = {ctx.n}")
     q, m = ctx.q, ctx.q ** n - 1
-    dlogs, weights, quotient, central = _closed_form_terms(ctx, n, psi.inverse)
+    dlogs, weights, quotient, central = _closed_form_terms(ctx, n, psi)
     sums = character_sums(dlogs, weights, m, exponents)
     sums /= (-1) ** (n - 1) * q ** (n - 1)
     k = np.asarray(exponents, dtype=np.int64) % m
@@ -360,16 +360,15 @@ def bessel_closed_forms(ctx: FieldCtx, n: int, exponents, psi: AddChar) -> np.nd
 
 
 @lru_cache(maxsize=64)
-def _gl4_w6_terms(ctx: FieldCtx, inverse: bool) -> tuple:
+def _gl4_w6_terms(ctx: FieldCtx, psi: AddChar) -> tuple:
     """(dlogs, weights) of the Deriziotis-Gotsis form at n = 4 under the
-    additive character psi with this `inverse` flag: row (a, b), in
-    `itertools.product` order, is the fibre N(xi) = (ab)^2 (`_norm_fibres`)
-    with level-4 dlogs and weights -inner / q^4, inner the sum over beta in
-    F_q^x of psi(-beta + (a1 + a3 ab) / (beta a b^2)), a3 = -Tr xi and
+    additive character psi: row (a, b), in `itertools.product` order, is
+    the fibre N(xi) = (ab)^2 (`_norm_fibres`) with level-4 dlogs and
+    weights -inner / q^4, inner the sum over beta in F_q^x of
+    psi(-beta + (a1 + a3 ab) / (beta a b^2)), a3 = -Tr xi and
     a1 = -(ab)^2 Tr xi^-1, less q when xi lies in F_{q^2} but not in F_q
     and ab = -N_{F_{q^2}/F_q}(xi)."""
     q, n = ctx.q, 4
-    psi = AddChar(ctx, inverse)
     units = ctx.subfield_units(1)
     fibres = _norm_fibres(ctx, n)
     dlogs, weights = [], []
@@ -412,7 +411,7 @@ def bessel_closed_form_gl4(rep: CuspidalRep, psi: AddChar, mu: int, nu: int) -> 
     keys."""
     if rep.n != 4:
         raise PreconditionViolated("closed form is for n = 4")
-    dlogs, weights = _gl4_w6_terms(rep.ctx, psi.inverse)
+    dlogs, weights = _gl4_w6_terms(rep.ctx, psi)
     row = _pair_row(rep.ctx, mu, nu)
     return complex(character_sums(dlogs[row], weights[row], rep.q ** 4 - 1,
                                   [rep.exponent])[0])

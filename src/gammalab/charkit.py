@@ -36,40 +36,40 @@ def character_sums(dlogs, weights, modulus: int, exponents) -> np.ndarray:
 
 
 class AddChar:
-    """psi(x) = exp(2*pi*i * lift(Tr_{F_q/F_p}(x)) / p) on the base field F_q."""
+    """psi(x) = exp(2*pi*i * lift(Tr_{F_q/F_p}(x)) / p) on the base field F_q,
+    or its inverse: a value, equal to another character exactly when both
+    share a field and their values, so psi^-1 == psi at p = 2."""
 
     def __init__(self, ctx: FieldCtx, inverse: bool = False):
         self.ctx = ctx
         self.inverse = inverse
-        p, e = ctx.p, ctx.e
-        self._zeta = _roots_of_unity(p)
-        # precompute on all ambient elements whose trace to F_p is defined
-        # (psi is only ever evaluated inside F_q)
-        table = np.zeros(ctx.q, dtype=complex)
-        self._exps = {}
+        p = ctx.p
+        traces = []
         for x in ctx.subfield_elements(1):
-            t = x
-            acc = x
-            for _ in range(e - 1):
-                acc = ctx.pow(acc, p)
-                t = ctx.add(t, acc)
-            k = ctx.lift_prime(t)
-            self._exps[x] = (-k) % p if inverse else k
-        self._q_elems = set(ctx.subfield_elements(1))
+            t = 0  # Tr(x) = sum_i x^(p^i)
+            for i in range(ctx.e):
+                t = ctx.add(t, ctx.pow(x, p ** i))
+            traces.append(ctx.lift_prime(t))
         #: psi at every base-field code c, the c-th of `subfield_elements(1)`
-        self.values = self._zeta[[self._exps[x] for x in ctx.subfield_elements(1)]]
+        self.values = _roots_of_unity(p)[np.array(traces) * (-1 if inverse else 1) % p]
         self.values.flags.writeable = False
 
     def __call__(self, x: int) -> complex:
-        if x not in self._q_elems:
+        code = _ordinals(self.ctx).get(x)
+        if code is None:
             raise NotInSubfield(f"psi evaluated outside F_q (element {x})")
-        return self._zeta[self._exps[x]]
+        return self.values[code]
+
+    def __eq__(self, other) -> bool:
+        # identity first: a block compares each table's character with one
+        return other is self or (isinstance(other, AddChar) and self.ctx is other.ctx
+                                 and self.values.tobytes() == other.values.tobytes())
+
+    def __hash__(self) -> int:
+        return hash((self.ctx, self.values.tobytes()))
 
     def inverted(self) -> "AddChar":
         return AddChar(self.ctx, not self.inverse)
-
-    def is_trivial(self) -> bool:
-        return all(e == 0 for e in self._exps.values())
 
 
 class MultChar:
@@ -164,11 +164,10 @@ def _read_only(*arrays) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _gauss_terms(ctx: FieldCtx, inverse: bool) -> tuple:
+def _gauss_terms(ctx: FieldCtx, psi: AddChar) -> tuple:
     """The representation-independent terms (j, w) of the Gauss sums
     G_psi(chi) = sum_a chi(a^-1) psi(a), one per a in F_q^x: j the
     base-level dlog of a^-1 and w = psi(a)."""
-    psi = AddChar(ctx, inverse)
     units = ctx.subfield_units(1)
     return _read_only(np.array([ctx.subfield_dlog(ctx.inv(a), 1) for a in units]),
                       np.array([psi(a) for a in units], dtype=complex))
@@ -179,7 +178,7 @@ def gauss_sum(chi: MultChar, psi: AddChar) -> complex:
     `character_sums` of the cached terms `_gauss_terms`."""
     if chi.level_deg != 1:
         raise DimensionMismatch("gauss_sum takes a base-field character")
-    terms = _gauss_terms(chi.ctx, psi.inverse)
+    terms = _gauss_terms(chi.ctx, psi)
     return complex(character_sums(*terms, chi.modulus, [chi.exponent])[0])
 
 
@@ -255,13 +254,13 @@ def _ordinals(ctx: FieldCtx):
 
 
 @lru_cache(maxsize=64)
-def _pairing_matrix(ctx: FieldCtx, m: int, inverse: bool) -> np.ndarray:
+def _pairing_matrix(ctx: FieldCtx, m: int, psi: AddChar) -> np.ndarray:
     """K[x, y] = psi(<x, y>) over all pairs of points of F_q^m, in one
     `BaseCodes` gather: the codes of point i are the base-q digits of i,
     in the order of `CFun.point_at`."""
     F, q = ctx.base, ctx.q
     P = (np.arange(q ** m)[:, None] // q ** np.arange(m) % q).astype(F.dtype)
-    return AddChar(ctx, inverse).values[F.sum(F.mul(P[:, None], P[None]))]
+    return psi.values[F.sum(F.mul(P[:, None], P[None]))]
 
 
 def fourier(phi: CFun, psi: AddChar) -> CFun:
@@ -269,6 +268,6 @@ def fourier(phi: CFun, psi: AddChar) -> CFun:
     ctx, m = phi.ctx, phi.m
     if psi.ctx is not ctx:
         raise DimensionMismatch("character and function live over different fields")
-    K = _pairing_matrix(ctx, m, psi.inverse)
+    K = _pairing_matrix(ctx, m, psi)
     vals = (ctx.q ** (-m / 2.0)) * (K @ phi.values)
     return CFun(ctx, m, vals)

@@ -159,14 +159,13 @@ def _theta_exponents(cfg: RunConfig, ctx):
     return [k]
 
 
-def _blocks(cfg: RunConfig, ctx):
-    """The Bessel tables of the selected representations, THETA_BLOCK at a
-    time in order.  Each table's results depend on it alone, so no output
-    depends on the block size."""
-    ks = _theta_exponents(cfg, ctx)
-    psi = AddChar(ctx, cfg.psi_inverse)
+def _blocks(cfg: RunConfig, psi: AddChar):
+    """The Bessel tables under psi of the selected representations,
+    THETA_BLOCK at a time in order.  Each table's results depend on it
+    alone, so no output depends on the block size."""
+    ks = _theta_exponents(cfg, psi.ctx)
     for lo in range(0, len(ks), THETA_BLOCK):
-        yield bessel_tables(ctx, cfg.n, ks[lo:lo + THETA_BLOCK], psi)
+        yield bessel_tables(psi.ctx, cfg.n, ks[lo:lo + THETA_BLOCK], psi)
 
 
 def _cnum(z: complex):
@@ -327,7 +326,8 @@ def _route_exit(cfg: RunConfig, rows) -> int:
 def cmd_gamma(cfg: RunConfig) -> int:
     ctx = build_field(cfg.p, cfg.e, cfg.n)
     t0 = time.perf_counter()
-    rows = [row for tables in _blocks(cfg, ctx) for row in _gamma_rows(cfg, tables)]
+    psi = AddChar(ctx, cfg.psi_inverse)
+    rows = [row for tables in _blocks(cfg, psi) for row in _gamma_rows(cfg, tables)]
     print(f"rows={len(rows)} elapsed={time.perf_counter() - t0:.3f}s", file=sys.stderr)
     payload = {"schema": SCHEMA, "command": "gamma", "q": ctx.q, "n": cfg.n,
                "psi_inverse": cfg.psi_inverse, "seed": cfg.seed, "rows": rows}
@@ -335,11 +335,11 @@ def cmd_gamma(cfg: RunConfig) -> int:
     return _route_exit(cfg, rows)
 
 
-def _biequivariance(ctx, tables, psi: AddChar, draws: int, rng) -> float:
+def _biequivariance(ctx, tables, draws: int, rng) -> float:
     """max |B(u1 g u2) - psi(u1) psi(u2) B(g)| over `draws` draws (g, u1, u2)
-    per table of a block, from rng in table order, with B of all g and of
-    all u1 g u2 read off one stack each, as `BesselTable.eval` reads one."""
-    F, n = ctx.base, tables[0].n
+    per table of a block under its psi, from rng in table order, with B of
+    all g and of all u1 g u2 read off one stack each, as `BesselTable.eval`."""
+    F, n, psi = ctx.base, tables[0].n, tables[0].psi
     g, u1, u2 = (F.codes(np.array(mats)) for mats in zip(*[
         (mg.random_invertible(ctx, n, rng), mg.random_unipotent(ctx, n, rng),
          mg.random_unipotent(ctx, n, rng)) for _ in range(draws * len(tables))]))
@@ -353,10 +353,10 @@ def _biequivariance(ctx, tables, psi: AddChar, draws: int, rng) -> float:
     return float(np.abs(b[0] - psi_u[0] * psi_u[1] * b[1]).max())
 
 
-def _closed_form_distance(ctx, tables, psi: AddChar) -> float:
+def _closed_form_distance(ctx, tables) -> float:
     """max |B(t) - closed form| over the (1, n - 1) keys of every table of a
-    block, one contiguous run of `support_keys`."""
-    n = tables[0].n
+    block under its psi, one contiguous run of `support_keys`."""
+    n, psi = tables[0].n, tables[0].psi
     printed = bessel_closed_forms(ctx, n, [t.rep.exponent for t in tables], psi)
     start = support_keys(ctx, n).index(((1, n - 1), (1, 1)))
     run = np.stack([t.values[start:start + len(printed)] for t in tables], axis=1)
@@ -396,7 +396,7 @@ def _verify_checks(cfg: RunConfig, ctx):
     rng = random.Random(cfg.seed)
     draws = (10000 if cfg.exhaustive else 500) // len(ks) + 1
     small = mg.gl_order(q, n) <= 25000  # the appendix bound is for small groups
-    for tables in _blocks(cfg, ctx):
+    for tables in _blocks(cfg, psi):
         reps = [table.rep for table in tables]
         fold("character_oracle", _block_residual(
             lambda: verify_irreducible(reps, seed=cfg.seed),
@@ -406,8 +406,8 @@ def _verify_checks(cfg: RunConfig, ctx):
                 lambda: exjs.shalika_detect(tables, samples=200, seed=cfg.seed)))
         if small:
             fold("homdim_bound", _block_residual(lambda: exjs.homdim_check(reps)))
-        fold("bessel_biequivariance", _biequivariance(ctx, tables, psi, draws, rng))
-        fold("bessel_closed_form", _closed_form_distance(ctx, tables, psi))
+        fold("bessel_biequivariance", _biequivariance(ctx, tables, draws, rng))
+        fold("bessel_closed_form", _closed_form_distance(ctx, tables))
         # functional equation and route agreement, read from the rows that
         # `gamma` prints for this block; the route checks run only on a
         # block with a table without a Shalika vector
@@ -469,7 +469,7 @@ def cmd_export(cfg: RunConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     ctx = build_field(cfg.p, cfg.e, cfg.n)
     rows = []
-    for tables in _blocks(cfg, ctx):
+    for tables in _blocks(cfg, AddChar(ctx, cfg.psi_inverse)):
         for table in tables:
             name = f"bessel_q{ctx.q}_n{cfg.n}_k{table.rep.exponent}.csv"
             path = os.path.join(cfg.out, name)

@@ -322,7 +322,7 @@ def _delta_profiles(table: BesselTable, s_js: np.ndarray, s_dual: np.ndarray):
     ctx = table.ctx
     n, m, _ = _split(table)
     norm = _norm_const(ctx, n)
-    K = _pairing_matrix(ctx, m, table.psi.inverse)
+    K = _pairing_matrix(ctx, m, table.psi)
     # one einsum per table, written over its contiguous sums: a block holds
     # no second array of its size.  `@` would be 3-9x faster, but OpenBLAS
     # runs it on two threads, which raised the peak RSS of a cold q5n2 cell
@@ -354,7 +354,7 @@ def _block_cell(tables):
     gathers read the first table's psi-values and cached terms."""
     ctx, n = _block_field([t.rep for t in tables])
     psi = tables[0].psi
-    if any(t.psi.inverse != psi.inverse for t in tables):
+    if any(t.psi != psi for t in tables):
         raise PreconditionViolated("a block of tables shares one (q, n, psi)")
     return ctx, n, psi
 
@@ -620,7 +620,7 @@ def gamma_ratio(table: BesselTable, trials: int = 100,
 
 
 @lru_cache(maxsize=64)
-def _torus_terms(ctx: FieldCtx, n: int, inverse: bool) -> tuple:
+def _torus_terms(ctx: FieldCtx, n: int, psi: AddChar) -> tuple:
     """(key, phase, extra, weight, front): the representation-independent
     terms of `gamma_tori`, one per antidiagonal block torus element t with
     t^-1 on the Bessel support, in the order of the pointwise sum:
@@ -633,7 +633,6 @@ def _torus_terms(ctx: FieldCtx, n: int, inverse: bool) -> tuple:
     composition and front q^(+-m/2 + 2 C(m, 2)).  Read-only arrays."""
     m, odd = n // 2, n % 2 == 1
     q = ctx.q
-    psi = AddChar(ctx, inverse)
     index = {key: i for i, key in enumerate(support_keys(ctx, n))}
     keys, phases, extras, weights = [], [], [], []
     for comp in mg.compositions(m):
@@ -677,7 +676,7 @@ def gamma_tori(tables) -> np.ndarray:
     ctx, n, psi = _block_cell(tables)
     for table in tables:
         _require_no_shalika(table)
-    key, phase, extra, weight, front = _torus_terms(ctx, n, psi.inverse)
+    key, phase, extra, weight, front = _torus_terms(ctx, n, psi)
     terms = weight * _cmul(_cmul(phase, np.stack([t.values[key] for t in tables])), extra)
     total = np.zeros(len(tables), dtype=complex)
     for column in terms.T:
@@ -693,10 +692,10 @@ def gamma_torus(table: BesselTable) -> GammaResult:
 
 
 @lru_cache(maxsize=64)
-def _closed_terms(ctx: FieldCtx, inverse: bool) -> tuple:
+def _closed_terms(ctx: FieldCtx, psi: AddChar) -> tuple:
     """The representation-independent terms (j, w) of `gamma_closed_forms`
     at n = 3, 4, one per xi in F_{q^n}^x: j the dlog of xi^2 at level n, and
-    w its weight under the additive character with this `inverse` flag,
+    w its weight under the additive character psi,
 
         n = 3: w = psi(-Tr(xi^2) / N(xi)),
         n = 4: w = K_psi(1, b + c) + K_psi(1, b - c), b = Tr(1/xi^2) and
@@ -704,7 +703,6 @@ def _closed_terms(ctx: FieldCtx, inverse: bool) -> tuple:
 
     so that sum_xi w * theta(xi^2) is one `character_sums`."""
     n = ctx.n
-    psi = AddChar(ctx, inverse)
     dlogs, weights = [], []
     for xi in ctx.subfield_units(n):
         xi2 = ctx.mul(xi, xi)
@@ -734,16 +732,16 @@ def gamma_closed_forms(tables) -> np.ndarray:
     if n == 2:
         _require_nontrivial(tables, 1, "n = 2 closed form needs a non-trivial"
                                        " central character")
-        gammas = q ** -0.5 * character_sums(*_gauss_terms(ctx, psi.inverse), q - 1, k)
+        gammas = q ** -0.5 * character_sums(*_gauss_terms(ctx, psi), q - 1, k)
     elif n == 3:
-        gammas = q ** -1.5 * character_sums(*_closed_terms(ctx, psi.inverse),
+        gammas = q ** -1.5 * character_sums(*_closed_terms(ctx, psi),
                                             q ** 3 - 1, k)
     elif n == 4:
         _require_nontrivial(tables, 2, "n = 4 closed form needs theta"
                                        " non-trivial on the quadratic subfield")
         t0 = np.where(k % (q - 1) == 0, q * q - 1, 0)
-        g_sums = character_sums(*_gauss_terms(ctx, psi.inverse), q - 1, k)
-        sums = character_sums(*_closed_terms(ctx, psi.inverse), q ** 4 - 1, k)
+        g_sums = character_sums(*_gauss_terms(ctx, psi), q - 1, k)
+        sums = character_sums(*_closed_terms(ctx, psi), q ** 4 - 1, k)
         gammas = t0 / q ** 2 - 0.5 * q ** -3 * g_sums * sums
     else:
         raise UnsupportedN(f"no closed form for n = {n}")
@@ -804,13 +802,12 @@ def s0_s1_decomposition(table: BesselTable):
 # -- Shalika vectors -------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _witness_terms(ctx: FieldCtx, n: int, inverse: bool) -> tuple:
+def _witness_terms(ctx: FieldCtx, n: int, psi: AddChar) -> tuple:
     """The terms (scale, h) of `shalika_witness` under the additive
-    character with this `inverse` flag: h = u(X) diag(g, g) sigma^-1 over
-    the mirabolic cosets g and lower nilpotent X, scaled by psi(-tr X)."""
+    character psi: h = u(X) diag(g, g) sigma^-1 over the mirabolic cosets g
+    and lower nilpotent X, scaled by psi(-tr X)."""
     m = n // 2
     sig_inv = _sigma_inv(ctx, n)
-    psi = AddChar(ctx, inverse)
     terms = []
     for g in mg.mirabolic_coset_reps(ctx, m):
         dg = mg.shalika_diag(g)
@@ -825,32 +822,32 @@ def shalika_witness(table: BesselTable) -> WhittakerFun:
     n, _, odd = _split(table)
     if odd:
         raise PreconditionViolated("Shalika vectors live at even n")
-    return WhittakerFun(table, _witness_terms(table.ctx, n, table.psi.inverse))
+    return WhittakerFun(table, _witness_terms(table.ctx, n, table.psi))
 
 
 @lru_cache(maxsize=64)
-def _witness_rows(ctx: FieldCtx, n: int, inverse: bool) -> tuple:
+def _witness_rows(ctx: FieldCtx, n: int, psi: AddChar) -> tuple:
     """(cell, key, weight): the rows of one `gather_sums` whose cell 0 is
     JS(W, 1) and cell 1 is W(sigma) for the witness W = sum_i scale_i
-    B(. h_i) of every table at (q, n) under the additive character with this
-    `inverse` flag (`_witness_terms`).  Cell 0 holds the js rows of the
-    terms' compiled pool, weighted by scale_i psi(arg) / norm, as
+    B(. h_i) of every table at (q, n) under the additive character psi
+    (`_witness_terms`).  Cell 0 holds the js rows of the terms' compiled
+    pool, weighted by scale_i psi(arg) / norm, as
     JS(W, 1) = sum_x js(W, delta_x); cell 1 holds the support signature of
     every sigma h_i on the support, from one `support_signatures` stack,
     weighted by scale_i psi(s)."""
     F = ctx.base
-    scales, translates = zip(*_witness_terms(ctx, n, inverse))
+    scales, translates = zip(*_witness_terms(ctx, n, psi))
     scales = np.array(scales, dtype=complex)
-    psi = AddChar(ctx, inverse).values
     pool = _compile_pool(ctx, n, translates)
     js = pool.js_rows
-    js_weight = scales[pool.cell[js] // pool.size] * psi[pool.arg[js]] / _norm_const(ctx, n)
+    js_weight = (scales[pool.cell[js] // pool.size] * psi.values[pool.arg[js]]
+                 / _norm_const(ctx, n))
     key, s = support_signatures(ctx, mg.batch_mat_mul(
         ctx, F.codes(np.array(mg.sigma_perm(n))), F.codes(np.array(translates))))
     on = key >= 0
     return _read_only(np.repeat([0, 1], [len(js_weight), np.count_nonzero(on)]),
                       np.concatenate([pool.key[js], key[on]]),
-                      np.concatenate([js_weight, scales[on] * psi[s[on]]]))
+                      np.concatenate([js_weight, scales[on] * psi.values[s[on]]]))
 
 
 def shalika_detect(tables, samples: int = 1000, seed: int = DEFAULT_SEED) -> list:
@@ -874,7 +871,7 @@ def shalika_detect(tables, samples: int = 1000, seed: int = DEFAULT_SEED) -> lis
     thetas = np.array([t.rep.exponent for t in tables])
     witness = [i for i, flag in enumerate(flags) if flag]
     if witness:
-        sums = gather_sums(*_witness_rows(ctx, n, psi.inverse), values[:, witness], 2)
+        sums = gather_sums(*_witness_rows(ctx, n, psi), values[:, witness], 2)
         val, at_sigma = sums.T
         # a witness whose JS(W, 1) is zero is off by inf
         off = np.where(within(np.abs(val), FE_TOL), np.inf, np.abs(val - at_sigma))

@@ -17,7 +17,7 @@ from gammalab.charkit import (
     regular_orbit_reps,
     restriction_is_trivial,
 )
-from gammalab.errors import NotRegular
+from gammalab.errors import NotInSubfield, NotRegular
 from gammalab.ffield import build_field
 
 
@@ -32,6 +32,61 @@ def test_addchar_is_additive_and_nontrivial():
                 assert abs(psi(f.add(a, b)) - psi(a) * psi(b)) < 1e-12
         # orthogonality
         assert abs(sum(psi(x) for x in elems)) < 1e-10
+
+
+def test_addchar_is_a_value():
+    # two constructions of one (field, sign) are equal and hash alike; psi^-1
+    # is another character at odd p and the same one at p = 2, where a set,
+    # like a cache key, holds one of the two
+    for p, e in ((2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)):
+        f = build_field(p, e, 2)
+        for inverse in (False, True):
+            a, b = AddChar(f, inverse), AddChar(f, inverse)
+            assert a is not b and a == b and hash(a) == hash(b)
+        psi, inv = AddChar(f), AddChar(f, True)
+        assert (psi == inv) is (p == 2) and (psi != inv) is (p != 2)
+        assert len({psi, inv}) == (1 if p == 2 else 2)
+        assert psi.inverted() == inv and inv.inverted() == psi
+    # equal values over two fields are two characters
+    assert AddChar(build_field(3, 1, 2)) != AddChar(build_field(3, 1, 3))
+
+
+def _fields_of_order_at_most(bound):
+    """(p, e, n) of every ambient field F_{p^(e n)} of order <= bound."""
+    out = []
+    for p in range(2, bound + 1):
+        if any(p % r == 0 for r in range(2, p)):
+            continue
+        d = 1
+        while p ** d <= bound:
+            out += [(p, e, d // e) for e in range(1, d + 1) if d % e == 0]
+            d += 1
+    return out
+
+
+def test_addchar_values_match_the_trace_formula():
+    # psi(x) = zeta_p^(+-Tr(x)) at every code of every base field inside
+    # every ambient field of order <= 256, with Tr(x) = sum_i x^(p^i) taken
+    # pointwise, bit for bit; psi of an element outside F_q is refused
+    for p, e, n in _fields_of_order_at_most(256):
+        f = build_field(p, e, n)
+        zeta = np.exp(2j * np.pi * np.arange(p) / p)
+        elems = f.subfield_elements(1)
+        traces = []
+        for x in elems:
+            t = 0
+            for i in range(e):
+                t = f.add(t, f.pow(x, p ** i))
+            traces.append(f.lift_prime(t))
+        for inverse, sign in ((False, 1), (True, -1)):
+            psi = AddChar(f, inverse)
+            expected = zeta[[sign * t % p for t in traces]]
+            assert psi.values.tobytes() == expected.tobytes(), (p, e, n, inverse)
+            assert all(psi(x) == v for x, v in zip(elems, expected.tolist()))
+        outside = next((x for x in range(f.order) if not f.in_subfield(x, 1)), None)
+        if outside is not None:
+            with pytest.raises(NotInSubfield):
+                psi(outside)
 
 
 def test_multchar_is_multiplicative():
@@ -186,7 +241,7 @@ def pointwise_pairing_matrix(f, m, inverse):
 def test_pairing_matrix_matches_pointwise_pairs(p, e, m, inverse):
     # the one-gather pairing matrix equals the pair-by-pair loop bit for bit
     f = build_field(p, e, 2)
-    K = charkit._pairing_matrix(f, m, inverse)
+    K = charkit._pairing_matrix(f, m, AddChar(f, inverse))
     ref = pointwise_pairing_matrix(f, m, inverse)
     assert K.shape == ref.shape and K.tobytes() == ref.tobytes()
 

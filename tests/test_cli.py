@@ -212,9 +212,9 @@ def test_verify_keeps_a_nan_residual(capsys, monkeypatch):
     distance = cli._closed_form_distance
     calls = []
 
-    def first_nan(ctx, tables, psi):
+    def first_nan(ctx, tables):
         calls.append(1)
-        return math.nan if len(calls) == 1 else distance(ctx, tables, psi)
+        return math.nan if len(calls) == 1 else distance(ctx, tables)
     monkeypatch.setattr(cli, "_closed_form_distance", first_nan)
     monkeypatch.setattr(cli, "THETA_BLOCK", 2)
     code, out = run_main(["verify", "--q", "5", "--n", "2"], capsys)
@@ -228,7 +228,7 @@ def test_verify_passes_a_residual_equal_to_its_bound(capsys, monkeypatch):
     # every check passes a residual at most its bound, as the certificates
     # and --tol do
     monkeypatch.setattr(cli, "_closed_form_distance",
-                        lambda ctx, tables, psi: cli.CLOSED_FORM_TOL)
+                        lambda ctx, tables: cli.CLOSED_FORM_TOL)
     code, out = run_main(["verify", "--q", "3", "--n", "2"], capsys)
     assert code == cli.EXIT_OK
     assert "PASS bessel_closed_form residual=1.000e-08" in json.loads(out)["checks"]
@@ -313,6 +313,65 @@ def test_psi_inverse_flag(capsys):
     assert abs(row["abs_gamma"] - 1) < 1e-8
 
 
+def _psi_builders() -> dict:
+    """name -> each cached builder whose terms depend on psi, keyed on it."""
+    from gammalab import bessel, charkit, exjs
+    builders = (bessel._class_sums, bessel._closed_form_terms, bessel._gl4_w6_terms,
+                charkit._gauss_terms, charkit._pairing_matrix, exjs._torus_terms,
+                exjs._closed_terms, exjs._witness_terms, exjs._witness_rows)
+    return {f"{b.__module__}.{b.__name__}": b for b in builders}
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (3, 4)])
+def test_psi_twist_identity(q, n, capsys):
+    # gamma(pi, wedge^2, psi^-1) = omega_pi(-1)^(n-1) gamma(pi, wedge^2, psi)
+    # on every route of every row without a Shalika vector, omega_pi(-1) =
+    # (-1)^c for the central character gen^c of an odd q, and a Shalika
+    # row's L, eps and gamma do not depend on psi.  The psi run comes first
+    # in the process, so a psi^-1 run handed cached psi terms would break it
+    rows = []
+    for flag in ([], ["--psi-inverse"]):
+        code, out = run_main(["gamma", "--q", str(q), "--n", str(n)] + flag, capsys)
+        assert code == 0
+        rows.append(json.loads(out)["rows"])
+    assert any(not row["shalika"] for row in rows[0])
+    for row, twisted in zip(*rows):
+        assert (row["theta"], row["shalika"]) == (twisted["theta"], twisted["shalika"])
+        if row["shalika"]:
+            for key in ("L", "eps", "gamma"):
+                assert row[key] == twisted[key]
+            continue
+        sign = (-1) ** (row["central_char_exponent"] * (n - 1))
+        assert row["routes"].keys() == twisted["routes"].keys()
+        for name, gamma in row["routes"].items():
+            assert abs(complex(*twisted["routes"][name]) - sign * complex(*gamma)) < 1e-12
+
+
+@pytest.mark.parametrize("command", ["gamma", "verify"])
+@pytest.mark.parametrize("q,n", [(2, 2), (2, 4), (4, 3), (8, 3), (3, 3), (5, 2)])
+def test_psi_inverse_at_p2_is_psi(command, q, n, capsys):
+    # at p = 2, psi^-1 = psi: a --psi-inverse run prints the psi run's
+    # stdout but for the psi_inverse field and, run second, finds every
+    # psi-dependent term in the builders' caches; at odd p it builds its own
+    builders = _psi_builders()
+    for cache in builders.values():
+        cache.cache_clear()
+    argv = [command, "--q", str(q), "--n", str(n)]
+    code, out = run_main(argv, capsys)
+    assert code == 0
+    misses = {name: cache.cache_info().misses for name, cache in builders.items()}
+    code, out_inv = run_main(argv + ["--psi-inverse"], capsys)
+    assert code == 0
+    added = {name: cache.cache_info().misses - misses[name]
+             for name, cache in builders.items()}
+    if q % 2:
+        assert sum(added.values()) > 0
+    else:
+        assert not any(added.values()), added
+        assert out_inv == out.replace('"psi_inverse": false', '"psi_inverse": true')
+        assert (out_inv != out) is (command == "gamma")
+
+
 def test_exit_code_on_non_prime_power_q(capsys):
     for q in ("6", "0", "1", "12", "-4"):
         code = cli.main(["gamma", "--q", q, "--n", "2"])
@@ -362,6 +421,26 @@ def test_oversized_cells_refused_at_once(command, q, n, tmp_path, capsys, monkey
     if abs(q) > 10 ** 3000:  # named by its bit length, not its 3,001 digits
         assert len(captured.err) < 200
     assert "Traceback" not in captured.err and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("q, n, message", [
+    (2, 10 ** 100, None), (3, 10 ** 1000, None),
+    (5, 4, "the Bessel support profile at q = 5, n = 4 needs 7812500 class typings"),
+    (2 ** 61 - 1, 2, "the Bessel support profile at q = 2305843009213693951, n = 2 needs"
+                     " 12259964326927110845599128284643819514018215059051773950 class typings")],
+    ids=["q2-n10^100", "q3-n10^1000", "q5-n4", "q2^61-1-n2"])
+def test_profile_refusal_names_n_on_one_short_line(q, n, message, capsys):
+    # a huge n, and the exponent of its typing bound, are named by their bit
+    # lengths as q is, on one line under 200 characters; a count that is
+    # formed is still printed in full
+    code = cli.main(["gamma", "--q", str(q), "--n", str(n)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_PRECONDITION and captured.out == ""
+    assert captured.err.count("\n") == 1 and len(captured.err) < 200
+    if message is None:
+        assert f"n = a {n.bit_length()}-bit integer needs at least 2^a " in captured.err
+    else:
+        assert captured.err == f"error: {message}, over the limit of {2 ** 21}\n"
 
 
 def test_p_and_e_are_not_options(capsys):
@@ -934,7 +1013,7 @@ def test_biequivariance_block_matches_pointwise_eval(p, e, n):
         psi = AddChar(f, inverse)
         tables = bessel_tables(f, n, regular_orbit_reps(f, n)[:6], psi)
         rng = random.Random(11)
-        got = cli._biequivariance(f, tables, psi, 30, rng)
+        got = cli._biequivariance(f, tables, 30, rng)
         ref_rng = random.Random(11)
         worst = 0.0
         for table in tables:

@@ -319,6 +319,16 @@ def test_block_refuses_tables_of_two_characters():
         exjs.gamma_ratios(tables)
 
 
+def test_block_of_both_flags_is_one_character_at_p2():
+    # at p = 2, psi^-1 = psi: a block of a psi table and a psi^-1 table
+    # shares one character, and its gammas are those of the psi block
+    mixed = [make_table(2, 1, 3, 1), make_table(2, 1, 3, 3, inverse=True)]
+    plain = [make_table(2, 1, 3, 1), make_table(2, 1, 3, 3)]
+    for route in (exjs.gamma_tori, exjs.gamma_closed_forms):
+        assert route(mixed).tobytes() == route(plain).tobytes()
+    assert np.array_equal(exjs.gamma_ratios(mixed)[0], exjs.gamma_ratios(plain)[0])
+
+
 def pointwise_gamma_torus(table):
     """gamma_torus with every torus element t decomposed at B(t^-1) through
     `BesselTable.eval`; test oracle of the cached `_torus_terms`."""
@@ -694,7 +704,7 @@ def looped_gamma_closed(table):
     g_sum = gauss_sum(rep.central_char, psi)
     if n == 2:
         return q ** -0.5 * g_sum
-    dlogs, weights = exjs._closed_terms(ctx, psi.inverse)
+    dlogs, weights = exjs._closed_terms(ctx, psi)
     total = 0j
     for j, w in zip(dlogs.tolist(), weights.tolist()):
         total += w * rep.theta(ctx.gen_power(j))  # xi^2 = gen^j at level n
