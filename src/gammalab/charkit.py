@@ -27,8 +27,8 @@ def character_sums(dlogs, weights, modulus: int, exponents) -> np.ndarray:
     primitive modulus-th root of unity, for each exponent k_t of a block:
     the package's one root-of-unity contraction.  Its callers are
     `cuspchar.character_matrix`, `gauss_sum`, `bessel.bessel_closed_forms`,
-    `exjs.gamma_closed_forms` and the multiplicative orthogonality check of
-    `cli` verify.  One (... x terms x T) gather and one `einsum`, which
+    `exjs.gamma_closed_forms` and the multiplicative orthogonality and w6
+    closed-form checks of `cli` verify.  One (... x terms x T) gather and one `einsum`, which
     adds each sum's terms in order and stays off BLAS."""
     k = np.asarray(exponents, dtype=np.int64) % modulus
     zeta = _roots_of_unity(modulus)[dlogs[..., None] * k % modulus]

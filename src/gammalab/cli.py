@@ -26,8 +26,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import exjs, levelzero
-from .bessel import (bessel_closed_forms, bessel_tables, export_bessel_csv,
-                     require_profile_size, support_keys, support_signatures)
+from .bessel import (_gl4_w6_terms, bessel_closed_forms, bessel_tables,
+                     export_bessel_csv, require_profile_size, support_keys,
+                     support_signatures)
 from .charkit import AddChar, character_sums, regular_orbit, regular_orbit_reps
 from .cuspchar import CHARACTER_TOL, verify_irreducible
 from .errors import (GammalabError, NonConstantRatio, OracleFailed,
@@ -53,7 +54,8 @@ MULTIPLICATIVE_ORTHOGONALITY_TOL = 1e-8
 #: `verify`'s bound on |B(u1 g u2) - psi(u1) psi(u2) B(g)| over sampled u1, g, u2
 BIEQUIVARIANCE_TOL = 1e-8
 #: `verify`'s bound on the distance of each Bessel value of the (1, n - 1)
-#: run from its closed form (`bessel.bessel_closed_forms`)
+#: run from its closed form (`bessel.bessel_closed_forms`) and, at n = 4, of
+#: the (2, 2) run from the w6 form (`bessel._gl4_w6_terms`)
 CLOSED_FORM_TOL = 1e-8
 #: `verify`'s bound on the RatQS residual of f * f^-1 against 1
 RATQS_IDENTITY_TOL = 1e-10
@@ -354,13 +356,22 @@ def _biequivariance(ctx, tables, draws: int, rng) -> float:
 
 
 def _closed_form_distance(ctx, tables) -> float:
-    """max |B(t) - closed form| over the (1, n - 1) keys of every table of a
-    block under its psi, one contiguous run of `support_keys`."""
+    """max |B(t) - closed form| over every table of a block under its psi,
+    on contiguous runs of `support_keys`, one row per unit pair in
+    `itertools.product` order: the (1, n - 1) keys against
+    `bessel_closed_forms` and, at n = 4, the (2, 2) keys against the w6
+    form, one `character_sums` of its cached terms (`_gl4_w6_terms`)."""
     n, psi = tables[0].n, tables[0].psi
-    printed = bessel_closed_forms(ctx, n, [t.rep.exponent for t in tables], psi)
-    start = support_keys(ctx, n).index(((1, n - 1), (1, 1)))
-    run = np.stack([t.values[start:start + len(printed)] for t in tables], axis=1)
-    return float(exjs.modulus(printed - run).max())
+    ks = [t.rep.exponent for t in tables]
+    forms = {(1, n - 1): bessel_closed_forms(ctx, n, ks, psi)}
+    if n == 4:
+        forms[(2, 2)] = character_sums(*_gl4_w6_terms(ctx, psi), ctx.q ** 4 - 1, ks)
+    distances = []
+    for comp, printed in forms.items():
+        start = support_keys(ctx, n).index((comp, (1, 1)))
+        run = np.stack([t.values[start:start + len(printed)] for t in tables], axis=1)
+        distances.append(exjs.modulus(printed - run).max())
+    return float(np.max(distances))  # a NaN is kept
 
 
 def _block_residual(check, residual=lambda result: 0.0) -> float:

@@ -20,8 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bessel import (BesselTable, gather_sums, support_keys, support_signature,
-                     support_signatures)
+from .bessel import BesselTable, gather_sums, support_keys, support_signatures
 from .charkit import (AddChar, CFun, _gauss_terms, _pairing_matrix, _read_only,
                       character_sums, fourier, gauss_sum, kloosterman,
                       restriction_is_trivial)
@@ -92,15 +91,17 @@ class GammaResult:
 
 @lru_cache(maxsize=64)
 def _sum_frame(ctx: FieldCtx, n: int) -> tuple:
-    """Both Jacquet-Shalika sums as one list of terms (g, -tr X, i_js, i_dual):
+    """Both Jacquet-Shalika sums as one list of terms (g, i_js, i_dual):
 
-        js(W, phi)      = sum W(g) psi(-tr X) phi[i_js]      / norm
-        dual_js(W, phi) = sum W(g) psi(-tr X) phi_hat[i_dual] / norm
+        js(W, phi)      = sum W(g) phi[i_js]      / norm
+        dual_js(W, phi) = sum W(g) phi_hat[i_dual] / norm
 
     over the terms whose index is not None; indices are flat points of
     F_q^m.  Even n: g = sigma u(X) diag(g0, g0) over the coset grid, one term
     feeding js at eps*g0 and dual_js at e_1*g0^{-T}.  Odd n: for each grid
-    element and Z, a js term and a dual term, both at Z."""
+    element and Z, a js term and a dual term, both at Z.  The paper weighs
+    each term by psi(-tr X), which is psi(0) = 1: every X of
+    `mg.lower_nilpotent_reps` is strictly lower triangular."""
     m = n // 2
     sig = mg.sigma_perm(n)
     idx = CFun(ctx, m).index_of
@@ -113,7 +114,7 @@ def _sum_frame(ctx: FieldCtx, n: int) -> tuple:
             dg = mg.shalika_diag(g)
             for x in mg.lower_nilpotent_reps(ctx, m):
                 prod = mg.mat_chain(ctx, sig, mg.shalika_u(m, x), dg)
-                out.append((prod, ctx.neg(mg.mat_trace(ctx, x)), i_eps, i_e1))
+                out.append((prod, i_eps, i_e1))
         return tuple(out)
     front = mg.antidiag_elem(ctx, (1, 2 * m), (1, 1))
     zpoints = CFun(ctx, m).points()
@@ -122,12 +123,10 @@ def _sum_frame(ctx: FieldCtx, n: int) -> tuple:
         for x in mg.lower_nilpotent_reps(ctx, m):
             base = mg.mat_chain(ctx, sig, mg.odd_u(m, x), dg)
             dbase = mg.mat_mul(ctx, front, base)
-            ntr = ctx.neg(mg.mat_trace(ctx, x))
             for z in zpoints:
                 zi = idx(z)
-                out.append((mg.mat_mul(ctx, base, mg.odd_lower(m, z)), ntr, zi, None))
-                out.append((mg.mat_mul(ctx, dbase, mg.odd_upper_right(m, z)), ntr,
-                            None, zi))
+                out.append((mg.mat_mul(ctx, base, mg.odd_lower(m, z)), zi, None))
+                out.append((mg.mat_mul(ctx, dbase, mg.odd_upper_right(m, z)), None, zi))
     return tuple(out)
 
 
@@ -189,13 +188,11 @@ def _fe_translates(ctx: FieldCtx, n: int, seed: int, trials: int) -> tuple:
 
 @lru_cache(maxsize=64)
 def _frame_arrays(ctx: FieldCtx, n: int) -> tuple:
-    """`_sum_frame` as arrays: the terms g as base-field codes, -tr X as a
-    code, and i_js and i_dual with -1 for None."""
+    """`_sum_frame` as arrays: the terms g as base-field codes, and i_js and
+    i_dual with -1 for None."""
     frame = _sum_frame(ctx, n)
-    F = ctx.base
-    index = [np.array([-1 if t[i] is None else t[i] for t in frame]) for i in (2, 3)]
-    return (F.codes(np.array([t[0] for t in frame])), F.codes([t[1] for t in frame]),
-            *index)
+    index = [np.array([-1 if t[i] is None else t[i] for t in frame]) for i in (1, 2)]
+    return (ctx.base.codes(np.array([t[0] for t in frame])), *index)
 
 
 #: translates whose rows are kept: every translate of the largest pool
@@ -214,15 +211,15 @@ def _translate_rows(ctx: FieldCtx, n: int, translates) -> list:
     new = [h for h in dict.fromkeys(translates) if (ctx, n, h) not in _ROWS]
     if new:
         F = ctx.base
-        g, ntr, _, _ = _frame_arrays(ctx, n)
+        g, _, _ = _frame_arrays(ctx, n)
         step = max(1, mg.BATCH_CHUNK // len(g))
         for lo in range(0, len(new), step):
             part = new[lo:lo + step]
             prod = mg.batch_mat_mul(ctx, g, F.codes(np.array(part))[:, None])
             key, s = support_signatures(ctx, prod.reshape(-1, n, n))
-            key, arg = key.reshape(len(part), -1), F.add(s.reshape(len(part), -1), ntr)
+            key, s = key.reshape(len(part), -1), s.reshape(len(part), -1)
             for i, h in enumerate(part):
-                _ROWS[(ctx, n, h)] = key[i], arg[i]
+                _ROWS[(ctx, n, h)] = key[i], s[i]
     out = []
     for h in translates:
         _ROWS.move_to_end((ctx, n, h))
@@ -263,7 +260,7 @@ def _compile_pool(ctx: FieldCtx, n: int, translates) -> FePool:
     """The `FePool` of `translates`, from their cached rows (`_translate_rows`):
     every row that feeds no sum is dropped here, once per pool."""
     rows = _translate_rows(ctx, n, translates)
-    _, _, i_js, i_dual = _frame_arrays(ctx, n)
+    _, i_js, i_dual = _frame_arrays(ctx, n)
     key = np.stack([k for k, _ in rows])
     arg = np.stack([a for _, a in rows]).astype(np.intp)
     size = ctx.q ** (n // 2)
@@ -405,12 +402,11 @@ def js_profiles(table: BesselTable, w):
     (`_pool_profiles`), and the path of a W that is not a `WhittakerFun`."""
     ctx = table.ctx
     n, m, _ = _split(table)
-    psi = table.psi
     size = ctx.q ** m
     s_js = [0j] * size
     s_dual = [0j] * size
-    for g, ntr, i_js, i_dual in _sum_frame(ctx, n):
-        val = w(g) * psi(ntr)
+    for g, i_js, i_dual in _sum_frame(ctx, n):
+        val = w(g)
         if i_js is not None:
             s_js[i_js] += val
         if i_dual is not None:
@@ -621,35 +617,34 @@ def gamma_ratio(table: BesselTable, trials: int = 100,
 
 @lru_cache(maxsize=64)
 def _torus_terms(ctx: FieldCtx, n: int, psi: AddChar) -> tuple:
-    """(key, phase, extra, weight, front): the representation-independent
-    terms of `gamma_tori`, one per antidiagonal block torus element t with
-    t^-1 on the Bessel support, in the order of the pointwise sum:
+    """(key, extra, weight, front): the representation-independent terms of
+    `gamma_tori`, one per antidiagonal block torus element t, in the order
+    of the pointwise sum:
 
-        gamma = front * sum_i weight[i] * ((phase[i] * B[key[i]]) * extra[i])
+        gamma = front * sum_i weight[i] * (B[key[i]] * extra[i])
 
-    with key[i] the index of t^-1's support key, phase[i] psi of its
-    signature's argument, extra[i] psi(lambda_last) at even n with a last
-    block of size 1 (1 otherwise), weight[i] q^-(sum 2 C(m_i, 2)) over t's
-    composition and front q^(+-m/2 + 2 C(m, 2)).  Read-only arrays."""
+    with key[i] the index of t^-1's support key, extra[i] psi(lambda_last)
+    at even n with a last block of size 1 (1 otherwise), weight[i]
+    q^-(sum 2 C(m_i, 2)) over t's composition and front
+    q^(+-m/2 + 2 C(m, 2)).  t^-1 is antidiagonal, t's blocks reversed with
+    their scalars inverted and the size-1 block first at odd n: its key is
+    read off t, and psi of its signature is psi(0) = 1.  Read-only arrays."""
     m, odd = n // 2, n % 2 == 1
     q = ctx.q
     index = {key: i for i, key in enumerate(support_keys(ctx, n))}
-    keys, phases, extras, weights = [], [], [], []
+    head = (1,) if odd else ()
+    keys, extras, weights = [], [], []
     for comp in mg.compositions(m):
         weight = q ** (-sum(2 * (mi * (mi - 1) // 2) for mi in comp))
         for lams in itertools.product(ctx.subfield_units(1), repeat=len(comp)):
-            t = mg.antidiag_elem(ctx, comp, lams, block_scale=2, tail_one=odd)
-            sig = support_signature(ctx, mg.mat_inv(ctx, t))
-            if sig is None:
-                continue
-            keys.append(index[sig[0]])
-            phases.append(psi(sig[1]))
+            keys.append(index[(head + tuple(2 * mi for mi in reversed(comp)),
+                               head + tuple(ctx.inv(lam) for lam in reversed(lams)))])
             extras.append(psi(lams[-1]) if not odd and comp[-1] == 1 else 1)
             weights.append(weight)
     exp2 = 2 * (m * (m - 1) // 2)
     front = q ** (m / 2.0 + exp2) if odd else q ** (-m / 2.0 + exp2)
-    return _read_only(np.array(keys, dtype=np.intp), np.array(phases, dtype=complex),
-                      np.array(extras, dtype=complex), np.array(weights)) + (front,)
+    return _read_only(np.array(keys, dtype=np.intp), np.array(extras, dtype=complex),
+                      np.array(weights)) + (front,)
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -676,8 +671,8 @@ def gamma_tori(tables) -> np.ndarray:
     ctx, n, psi = _block_cell(tables)
     for table in tables:
         _require_no_shalika(table)
-    key, phase, extra, weight, front = _torus_terms(ctx, n, psi)
-    terms = weight * _cmul(_cmul(phase, np.stack([t.values[key] for t in tables])), extra)
+    key, extra, weight, front = _torus_terms(ctx, n, psi)
+    terms = weight * _cmul(np.stack([t.values[key] for t in tables]), extra)
     total = np.zeros(len(tables), dtype=complex)
     for column in terms.T:
         total += column
@@ -802,18 +797,17 @@ def s0_s1_decomposition(table: BesselTable):
 # -- Shalika vectors -------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _witness_terms(ctx: FieldCtx, n: int, psi: AddChar) -> tuple:
-    """The terms (scale, h) of `shalika_witness` under the additive
-    character psi: h = u(X) diag(g, g) sigma^-1 over the mirabolic cosets g
-    and lower nilpotent X, scaled by psi(-tr X)."""
+def _witness_terms(ctx: FieldCtx, n: int) -> tuple:
+    """The translates h of `shalika_witness`: h = u(X) diag(g, g) sigma^-1
+    over the mirabolic cosets g and lower nilpotent X, each of scale
+    psi(-tr X) = psi(0) = 1, as X is strictly lower triangular."""
     m = n // 2
     sig_inv = _sigma_inv(ctx, n)
     terms = []
     for g in mg.mirabolic_coset_reps(ctx, m):
         dg = mg.shalika_diag(g)
         for x in mg.lower_nilpotent_reps(ctx, m):
-            h = mg.mat_chain(ctx, mg.shalika_u(m, x), dg, sig_inv)
-            terms.append((psi(ctx.neg(mg.mat_trace(ctx, x))), h))
+            terms.append(mg.mat_chain(ctx, mg.shalika_u(m, x), dg, sig_inv))
     return tuple(terms)
 
 
@@ -822,32 +816,29 @@ def shalika_witness(table: BesselTable) -> WhittakerFun:
     n, _, odd = _split(table)
     if odd:
         raise PreconditionViolated("Shalika vectors live at even n")
-    return WhittakerFun(table, _witness_terms(table.ctx, n, table.psi))
+    return WhittakerFun(table, [(1.0, h) for h in _witness_terms(table.ctx, n)])
 
 
 @lru_cache(maxsize=64)
 def _witness_rows(ctx: FieldCtx, n: int, psi: AddChar) -> tuple:
     """(cell, key, weight): the rows of one `gather_sums` whose cell 0 is
-    JS(W, 1) and cell 1 is W(sigma) for the witness W = sum_i scale_i
-    B(. h_i) of every table at (q, n) under the additive character psi
+    JS(W, 1) and cell 1 is W(sigma) for the witness W = sum_i B(. h_i) of
+    every table at (q, n) under the additive character psi
     (`_witness_terms`).  Cell 0 holds the js rows of the terms' compiled
-    pool, weighted by scale_i psi(arg) / norm, as
-    JS(W, 1) = sum_x js(W, delta_x); cell 1 holds the support signature of
-    every sigma h_i on the support, from one `support_signatures` stack,
-    weighted by scale_i psi(s)."""
+    pool, weighted by psi(arg) / norm, as JS(W, 1) = sum_x js(W, delta_x);
+    cell 1 holds the support signature of every sigma h_i on the support,
+    from one `support_signatures` stack, weighted by psi(s)."""
     F = ctx.base
-    scales, translates = zip(*_witness_terms(ctx, n, psi))
-    scales = np.array(scales, dtype=complex)
+    translates = _witness_terms(ctx, n)
     pool = _compile_pool(ctx, n, translates)
     js = pool.js_rows
-    js_weight = (scales[pool.cell[js] // pool.size] * psi.values[pool.arg[js]]
-                 / _norm_const(ctx, n))
+    js_weight = psi.values[pool.arg[js]] / _norm_const(ctx, n)
     key, s = support_signatures(ctx, mg.batch_mat_mul(
         ctx, F.codes(np.array(mg.sigma_perm(n))), F.codes(np.array(translates))))
     on = key >= 0
     return _read_only(np.repeat([0, 1], [len(js_weight), np.count_nonzero(on)]),
                       np.concatenate([pool.key[js], key[on]]),
-                      np.concatenate([js_weight, scales[on] * psi.values[s[on]]]))
+                      np.concatenate([js_weight, psi.values[s[on]]]))
 
 
 def shalika_detect(tables, samples: int = 1000, seed: int = DEFAULT_SEED) -> list:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 
 from gammalab import cli, levelzero
 from gammalab.bessel import BesselTable
+from gammalab.ffield import build_field
 from gammalab import matgrp as mg
 
 
@@ -162,6 +164,18 @@ def test_verify_refuses_the_shift_the_modified_certificate_passes(capsys, monkey
     assert checks["bessel_closed_form"].startswith("FAIL")
 
 
+def test_verify_refuses_a_shift_of_the_w6_run_alone(capsys, monkeypatch):
+    # a table at (3, 4) moved by 1e-6 on the 4 keys of composition (2, 2)
+    # alone, which the (1, n - 1) form does not read: the w6 form refuses it
+    def move(values, start, count):
+        at = cli.support_keys(build_field(3, 1, 4), 4).index(((2, 2), (1, 1)))
+        values[at:at + count] += 1e-6
+    code, checks = _verify_shifted(["--q", "3", "--n", "4", "--theta", "1"], move,
+                                   capsys, monkeypatch)
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert checks["bessel_closed_form"].startswith("FAIL")
+
+
 def _nan_at_key_3(values, start, count):
     values[3] = np.nan
 
@@ -267,6 +281,43 @@ def test_csv_format(capsys):
     assert "theta" in lines[1]
 
 
+def test_csv_gamma_rows_parse_back_to_the_json_rows(capsys):
+    # (4, 3) has no Shalika row: every row carries its routes
+    argv = ["gamma", "--q", "4", "--n", "3"]
+    code, out = run_main(argv, capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    code, out = run_main(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "# schema gammalab/1"
+    assert lines[1] == ("abs_gamma,gamma_closed_form_im,gamma_closed_form_re,"
+                        "gamma_ratio_im,gamma_ratio_re,gamma_torus_im,gamma_torus_re,"
+                        "max_route_delta,orbit,shalika,theta")
+    flat = list(csv.DictReader(lines[1:]))
+    assert len(flat) == len(rows) > 0
+    for got, row in zip(flat, rows):
+        assert int(got.pop("theta")) == row["theta"]
+        assert got.pop("orbit") == "+".join(map(str, row["orbit"]))
+        assert int(got.pop("shalika")) == row["shalika"] == 0
+        for key in ("abs_gamma", "max_route_delta"):
+            assert float(got.pop(key)) == row[key]
+        for name, (re_, im) in row["routes"].items():
+            assert float(got.pop(f"gamma_{name}_re")) == re_
+            assert float(got.pop(f"gamma_{name}_im")) == im
+        assert got == {}
+
+
+def test_csv_verify_prints_the_json_checks(capsys):
+    argv = ["verify", "--q", "3", "--n", "2"]
+    code, out = run_main(argv, capsys)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    code, out = run_main(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    assert out == "# schema gammalab/1\n" + "\n".join(checks) + "\n"
+
+
 def test_export_roundtrip(tmp_path, capsys):
     out_dir = tmp_path / "exp"
     code, _ = run_main(["export", "--q", "2", "--n", "3", "--out", str(out_dir)],
@@ -318,7 +369,7 @@ def _psi_builders() -> dict:
     from gammalab import bessel, charkit, exjs
     builders = (bessel._class_sums, bessel._closed_form_terms, bessel._gl4_w6_terms,
                 charkit._gauss_terms, charkit._pairing_matrix, exjs._torus_terms,
-                exjs._closed_terms, exjs._witness_terms, exjs._witness_rows)
+                exjs._closed_terms, exjs._witness_rows)
     return {f"{b.__module__}.{b.__name__}": b for b in builders}
 
 
@@ -625,6 +676,24 @@ def test_verify_q2n4_grows_one_sampled_pool():
     (code,), (calls,) = _fresh_bruhat_calls(["verify", "--q", "2", "--n", "4"])
     assert code == 0
     assert 0 < calls <= 2250  # 2,850 when the 100 were decomposed twice
+
+
+def test_no_command_decomposes_pointwise(tmp_path, capsys, monkeypatch):
+    # every support signature a command needs is read from a batched stack
+    # or, for the torus terms, in closed form: the pointwise
+    # `mg.bruhat_reduce` serves `BesselTable.eval` and the tests alone
+    def refuse(ctx, g):
+        raise AssertionError("pointwise Bruhat reduction")
+    monkeypatch.setattr(mg, "bruhat_reduce", refuse)
+    from gammalab import exjs
+    exjs._torus_terms.cache_clear()
+    cells = [("5", "2"), ("4", "3"), ("3", "4"), ("2", "5")]
+    runs = [["gamma", "--q", q, "--n", n] + flag for q, n in cells
+            for flag in ([], ["--psi-inverse"])]
+    runs += [["verify", "--q", q, "--n", n] for q, n in cells[:3]]
+    runs.append(["export", "--q", "2", "--n", "3", "--out", str(tmp_path / "exp")])
+    for argv in runs:
+        assert run_main(argv, capsys)[0] == 0, argv
 
 
 def test_gamma_beyond_the_class_typing_limit_refused(capsys):

@@ -129,10 +129,10 @@ def pointwise_pool(ctx, n, translates):
     dual_base = len(translates) * size
     js_rows, dual_rows = [], []
     for t, h in enumerate(translates):
-        for g, ntr, i_js, i_dual in exjs._sum_frame(ctx, n):
+        for g, i_js, i_dual in exjs._sum_frame(ctx, n):
             sig = support_signature(ctx, mg.mat_mul(ctx, g, h))
             if sig is not None:
-                key, arg = keys[sig[0]], elems.index(ctx.add(sig[1], ntr))
+                key, arg = keys[sig[0]], elems.index(sig[1])
                 if i_js is not None:
                     js_rows.append((key, arg, t * size + i_js))
                 if i_dual is not None:
@@ -354,6 +354,23 @@ def test_torus_terms_keep_gamma_bit_identical(p, e, n):
     for k in no_shalika_reps(f, n)[:3]:
         table = make_table(p, e, n, k)
         assert exjs.gamma_torus(table).value == pointwise_gamma_torus(table)
+
+
+@pytest.mark.parametrize("p,e,n", [(5, 1, 2), (7, 1, 2), (2, 2, 3), (2, 3, 3),
+                                   (3, 1, 3), (3, 1, 4), (2, 1, 5), (2, 1, 6)])
+def test_torus_keys_are_the_signatures_of_t_inverse(p, e, n):
+    # each torus term's closed-form key is the support key of t^-1 through
+    # the full decomposition, whose psi-argument is 0
+    f = build_field(p, e, n)
+    m, odd = n // 2, n % 2 == 1
+    key, extra, weight, _ = exjs._torus_terms(f, n, AddChar(f))
+    sigs = [support_signature(f, mg.mat_inv(f, mg.antidiag_elem(
+                f, comp, lams, block_scale=2, tail_one=odd)))
+            for comp in mg.compositions(m)
+            for lams in itertools.product(f.subfield_units(1), repeat=len(comp))]
+    assert len(key) == len(extra) == len(weight) == len(sigs)
+    keys = support_keys(f, n)
+    assert [(keys[i], 0) for i in key.tolist()] == sigs
 
 
 def test_sampled_certificate_refuses_zero_trials():
